@@ -6,9 +6,9 @@
 //	yafim -input retail.dat -support 0.01 [-engine yafim] [-rules 0.8]
 //	yafim -input retail.dat -trace out.json -stats
 //
-// The parallel engines (yafim, mapreduce) run on the paper's simulated
-// 12-node cluster and report per-pass virtual cluster time; the sequential
-// engines (sequential, eclat, fpgrowth) report real elapsed time.
+// The parallel engines (yafim, mapreduce, son, rddeclat) run on the paper's
+// simulated 12-node cluster and report per-pass virtual cluster time; the
+// sequential engines (sequential, eclat, fpgrowth) report real elapsed time.
 //
 // Observability flags (parallel engines): -trace writes a Chrome trace-event
 // JSON of the run's virtual timeline (load it in Perfetto or
@@ -136,7 +136,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var f cliFlags
 	fs.StringVar(&f.input, "input", "", "transaction file in .dat format (required)")
 	fs.Float64Var(&f.support, "support", 0.01, "relative minimum support in (0,1]")
-	fs.StringVar(&f.engine, "engine", "yafim", "engine: yafim, mapreduce, sequential, eclat, fpgrowth, son, dhp, partition, toivonen, disteclat, aprioritid, rddeclat")
+	fs.StringVar(&f.engine, "engine", "yafim", "engine: "+engineNames())
 	fs.StringVar(&f.mode, "mode", "all", "itemsets to report: all, closed, maximal")
 	fs.IntVar(&f.maxK, "maxk", 0, "stop after frequent itemsets of this size (0 = unbounded)")
 	fs.IntVar(&f.nodes, "nodes", 0, "override simulated node count for parallel engines")
@@ -187,6 +187,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 }
 
+// engineNames lists the -engine values, comma-separated.
+func engineNames() string {
+	var names []string
+	for _, e := range yafim.Engines() {
+		names = append(names, e.String())
+	}
+	return strings.Join(names, ", ")
+}
+
 // runSim is the classic single-process path: every engine runs on the
 // in-memory virtual-time cluster (or natively for the sequential engines).
 func runSim(ctx context.Context, f cliFlags, fs *flag.FlagSet, stdout, stderr io.Writer) error {
@@ -215,26 +224,16 @@ func runSim(ctx context.Context, f cliFlags, fs *flag.FlagSet, stdout, stderr io
 	if f.chaosS != 0 {
 		opts.Chaos = yafim.DefaultChaosPlan(f.chaosS)
 	}
-	if f.nodes > 0 {
-		cfg := yafim.ClusterSpark()
-		if eng == yafim.EngineMapReduce {
-			cfg = yafim.ClusterHadoop()
+	// The cluster the run uses and the diagnosis judges task durations
+	// against: the engine's default, resized by -nodes. Sequential engines
+	// have none.
+	var diagCluster *yafim.Cluster
+	if cfg, ok := eng.DefaultCluster(); ok {
+		if f.nodes > 0 {
+			cfg = cfg.WithNodes(f.nodes)
+			opts.Cluster = &cfg
 		}
-		cfg = cfg.WithNodes(f.nodes)
-		opts.Cluster = &cfg
-	}
-	// The cluster the diagnosis should judge task durations against: the
-	// explicit override when given, otherwise the engine's default.
-	diagCluster := opts.Cluster
-	if diagCluster == nil {
-		switch eng {
-		case yafim.EngineYAFIM:
-			c := yafim.ClusterSpark()
-			diagCluster = &c
-		case yafim.EngineMapReduce:
-			c := yafim.ClusterHadoop()
-			diagCluster = &c
-		}
+		diagCluster = &cfg
 	}
 	if f.listen != "" {
 		ln, err := net.Listen("tcp", f.listen)

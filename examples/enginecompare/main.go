@@ -1,10 +1,9 @@
 // Enginecompare races every mining engine in the repository on the same
 // dataset: the two parallel algorithms from the paper's world (YAFIM on the
-// Spark-substitute, MRApriori on the Hadoop-substitute), the one-phase SON,
-// Dist-Eclat and RDD-Eclat distributed algorithms, and the sequential
-// family (Apriori, DHP, Partition, Toivonen, Eclat, FP-Growth). All must
-// return identical itemsets; the interesting part is how differently they
-// get there.
+// Spark-substitute, MRApriori on the Hadoop-substitute), the one-phase SON
+// and the vertical RDD-Eclat, and the sequential oracles (Apriori, Eclat,
+// FP-Growth). All must return identical itemsets; the interesting part is
+// how differently they get there.
 package main
 
 import (
@@ -23,12 +22,7 @@ func main() {
 	fmt.Printf("dataset: %d transactions, %d items (MushRoom-shaped), Sup = 35%%\n\n",
 		st.NumTransactions, st.NumItems)
 
-	engines := []yafim.Engine{
-		yafim.EngineYAFIM, yafim.EngineDistEclat, yafim.EngineRDDEclat,
-		yafim.EngineMapReduce, yafim.EngineSON,
-		yafim.EngineSequential, yafim.EngineDHP, yafim.EngineAprioriTid,
-		yafim.EnginePartition, yafim.EngineToivonen, yafim.EngineEclat, yafim.EngineFPGrowth,
-	}
+	engines := yafim.Engines()
 	fmt.Printf("%-12s %10s %9s %8s  %s\n", "engine", "time", "frequent", "maxk", "notes")
 	var reference *yafim.Result
 	for _, e := range engines {
@@ -41,13 +35,9 @@ func main() {
 		} else if !trace.Result.Equal(reference) {
 			log.Fatalf("%v disagrees with %v — impossible", e, engines[0])
 		}
-		notes := ""
-		switch e {
-		case yafim.EngineYAFIM, yafim.EngineMapReduce, yafim.EngineSON,
-			yafim.EngineDistEclat, yafim.EngineRDDEclat:
-			notes = "simulated 12-node cluster time"
-		default:
-			notes = "real single-core time"
+		notes := "real single-core time"
+		if cfg, ok := e.DefaultCluster(); ok {
+			notes = fmt.Sprintf("simulated %d-node cluster time", cfg.Nodes)
 		}
 		fmt.Printf("%-12s %10v %9d %8d  %s\n", e,
 			trace.TotalDuration().Round(1e6), trace.Result.NumFrequent(),

@@ -53,7 +53,7 @@ func MineDHP(db *itemset.DB, minSupport float64, buckets int) (*Result, error) {
 
 	// Pass 2: generate C2 and discard candidates whose bucket cannot reach
 	// the threshold.
-	c2, err := Gen(setsOf(l1))
+	c2, err := Gen(SetsOf(l1))
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +63,7 @@ func MineDHP(db *itemset.DB, minSupport float64, buckets int) (*Result, error) {
 			pruned = append(pruned, c)
 		}
 	}
-	prev := setsOf(l1)
+	prev := SetsOf(l1)
 	for k := 2; ; k++ {
 		var cands []itemset.Itemset
 		if k == 2 {
@@ -88,7 +88,7 @@ func MineDHP(db *itemset.DB, minSupport float64, buckets int) (*Result, error) {
 			break
 		}
 		res.Levels = append(res.Levels, NewLevel(k, lk))
-		prev = setsOf(lk)
+		prev = SetsOf(lk)
 	}
 	return res, nil
 }

@@ -67,7 +67,7 @@ func Mine(db *itemset.DB, minSupport float64, opts Options) (*Result, error) {
 	}
 	res.Levels = append(res.Levels, NewLevel(1, l1))
 
-	prev := setsOf(l1)
+	prev := SetsOf(l1)
 	for k := 2; opts.MaxK == 0 || k <= opts.MaxK; k++ {
 		if opts.Interrupt != nil {
 			if err := opts.Interrupt(); err != nil {
@@ -107,7 +107,7 @@ func Mine(db *itemset.DB, minSupport float64, opts Options) (*Result, error) {
 			break
 		}
 		res.Levels = append(res.Levels, NewLevel(k, lk))
-		prev = setsOf(lk)
+		prev = SetsOf(lk)
 	}
 	return res, nil
 }
@@ -129,7 +129,9 @@ func frequentItems(db *itemset.DB, minCount int) []SetCount {
 	return out
 }
 
-func setsOf(scs []SetCount) []itemset.Itemset {
+// SetsOf returns the itemsets of scs, in order: the previous level as
+// candidate generation takes it.
+func SetsOf(scs []SetCount) []itemset.Itemset {
 	out := make([]itemset.Itemset, len(scs))
 	for i, sc := range scs {
 		out[i] = sc.Set

@@ -119,7 +119,7 @@ func verifyWithBorder(db *itemset.DB, sampleRes *Result, minCount int) (*Result,
 		if len(prev) == 0 {
 			break
 		}
-		cands, err := Gen(setsOf(prev))
+		cands, err := Gen(SetsOf(prev))
 		if err != nil {
 			return nil, false, err
 		}

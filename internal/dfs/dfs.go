@@ -134,11 +134,18 @@ func (fs *FileSystem) WriteFile(path string, data []byte, led *sim.Ledger) error
 	}
 	fs.files[path] = f
 	if led != nil {
-		led.AddDiskWrite(int64(len(data)) * int64(fs.replication))
-		led.AddNet(int64(len(data)) * int64(fs.replication-1))
+		fs.ChargeWrite(int64(len(data)), led)
 	}
 	fs.rec.AddDFSWrite(int64(len(data)) * int64(fs.replication))
 	return nil
+}
+
+// ChargeWrite charges led what writing n bytes costs: a disk write per
+// replica plus the network hop to each non-local replica. It lets a task pay
+// for output that its driver commits later with WriteFile and a nil ledger.
+func (fs *FileSystem) ChargeWrite(n int64, led *sim.Ledger) {
+	led.AddDiskWrite(n * int64(fs.replication))
+	led.AddNet(n * int64(fs.replication-1))
 }
 
 func (fs *FileSystem) placeReplicasLocked() []int {

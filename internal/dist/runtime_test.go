@@ -142,6 +142,12 @@ func TestMasterWorkersMatchLocalOracle(t *testing.T) {
 	}
 	defer master.Close()
 	startWorkers(t, master.URL(), 2)
+	// Seven small tasks can all go to whichever worker registers first.
+	for deadline := time.Now().Add(10 * time.Second); master.LiveWorkers() < 2; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for both workers to register")
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

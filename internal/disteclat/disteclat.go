@@ -14,7 +14,6 @@ package disteclat
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"yafim/internal/apriori"
 	"yafim/internal/dfs"
@@ -63,7 +62,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 			out := make([]itemset.Itemset, 0, len(rows))
 			bytes := 0
 			for _, row := range rows {
-				t, err := parseTransaction(row)
+				t, err := itemset.ParseLine(row)
 				if err != nil {
 					return nil, err
 				}
@@ -90,7 +89,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	if n == 0 {
 		return nil, fmt.Errorf("disteclat: %s holds no transactions", path)
 	}
-	minCount := minSupportCount(cfg.MinSupport, n)
+	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 
 	// One shuffle builds the vertical layout: (item, [tid]) pairs combined
 	// into full tidlists, pruned to frequent items.
@@ -117,7 +116,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 
 	res := &apriori.Result{MinSupport: minCount}
 	trace := &apriori.Trace{Result: res}
-	buildDone := jobsDuration(ctx, 0)
+	buildDone := ctx.TotalDuration()
 	trace.Passes = append(trace.Passes, apriori.PassStat{
 		K: 1, Candidates: int(n), Frequent: len(collected), Duration: buildDone,
 	})
@@ -171,7 +170,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 
 	trace.Passes = append(trace.Passes, apriori.PassStat{
 		K: res.MaxK(), Candidates: len(v.items), Frequent: res.NumFrequent(),
-		Duration: jobsDuration(ctx, 0) - buildDone,
+		Duration: ctx.TotalDuration() - buildDone,
 	})
 	return trace, nil
 }
@@ -243,44 +242,4 @@ func seq(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func parseTransaction(line string) (itemset.Itemset, error) {
-	var items []itemset.Item
-	v, inNum := 0, false
-	for i := 0; i <= len(line); i++ {
-		if i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			v = v*10 + int(line[i]-'0')
-			inNum = true
-			continue
-		}
-		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			return nil, fmt.Errorf("disteclat: bad transaction line %q", line)
-		}
-		if inNum {
-			items = append(items, itemset.Item(v))
-			v, inNum = 0, false
-		}
-	}
-	return itemset.New(items...), nil
-}
-
-func minSupportCount(rel float64, n int64) int {
-	c := int(rel * float64(n))
-	if float64(c) < rel*float64(n) {
-		c++
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// jobsDuration sums job durations from the mark-th report onward.
-func jobsDuration(ctx *rdd.Context, mark int) time.Duration {
-	var d time.Duration
-	for _, r := range ctx.Reports()[mark:] {
-		d += r.Duration()
-	}
-	return d
 }

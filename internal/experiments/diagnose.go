@@ -10,8 +10,6 @@ import (
 	"yafim/internal/apriori"
 	"yafim/internal/chaos"
 	"yafim/internal/cluster"
-	"yafim/internal/dataset"
-	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/mrapriori"
@@ -106,17 +104,10 @@ func RunDiagnosed(ctx context.Context, b Benchmark, env Env, plan *chaos.Plan,
 // durations instead of being rescued.
 func runMRDiagnosed(ctx context.Context, db *itemset.DB, support float64, cfg cluster.Config,
 	tasks int, rec *obs.Recorder, plan *chaos.Plan) (*apriori.Trace, *mapreduce.Runner, error) {
-	fs := dfs.New(cfg.Nodes)
-	path := stagePath(db.Name)
-	if _, err := dataset.Stage(fs, path, db); err != nil {
-		return nil, nil, err
-	}
-	runner, err := mapreduce.NewRunner(fs, cfg)
+	runner, fs, path, err := stageMR(db, cfg, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	runner.SetRecorder(rec)
-	fs.SetRecorder(rec)
 	if plan != nil {
 		runner.SetResilience(chaos.Resilience{})
 		if err := runner.SetChaos(plan); err != nil {

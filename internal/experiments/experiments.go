@@ -100,6 +100,40 @@ func (e Env) tasks(cfg cluster.Config) int {
 	return 2 * cfg.TotalCores()
 }
 
+// stageRDD stages db into a fresh DFS sized for cfg and opens an RDD
+// context on cfg, canceled by goCtx, whose recorder also meters the DFS.
+func stageRDD(goCtx context.Context, db *itemset.DB, cfg cluster.Config,
+	opts []rdd.Option) (*rdd.Context, *dfs.FileSystem, string, error) {
+	fs := dfs.New(cfg.Nodes)
+	path := stagePath(db.Name)
+	if _, err := dataset.Stage(fs, path, db); err != nil {
+		return nil, nil, "", err
+	}
+	ctx, err := rdd.NewContext(cfg, append([]rdd.Option{rdd.WithContext(goCtx)}, opts...)...)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	fs.SetRecorder(ctx.Recorder())
+	return ctx, fs, path, nil
+}
+
+// stageMR stages db into a fresh DFS sized for cfg and opens a MapReduce
+// runner on it; the runner and the DFS both report to rec (may be nil).
+func stageMR(db *itemset.DB, cfg cluster.Config, rec *obs.Recorder) (*mapreduce.Runner, *dfs.FileSystem, string, error) {
+	fs := dfs.New(cfg.Nodes)
+	path := stagePath(db.Name)
+	if _, err := dataset.Stage(fs, path, db); err != nil {
+		return nil, nil, "", err
+	}
+	runner, err := mapreduce.NewRunner(fs, cfg)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	runner.SetRecorder(rec)
+	fs.SetRecorder(rec)
+	return runner, fs, path, nil
+}
+
 // RunYAFIM stages db into a fresh DFS and mines it with YAFIM on the given
 // cluster, returning the trace and the driver context (for cost inspection).
 // Pass rdd.WithRecorder to capture telemetry; the recorder is also attached
@@ -107,16 +141,10 @@ func (e Env) tasks(cfg cluster.Config) int {
 // the next task boundary (pass context.Background() to run to completion).
 func RunYAFIM(goCtx context.Context, db *itemset.DB, support float64, cfg cluster.Config, tasks int,
 	mineCfg yafim.Config, opts ...rdd.Option) (*apriori.Trace, *rdd.Context, error) {
-	fs := dfs.New(cfg.Nodes)
-	path := stagePath(db.Name)
-	if _, err := dataset.Stage(fs, path, db); err != nil {
-		return nil, nil, err
-	}
-	ctx, err := rdd.NewContext(cfg, append([]rdd.Option{rdd.WithContext(goCtx)}, opts...)...)
+	ctx, fs, path, err := stageRDD(goCtx, db, cfg, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	fs.SetRecorder(ctx.Recorder())
 	mineCfg.MinSupport = support
 	if mineCfg.NumPartitions == 0 {
 		mineCfg.NumPartitions = tasks
@@ -132,16 +160,10 @@ func RunYAFIM(goCtx context.Context, db *itemset.DB, support float64, cfg cluste
 // the given cluster. Pass rdd.WithRecorder to capture telemetry.
 func RunDistEclat(goCtx context.Context, db *itemset.DB, support float64, cfg cluster.Config, tasks int,
 	opts ...rdd.Option) (*apriori.Trace, *rdd.Context, error) {
-	fs := dfs.New(cfg.Nodes)
-	path := stagePath(db.Name)
-	if _, err := dataset.Stage(fs, path, db); err != nil {
-		return nil, nil, err
-	}
-	ctx, err := rdd.NewContext(cfg, append([]rdd.Option{rdd.WithContext(goCtx)}, opts...)...)
+	ctx, fs, path, err := stageRDD(goCtx, db, cfg, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	fs.SetRecorder(ctx.Recorder())
 	trace, err := disteclat.Mine(ctx, fs, path, disteclat.Config{
 		MinSupport:    support,
 		NumPartitions: tasks,
@@ -157,16 +179,10 @@ func RunDistEclat(goCtx context.Context, db *itemset.DB, support float64, cfg cl
 // Pass rdd.WithRecorder to capture telemetry.
 func RunRDDEclat(goCtx context.Context, db *itemset.DB, support float64, cfg cluster.Config, tasks int,
 	mineCfg rddeclat.Config, opts ...rdd.Option) (*apriori.Trace, *rdd.Context, error) {
-	fs := dfs.New(cfg.Nodes)
-	path := stagePath(db.Name)
-	if _, err := dataset.Stage(fs, path, db); err != nil {
-		return nil, nil, err
-	}
-	ctx, err := rdd.NewContext(cfg, append([]rdd.Option{rdd.WithContext(goCtx)}, opts...)...)
+	ctx, fs, path, err := stageRDD(goCtx, db, cfg, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	fs.SetRecorder(ctx.Recorder())
 	mineCfg.MinSupport = support
 	if mineCfg.NumPartitions == 0 {
 		mineCfg.NumPartitions = tasks
@@ -184,17 +200,10 @@ func RunRDDEclat(goCtx context.Context, db *itemset.DB, support float64, cfg clu
 // plan into the runner and the DFS.
 func RunMRApriori(ctx context.Context, db *itemset.DB, support float64, cfg cluster.Config, tasks int,
 	mineCfg mrapriori.Config, rec *obs.Recorder, plan *chaos.Plan) (*apriori.Trace, *mapreduce.Runner, error) {
-	fs := dfs.New(cfg.Nodes)
-	path := stagePath(db.Name)
-	if _, err := dataset.Stage(fs, path, db); err != nil {
-		return nil, nil, err
-	}
-	runner, err := mapreduce.NewRunner(fs, cfg)
+	runner, fs, path, err := stageMR(db, cfg, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	runner.SetRecorder(rec)
-	fs.SetRecorder(rec)
 	if plan != nil {
 		if err := runner.SetChaos(plan); err != nil {
 			return nil, nil, err

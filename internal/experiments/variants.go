@@ -9,8 +9,6 @@ import (
 
 	"yafim/internal/apriori"
 	"yafim/internal/cluster"
-	"yafim/internal/dataset"
-	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/mrapriori"
@@ -114,7 +112,7 @@ func RunVariants(ctx context.Context, b Benchmark, env Env) (*Variants, error) {
 		})
 		return out, nil
 	}
-	sonTrace, sonRunner, err := RunSON(ctx, db, b.Support, env.Hadoop, env.tasks(env.Hadoop), nil)
+	sonTrace, sonRunner, err := RunSON(ctx, db, b.Support, env.Hadoop, env.tasks(env.Hadoop), son.Config{}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: variants %s: son: %w", b.Name, err)
 	}
@@ -127,22 +125,16 @@ func RunVariants(ctx context.Context, b Benchmark, env Env) (*Variants, error) {
 // RunSON stages db into a fresh DFS and mines it with the one-phase SON
 // algorithm on the given cluster. rec (may be nil) captures telemetry.
 func RunSON(ctx context.Context, db *itemset.DB, support float64, cfg cluster.Config, tasks int,
-	rec *obs.Recorder) (*apriori.Trace, *mapreduce.Runner, error) {
-	fs := dfs.New(cfg.Nodes)
-	path := stagePath(db.Name)
-	if _, err := dataset.Stage(fs, path, db); err != nil {
-		return nil, nil, err
-	}
-	runner, err := mapreduce.NewRunner(fs, cfg)
+	mineCfg son.Config, rec *obs.Recorder) (*apriori.Trace, *mapreduce.Runner, error) {
+	runner, fs, path, err := stageMR(db, cfg, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	runner.SetRecorder(rec)
-	fs.SetRecorder(rec)
-	trace, err := son.MineContext(ctx, runner, fs, path, "/work", son.Config{
-		MinSupport:  support,
-		NumMapTasks: tasks,
-	})
+	mineCfg.MinSupport = support
+	if mineCfg.NumMapTasks == 0 {
+		mineCfg.NumMapTasks = tasks
+	}
+	trace, err := son.MineContext(ctx, runner, fs, path, "/work", mineCfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -286,6 +286,9 @@ func TestMinSupportCount(t *testing.T) {
 		if got := db.MinSupportCount(c.rel); got != c.want {
 			t.Errorf("MinSupportCount(%v) = %d, want %d", c.rel, got, c.want)
 		}
+		if got := MinSupportCount(c.rel, 10); got != c.want {
+			t.Errorf("MinSupportCount(%v, 10) = %d, want %d", c.rel, got, c.want)
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -293,6 +296,37 @@ func TestMinSupportCount(t *testing.T) {
 		}
 	}()
 	db.MinSupportCount(1.5)
+}
+
+func TestParseLine(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Itemset
+		ok   bool
+	}{
+		{"1 2 3", New(1, 2, 3), true},
+		{"  7   5 ", New(5, 7), true},
+		{"4\t2", New(2, 4), true},
+		{"42", New(42), true},
+		{"", New(), true},
+		{"3 3 3", New(3), true},
+		{"2147483647", New(2147483647), true},
+		{"2147483648", nil, false},
+		{"99999999999999999999", nil, false},
+		{"1 -2", nil, false},
+		{"+5", nil, false},
+		{"a b", nil, false},
+	}
+	for _, c := range cases {
+		got, err := ParseLine(c.in)
+		if c.ok != (err == nil) {
+			t.Errorf("ParseLine(%q) err = %v", c.in, err)
+			continue
+		}
+		if c.ok && !got.Equal(c.want) {
+			t.Errorf("ParseLine(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
 }
 
 func TestReplicate(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -54,14 +55,47 @@ func (db *DB) MinSupportCount(relative float64) int {
 	if relative < 0 || relative > 1 {
 		panic(fmt.Sprintf("itemset: relative support %v out of [0,1]", relative))
 	}
-	n := int(relative * float64(db.Len()))
-	if float64(n) < relative*float64(db.Len()) {
-		n++
+	return MinSupportCount(relative, int64(db.Len()))
+}
+
+// MinSupportCount is DB.MinSupportCount for n transactions the caller has
+// only counted, as a distributed engine does after its first pass. The
+// caller validates relative.
+func MinSupportCount(relative float64, n int64) int {
+	c := int(relative * float64(n))
+	if float64(c) < relative*float64(n) {
+		c++
 	}
-	if n < 1 {
-		n = 1
+	if c < 1 {
+		c = 1
 	}
-	return n
+	return c
+}
+
+// ParseLine parses one .dat record in a single pass: space- or
+// tab-separated non-negative decimal item ids, canonicalised. A blank line
+// is the empty transaction. It is the record parser of every engine that
+// reads its input as text splits.
+func ParseLine(line string) (Itemset, error) {
+	var items []Item
+	v, inNum := 0, false
+	for i := 0; i <= len(line); i++ {
+		if i < len(line) && line[i] >= '0' && line[i] <= '9' {
+			if v = v*10 + int(line[i]-'0'); v > math.MaxInt32 {
+				return nil, fmt.Errorf("itemset: item out of range in line %q", line)
+			}
+			inNum = true
+			continue
+		}
+		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
+			return nil, fmt.Errorf("itemset: bad transaction line %q", line)
+		}
+		if inNum {
+			items = append(items, Item(v))
+			v, inNum = 0, false
+		}
+	}
+	return New(items...), nil
 }
 
 // Replicate returns a database whose transaction list is db's repeated

@@ -468,7 +468,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 	cache CacheFiles, counters *Counters) (sim.StageReport, error) {
 	groups := make([]int64, job.NumReducers)
 	outRecs := make([]int64, job.NumReducers)
-	outBytes := make([]int64, job.NumReducers)
+	parts := make([][]byte, job.NumReducers)
 	shuffleBytes := make([]int64, job.NumReducers)
 
 	costs, wasted, attempts, err := r.forEach(ctx, "reduce", job.Name+":reduce", job.NumReducers, func(p int, led *sim.Ledger) error {
@@ -525,17 +525,26 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 			}
 			led.AddCPU(float64(len(merged[k])))
 		}
-		path := fmt.Sprintf("%s/part-r-%05d", job.OutputDir, p)
-		if err := r.fs.WriteFile(path, []byte(sb.String()), led); err != nil {
-			return fmt.Errorf("reducer %d commit: %w", p, err)
-		}
+		// Every attempt pays for writing its output; the driver commits
+		// the surviving one below.
+		r.fs.ChargeWrite(int64(sb.Len()), led)
+		parts[p] = []byte(sb.String())
 		groups[p] = int64(len(keys))
 		outRecs[p] = outRecords
-		outBytes[p] = int64(sb.Len())
 		return nil
 	})
 	if err != nil {
 		return sim.StageReport{}, err
+	}
+	// Commit in partition order: the DFS places replicas round-robin, so
+	// commits racing from the task goroutines would place the part files in
+	// scheduler order, and a later node crash would repair different blocks
+	// in two runs of one seed.
+	for p, data := range parts {
+		path := fmt.Sprintf("%s/part-r-%05d", job.OutputDir, p)
+		if err := r.fs.WriteFile(path, data, nil); err != nil {
+			return sim.StageReport{}, fmt.Errorf("reducer %d commit: %w", p, err)
+		}
 	}
 	for p := 0; p < job.NumReducers; p++ {
 		counters.ReduceInputGroups += groups[p]
@@ -545,7 +554,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 	if r.rec.Enabled() {
 		for p := 0; p < job.NumReducers; p++ {
 			r.rec.ObservePartitionOutput("mapreduce", job.Name+":reduce",
-				int(outRecs[p]), outBytes[p])
+				int(outRecs[p]), int64(len(parts[p])))
 		}
 	}
 	placed := make([]sim.Placed, len(costs))

@@ -135,6 +135,34 @@ func TestWordCount(t *testing.T) {
 	}
 }
 
+// The part files take their replicas from the DFS's round-robin cursor in
+// partition order, whatever order the reduce tasks finish in, so every run
+// of a seed leaves the same blocks on each node for a crash to take.
+func TestReduceCommitsInPartitionOrder(t *testing.T) {
+	fs := setupFS(t, 16, corpus)
+	r, err := NewRunner(fs, cluster.Local())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := wordCountJob(true)
+	job.NumReducers = 32
+	if _, _, err := r.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	var prev []int
+	for p := 0; p < job.NumReducers; p++ {
+		splits, err := fs.Splits(fmt.Sprintf("%s/part-r-%05d", job.OutputDir, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := splits[0].Locations
+		if prev != nil && first[0] != (prev[len(prev)-1]+1)%fs.Nodes() {
+			t.Fatalf("part %d starts on %v right after part %d ended on %v", p, first, p-1, prev)
+		}
+		prev = splits[len(splits)-1].Locations
+	}
+}
+
 func TestCombinerReducesShuffleBytes(t *testing.T) {
 	run := func(combiner bool) sim.Cost {
 		fs := setupFS(t, 1024, strings.Repeat(corpus, 20))

@@ -49,22 +49,13 @@ func (s *simPasses) runPass1(ctx context.Context, reducers, mapTasks int) (*pass
 func (s *simPasses) runCountPass(ctx context.Context, k int, batch [][]itemset.Itemset,
 	minCount, reducers, mapTasks int) (*passOutput, error) {
 	cachePath := fmt.Sprintf("%s/C%d", s.workDir, k)
-	if err := s.fs.WriteFile(cachePath, encodeCandidates(batch), nil); err != nil {
+	if err := s.fs.WriteFile(cachePath, EncodeCandidates(batch), nil); err != nil {
 		return nil, err
 	}
 	outDir := fmt.Sprintf("%s/L%d", s.workDir, k)
 	mapreduce.CleanOutput(s.fs, outDir)
-	rep, _, err := s.runner.RunContext(ctx, mapreduce.Job{
-		Name:        fmt.Sprintf("apriori-pass%d", k),
-		Input:       []string{s.inputPath},
-		OutputDir:   outDir,
-		NewMapper:   func() mapreduce.Mapper { return &countMapper{cachePath: cachePath} },
-		NewCombiner: func() mapreduce.Reducer { return sumReducer{} },
-		NewReducer:  func() mapreduce.Reducer { return prunedSumReducer{minCount: minCount} },
-		NumReducers: reducers,
-		MapTasks:    mapTasks,
-		CacheFiles:  []string{cachePath},
-	})
+	rep, _, err := s.runner.RunContext(ctx, CountJob(fmt.Sprintf("apriori-pass%d", k),
+		s.inputPath, outDir, cachePath, minCount, reducers, mapTasks))
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +115,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return prunedSumReducer{minCount: cp.MinCount}, nil
+			return sumReducer{minCount: cp.MinCount}, nil
 		},
 	})
 }
@@ -182,7 +173,7 @@ func (d *distPasses) runCountPass(ctx context.Context, k int, batch [][]itemset.
 		InputPath:   d.inputPath,
 		NumMaps:     mapTasks,
 		NumReducers: reducers,
-		Cache:       map[string][]byte{cachePath: encodeCandidates(batch)},
+		Cache:       map[string][]byte{cachePath: EncodeCandidates(batch)},
 	})
 	if err != nil {
 		return nil, err

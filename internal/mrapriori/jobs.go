@@ -2,6 +2,7 @@ package mrapriori
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -31,16 +32,35 @@ func (m *itemMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Led
 	return nil
 }
 
-// countMapper implements passes k >= 2 (Algorithm 3 in MapReduce form): load
-// the candidate batch from the distributed cache into hash trees, then count
-// candidate occurrences across the task's whole input split into dense
-// per-tree arrays (in-mapper combining) and emit one <candidate, count>
-// record per locally occurring candidate at cleanup — instead of one
-// <candidate, 1> record per match, which is what the combiner would
-// otherwise have to crunch back down.
+// CountJob is the exact candidate-counting job: MRApriori runs it for every
+// pass k >= 2 and SON runs it as its second job. Mappers load the candidate
+// file cachePath (EncodeCandidates' output, shipped through the distributed
+// cache) into one hash tree per candidate length and count occurrences over
+// their split; the combiner sums partial counts; the reducer keeps the
+// candidates counted at least minCount times. The output holds one
+// <SetKey, count> record per surviving candidate.
+func CountJob(name, inputPath, outDir, cachePath string, minCount, reducers, mapTasks int) mapreduce.Job {
+	return mapreduce.Job{
+		Name:        name,
+		Input:       []string{inputPath},
+		OutputDir:   outDir,
+		NewMapper:   func() mapreduce.Mapper { return &countMapper{cachePath: cachePath} },
+		NewCombiner: func() mapreduce.Reducer { return sumReducer{} },
+		NewReducer:  func() mapreduce.Reducer { return sumReducer{minCount: minCount} },
+		NumReducers: reducers,
+		MapTasks:    mapTasks,
+		CacheFiles:  []string{cachePath},
+	}
+}
+
+// countMapper is CountJob's mapper (Algorithm 3 in MapReduce form). It
+// counts candidate occurrences across the task's whole input split into
+// dense per-tree arrays (in-mapper combining) and emits one
+// <candidate, count> record per locally occurring candidate at cleanup —
+// instead of one <candidate, 1> record per match, which is what the
+// combiner would otherwise have to crunch back down.
 type countMapper struct {
 	cachePath string
-	trees     []*hashtree.Tree
 	keys      [][]string // per tree: candidate index -> emitted key text
 	matchers  []*hashtree.Matcher
 	counts    [][]int // per tree: dense candidate counts for this split
@@ -58,7 +78,7 @@ func (m *countMapper) Setup(cache mapreduce.CacheFiles, led *sim.Ledger) error {
 		if line == "" {
 			continue
 		}
-		set, err := parseSet(line)
+		set, err := ParseSet(line)
 		if err != nil {
 			return fmt.Errorf("mrapriori: candidate file: %w", err)
 		}
@@ -71,22 +91,14 @@ func (m *countMapper) Setup(cache mapreduce.CacheFiles, led *sim.Ledger) error {
 	for k := range byLen {
 		lengths = append(lengths, k)
 	}
-	// Deterministic tree order (ascending candidate length).
-	for i := 0; i < len(lengths); i++ {
-		for j := i + 1; j < len(lengths); j++ {
-			if lengths[j] < lengths[i] {
-				lengths[i], lengths[j] = lengths[j], lengths[i]
-			}
-		}
-	}
+	sort.Ints(lengths) // deterministic tree order
 	for _, k := range lengths {
 		cands := byLen[k]
 		tree := hashtree.Build(cands)
 		keys := make([]string, len(cands))
 		for i, c := range cands {
-			keys[i] = setKey(c)
+			keys[i] = SetKey(c)
 		}
-		m.trees = append(m.trees, tree)
 		m.keys = append(m.keys, keys)
 		m.matchers = append(m.matchers, tree.NewMatcher())
 		m.counts = append(m.counts, make([]int, len(cands)))
@@ -113,7 +125,7 @@ func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
 }
 
 func (m *countMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
-	set, err := parseSet(line)
+	set, err := itemset.ParseLine(line)
 	if err != nil {
 		return fmt.Errorf("mrapriori: transaction: %w", err)
 	}
@@ -129,46 +141,24 @@ func (m *countMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Le
 	return nil
 }
 
-// sumReducer sums the integer values of a key; it serves as the combiner of
-// every pass and as the (unpruned) reducer of pass 1.
-type sumReducer struct{}
+// sumReducer sums the integer values of a key and keeps the keys reaching
+// minCount — lines 11-18 of Algorithm 3. With minCount 0 it keeps every key:
+// the combiner of every job and the reducer of pass 1.
+type sumReducer struct{ minCount int }
 
 func (sumReducer) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
 
-func (sumReducer) Reduce(key string, values []string, emit mapreduce.Emit, _ *sim.Ledger) error {
-	total, err := sumValues(key, values)
-	if err != nil {
-		return err
-	}
-	emit(key, strconv.Itoa(total))
-	return nil
-}
-
-// prunedSumReducer sums and keeps only keys meeting the minimum support —
-// lines 11-18 of Algorithm 3.
-type prunedSumReducer struct{ minCount int }
-
-func (prunedSumReducer) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
-
-func (r prunedSumReducer) Reduce(key string, values []string, emit mapreduce.Emit, _ *sim.Ledger) error {
-	total, err := sumValues(key, values)
-	if err != nil {
-		return err
+func (r sumReducer) Reduce(key string, values []string, emit mapreduce.Emit, _ *sim.Ledger) error {
+	total := 0
+	for _, v := range values {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return fmt.Errorf("mrapriori: bad partial count %q for key %q", v, key)
+		}
+		total += n
 	}
 	if total >= r.minCount {
 		emit(key, strconv.Itoa(total))
 	}
 	return nil
-}
-
-func sumValues(key string, values []string) (int, error) {
-	total := 0
-	for _, v := range values {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("mrapriori: bad partial count %q for key %q", v, key)
-		}
-		total += n
-	}
-	return total, nil
 }

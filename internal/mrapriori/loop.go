@@ -3,7 +3,6 @@ package mrapriori
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"yafim/internal/apriori"
@@ -73,7 +72,7 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 	if n == 0 {
 		return nil, fmt.Errorf("mrapriori: %s holds no transactions", inputPath)
 	}
-	minCount := minSupportCount(cfg.MinSupport, n)
+	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 	rec.ObservePass("mapreduce", 1, int(n))
 
 	var l1 []apriori.SetCount
@@ -99,7 +98,7 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 	res.Levels = append(res.Levels, apriori.NewLevel(1, l1))
 
 	// Phases 2..k: one job per candidate batch.
-	prev := sets(l1)
+	prev := apriori.SetsOf(l1)
 	k := 2
 	for cfg.MaxK == 0 || k <= cfg.MaxK {
 		if err := exec.ContextErr(ctx); err != nil {
@@ -121,7 +120,7 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 		if err != nil {
 			return nil, fmt.Errorf("mrapriori: pass %d: %w", k, err)
 		}
-		levels, err := splitLevels(po.kvs, k, len(batch))
+		levels, err := SplitLevels(po.kvs, k, len(batch))
 		if err != nil {
 			return nil, fmt.Errorf("mrapriori: pass %d: %w", k, err)
 		}
@@ -143,7 +142,7 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 				break
 			}
 			res.Levels = append(res.Levels, apriori.NewLevel(k+i, lk))
-			prev = sets(lk)
+			prev = apriori.SetsOf(lk)
 		}
 		if stop {
 			break
@@ -153,10 +152,11 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 	return trace, nil
 }
 
-// splitLevels parses a counting job's output and splits the surviving
-// itemsets back into their candidate levels (a batch job counts several
-// lengths at once under FPC/DPC), each sorted canonically.
-func splitLevels(kvs []mapreduce.KV, k, batchLen int) ([][]apriori.SetCount, error) {
+// SplitLevels parses CountJob's output and splits the surviving itemsets
+// back into the batchLen candidate levels starting at length k: a batch job
+// counts several lengths at once under FPC/DPC, and SON counts every length
+// at once. The levels come back unsorted; apriori.NewLevel sorts them.
+func SplitLevels(kvs []mapreduce.KV, k, batchLen int) ([][]apriori.SetCount, error) {
 	levels := make([][]apriori.SetCount, batchLen)
 	for _, kv := range kvs {
 		count, set, err := parseCountedSet(kv)
@@ -165,17 +165,13 @@ func splitLevels(kvs []mapreduce.KV, k, batchLen int) ([][]apriori.SetCount, err
 		}
 		idx := set.Len() - k
 		if idx < 0 || idx >= batchLen {
-			return nil, fmt.Errorf("unexpected %d-itemset in pass %d output", set.Len(), k)
+			return nil, fmt.Errorf("unexpected %d-itemset in output counting lengths %d..%d",
+				set.Len(), k, k+batchLen-1)
 		}
+		// A speculative level may be frequent only through itemsets whose
+		// true k-subsets turned out infrequent; exact counting makes them
+		// valid frequent itemsets regardless, so no re-pruning is needed.
 		levels[idx] = append(levels[idx], apriori.SetCount{Set: set, Count: count})
-	}
-	// A speculative level may be frequent only through itemsets whose true
-	// k-subsets turned out infrequent; exact counting makes them valid
-	// frequent itemsets regardless, so no re-pruning is needed.
-	for i := range levels {
-		sort.Slice(levels[i], func(a, b int) bool {
-			return levels[i][a].Set.Compare(levels[i][b].Set) < 0
-		})
 	}
 	return levels, nil
 }

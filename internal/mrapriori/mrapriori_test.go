@@ -144,19 +144,41 @@ func TestMineMaxK(t *testing.T) {
 
 func TestSetKeyRoundTrip(t *testing.T) {
 	for _, s := range []itemset.Itemset{itemset.New(1), itemset.New(3, 1, 4), itemset.New(100, 2000)} {
-		back, err := parseSet(setKey(s))
+		back, err := ParseSet(SetKey(s))
 		if err != nil {
-			t.Fatalf("parseSet(%q): %v", setKey(s), err)
+			t.Fatalf("ParseSet(%q): %v", SetKey(s), err)
 		}
 		if !back.Equal(s) {
 			t.Fatalf("round trip %v -> %v", s, back)
 		}
 	}
-	if _, err := parseSet(""); err == nil {
+	if _, err := ParseSet(""); err == nil {
 		t.Error("empty set text accepted")
 	}
-	if _, err := parseSet("1 x"); err == nil {
+	if _, err := ParseSet("1 x"); err == nil {
 		t.Error("bad item accepted")
+	}
+}
+
+// An empty transaction is a valid record: it counts towards the input size
+// and contains no candidate, in every counting pass.
+func TestMineCountsEmptyTransactions(t *testing.T) {
+	db := itemset.NewDB("withempty", [][]itemset.Item{
+		{1, 2}, {}, {1, 2, 3}, {2, 3}, {}, {1, 3}, {1, 2, 3},
+	})
+	want, err := apriori.Mine(db, 0.25, apriori.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []Variant{SPC, FPC, DPC} {
+		runner, fs, path := stage(t, db)
+		got, err := Mine(runner, fs, path, "/work", Config{MinSupport: 0.25, Variant: v})
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if !got.Result.Equal(want) {
+			t.Fatalf("%v: got %v, want %v", v, got.Result.All(), want.All())
+		}
 	}
 }
 

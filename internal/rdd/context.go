@@ -214,14 +214,28 @@ func (c *Context) Reports() []sim.JobReport {
 	return out
 }
 
-// TotalDuration sums the virtual durations of all jobs run so far.
-func (c *Context) TotalDuration() time.Duration {
+// NumJobs returns how many actions have run so far: a mark for
+// DurationSince, which is how the drivers attribute job time to a pass.
+func (c *Context) NumJobs() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.reports)
+}
+
+// DurationSince sums the virtual durations of the jobs run after the first
+// mark ones.
+func (c *Context) DurationSince(mark int) time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var d time.Duration
-	for _, r := range c.Reports() {
+	for _, r := range c.reports[mark:] {
 		d += r.Duration()
 	}
 	return d
 }
+
+// TotalDuration sums the virtual durations of all jobs run so far.
+func (c *Context) TotalDuration() time.Duration { return c.DurationSince(0) }
 
 func (c *Context) allocID() int {
 	c.mu.Lock()

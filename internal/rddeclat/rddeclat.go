@@ -37,7 +37,6 @@ package rddeclat
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"yafim/internal/apriori"
 	"yafim/internal/dfs"
@@ -119,7 +118,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 						return nil, err
 					}
 				}
-				t, err := parseTransaction(row)
+				t, err := itemset.ParseLine(row)
 				if err != nil {
 					return nil, err
 				}
@@ -132,7 +131,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 
 	rec := ctx.Recorder()
 	rec.SetPass(1)
-	passStart := markJobs(ctx)
+	passStart := ctx.NumJobs()
 	passMark := rec.Counters()
 
 	// Global transaction ids: per-partition counts, then prefix offsets.
@@ -153,7 +152,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	if n == 0 {
 		return nil, fmt.Errorf("rddeclat: %s holds no transactions", path)
 	}
-	minCount := minSupportCount(cfg.MinSupport, n)
+	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 	rec.ObservePass("rdd", 1, int(n))
 
 	// Pass 1 counting: flatMap items, map to pairs, reduceByKey, prune —
@@ -187,7 +186,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		ctx.FreeShuffles()
 		trace.Passes = append(trace.Passes, apriori.PassStat{
 			K: k, Candidates: candidates, Frequent: frequent,
-			Duration: jobsSince(ctx, passStart),
+			Duration: ctx.DurationSince(passStart),
 			Counters: rec.Counters().Sub(passMark),
 		})
 	}
@@ -208,7 +207,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	ix := itemset.NewItemIndex(l1Sets)
 	m := ix.Len()
 	rec.SetPass(2)
-	passStart = markJobs(ctx)
+	passStart = ctx.NumJobs()
 	passMark = rec.Counters()
 	rec.ObservePass("rdd", 2, m*(m-1)/2)
 	tidPairs := rdd.MapPartitions(trans, "itemTids",
@@ -315,7 +314,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	// partitioned across tasks; the class's extension candidates are the
 	// partners of i beyond j, and each class is mined depth-first locally.
 	rec.SetPass(3)
-	passStart = markJobs(ctx)
+	passStart = ctx.NumJobs()
 	passMark = rec.Counters()
 	rec.ObservePass("rdd", 3, len(l2Pairs))
 	ci := &classIndex{partners: make([][]int32, m)}
@@ -484,48 +483,4 @@ func seq(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func parseTransaction(line string) (itemset.Itemset, error) {
-	var items []itemset.Item
-	v, inNum := 0, false
-	for i := 0; i <= len(line); i++ {
-		if i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			v = v*10 + int(line[i]-'0')
-			inNum = true
-			continue
-		}
-		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			return nil, fmt.Errorf("rddeclat: bad transaction line %q", line)
-		}
-		if inNum {
-			items = append(items, itemset.Item(v))
-			v, inNum = 0, false
-		}
-	}
-	return itemset.New(items...), nil
-}
-
-// minSupportCount converts a relative support into an absolute count over n
-// transactions, rounding up (same contract as itemset.DB.MinSupportCount).
-func minSupportCount(rel float64, n int64) int {
-	c := int(rel * float64(n))
-	if float64(c) < rel*float64(n) {
-		c++
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// markJobs and jobsSince bracket a pass to attribute job durations to it.
-func markJobs(ctx *rdd.Context) int { return len(ctx.Reports()) }
-
-func jobsSince(ctx *rdd.Context, mark int) time.Duration {
-	var d time.Duration
-	for _, r := range ctx.Reports()[mark:] {
-		d += r.Duration()
-	}
-	return d
 }

@@ -10,8 +10,9 @@
 //     frequent in at least one split (pigeonhole on supports), so the union
 //     of local results is a complete candidate set.
 //  2. Count job: candidate supports are counted exactly over the full
-//     dataset with the usual hash-tree mappers, and the reducer keeps those
-//     meeting the global minimum support, eliminating false positives.
+//     dataset by MRApriori's own counting job (mrapriori.CountJob), whose
+//     reducer keeps those meeting the global minimum support, eliminating
+//     false positives.
 //
 // Trading k job startups for potentially huge intermediate candidate sets
 // is exactly the trade-off §III describes ("may lead memory overflow and
@@ -21,15 +22,12 @@ package son
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"yafim/internal/apriori"
 	"yafim/internal/dfs"
-	"yafim/internal/hashtree"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
+	"yafim/internal/mrapriori"
 	"yafim/internal/sim"
 )
 
@@ -86,19 +84,21 @@ func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSyst
 	if n == 0 {
 		return nil, fmt.Errorf("son: %s holds no transactions", inputPath)
 	}
-	minCount := minSupportCount(cfg.MinSupport, n)
+	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 
 	kvs, err := mapreduce.ReadOutput(fs, candDir, nil)
 	if err != nil {
 		return nil, fmt.Errorf("son: candidate output: %w", err)
 	}
-	var candidates []itemset.Itemset
+	candidates := make([]itemset.Itemset, 0, len(kvs))
+	maxLen := 0
 	for _, kv := range kvs {
-		set, err := parseSet(kv.Key)
+		set, err := mrapriori.ParseSet(kv.Key)
 		if err != nil {
 			return nil, fmt.Errorf("son: candidate output: %w", err)
 		}
 		candidates = append(candidates, set)
+		maxLen = max(maxLen, set.Len())
 	}
 
 	trace := &apriori.Trace{Result: &apriori.Result{MinSupport: minCount}}
@@ -109,24 +109,15 @@ func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSyst
 		return trace, nil
 	}
 
-	// Job 2: exact global counting of every candidate.
+	// Job 2: exact global counting of every candidate, all lengths at once.
 	cachePath := workDir + "/candidate-set"
-	if err := fs.WriteFile(cachePath, encodeSets(candidates), nil); err != nil {
+	if err := fs.WriteFile(cachePath, mrapriori.EncodeCandidates([][]itemset.Itemset{candidates}), nil); err != nil {
 		return nil, fmt.Errorf("son: staging candidates: %w", err)
 	}
 	outDir := workDir + "/frequent"
 	mapreduce.CleanOutput(fs, outDir)
-	rep2, _, err := runner.RunContext(ctx, mapreduce.Job{
-		Name:        "son-count",
-		Input:       []string{inputPath},
-		OutputDir:   outDir,
-		NewMapper:   func() mapreduce.Mapper { return &countMapper{cachePath: cachePath} },
-		NewCombiner: func() mapreduce.Reducer { return sumReducer{threshold: 0} },
-		NewReducer:  func() mapreduce.Reducer { return sumReducer{threshold: minCount} },
-		NumReducers: reducers,
-		MapTasks:    cfg.NumMapTasks,
-		CacheFiles:  []string{cachePath},
-	})
+	rep2, _, err := runner.RunContext(ctx, mrapriori.CountJob("son-count",
+		inputPath, outDir, cachePath, minCount, reducers, cfg.NumMapTasks))
 	if err != nil {
 		return nil, fmt.Errorf("son: count job: %w", err)
 	}
@@ -135,26 +126,17 @@ func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSyst
 	if err != nil {
 		return nil, fmt.Errorf("son: count output: %w", err)
 	}
-	byLevel := map[int][]apriori.SetCount{}
-	for _, kv := range kvs {
-		set, err := parseSet(kv.Key)
-		if err != nil {
-			return nil, fmt.Errorf("son: count output: %w", err)
-		}
-		count, err := strconv.Atoi(kv.Value)
-		if err != nil {
-			return nil, fmt.Errorf("son: bad count %q for %q", kv.Value, kv.Key)
-		}
-		byLevel[set.Len()] = append(byLevel[set.Len()], apriori.SetCount{Set: set, Count: count})
+	levels, err := mrapriori.SplitLevels(kvs, 1, maxLen)
+	if err != nil {
+		return nil, fmt.Errorf("son: count output: %w", err)
 	}
 	frequent := 0
-	for k := 1; ; k++ {
-		sets, ok := byLevel[k]
-		if !ok {
+	for i, sets := range levels {
+		if len(sets) == 0 {
 			break
 		}
 		frequent += len(sets)
-		trace.Result.Levels = append(trace.Result.Levels, apriori.NewLevel(k, sets))
+		trace.Result.Levels = append(trace.Result.Levels, apriori.NewLevel(i+1, sets))
 	}
 	trace.Passes = append(trace.Passes, apriori.PassStat{
 		K: 2, Candidates: len(candidates), Frequent: frequent, Duration: rep2.Duration(),
@@ -173,7 +155,7 @@ type localMiner struct {
 func (m *localMiner) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
 
 func (m *localMiner) Map(_ int64, line string, _ mapreduce.Emit, led *sim.Ledger) error {
-	set, err := parseSet(line)
+	set, err := itemset.ParseLine(line)
 	if err != nil {
 		return fmt.Errorf("son: transaction: %w", err)
 	}
@@ -195,7 +177,7 @@ func (m *localMiner) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
 	led.AddCPU(float64(db.Len() * max(res.MaxK(), 1) * 4))
 	for _, level := range res.Levels {
 		for _, sc := range level.Sets {
-			emit(setKey(sc.Set), "1")
+			emit(mrapriori.SetKey(sc.Set), "1")
 		}
 	}
 	return nil
@@ -209,154 +191,4 @@ func (dedupReducer) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil 
 func (dedupReducer) Reduce(key string, _ []string, emit mapreduce.Emit, _ *sim.Ledger) error {
 	emit(key, "1")
 	return nil
-}
-
-// countMapper matches mixed-length candidates (one hash tree per length)
-// against each transaction, counting matches into dense per-tree arrays
-// (in-mapper combining) and emitting one <candidate, count> record per
-// locally occurring candidate at cleanup.
-type countMapper struct {
-	cachePath string
-	trees     []*hashtree.Tree
-	keys      [][]string
-	matchers  []*hashtree.Matcher
-	counts    [][]int
-	ops       float64
-	rows      int
-}
-
-func (m *countMapper) Setup(cache mapreduce.CacheFiles, led *sim.Ledger) error {
-	data, ok := cache[m.cachePath]
-	if !ok {
-		return fmt.Errorf("son: candidate file %s not localised", m.cachePath)
-	}
-	byLen := map[int][]itemset.Itemset{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		set, err := parseSet(line)
-		if err != nil {
-			return fmt.Errorf("son: candidate file: %w", err)
-		}
-		byLen[set.Len()] = append(byLen[set.Len()], set)
-	}
-	lengths := make([]int, 0, len(byLen))
-	for k := range byLen {
-		lengths = append(lengths, k)
-	}
-	sort.Ints(lengths)
-	for _, k := range lengths {
-		cands := byLen[k]
-		keys := make([]string, len(cands))
-		for i, c := range cands {
-			keys[i] = setKey(c)
-		}
-		tree := hashtree.Build(cands)
-		m.trees = append(m.trees, tree)
-		m.keys = append(m.keys, keys)
-		m.matchers = append(m.matchers, tree.NewMatcher())
-		m.counts = append(m.counts, make([]int, len(cands)))
-		led.AddCPU(float64(len(cands) * k))
-	}
-	return nil
-}
-
-// opsFlushRows is how many rows of subset-enumeration charges the count
-// mapper batches locally before flushing them to the task ledger.
-const opsFlushRows = 512
-
-func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
-	led.AddCPU(m.ops)
-	m.ops = 0
-	for ti, counts := range m.counts {
-		for i, c := range counts {
-			if c != 0 {
-				emit(m.keys[ti][i], strconv.Itoa(c))
-			}
-		}
-	}
-	return nil
-}
-
-func (m *countMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
-	set, err := parseSet(line)
-	if err != nil {
-		return fmt.Errorf("son: transaction: %w", err)
-	}
-	led.AddCPU(float64(len(line)))
-	for ti, matcher := range m.matchers {
-		counts := m.counts[ti]
-		m.ops += float64(matcher.Subset(set, func(i int) { counts[i]++ }))
-	}
-	if m.rows++; m.rows%opsFlushRows == 0 {
-		led.AddCPU(m.ops)
-		m.ops = 0
-	}
-	return nil
-}
-
-// sumReducer sums counts and keeps keys meeting the threshold (0 keeps all,
-// for combiner use).
-type sumReducer struct{ threshold int }
-
-func (sumReducer) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
-
-func (r sumReducer) Reduce(key string, values []string, emit mapreduce.Emit, _ *sim.Ledger) error {
-	total := 0
-	for _, v := range values {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("son: bad partial count %q for %q", v, key)
-		}
-		total += n
-	}
-	if total >= r.threshold {
-		emit(key, strconv.Itoa(total))
-	}
-	return nil
-}
-
-func setKey(s itemset.Itemset) string {
-	var sb strings.Builder
-	for i, it := range s {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(strconv.Itoa(int(it)))
-	}
-	return sb.String()
-}
-
-func parseSet(text string) (itemset.Itemset, error) {
-	fields := strings.Fields(text)
-	items := make([]itemset.Item, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseInt(f, 10, 32)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad item %q", f)
-		}
-		items[i] = itemset.Item(v)
-	}
-	return itemset.New(items...), nil
-}
-
-func encodeSets(sets []itemset.Itemset) []byte {
-	var sb strings.Builder
-	for _, s := range sets {
-		sb.WriteString(setKey(s))
-		sb.WriteByte('\n')
-	}
-	return []byte(sb.String())
-}
-
-func minSupportCount(rel float64, n int64) int {
-	c := int(rel * float64(n))
-	if float64(c) < rel*float64(n) {
-		c++
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
 }

@@ -2,6 +2,7 @@ package son
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,7 @@ import (
 	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
+	"yafim/internal/mrapriori"
 )
 
 func classicDB() *itemset.DB {
@@ -139,10 +141,17 @@ func TestMineMatchesOracleProperty(t *testing.T) {
 	}
 }
 
+// TestSetKeyRoundTrip checks the text form SON moves itemsets in: the keys
+// the local-mining job emits and the candidate file the count job reads.
 func TestSetKeyRoundTrip(t *testing.T) {
 	s := itemset.New(5, 1, 300)
-	back, err := parseSet(setKey(s))
+	back, err := mrapriori.ParseSet(mrapriori.SetKey(s))
 	if err != nil || !back.Equal(s) {
 		t.Fatalf("round trip %v -> %v (%v)", s, back, err)
+	}
+	line := strings.TrimSuffix(string(mrapriori.EncodeCandidates([][]itemset.Itemset{{s}})), "\n")
+	back, err = mrapriori.ParseSet(line)
+	if err != nil || !back.Equal(s) {
+		t.Fatalf("candidate file round trip %v -> %v (%v)", s, back, err)
 	}
 }

@@ -19,7 +19,6 @@ package yafim
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"yafim/internal/apriori"
 	"yafim/internal/dfs"
@@ -70,7 +69,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 						return nil, err
 					}
 				}
-				t, err := parseTransaction(row)
+				t, err := itemset.ParseLine(row)
 				if err != nil {
 					return nil, err
 				}
@@ -88,7 +87,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 
 	rec := ctx.Recorder()
 	rec.SetPass(1)
-	passStart := markJobs(ctx)
+	passStart := ctx.NumJobs()
 	passMark := rec.Counters()
 	n, err := rdd.Count(trans)
 	if err != nil {
@@ -97,7 +96,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	if n == 0 {
 		return nil, fmt.Errorf("yafim: %s holds no transactions", path)
 	}
-	minCount := minSupportCount(cfg.MinSupport, n)
+	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 	rec.ObservePass("rdd", 1, int(n))
 	res := &apriori.Result{MinSupport: minCount}
 	out := &apriori.Trace{Result: res}
@@ -126,7 +125,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	// before the PassStat snapshot attributes the reclamation to this pass.
 	ctx.FreeShuffles()
 	out.Passes = append(out.Passes, apriori.PassStat{
-		K: 1, Candidates: int(n), Frequent: len(l1), Duration: jobsSince(ctx, passStart),
+		K: 1, Candidates: int(n), Frequent: len(l1), Duration: ctx.DurationSince(passStart),
 		Counters: rec.Counters().Sub(passMark),
 	})
 	if len(l1) == 0 {
@@ -135,13 +134,13 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	res.Levels = append(res.Levels, apriori.NewLevel(1, l1))
 
 	// Phase II — iterate L_k -> C_{k+1} -> L_{k+1}.
-	prev := sets(l1)
+	prev := apriori.SetsOf(l1)
 	for k := 2; cfg.MaxK == 0 || k <= cfg.MaxK; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("yafim: pass %d: %w", k, err)
 		}
 		rec.SetPass(k)
-		passStart = markJobs(ctx)
+		passStart = ctx.NumJobs()
 		passMark = rec.Counters()
 		cands, err := apriori.Gen(prev)
 		if err != nil {
@@ -159,14 +158,14 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		// C_{k+1}, the iteration-scoped unpersist discipline.
 		ctx.FreeShuffles()
 		out.Passes = append(out.Passes, apriori.PassStat{
-			K: k, Candidates: len(cands), Frequent: len(lk), Duration: jobsSince(ctx, passStart),
+			K: k, Candidates: len(cands), Frequent: len(lk), Duration: ctx.DurationSince(passStart),
 			Counters: rec.Counters().Sub(passMark),
 		})
 		if len(lk) == 0 {
 			break
 		}
 		res.Levels = append(res.Levels, apriori.NewLevel(k, lk))
-		prev = sets(lk)
+		prev = apriori.SetsOf(lk)
 	}
 	return out, nil
 }
@@ -275,56 +274,4 @@ func countPass(ctx *rdd.Context, trans *rdd.RDD[itemset.Itemset],
 		lk[i] = apriori.SetCount{Set: tree.Candidate(kv.Key), Count: kv.Value}
 	}
 	return lk, nil
-}
-
-func sets(scs []apriori.SetCount) []itemset.Itemset {
-	out := make([]itemset.Itemset, len(scs))
-	for i, sc := range scs {
-		out[i] = sc.Set
-	}
-	return out
-}
-
-func parseTransaction(line string) (itemset.Itemset, error) {
-	var items []itemset.Item
-	v, inNum := 0, false
-	for i := 0; i <= len(line); i++ {
-		if i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			v = v*10 + int(line[i]-'0')
-			inNum = true
-			continue
-		}
-		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			return nil, fmt.Errorf("yafim: bad transaction line %q", line)
-		}
-		if inNum {
-			items = append(items, itemset.Item(v))
-			v, inNum = 0, false
-		}
-	}
-	return itemset.New(items...), nil
-}
-
-// minSupportCount converts a relative support into an absolute count over n
-// transactions, rounding up (same contract as itemset.DB.MinSupportCount).
-func minSupportCount(rel float64, n int64) int {
-	c := int(rel * float64(n))
-	if float64(c) < rel*float64(n) {
-		c++
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// markJobs and jobsSince bracket a pass to attribute job durations to it.
-func markJobs(ctx *rdd.Context) int { return len(ctx.Reports()) }
-
-func jobsSince(ctx *rdd.Context, mark int) time.Duration {
-	var d time.Duration
-	for _, r := range ctx.Reports()[mark:] {
-		d += r.Duration()
-	}
-	return d
 }

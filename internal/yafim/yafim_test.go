@@ -175,32 +175,6 @@ func TestMineEmptyFile(t *testing.T) {
 	}
 }
 
-func TestParseTransaction(t *testing.T) {
-	cases := []struct {
-		in   string
-		want itemset.Itemset
-		ok   bool
-	}{
-		{"1 2 3", itemset.New(1, 2, 3), true},
-		{"  7   5 ", itemset.New(5, 7), true},
-		{"42", itemset.New(42), true},
-		{"", itemset.New(), true},
-		{"3 3 3", itemset.New(3), true},
-		{"1 -2", nil, false},
-		{"a b", nil, false},
-	}
-	for _, c := range cases {
-		got, err := parseTransaction(c.in)
-		if c.ok != (err == nil) {
-			t.Errorf("parse(%q) err = %v", c.in, err)
-			continue
-		}
-		if c.ok && !got.Equal(c.want) {
-			t.Errorf("parse(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestSurvivesInjectedTaskFailure(t *testing.T) {
 	ctx, fs, path := stage(t, classicDB())
 	// Fail an early RDD id (the textFile or transactions RDD) a few times;

@@ -58,17 +58,16 @@ func TestMineInputValidation(t *testing.T) {
 	}
 }
 
-// TestMineContextCanceled verifies every engine family respects a canceled
-// context: the parallel engines, the MapReduce engines, and the sequential
-// engine via its per-pass interrupt hook.
+// TestMineContextCanceled verifies every engine respects a canceled
+// context: the RDD engines, the MapReduce engines, and the sequential
+// engines via their up-front check and per-pass interrupt hook.
 func TestMineContextCanceled(t *testing.T) {
 	defer leaktest.Check(t)()
 	db := robustDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	small := ClusterLocal()
-	for _, eng := range []Engine{EngineYAFIM, EngineMapReduce, EngineSON,
-		EngineDistEclat, EngineSequential, EngineEclat} {
+	for _, eng := range Engines() {
 		t.Run(eng.String(), func(t *testing.T) {
 			_, err := MineContext(ctx, db, 0.2, Options{Engine: eng, Cluster: &small})
 			if !errors.Is(err, ErrCanceled) {

@@ -40,6 +40,7 @@ import (
 	"yafim/internal/rdd"
 	"yafim/internal/rddeclat"
 	"yafim/internal/rules"
+	"yafim/internal/son"
 	"yafim/internal/yafim"
 )
 
@@ -224,82 +225,85 @@ func LoadFile(name, path string) (*DB, error) { return dataset.LoadFile(name, pa
 // SaveFile writes a database to the local file system in .dat format.
 func SaveFile(db *DB, path string) error { return dataset.SaveFile(db, path) }
 
-// Engine selects a mining implementation.
+// Engine selects a mining implementation. Each one earns its place: the
+// paper's algorithm and its comparator, one related-work algorithm and one
+// representation alternative that the experiments race against them, and
+// three independent sequential oracles.
 type Engine int
 
 const (
 	// EngineYAFIM is the paper's contribution: parallel Apriori on the
 	// Spark-substitute RDD engine with a cached transactions RDD and
-	// broadcast candidate hash trees.
+	// broadcast candidate hash trees (Figs. 3–6).
 	EngineYAFIM Engine = iota
 	// EngineMapReduce is the comparator: k-phase Apriori where every pass
-	// is a full MapReduce job over the DFS.
+	// is a full MapReduce job over the DFS (Figs. 3, 4 and 6).
 	EngineMapReduce
-	// EngineSequential is the single-core reference Apriori.
+	// EngineSequential is the single-core reference Apriori, the oracle
+	// every parallel engine is checked against.
 	EngineSequential
-	// EngineEclat is the vertical-layout depth-first baseline.
+	// EngineEclat is the vertical-layout depth-first oracle.
 	EngineEclat
-	// EngineFPGrowth is the candidate-free FP-tree baseline.
+	// EngineFPGrowth is the candidate-free FP-tree oracle.
 	EngineFPGrowth
-	// EngineSON is the one-phase SON algorithm on MapReduce: local mining
-	// per input split, then a single exact counting job.
+	// EngineSON is the one-phase SON algorithm on MapReduce (§III): local
+	// mining per input split, then the same exact counting job MRApriori
+	// runs for each of its passes.
 	EngineSON
-	// EngineDHP is sequential Apriori with Park et al.'s direct hashing and
-	// pruning of the second pass's candidates.
-	EngineDHP
-	// EnginePartition is the two-scan Partition algorithm of Savasere et
-	// al., the sequential ancestor of SON.
-	EnginePartition
-	// EngineToivonen is Toivonen's sampling algorithm with negative-border
-	// verification; exact, with a full-mine fallback on sampling misses.
-	EngineToivonen
-	// EngineDistEclat is Dist-Eclat on the RDD engine: broadcast vertical
-	// tidlists mined depth-first by prefix subtree across the cluster.
-	EngineDistEclat
-	// EngineAprioriTid is Agrawal & Srikant's AprioriTid: after pass one the
-	// raw data is never re-scanned; transactions carry candidate encodings.
-	EngineAprioriTid
 	// EngineRDDEclat is RDD-Eclat on the RDD engine: equivalence-class-
-	// partitioned Eclat with dense word-at-a-time bitset tidlist kernels.
+	// partitioned Eclat with dense word-at-a-time bitset tidlist kernels,
+	// the vertical column of the engine matrix.
 	EngineRDDEclat
 )
 
+// engineTable is the facade's one description of every engine, indexed by
+// Engine: its name, and for the parallel engines the simulated cluster it
+// runs on by default. Sequential engines run natively and have no cluster.
+var engineTable = [...]struct {
+	name    string
+	cluster func() Cluster
+}{
+	EngineYAFIM:      {"yafim", cluster.PaperSpark},
+	EngineMapReduce:  {"mapreduce", cluster.PaperHadoop},
+	EngineSequential: {"sequential", nil},
+	EngineEclat:      {"eclat", nil},
+	EngineFPGrowth:   {"fpgrowth", nil},
+	EngineSON:        {"son", cluster.PaperHadoop},
+	EngineRDDEclat:   {"rddeclat", cluster.PaperSpark},
+}
+
+// Engines returns every engine in declaration order.
+func Engines() []Engine {
+	out := make([]Engine, len(engineTable))
+	for i := range out {
+		out[i] = Engine(i)
+	}
+	return out
+}
+
+func (e Engine) valid() bool { return e >= 0 && int(e) < len(engineTable) }
+
 func (e Engine) String() string {
-	switch e {
-	case EngineYAFIM:
-		return "yafim"
-	case EngineMapReduce:
-		return "mapreduce"
-	case EngineSequential:
-		return "sequential"
-	case EngineEclat:
-		return "eclat"
-	case EngineFPGrowth:
-		return "fpgrowth"
-	case EngineSON:
-		return "son"
-	case EngineDHP:
-		return "dhp"
-	case EnginePartition:
-		return "partition"
-	case EngineToivonen:
-		return "toivonen"
-	case EngineDistEclat:
-		return "disteclat"
-	case EngineAprioriTid:
-		return "aprioritid"
-	case EngineRDDEclat:
-		return "rddeclat"
-	default:
+	if !e.valid() {
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
+	return engineTable[e].name
+}
+
+// DefaultCluster returns the simulated cluster a parallel engine runs on
+// when Options.Cluster is nil: the paper's testbed in the Spark profile for
+// the RDD engines and in the Hadoop profile for the MapReduce engines. It
+// reports false for the sequential engines, which run natively.
+func (e Engine) DefaultCluster() (Cluster, bool) {
+	if !e.valid() || engineTable[e].cluster == nil {
+		return Cluster{}, false
+	}
+	return engineTable[e].cluster(), true
 }
 
 // ParseEngine resolves an engine by its String name.
 func ParseEngine(name string) (Engine, error) {
-	for _, e := range []Engine{EngineYAFIM, EngineMapReduce, EngineSequential,
-		EngineEclat, EngineFPGrowth, EngineSON, EngineDHP, EnginePartition,
-		EngineToivonen, EngineDistEclat, EngineAprioriTid, EngineRDDEclat} {
+	for _, e := range Engines() {
 		if e.String() == name {
 			return e, nil
 		}
@@ -323,10 +327,9 @@ type Options struct {
 	// engines ignore it.
 	Recorder *Recorder
 	// Chaos, when non-nil, injects the seeded fault plan into the parallel
-	// engines (yafim, mapreduce, disteclat, rddeclat); mining results are
-	// unaffected —
+	// engines (yafim, mapreduce, rddeclat); mining results are unaffected —
 	// only the virtual timeline shows the faults and their mitigation.
-	// Sequential engines ignore it.
+	// SON and the sequential engines ignore it.
 	Chaos *ChaosPlan
 	// Deadline, when positive, bounds the run's real (wall-clock) time. A
 	// run that exceeds it returns an error matching ErrDeadlineExceeded
@@ -392,49 +395,35 @@ func MineContext(ctx context.Context, db *DB, minSupport float64, opts Options) 
 		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
 		defer cancel()
 	}
+	cfg, _ := opts.Engine.DefaultCluster()
+	if opts.Cluster != nil {
+		cfg = *opts.Cluster
+	}
 	switch opts.Engine {
 	case EngineYAFIM:
-		cfg := clusterOrDefault(opts.Cluster, cluster.PaperSpark)
 		trace, _, err := experiments.RunYAFIM(ctx, db, minSupport, cfg, tasks(opts, cfg),
 			yafim.Config{MaxK: opts.MaxK}, rddOptions(opts)...)
 		return trace, err
 	case EngineMapReduce:
-		cfg := clusterOrDefault(opts.Cluster, cluster.PaperHadoop)
 		trace, _, err := experiments.RunMRApriori(ctx, db, minSupport, cfg, tasks(opts, cfg),
 			mrapriori.Config{MaxK: opts.MaxK}, opts.Recorder, opts.Chaos)
 		return trace, err
 	case EngineSequential:
-		return timed(ctx, func() (*Result, error) {
+		return timed(ctx, opts.MaxK, func() (*Result, error) {
 			return apriori.Mine(db, minSupport, apriori.Options{
 				MaxK:      opts.MaxK,
 				Interrupt: func() error { return exec.ContextErr(ctx) },
 			})
 		})
 	case EngineEclat:
-		return timed(ctx, func() (*Result, error) { return eclat.Mine(db, minSupport) })
+		return timed(ctx, opts.MaxK, func() (*Result, error) { return eclat.Mine(db, minSupport) })
 	case EngineFPGrowth:
-		return timed(ctx, func() (*Result, error) { return fpgrowth.Mine(db, minSupport) })
+		return timed(ctx, opts.MaxK, func() (*Result, error) { return fpgrowth.Mine(db, minSupport) })
 	case EngineSON:
-		cfg := clusterOrDefault(opts.Cluster, cluster.PaperHadoop)
-		trace, _, err := experiments.RunSON(ctx, db, minSupport, cfg, tasks(opts, cfg), opts.Recorder)
+		trace, _, err := experiments.RunSON(ctx, db, minSupport, cfg, tasks(opts, cfg),
+			son.Config{MaxK: opts.MaxK}, opts.Recorder)
 		return trace, err
-	case EngineDHP:
-		return timed(ctx, func() (*Result, error) { return apriori.MineDHP(db, minSupport, 0) })
-	case EnginePartition:
-		return timed(ctx, func() (*Result, error) { return apriori.MinePartition(db, minSupport, 0) })
-	case EngineToivonen:
-		return timed(ctx, func() (*Result, error) {
-			return apriori.MineToivonen(db, minSupport, apriori.ToivonenOptions{Seed: 1})
-		})
-	case EngineDistEclat:
-		cfg := clusterOrDefault(opts.Cluster, cluster.PaperSpark)
-		trace, _, err := experiments.RunDistEclat(ctx, db, minSupport, cfg, tasks(opts, cfg),
-			rddOptions(opts)...)
-		return trace, err
-	case EngineAprioriTid:
-		return timed(ctx, func() (*Result, error) { return apriori.MineAprioriTid(db, minSupport) })
 	case EngineRDDEclat:
-		cfg := clusterOrDefault(opts.Cluster, cluster.PaperSpark)
 		trace, _, err := experiments.RunRDDEclat(ctx, db, minSupport, cfg, tasks(opts, cfg),
 			rddeclat.Config{MaxK: opts.MaxK}, rddOptions(opts)...)
 		return trace, err
@@ -455,13 +444,6 @@ func rddOptions(opts Options) []rdd.Option {
 	return out
 }
 
-func clusterOrDefault(c *Cluster, def func() Cluster) Cluster {
-	if c != nil {
-		return *c
-	}
-	return def()
-}
-
 func tasks(opts Options, cfg Cluster) int {
 	if opts.Tasks > 0 {
 		return opts.Tasks
@@ -471,8 +453,9 @@ func tasks(opts Options, cfg Cluster) int {
 
 // timed runs a sequential engine, checking the context once up front (most
 // sequential baselines have no interior interruption points) and wrapping
-// the result in a single-pass Trace.
-func timed(ctx context.Context, run func() (*Result, error)) (*Trace, error) {
+// the result in a single-pass Trace. Levels above maxK (when positive) are
+// dropped, since Eclat and FP-Growth always mine the whole lattice.
+func timed(ctx context.Context, maxK int, run func() (*Result, error)) (*Trace, error) {
 	if err := exec.ContextErr(ctx); err != nil {
 		return nil, fmt.Errorf("yafim: %w", err)
 	}
@@ -480,6 +463,9 @@ func timed(ctx context.Context, run func() (*Result, error)) (*Trace, error) {
 	res, err := run()
 	if err != nil {
 		return nil, err
+	}
+	if maxK > 0 && len(res.Levels) > maxK {
+		res.Levels = res.Levels[:maxK]
 	}
 	return &Trace{
 		Result: res,

@@ -14,15 +14,16 @@ func exampleDB() *DB {
 }
 
 // TestAllEnginesAgree is the repository's headline integration test: every
-// engine — parallel YAFIM, parallel MapReduce, one-phase SON, sequential
-// Apriori with its DHP / Partition / Toivonen variants, Eclat and FP-Growth
-// — must produce byte-identical frequent itemsets.
+// engine — parallel YAFIM, parallel MapReduce, one-phase SON, RDD-Eclat and
+// the sequential Apriori, Eclat and FP-Growth oracles — must produce
+// byte-identical frequent itemsets.
 func TestAllEnginesAgree(t *testing.T) {
 	db := exampleDB()
 	local := ClusterLocal()
-	engines := []Engine{EngineYAFIM, EngineMapReduce, EngineSequential, EngineEclat,
-		EngineFPGrowth, EngineSON, EngineDHP, EnginePartition, EngineToivonen,
-		EngineDistEclat, EngineAprioriTid, EngineRDDEclat}
+	engines := Engines()
+	if len(engines) != 7 {
+		t.Fatalf("facade has %d engines, want 7", len(engines))
+	}
 	var first *Result
 	for _, e := range engines {
 		trace, err := Mine(db, 2.0/9.0, Options{Engine: e, Cluster: &local})
@@ -55,36 +56,66 @@ func TestMineDefaultsToPaperCluster(t *testing.T) {
 	}
 }
 
+// TestMineMaxK holds every engine to the same MaxK contract, including the
+// ones that always mine the whole lattice.
 func TestMineMaxK(t *testing.T) {
 	local := ClusterLocal()
-	for _, e := range []Engine{EngineYAFIM, EngineMapReduce, EngineSequential, EngineRDDEclat} {
-		trace, err := Mine(exampleDB(), 2.0/9.0, Options{Engine: e, Cluster: &local, MaxK: 1})
+	want, err := Mine(exampleDB(), 2.0/9.0, Options{Engine: EngineSequential})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Result.Levels = want.Result.Levels[:2]
+	for _, e := range Engines() {
+		trace, err := Mine(exampleDB(), 2.0/9.0, Options{Engine: e, Cluster: &local, MaxK: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
-		if trace.Result.MaxK() != 1 {
-			t.Errorf("%v: MaxK = %d", e, trace.Result.MaxK())
+		if !trace.Result.Equal(want.Result) {
+			t.Errorf("%v with MaxK 2: got %v, want %v", e, trace.Result.All(), want.Result.All())
 		}
 	}
 }
 
 func TestMineUnknownEngine(t *testing.T) {
-	if _, err := Mine(exampleDB(), 0.5, Options{Engine: Engine(42)}); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, e := range []Engine{-1, Engine(len(Engines())), 42} {
+		if _, err := Mine(exampleDB(), 0.5, Options{Engine: e}); err == nil {
+			t.Errorf("%v accepted", e)
+		}
+		if _, ok := e.DefaultCluster(); ok {
+			t.Errorf("%v has a default cluster", e)
+		}
 	}
 }
 
 func TestParseEngine(t *testing.T) {
-	for _, e := range []Engine{EngineYAFIM, EngineMapReduce, EngineSequential, EngineEclat,
-		EngineFPGrowth, EngineSON, EngineDHP, EnginePartition, EngineToivonen,
-		EngineDistEclat, EngineAprioriTid, EngineRDDEclat} {
+	for _, e := range Engines() {
 		got, err := ParseEngine(e.String())
 		if err != nil || got != e {
 			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
 		}
 	}
-	if _, err := ParseEngine("hive"); err == nil {
-		t.Error("unknown engine name parsed")
+	for _, gone := range []string{"hive", "dhp", "partition", "toivonen", "aprioritid", "disteclat"} {
+		if _, err := ParseEngine(gone); err == nil {
+			t.Errorf("engine name %q parsed", gone)
+		}
+	}
+}
+
+// TestEngineDefaultClusters pins where each engine runs: the RDD engines on
+// the Spark profile, the MapReduce engines on the Hadoop profile, and the
+// oracles natively.
+func TestEngineDefaultClusters(t *testing.T) {
+	spark, hadoop := ClusterSpark(), ClusterHadoop()
+	want := map[Engine]*Cluster{
+		EngineYAFIM: &spark, EngineRDDEclat: &spark,
+		EngineMapReduce: &hadoop, EngineSON: &hadoop,
+		EngineSequential: nil, EngineEclat: nil, EngineFPGrowth: nil,
+	}
+	for _, e := range Engines() {
+		got, ok := e.DefaultCluster()
+		if w := want[e]; ok != (w != nil) || (ok && got != *w) {
+			t.Errorf("%v.DefaultCluster() = %+v, %v", e, got, ok)
+		}
 	}
 }
 
