@@ -117,11 +117,11 @@ func RunDistWorker(ctx context.Context, opts DistWorkerOptions) error {
 // the in-memory sim oracle's on the same dataset and support.
 func MineDistributed(ctx context.Context, m *DistMaster, inputPath string,
 	minSupport float64, opts Options) (*Trace, error) {
-	return mrapriori.MineDistributed(ctx, m, inputPath, mrapriori.Config{
+	return mrapriori.Mine(ctx, m, inputPath, mrapriori.Config{
 		MinSupport:  minSupport,
 		MaxK:        opts.MaxK,
 		NumMapTasks: opts.Tasks,
-	})
+	}, nil)
 }
 
 // GenDataset generates one of the paper's benchmark datasets ("MushRoom",

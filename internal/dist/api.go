@@ -1,8 +1,7 @@
-// Package dist is the distributed execution runtime behind the simulator:
-// a transport/executor abstraction whose jobs — described in wire-neutral,
-// serializable form — can run either through the deterministic in-memory
-// engines (the test oracle, see Local) or across real operating-system
-// processes (see Master and RunWorker).
+// Package dist is the one way mining code runs a MapReduce job: an executor
+// abstraction whose jobs — described in wire-neutral, serializable form —
+// run either on the deterministic virtual-time simulator (see Local) or
+// across real operating-system processes (see Master and RunWorker).
 //
 // The real runtime follows the classic Hadoop/MIT-6.824 master/worker
 // shape: workers register with the master over HTTP, send periodic
@@ -20,7 +19,7 @@
 // closures as named job types (see RegisterJobType) and drives jobs through
 // the Executor interface; the same registered closures execute under both
 // implementations, which is what makes byte-identical parity between a real
-// multi-process run and the sim oracle a testable property rather than a
+// multi-process run and the simulator a testable property rather than a
 // hope.
 package dist
 
@@ -36,8 +35,8 @@ import (
 type KV = mapreduce.KV
 
 // JobSpec describes one MapReduce job in engine-neutral form: everything an
-// executor needs is a registered job type, its parameters, a real input
-// file, task counts and the distributed-cache contents.
+// executor needs is a registered job type, its parameters, an input file,
+// task counts and the distributed-cache contents.
 type JobSpec struct {
 	// Name labels the job in logs and journals.
 	Name string `json:"name"`
@@ -45,18 +44,21 @@ type JobSpec struct {
 	Type string `json:"type"`
 	// Params is the job type's opaque parameter blob.
 	Params json.RawMessage `json:"params,omitempty"`
-	// InputPath is the transaction file on the real file system. Every
-	// worker must see the same path (same machine or shared storage, the
-	// Hadoop-on-NFS deployment shape).
+	// InputPath is the transaction file: a DFS path under Local, a path on
+	// the real file system under Master. Every worker must see the same
+	// path (same machine or shared storage, the Hadoop-on-NFS deployment
+	// shape).
 	InputPath string `json:"input_path"`
 	// NumMaps is the minimum map-task count; the input is cut into at
-	// least this many line-aligned splits when it is large enough.
+	// least this many line-aligned splits when it is large enough. Zero
+	// takes the executor's default.
 	NumMaps int `json:"num_maps"`
-	// NumReducers is the reduce-task count.
+	// NumReducers is the reduce-task count. Zero takes the executor's
+	// default.
 	NumReducers int `json:"num_reducers"`
 	// Cache holds the distributed-cache files by name (the candidate
 	// batches, for the mining jobs). Workers fetch each name once per job
-	// from the master.
+	// from the master; Local stages each into its DFS at the name.
 	Cache map[string][]byte `json:"-"`
 }
 
@@ -73,8 +75,8 @@ type JobOutput struct {
 	Duration time.Duration
 }
 
-// Executor runs jobs. Implementations: Local (in-memory sim engine, the
-// deterministic oracle) and Master.Executor (real multi-process runtime).
+// Executor runs jobs. Implementations: Local (the in-memory virtual-time
+// engine) and Master (the real multi-process runtime).
 type Executor interface {
 	// ExecJob runs one job to completion and returns its output. The
 	// context cancels the job cooperatively at a task boundary.

@@ -210,12 +210,9 @@ func TestChaosMiningParityWordCount(t *testing.T) {
 	typ := wordCountType(t)
 	corpus := writeCorpus(t, 400)
 
-	oracle, err := (&Local{}).ExecJob(context.Background(), &JobSpec{
+	oracle := simExec(t, &JobSpec{
 		Name: "wc-oracle", Type: typ, InputPath: corpus, NumMaps: 4, NumReducers: 3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	log := obs.NewEventLog(nil)
 	m, err := NewMaster("127.0.0.1:0", fastTuning(), log, nil)

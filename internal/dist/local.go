@@ -3,27 +3,38 @@ package dist
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 
-	"yafim/internal/cluster"
 	"yafim/internal/dfs"
 	"yafim/internal/mapreduce"
 )
 
-// Local is the deterministic in-memory Executor: it stages each job's real
-// input file and cache blobs into a fresh simulated DFS and runs the job
-// through the existing virtual-time MapReduce engine. It instantiates tasks
-// through the same job-type registry as the worker runtime, so the exact
-// closures a real worker process would run are what the oracle runs — any
-// divergence between a distributed run and a Local run is a runtime bug,
-// not an algorithm difference.
+// Local is the deterministic in-memory Executor: it runs each job on the
+// caller's virtual-time MapReduce runner over the caller's simulated DFS.
+// It instantiates tasks through the same job-type registry as the worker
+// runtime, so the exact closures a real worker process would run are what
+// the simulator runs — any divergence between a distributed run and a Local
+// run is a runtime bug, not an algorithm difference.
+//
+// A JobSpec's InputPath names a DFS file, and each cache blob is staged into
+// the DFS at its own name (in name order) before the job runs, so cache
+// names must be DFS paths. Each job writes its part files under
+// ScratchDir/<job name>; a zero task count takes the runner's defaults —
+// one map task per input block and one reducer per cluster core.
 type Local struct {
-	// Nodes is the simulated cluster size (defaults to 4).
-	Nodes int
-	// Config is the simulated cluster configuration (defaults to
-	// cluster.Defaults()).
-	Config *cluster.Config
+	runner *mapreduce.Runner
+	fs     *dfs.FileSystem
+}
+
+// ScratchDir is the DFS directory Local commits job output under. Mining
+// code names its cache blobs under it too, so one mine's scratch files share
+// a directory, as they share a Hadoop job's working directory.
+const ScratchDir = "/work"
+
+// NewLocal returns an Executor running jobs on runner over fs, the file
+// system runner was created with.
+func NewLocal(runner *mapreduce.Runner, fs *dfs.FileSystem) *Local {
+	return &Local{runner: runner, fs: fs}
 }
 
 // ExecJob runs one job on the sim engine.
@@ -41,42 +52,24 @@ func (l *Local) ExecJob(ctx context.Context, job *JobSpec) (*JobOutput, error) {
 		return nil, fmt.Errorf("dist: %s: reducer params: %w", job.Name, err)
 	}
 
-	nodes := l.Nodes
-	if nodes <= 0 {
-		nodes = 4
-	}
-	cfg := cluster.Local()
-	if l.Config != nil {
-		cfg = *l.Config
-	}
-	fs := dfs.New(nodes)
-	data, err := os.ReadFile(job.InputPath)
-	if err != nil {
-		return nil, fmt.Errorf("dist: %s: input: %w", job.Name, err)
-	}
-	const inputPath = "/dist/input"
-	if err := fs.WriteFile(inputPath, data, nil); err != nil {
-		return nil, err
-	}
 	cacheNames := make([]string, 0, len(job.Cache))
 	for name := range job.Cache {
 		cacheNames = append(cacheNames, name)
 	}
 	sort.Strings(cacheNames)
 	for _, name := range cacheNames {
-		if err := fs.WriteFile(name, job.Cache[name], nil); err != nil {
+		if err := l.fs.WriteFile(name, job.Cache[name], nil); err != nil {
 			return nil, fmt.Errorf("dist: %s: cache %s: %w", job.Name, name, err)
 		}
 	}
-	runner, err := mapreduce.NewRunner(fs, cfg)
-	if err != nil {
-		return nil, err
+	reducers := job.NumReducers
+	if reducers <= 0 {
+		reducers = l.runner.Config().TotalCores()
 	}
-
 	mj := mapreduce.Job{
 		Name:      job.Name,
-		Input:     []string{inputPath},
-		OutputDir: "/dist/out",
+		Input:     []string{job.InputPath},
+		OutputDir: ScratchDir + "/" + job.Name,
 		NewMapper: func() mapreduce.Mapper {
 			m, _ := jt.NewMapper(job.Params)
 			return m
@@ -85,7 +78,7 @@ func (l *Local) ExecJob(ctx context.Context, job *JobSpec) (*JobOutput, error) {
 			r, _ := jt.NewReducer(job.Params)
 			return r
 		},
-		NumReducers: job.NumReducers,
+		NumReducers: reducers,
 		MapTasks:    job.NumMaps,
 		CacheFiles:  cacheNames,
 	}
@@ -98,11 +91,12 @@ func (l *Local) ExecJob(ctx context.Context, job *JobSpec) (*JobOutput, error) {
 			return c
 		}
 	}
-	report, counters, err := runner.RunContext(ctx, mj)
+	mapreduce.CleanOutput(l.fs, mj.OutputDir)
+	report, counters, err := l.runner.RunContext(ctx, mj)
 	if err != nil {
 		return nil, err
 	}
-	kvs, err := mapreduce.ReadOutput(fs, mj.OutputDir, nil)
+	kvs, err := mapreduce.ReadOutput(l.fs, mj.OutputDir, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ import (
 // Master is the real runtime's driver-side endpoint: it owns the lease
 // table, serves the worker protocol over HTTP, runs the liveness sweeper,
 // and implements Executor so a driver can submit jobs to real worker
-// processes exactly as it would to the in-memory oracle.
+// processes exactly as it would to the simulator (Local).
 type Master struct {
 	cfg   Tuning
 	table *leaseTable
@@ -179,8 +179,14 @@ func (m *Master) sweeper() {
 	}
 }
 
+// defaultTasks is the map and reduce task count of a job that leaves it
+// zero: a real file has no block layout to cut one split per block from, and
+// a single split would serialise the map stage however many workers joined.
+const defaultTasks = 4
+
 // ExecJob implements Executor: cut the input into splits, install the job
-// in the lease table, and wait for workers to pull it to completion.
+// in the lease table, and wait for workers to pull it to completion. A zero
+// NumMaps or NumReducers runs defaultTasks tasks.
 func (m *Master) ExecJob(ctx context.Context, job *JobSpec) (*JobOutput, error) {
 	if _, err := lookupJobType(job.Type); err != nil {
 		return nil, err
@@ -192,12 +198,19 @@ func (m *Master) ExecJob(ctx context.Context, job *JobSpec) (*JobOutput, error) 
 		m.log.Append(obs.LiveEvent{Event: "job_memoized", Job: job.Name})
 		return out, nil
 	}
-	splits, err := splitFile(job.InputPath, job.NumMaps)
+	spec := *job
+	if spec.NumMaps <= 0 {
+		spec.NumMaps = defaultTasks
+	}
+	if spec.NumReducers <= 0 {
+		spec.NumReducers = defaultTasks
+	}
+	splits, err := splitFile(spec.InputPath, spec.NumMaps)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %s: %w", job.Name, err)
 	}
 	started := time.Now()
-	j, err := m.table.startJob(job, splits)
+	j, err := m.table.startJob(&spec, splits)
 	if err != nil {
 		return nil, err
 	}

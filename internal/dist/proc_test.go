@@ -124,8 +124,8 @@ func TestKillWorkerMidMiningParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mrapriori.MineContext(context.Background(), runner, fs,
-		"/data/synthetic.dat", "/work", cfg)
+	want, err := mrapriori.Mine(context.Background(), dist.NewLocal(runner, fs),
+		"/data/synthetic.dat", cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestKillWorkerMidMiningParity(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	got, err := mrapriori.MineDistributed(ctx, master, input, cfg)
+	got, err := mrapriori.Mine(ctx, master, input, cfg, nil)
 	if err != nil {
 		t.Fatalf("distributed mining failed after worker kill: %v", err)
 	}

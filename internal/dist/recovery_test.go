@@ -38,8 +38,8 @@ func TestMasterKillResumeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mrapriori.MineContext(context.Background(), runner, fs,
-		"/data/synthetic.dat", "/work", cfg)
+	want, err := mrapriori.Mine(context.Background(), dist.NewLocal(runner, fs),
+		"/data/synthetic.dat", cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMasterKillResumeParity(t *testing.T) {
 	dctx, dcancel := context.WithCancel(context.Background())
 	driverDone := make(chan error, 1)
 	go func() {
-		_, err := mrapriori.MineDistributed(dctx, master, input, cfg)
+		_, err := mrapriori.Mine(dctx, master, input, cfg, nil)
 		driverDone <- err
 	}()
 	select {
@@ -127,7 +127,7 @@ func TestMasterKillResumeParity(t *testing.T) {
 	// passes return from the journal memo, the in-flight pass is adopted.
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	got, err := mrapriori.MineDistributed(ctx, master2, input, cfg)
+	got, err := mrapriori.Mine(ctx, master2, input, cfg, nil)
 	if err != nil {
 		t.Fatalf("resumed mining failed: %v", err)
 	}

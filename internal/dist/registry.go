@@ -9,9 +9,8 @@ import (
 
 // JobType binds a job-type name to the factories that build its map/reduce
 // closures from the job's parameter blob. Both executors instantiate tasks
-// through the registry: the in-memory oracle feeds the factories into the
-// sim engine, and every worker process resolves the leased task's Type the
-// same way — which is how a master can describe work to another process
+// through the registry: Local feeds the factories into the sim engine, and
+// every worker process resolves the leased task's Type the same way — which is how a master can describe work to another process
 // without shipping code.
 type JobType struct {
 	// NewMapper builds a fresh mapper per map task.

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"yafim/internal/cluster"
+	"yafim/internal/dfs"
 	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
@@ -97,6 +99,29 @@ func fastTuning() Tuning {
 
 // startWorkers runs n in-process workers against the master and returns a
 // stop function that drains them.
+// simExec runs spec on the simulator: its input file is staged into a fresh
+// four-node DFS under the same path and the job goes through Local.
+func simExec(t *testing.T, spec *JobSpec) *JobOutput {
+	t.Helper()
+	data, err := os.ReadFile(spec.InputPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := dfs.New(4)
+	if err := fs.WriteFile(spec.InputPath, data, nil); err != nil {
+		t.Fatal(err)
+	}
+	runner, err := mapreduce.NewRunner(fs, cluster.Local())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := NewLocal(runner, fs).ExecJob(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func startWorkers(t *testing.T, masterURL string, n int) context.CancelFunc {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -127,10 +152,7 @@ func TestMasterWorkersMatchLocalOracle(t *testing.T) {
 		}
 	}
 
-	oracle, err := (&Local{}).ExecJob(context.Background(), spec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := simExec(t, spec())
 	if oracle.MapInputRecords != 200 {
 		t.Fatalf("oracle consumed %d records, want 200", oracle.MapInputRecords)
 	}

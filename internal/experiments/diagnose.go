@@ -10,6 +10,7 @@ import (
 	"yafim/internal/apriori"
 	"yafim/internal/chaos"
 	"yafim/internal/cluster"
+	"yafim/internal/dist"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/mrapriori"
@@ -114,8 +115,8 @@ func runMRDiagnosed(ctx context.Context, db *itemset.DB, support float64, cfg cl
 			return nil, nil, err
 		}
 	}
-	trace, err := mrapriori.MineContext(ctx, runner, fs, path, "/work",
-		mrapriori.Config{MinSupport: support, NumMapTasks: tasks})
+	trace, err := mrapriori.Mine(ctx, dist.NewLocal(runner, fs), path,
+		mrapriori.Config{MinSupport: support, NumMapTasks: tasks}, rec)
 	if err != nil {
 		return nil, nil, err
 	}

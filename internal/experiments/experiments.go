@@ -18,6 +18,7 @@ import (
 	"yafim/internal/datagen"
 	"yafim/internal/dataset"
 	"yafim/internal/dfs"
+	"yafim/internal/dist"
 	"yafim/internal/disteclat"
 	"yafim/internal/exec"
 	"yafim/internal/itemset"
@@ -213,7 +214,7 @@ func RunMRApriori(ctx context.Context, db *itemset.DB, support float64, cfg clus
 	if mineCfg.NumMapTasks == 0 {
 		mineCfg.NumMapTasks = tasks
 	}
-	trace, err := mrapriori.MineContext(ctx, runner, fs, path, "/work", mineCfg)
+	trace, err := mrapriori.Mine(ctx, dist.NewLocal(runner, fs), path, mineCfg, rec)
 	if err != nil {
 		return nil, nil, err
 	}

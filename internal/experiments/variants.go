@@ -9,6 +9,7 @@ import (
 
 	"yafim/internal/apriori"
 	"yafim/internal/cluster"
+	"yafim/internal/dist"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/mrapriori"
@@ -134,7 +135,7 @@ func RunSON(ctx context.Context, db *itemset.DB, support float64, cfg cluster.Co
 	if mineCfg.NumMapTasks == 0 {
 		mineCfg.NumMapTasks = tasks
 	}
-	trace, err := son.MineContext(ctx, runner, fs, path, "/work", mineCfg)
+	trace, err := son.Mine(ctx, dist.NewLocal(runner, fs), path, mineCfg)
 	if err != nil {
 		return nil, nil, err
 	}

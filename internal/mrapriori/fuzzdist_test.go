@@ -42,7 +42,7 @@ func TestFuzzMRAprioriVariants(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := Mine(runner, fs, path, "/work", Config{MinSupport: sup, Variant: v, FPCPasses: 2, DPCBudget: budget})
+					got, err := mineSim(runner, fs, path, Config{MinSupport: sup, Variant: v, FPCPasses: 2, DPCBudget: budget})
 					if err != nil {
 						t.Fatalf("seed=%d sup=%v v=%v: %v", seed, sup, v, err)
 					}

@@ -1,16 +1,72 @@
 package mrapriori
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
+	"yafim/internal/dist"
 	"yafim/internal/hashtree"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/sim"
 )
+
+// Registered job-type names. Both the driver and the worker processes link
+// this package, so the same closures resolve on both sides of the wire and
+// in the simulator (dist.Local).
+const (
+	// JobTypeItems is the pass-1 single-item counting job.
+	JobTypeItems = "apriori-items"
+	// JobTypeCount is the exact candidate-counting job (see CountSpec).
+	JobTypeCount = "apriori-count"
+)
+
+// countParams is JobTypeCount's wire parameter blob.
+type countParams struct {
+	// CachePath is the distributed-cache name holding the candidate batch.
+	CachePath string `json:"cache_path"`
+	// MinCount is the absolute support threshold for reduce-side pruning.
+	MinCount int `json:"min_count"`
+}
+
+func decodeCountParams(p []byte) (countParams, error) {
+	var cp countParams
+	if err := json.Unmarshal(p, &cp); err != nil {
+		return cp, fmt.Errorf("mrapriori: count params: %w", err)
+	}
+	if cp.CachePath == "" {
+		return cp, fmt.Errorf("mrapriori: count params: empty cache path")
+	}
+	return cp, nil
+}
+
+func init() {
+	dist.RegisterJobType(JobTypeItems, dist.JobType{
+		NewMapper:   func([]byte) (mapreduce.Mapper, error) { return &itemMapper{}, nil },
+		NewCombiner: func([]byte) (mapreduce.Reducer, error) { return sumReducer{}, nil },
+		NewReducer:  func([]byte) (mapreduce.Reducer, error) { return sumReducer{}, nil },
+	})
+	dist.RegisterJobType(JobTypeCount, dist.JobType{
+		NewMapper: func(p []byte) (mapreduce.Mapper, error) {
+			cp, err := decodeCountParams(p)
+			if err != nil {
+				return nil, err
+			}
+			return &countMapper{cachePath: cp.CachePath}, nil
+		},
+		NewCombiner: func([]byte) (mapreduce.Reducer, error) { return sumReducer{}, nil },
+		NewReducer: func(p []byte) (mapreduce.Reducer, error) {
+			cp, err := decodeCountParams(p)
+			if err != nil {
+				return nil, err
+			}
+			return sumReducer{minCount: cp.MinCount}, nil
+		},
+	})
+}
 
 // itemMapper implements pass 1 (Algorithm 2 of the paper, in MapReduce
 // form): emit <item, 1> for every item of every transaction.
@@ -32,28 +88,29 @@ func (m *itemMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Led
 	return nil
 }
 
-// CountJob is the exact candidate-counting job: MRApriori runs it for every
-// pass k >= 2 and SON runs it as its second job. Mappers load the candidate
-// file cachePath (EncodeCandidates' output, shipped through the distributed
-// cache) into one hash tree per candidate length and count occurrences over
-// their split; the combiner sums partial counts; the reducer keeps the
-// candidates counted at least minCount times. The output holds one
-// <SetKey, count> record per surviving candidate.
-func CountJob(name, inputPath, outDir, cachePath string, minCount, reducers, mapTasks int) mapreduce.Job {
-	return mapreduce.Job{
+// CountSpec describes the exact candidate-counting job: MRApriori submits
+// it for every pass k >= 2 and SON as its second job. Mappers load the
+// candidate batch, shipped through the distributed cache as cacheName, into
+// one hash tree per candidate length and count occurrences over their split;
+// the combiner sums partial counts; the reducer keeps the candidates counted
+// at least minCount times. The output holds one <SetKey, count> record per
+// surviving candidate. Zero task counts take the executor's defaults.
+func CountSpec(name, inputPath, cacheName string, batch [][]itemset.Itemset,
+	minCount, reducers, mapTasks int) *dist.JobSpec {
+	// A string and an int always marshal.
+	params, _ := json.Marshal(countParams{CachePath: cacheName, MinCount: minCount})
+	return &dist.JobSpec{
 		Name:        name,
-		Input:       []string{inputPath},
-		OutputDir:   outDir,
-		NewMapper:   func() mapreduce.Mapper { return &countMapper{cachePath: cachePath} },
-		NewCombiner: func() mapreduce.Reducer { return sumReducer{} },
-		NewReducer:  func() mapreduce.Reducer { return sumReducer{minCount: minCount} },
+		Type:        JobTypeCount,
+		Params:      params,
+		InputPath:   inputPath,
+		NumMaps:     mapTasks,
 		NumReducers: reducers,
-		MapTasks:    mapTasks,
-		CacheFiles:  []string{cachePath},
+		Cache:       map[string][]byte{cacheName: EncodeCandidates(batch)},
 	}
 }
 
-// countMapper is CountJob's mapper (Algorithm 3 in MapReduce form). It
+// countMapper is the counting job's mapper (Algorithm 3 in MapReduce form). It
 // counts candidate occurrences across the task's whole input split into
 // dense per-tree arrays (in-mapper combining) and emits one
 // <candidate, count> record per locally occurring candidate at cleanup —

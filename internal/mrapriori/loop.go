@@ -3,51 +3,32 @@ package mrapriori
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"yafim/internal/apriori"
+	"yafim/internal/dist"
 	"yafim/internal/exec"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
 )
 
-// passRunner executes the mining loop's two job shapes somewhere: on the
-// in-memory virtual-time engine (simPasses) or on a dist.Executor — the
-// real multi-process runtime or its in-memory oracle (distPasses). The
-// driver loop above it is shared verbatim, so the candidate generation,
+// Mine runs the k-phase MapReduce Apriori over the transaction file at
+// inputPath, submitting every job through ex: dist.Local runs them on the
+// virtual-time simulator, a dist.Master across real worker processes. The
+// driver loop is the same code either way, so the candidate generation,
 // threshold arithmetic and pruning decisions of a distributed run are the
-// same code the simulator runs — parity by construction, with only task
+// ones the simulator makes — parity by construction, with only task
 // execution and shuffling left to differ.
-type passRunner interface {
-	// runPass1 counts single items over the input.
-	runPass1(ctx context.Context, reducers, mapTasks int) (*passOutput, error)
-	// runCountPass counts the candidate batch starting at length k,
-	// pruning below minCount reduce-side.
-	runCountPass(ctx context.Context, k int, batch [][]itemset.Itemset,
-		minCount, reducers, mapTasks int) (*passOutput, error)
-	// defaultReducers is the reduce parallelism when the config leaves it 0.
-	defaultReducers() int
-}
-
-// passOutput is one counting job's result in engine-neutral form.
-type passOutput struct {
-	kvs          []mapreduce.KV
-	inputRecords int64
-	duration     time.Duration
-}
-
-// mineLoop is the k-phase MRApriori driver shared by every execution mode.
-// rec may be nil (the real runtime measures rather than meters); inputPath
-// only labels errors.
-func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
-	inputPath string) (*apriori.Trace, error) {
+//
+// rec receives per-pass telemetry and may be nil (the real runtime measures
+// rather than meters). The context is checked between passes and inside
+// every job, so a cancel or deadline stops the k-phase iteration within one
+// task boundary with an error matching exec.ErrCanceled or
+// exec.ErrDeadlineExceeded.
+func Mine(ctx context.Context, ex dist.Executor, inputPath string, cfg Config,
+	rec *obs.Recorder) (*apriori.Trace, error) {
 	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
 		return nil, fmt.Errorf("mrapriori: MinSupport %v out of (0,1]", cfg.MinSupport)
-	}
-	reducers := cfg.NumReducers
-	if reducers <= 0 {
-		reducers = pr.defaultReducers()
 	}
 	fpcPasses := cfg.FPCPasses
 	if fpcPasses <= 0 {
@@ -64,11 +45,17 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 	// record counter, exactly as one-pass Hadoop implementations do.
 	rec.SetPass(1)
 	passMark := rec.Counters()
-	po, err := pr.runPass1(ctx, reducers, cfg.NumMapTasks)
+	out, err := ex.ExecJob(ctx, &dist.JobSpec{
+		Name:        "apriori-pass1",
+		Type:        JobTypeItems,
+		InputPath:   inputPath,
+		NumMaps:     cfg.NumMapTasks,
+		NumReducers: cfg.NumReducers,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("mrapriori: pass 1: %w", err)
 	}
-	n := po.inputRecords
+	n := out.MapInputRecords
 	if n == 0 {
 		return nil, fmt.Errorf("mrapriori: %s holds no transactions", inputPath)
 	}
@@ -76,7 +63,7 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 	rec.ObservePass("mapreduce", 1, int(n))
 
 	var l1 []apriori.SetCount
-	for _, kv := range po.kvs {
+	for _, kv := range out.KVs {
 		count, set, err := parseCountedSet(kv)
 		if err != nil {
 			return nil, fmt.Errorf("mrapriori: pass 1 output: %w", err)
@@ -89,7 +76,7 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 	res := &apriori.Result{MinSupport: minCount}
 	trace := &apriori.Trace{Result: res}
 	trace.Passes = append(trace.Passes, apriori.PassStat{
-		K: 1, Candidates: int(n), Frequent: len(l1), Duration: po.duration,
+		K: 1, Candidates: int(n), Frequent: len(l1), Duration: out.Duration,
 		Counters: rec.Counters().Sub(passMark),
 	})
 	if len(l1) == 0 {
@@ -116,11 +103,13 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 		for i, cands := range batch {
 			rec.ObservePass("mapreduce", k+i, len(cands))
 		}
-		po, err := pr.runCountPass(ctx, k, batch, minCount, reducers, cfg.NumMapTasks)
+		out, err := ex.ExecJob(ctx, CountSpec(fmt.Sprintf("apriori-pass%d", k), inputPath,
+			fmt.Sprintf("%s/C%d", dist.ScratchDir, k), batch, minCount,
+			cfg.NumReducers, cfg.NumMapTasks))
 		if err != nil {
 			return nil, fmt.Errorf("mrapriori: pass %d: %w", k, err)
 		}
-		levels, err := SplitLevels(po.kvs, k, len(batch))
+		levels, err := SplitLevels(out.KVs, k, len(batch))
 		if err != nil {
 			return nil, fmt.Errorf("mrapriori: pass %d: %w", k, err)
 		}
@@ -133,7 +122,7 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 			lk := levels[i]
 			stat := apriori.PassStat{K: k + i, Candidates: len(cands), Frequent: len(lk)}
 			if i == 0 {
-				stat.Duration = po.duration
+				stat.Duration = out.Duration
 				stat.Counters = rec.Counters().Sub(passMark)
 			}
 			trace.Passes = append(trace.Passes, stat)
@@ -152,7 +141,7 @@ func mineLoop(ctx context.Context, pr passRunner, rec *obs.Recorder, cfg Config,
 	return trace, nil
 }
 
-// SplitLevels parses CountJob's output and splits the surviving itemsets
+// SplitLevels parses the counting job's output and splits the surviving itemsets
 // back into the batchLen candidate levels starting at length k: a batch job
 // counts several lengths at once under FPC/DPC, and SON counts every length
 // at once. The levels come back unsorted; apriori.NewLevel sorts them.

@@ -11,16 +11,18 @@
 // (reference [17]): SPC is the plain one-job-per-pass algorithm; FPC
 // merges a fixed number of speculative candidate levels into each job; DPC
 // merges levels dynamically under a candidate budget.
+//
+// Every job is submitted through a dist.Executor as a registered job type,
+// so one driver runs on the virtual-time simulator (dist.Local) and on the
+// real multi-process runtime (dist.Master).
 package mrapriori
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"yafim/internal/apriori"
-	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 )
@@ -54,7 +56,7 @@ func (v Variant) String() string {
 type Config struct {
 	// MinSupport is the relative minimum support threshold in (0,1].
 	MinSupport float64
-	// NumReducers sets reduce-side parallelism (0 = cluster core count).
+	// NumReducers sets reduce-side parallelism (0 = executor default).
 	NumReducers int
 	// MaxK stops after frequent itemsets of this size (0 = unbounded).
 	MaxK int
@@ -66,26 +68,9 @@ type Config struct {
 	// DPCBudget caps the combined candidate count per job under DPC
 	// (default 50000).
 	DPCBudget int
-	// NumMapTasks is a minimum map-task count hint per job (0 = one task
-	// per input block).
+	// NumMapTasks is a minimum map-task count hint per job (0 = executor
+	// default).
 	NumMapTasks int
-}
-
-// Mine runs the k-phase MapReduce Apriori over the transaction file at
-// inputPath, staging intermediate files under workDir in the DFS.
-func Mine(runner *mapreduce.Runner, fs *dfs.FileSystem, inputPath, workDir string,
-	cfg Config) (*apriori.Trace, error) {
-	return MineContext(context.Background(), runner, fs, inputPath, workDir, cfg)
-}
-
-// MineContext is Mine with cooperative cancellation: the context is checked
-// between passes and inside every MapReduce job, so a cancel or deadline
-// stops the k-phase iteration within one task boundary with an error
-// matching exec.ErrCanceled or exec.ErrDeadlineExceeded.
-func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSystem,
-	inputPath, workDir string, cfg Config) (*apriori.Trace, error) {
-	pr := &simPasses{runner: runner, fs: fs, inputPath: inputPath, workDir: workDir}
-	return mineLoop(ctx, pr, runner.Recorder(), cfg, inputPath)
 }
 
 // generateBatch produces the candidate levels for the next job, starting at
@@ -127,8 +112,8 @@ func generateBatch(prev []itemset.Itemset, v Variant, fpcPasses, budget, maxK, k
 	return batch, nil
 }
 
-// EncodeCandidates renders candidate levels as CountJob's candidate file:
-// one SetKey per line.
+// EncodeCandidates renders candidate levels as the counting job's candidate
+// file: one SetKey per line.
 func EncodeCandidates(batch [][]itemset.Itemset) []byte {
 	var sb strings.Builder
 	for _, cands := range batch {

@@ -1,6 +1,7 @@
 package mrapriori
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"yafim/internal/cluster"
 	"yafim/internal/dataset"
 	"yafim/internal/dfs"
+	"yafim/internal/dist"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 )
@@ -34,11 +36,17 @@ func stage(t *testing.T, db *itemset.DB) (*mapreduce.Runner, *dfs.FileSystem, st
 	return runner, fs, path
 }
 
+// mineSim mines on the simulator: every job goes through dist.Local on
+// runner and fs, with the runner's recorder.
+func mineSim(runner *mapreduce.Runner, fs *dfs.FileSystem, path string, cfg Config) (*apriori.Trace, error) {
+	return Mine(context.Background(), dist.NewLocal(runner, fs), path, cfg, runner.Recorder())
+}
+
 func TestMineMatchesSequentialOracle(t *testing.T) {
 	for _, v := range []Variant{SPC, FPC, DPC} {
 		t.Run(v.String(), func(t *testing.T) {
 			runner, fs, path := stage(t, classicDB())
-			got, err := Mine(runner, fs, path, "/work", Config{
+			got, err := mineSim(runner, fs, path, Config{
 				MinSupport: 2.0 / 9.0, Variant: v,
 			})
 			if err != nil {
@@ -58,7 +66,7 @@ func TestMineMatchesSequentialOracle(t *testing.T) {
 
 func TestSPCRunsOneJobPerPass(t *testing.T) {
 	runner, fs, path := stage(t, classicDB())
-	got, err := Mine(runner, fs, path, "/work", Config{MinSupport: 2.0 / 9.0})
+	got, err := mineSim(runner, fs, path, Config{MinSupport: 2.0 / 9.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +88,11 @@ func TestSPCRunsOneJobPerPass(t *testing.T) {
 
 func TestFPCUsesFewerJobs(t *testing.T) {
 	runnerSPC, fsS, pathS := stage(t, classicDB())
-	if _, err := Mine(runnerSPC, fsS, pathS, "/work", Config{MinSupport: 2.0 / 9.0, Variant: SPC}); err != nil {
+	if _, err := mineSim(runnerSPC, fsS, pathS, Config{MinSupport: 2.0 / 9.0, Variant: SPC}); err != nil {
 		t.Fatal(err)
 	}
 	runnerFPC, fsF, pathF := stage(t, classicDB())
-	if _, err := Mine(runnerFPC, fsF, pathF, "/work", Config{MinSupport: 2.0 / 9.0, Variant: FPC, FPCPasses: 3}); err != nil {
+	if _, err := mineSim(runnerFPC, fsF, pathF, Config{MinSupport: 2.0 / 9.0, Variant: FPC, FPCPasses: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if len(runnerFPC.Reports()) >= len(runnerSPC.Reports()) {
@@ -95,7 +103,7 @@ func TestFPCUsesFewerJobs(t *testing.T) {
 func TestDPCBudgetForcesSplit(t *testing.T) {
 	// A budget of 1 candidate degenerates DPC to SPC-like batching.
 	runner, fs, path := stage(t, classicDB())
-	got, err := Mine(runner, fs, path, "/work", Config{
+	got, err := mineSim(runner, fs, path, Config{
 		MinSupport: 2.0 / 9.0, Variant: DPC, DPCBudget: 1,
 	})
 	if err != nil {
@@ -109,13 +117,13 @@ func TestDPCBudgetForcesSplit(t *testing.T) {
 
 func TestMineInvalidInputs(t *testing.T) {
 	runner, fs, path := stage(t, classicDB())
-	if _, err := Mine(runner, fs, path, "/work", Config{MinSupport: 0}); err == nil {
+	if _, err := mineSim(runner, fs, path, Config{MinSupport: 0}); err == nil {
 		t.Error("zero support accepted")
 	}
-	if _, err := Mine(runner, fs, "/missing", "/work", Config{MinSupport: 0.5}); err == nil {
+	if _, err := mineSim(runner, fs, "/missing", Config{MinSupport: 0.5}); err == nil {
 		t.Error("missing input accepted")
 	}
-	if _, err := Mine(runner, fs, path, "/work", Config{MinSupport: 0.5, Variant: Variant(9)}); err == nil {
+	if _, err := mineSim(runner, fs, path, Config{MinSupport: 0.5, Variant: Variant(9)}); err == nil {
 		t.Error("unknown variant accepted")
 	}
 	bad := dfs.New(2)
@@ -126,14 +134,14 @@ func TestMineInvalidInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Mine(badRunner, bad, "/bad.dat", "/work", Config{MinSupport: 0.5}); err == nil {
+	if _, err := mineSim(badRunner, bad, "/bad.dat", Config{MinSupport: 0.5}); err == nil {
 		t.Error("malformed transaction accepted")
 	}
 }
 
 func TestMineMaxK(t *testing.T) {
 	runner, fs, path := stage(t, classicDB())
-	got, err := Mine(runner, fs, path, "/work", Config{MinSupport: 2.0 / 9.0, MaxK: 2})
+	got, err := mineSim(runner, fs, path, Config{MinSupport: 2.0 / 9.0, MaxK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +180,7 @@ func TestMineCountsEmptyTransactions(t *testing.T) {
 	}
 	for _, v := range []Variant{SPC, FPC, DPC} {
 		runner, fs, path := stage(t, db)
-		got, err := Mine(runner, fs, path, "/work", Config{MinSupport: 0.25, Variant: v})
+		got, err := mineSim(runner, fs, path, Config{MinSupport: 0.25, Variant: v})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -205,7 +213,7 @@ func TestVariantsMatchOracleProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Mine(runner, fs, "/r.dat", "/work", Config{
+		got, err := mineSim(runner, fs, "/r.dat", Config{
 			MinSupport: sup, Variant: variant, FPCPasses: 2, DPCBudget: 10,
 		})
 		if err != nil {

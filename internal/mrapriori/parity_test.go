@@ -41,7 +41,7 @@ func TestCountMapperParityAcrossSeeds(t *testing.T) {
 		var results []*apriori.Result
 		for _, v := range []Variant{SPC, FPC, DPC} {
 			runner, fs, path := stage(t, db)
-			got, err := Mine(runner, fs, path, "/work", Config{MinSupport: support, Variant: v})
+			got, err := mineSim(runner, fs, path, Config{MinSupport: support, Variant: v})
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, v, err)
 			}

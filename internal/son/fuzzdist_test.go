@@ -37,7 +37,7 @@ func TestFuzzSONAgainstOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Mine(runner, fs, path, "/work", Config{MinSupport: sup})
+				got, err := mineSim(runner, fs, path, Config{MinSupport: sup})
 				if err != nil {
 					t.Fatalf("seed=%d sup=%v bs=%d: %v", seed, sup, blockSize, err)
 				}

@@ -10,9 +10,13 @@
 //     frequent in at least one split (pigeonhole on supports), so the union
 //     of local results is a complete candidate set.
 //  2. Count job: candidate supports are counted exactly over the full
-//     dataset by MRApriori's own counting job (mrapriori.CountJob), whose
+//     dataset by MRApriori's own counting job (mrapriori.CountSpec), whose
 //     reducer keeps those meeting the global minimum support, eliminating
 //     false positives.
+//
+// Both jobs are registered job types submitted through a dist.Executor, so
+// SON runs on the virtual-time simulator (dist.Local) and on the real
+// multi-process runtime (dist.Master) alike.
 //
 // Trading k job startups for potentially huge intermediate candidate sets
 // is exactly the trade-off §III describes ("may lead memory overflow and
@@ -21,10 +25,11 @@ package son
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"yafim/internal/apriori"
-	"yafim/internal/dfs"
+	"yafim/internal/dist"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/mrapriori"
@@ -35,64 +40,69 @@ import (
 type Config struct {
 	// MinSupport is the relative minimum support threshold in (0,1].
 	MinSupport float64
-	// NumReducers sets reduce-side parallelism (0 = cluster core count).
+	// NumReducers sets reduce-side parallelism (0 = executor default).
 	NumReducers int
-	// NumMapTasks is a minimum map-task count hint (0 = one per block).
+	// NumMapTasks is a minimum map-task count hint (0 = executor default).
 	NumMapTasks int
 	// MaxK bounds the local mining depth (0 = unbounded).
 	MaxK int
 }
 
-// Mine runs SON over the transaction file at inputPath, staging files under
-// workDir. The returned trace has one pass per job (candidate generation,
-// then counting).
-func Mine(runner *mapreduce.Runner, fs *dfs.FileSystem, inputPath, workDir string,
-	cfg Config) (*apriori.Trace, error) {
-	return MineContext(context.Background(), runner, fs, inputPath, workDir, cfg)
+// JobTypeCandidates is the registered job type of SON's first job: local
+// mining per split, deduplicated reduce-side.
+const JobTypeCandidates = "son-candidates"
+
+// candidateParams is JobTypeCandidates' wire parameter blob.
+type candidateParams struct {
+	Support float64 `json:"support"`
+	MaxK    int     `json:"max_k,omitempty"`
 }
 
-// MineContext is Mine with cooperative cancellation: both MapReduce jobs run
-// under ctx, so a cancel or deadline stops the run within one task boundary.
-func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSystem,
-	inputPath, workDir string, cfg Config) (*apriori.Trace, error) {
+func init() {
+	dist.RegisterJobType(JobTypeCandidates, dist.JobType{
+		NewMapper: func(p []byte) (mapreduce.Mapper, error) {
+			var cp candidateParams
+			if err := json.Unmarshal(p, &cp); err != nil {
+				return nil, fmt.Errorf("son: candidate params: %w", err)
+			}
+			return &localMiner{support: cp.Support, maxK: cp.MaxK}, nil
+		},
+		NewReducer: func([]byte) (mapreduce.Reducer, error) { return dedupReducer{}, nil },
+	})
+}
+
+// Mine runs SON over the transaction file at inputPath, submitting both jobs
+// through ex. The returned trace has one pass per job (candidate
+// generation, then counting). Both jobs run under ctx, so a cancel or
+// deadline stops the run within one task boundary.
+func Mine(ctx context.Context, ex dist.Executor, inputPath string, cfg Config) (*apriori.Trace, error) {
 	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
 		return nil, fmt.Errorf("son: MinSupport %v out of (0,1]", cfg.MinSupport)
 	}
-	reducers := cfg.NumReducers
-	if reducers <= 0 {
-		reducers = runner.Config().TotalCores()
-	}
 
 	// Job 1: local mining per split; the reducer is a dedup (first value).
-	candDir := workDir + "/candidates"
-	mapreduce.CleanOutput(fs, candDir)
-	rep1, counters, err := runner.RunContext(ctx, mapreduce.Job{
-		Name:      "son-candidates",
-		Input:     []string{inputPath},
-		OutputDir: candDir,
-		NewMapper: func() mapreduce.Mapper {
-			return &localMiner{support: cfg.MinSupport, maxK: cfg.MaxK}
-		},
-		NewReducer:  func() mapreduce.Reducer { return dedupReducer{} },
-		NumReducers: reducers,
-		MapTasks:    cfg.NumMapTasks,
+	// A float and an int always marshal.
+	params, _ := json.Marshal(candidateParams{Support: cfg.MinSupport, MaxK: cfg.MaxK})
+	out, err := ex.ExecJob(ctx, &dist.JobSpec{
+		Name:        "son-candidates",
+		Type:        JobTypeCandidates,
+		Params:      params,
+		InputPath:   inputPath,
+		NumMaps:     cfg.NumMapTasks,
+		NumReducers: cfg.NumReducers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("son: candidate job: %w", err)
 	}
-	n := counters.MapInputRecords
+	n := out.MapInputRecords
 	if n == 0 {
 		return nil, fmt.Errorf("son: %s holds no transactions", inputPath)
 	}
 	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 
-	kvs, err := mapreduce.ReadOutput(fs, candDir, nil)
-	if err != nil {
-		return nil, fmt.Errorf("son: candidate output: %w", err)
-	}
-	candidates := make([]itemset.Itemset, 0, len(kvs))
+	candidates := make([]itemset.Itemset, 0, len(out.KVs))
 	maxLen := 0
-	for _, kv := range kvs {
+	for _, kv := range out.KVs {
 		set, err := mrapriori.ParseSet(kv.Key)
 		if err != nil {
 			return nil, fmt.Errorf("son: candidate output: %w", err)
@@ -103,30 +113,20 @@ func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSyst
 
 	trace := &apriori.Trace{Result: &apriori.Result{MinSupport: minCount}}
 	trace.Passes = append(trace.Passes, apriori.PassStat{
-		K: 1, Candidates: int(n), Frequent: len(candidates), Duration: rep1.Duration(),
+		K: 1, Candidates: int(n), Frequent: len(candidates), Duration: out.Duration,
 	})
 	if len(candidates) == 0 {
 		return trace, nil
 	}
 
 	// Job 2: exact global counting of every candidate, all lengths at once.
-	cachePath := workDir + "/candidate-set"
-	if err := fs.WriteFile(cachePath, mrapriori.EncodeCandidates([][]itemset.Itemset{candidates}), nil); err != nil {
-		return nil, fmt.Errorf("son: staging candidates: %w", err)
-	}
-	outDir := workDir + "/frequent"
-	mapreduce.CleanOutput(fs, outDir)
-	rep2, _, err := runner.RunContext(ctx, mrapriori.CountJob("son-count",
-		inputPath, outDir, cachePath, minCount, reducers, cfg.NumMapTasks))
+	out, err = ex.ExecJob(ctx, mrapriori.CountSpec("son-count", inputPath,
+		dist.ScratchDir+"/candidate-set", [][]itemset.Itemset{candidates}, minCount,
+		cfg.NumReducers, cfg.NumMapTasks))
 	if err != nil {
 		return nil, fmt.Errorf("son: count job: %w", err)
 	}
-
-	kvs, err = mapreduce.ReadOutput(fs, outDir, nil)
-	if err != nil {
-		return nil, fmt.Errorf("son: count output: %w", err)
-	}
-	levels, err := mrapriori.SplitLevels(kvs, 1, maxLen)
+	levels, err := mrapriori.SplitLevels(out.KVs, 1, maxLen)
 	if err != nil {
 		return nil, fmt.Errorf("son: count output: %w", err)
 	}
@@ -139,7 +139,7 @@ func MineContext(ctx context.Context, runner *mapreduce.Runner, fs *dfs.FileSyst
 		trace.Result.Levels = append(trace.Result.Levels, apriori.NewLevel(i+1, sets))
 	}
 	trace.Passes = append(trace.Passes, apriori.PassStat{
-		K: 2, Candidates: len(candidates), Frequent: frequent, Duration: rep2.Duration(),
+		K: 2, Candidates: len(candidates), Frequent: frequent, Duration: out.Duration,
 	})
 	return trace, nil
 }

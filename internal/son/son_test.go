@@ -1,6 +1,7 @@
 package son
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"yafim/internal/cluster"
 	"yafim/internal/dataset"
 	"yafim/internal/dfs"
+	"yafim/internal/dist"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/mrapriori"
@@ -36,12 +38,18 @@ func stage(t *testing.T, db *itemset.DB, blockSize int64) (*mapreduce.Runner, *d
 	return runner, fs, path
 }
 
+// mineSim mines on the simulator: both jobs go through dist.Local on runner
+// and fs.
+func mineSim(runner *mapreduce.Runner, fs *dfs.FileSystem, path string, cfg Config) (*apriori.Trace, error) {
+	return Mine(context.Background(), dist.NewLocal(runner, fs), path, cfg)
+}
+
 func TestMineMatchesSequentialOracle(t *testing.T) {
 	// Small blocks force several local-mining splits, which is where SON's
 	// completeness argument actually gets exercised.
 	for _, blockSize := range []int64{16, 64, 1 << 20} {
 		runner, fs, path := stage(t, classicDB(), blockSize)
-		got, err := Mine(runner, fs, path, "/work", Config{MinSupport: 2.0 / 9.0})
+		got, err := mineSim(runner, fs, path, Config{MinSupport: 2.0 / 9.0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +66,7 @@ func TestMineMatchesSequentialOracle(t *testing.T) {
 
 func TestMineRunsExactlyTwoJobs(t *testing.T) {
 	runner, fs, path := stage(t, classicDB(), 32)
-	got, err := Mine(runner, fs, path, "/work", Config{MinSupport: 2.0 / 9.0})
+	got, err := mineSim(runner, fs, path, Config{MinSupport: 2.0 / 9.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +80,10 @@ func TestMineRunsExactlyTwoJobs(t *testing.T) {
 
 func TestMineInvalidInputs(t *testing.T) {
 	runner, fs, path := stage(t, classicDB(), 32)
-	if _, err := Mine(runner, fs, path, "/work", Config{MinSupport: 0}); err == nil {
+	if _, err := mineSim(runner, fs, path, Config{MinSupport: 0}); err == nil {
 		t.Error("zero support accepted")
 	}
-	if _, err := Mine(runner, fs, "/missing", "/work", Config{MinSupport: 0.5}); err == nil {
+	if _, err := mineSim(runner, fs, "/missing", Config{MinSupport: 0.5}); err == nil {
 		t.Error("missing input accepted")
 	}
 	bad := dfs.New(2)
@@ -86,7 +94,7 @@ func TestMineInvalidInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Mine(badRunner, bad, "/bad.dat", "/work", Config{MinSupport: 0.5}); err == nil {
+	if _, err := mineSim(badRunner, bad, "/bad.dat", Config{MinSupport: 0.5}); err == nil {
 		t.Error("malformed transaction accepted")
 	}
 }
@@ -94,7 +102,7 @@ func TestMineInvalidInputs(t *testing.T) {
 func TestMineNothingFrequent(t *testing.T) {
 	db := itemset.NewDB("sparse", [][]itemset.Item{{1}, {2}, {3}, {4}})
 	runner, fs, path := stage(t, db, 1<<20)
-	got, err := Mine(runner, fs, path, "/work", Config{MinSupport: 0.9})
+	got, err := mineSim(runner, fs, path, Config{MinSupport: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +134,7 @@ func TestMineMatchesOracleProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Mine(runner, fs, "/r.dat", "/work", Config{MinSupport: sup})
+		got, err := mineSim(runner, fs, "/r.dat", Config{MinSupport: sup})
 		if err != nil {
 			return false
 		}
