@@ -21,17 +21,18 @@ type flatNode struct {
 	entryHi int32
 }
 
-// compact freezes the pointer tree into the flat arrays and builds the
-// dense item remapping. Entry order within each leaf and child order within
-// each interior node are preserved, so the flat walk enumerates candidates
-// in exactly the order the pointer walk did.
-func (t *Tree) compact() {
+// compact freezes the pointer tree rooted at root into the flat arrays and
+// builds the dense item remapping. Entry order within each leaf and child
+// order within each interior node are preserved, so the flat walk
+// enumerates candidates in exactly the order the pointer walk did. The
+// root is flat node 0.
+func (t *Tree) compact(root *node) {
 	t.index = itemset.NewItemIndex(t.sets)
 	t.candDense = make([]int32, 0, len(t.sets)*t.k)
 	for _, c := range t.sets {
 		t.candDense = t.index.Remap(c, t.candDense)
 	}
-	t.flatten(t.root)
+	t.flatten(root)
 	t.matchers.New = func() any { return t.NewMatcher() }
 }
 

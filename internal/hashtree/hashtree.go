@@ -25,13 +25,13 @@ const (
 
 // Tree is a hash tree over candidate itemsets of one fixed length k. Build
 // inserts candidates into a pointer tree, then compacts it into a flat
-// array layout (flat.go) that subset enumeration walks allocation-free.
+// array layout (flat.go) that subset enumeration walks allocation-free; only
+// the flat layout is kept.
 type Tree struct {
 	k         int
 	fanout    int
 	fanoutSet bool
 	maxLeaf   int
-	root      *node
 	sets      []itemset.Itemset // candidates by index
 
 	// Flat layout, built by compact: see flat.go.
@@ -43,6 +43,7 @@ type Tree struct {
 	matchers  sync.Pool // *Matcher scratch for Tree.Subset
 }
 
+// node is one node of the pointer tree Build inserts into before compacting.
 type node struct {
 	children []*node // non-nil: interior node
 	entries  []int   // leaf: candidate indices into Tree.sets
@@ -73,7 +74,6 @@ func Build(candidates []itemset.Itemset, opts ...Option) *Tree {
 		k:       candidates[0].Len(),
 		fanout:  DefaultFanout,
 		maxLeaf: DefaultMaxLeaf,
-		root:    &node{},
 		sets:    candidates,
 	}
 	for _, o := range opts {
@@ -92,10 +92,19 @@ func Build(candidates []itemset.Itemset, opts ...Option) *Tree {
 		if c.Len() != t.k {
 			panic(fmt.Sprintf("hashtree: candidate %d has length %d, want %d", i, c.Len(), t.k))
 		}
-		t.insert(t.root, 0, i)
 	}
-	t.compact()
+	t.compact(t.pointerTree())
 	return t
+}
+
+// pointerTree inserts every candidate, in index order, into a fresh pointer
+// tree of the configured shape.
+func (t *Tree) pointerTree() *node {
+	root := &node{}
+	for i := range t.sets {
+		t.insert(root, 0, i)
+	}
+	return root
 }
 
 // K returns the candidate itemset length.

@@ -73,7 +73,7 @@ func TestLeafSplitting(t *testing.T) {
 	if len(got) != len(cands) {
 		t.Fatalf("found %d of %d candidates after splits", len(got), len(cands))
 	}
-	if tree.root.children == nil {
+	if tree.nodes[0].child < 0 {
 		t.Fatal("tree never split despite tiny leaves")
 	}
 }

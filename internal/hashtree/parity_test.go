@@ -11,17 +11,18 @@ import (
 // The flat walk (flat.go) must be indistinguishable from the pointer walk
 // it compacted: same candidates visited, in the same order, at the same
 // elementary-operation charge. The reference below replays the original
-// recursive algorithm over the pointer tree that Build still retains, so
-// any drift in the flat layout, the dense item remapping, or the bitset
-// containment test shows up as a parity failure here.
+// recursive algorithm over a pointer tree from the builder Build compacts
+// (Tree.pointerTree), so any drift in the flat layout, the dense item
+// remapping, or the bitset containment test shows up as a parity failure
+// here.
 
-// refSubset is the pre-compaction pointer walk, preserved as the parity
-// oracle.
-func refSubset(t *Tree, items itemset.Itemset, visit func(i int)) int64 {
+// refSubset is the pre-compaction pointer walk over root, the tree's
+// pointer tree, preserved as the parity oracle.
+func refSubset(t *Tree, root *node, items itemset.Itemset, visit func(i int)) int64 {
 	if items.Len() < t.k {
 		return 1
 	}
-	return refWalk(t, t.root, items, 0, visit)
+	return refWalk(t, root, items, 0, visit)
 }
 
 func refWalk(t *Tree, n *node, items itemset.Itemset, from int, visit func(i int)) int64 {
@@ -95,11 +96,12 @@ func TestFlatWalkMatchesPointerWalk(t *testing.T) {
 		cands := randomCandidates(rng, candidateCount(rng, 200, k, universe), k, universe)
 		for _, shape := range shapes {
 			tree := Build(cands, shape.opts...)
+			root := tree.pointerTree()
 			m := tree.NewMatcher()
 			for row := 0; row < 50; row++ {
 				tx := randomTransaction(rng, 12, universe+5)
 				var wantVisits, gotVisits, pooledVisits []int
-				wantOps := refSubset(tree, tx, func(i int) { wantVisits = append(wantVisits, i) })
+				wantOps := refSubset(tree, root, tx, func(i int) { wantVisits = append(wantVisits, i) })
 				gotOps := m.Subset(tx, func(i int) { gotVisits = append(gotVisits, i) })
 				pooledOps := tree.Subset(tx, func(i int) { pooledVisits = append(pooledVisits, i) })
 				if !reflect.DeepEqual(gotVisits, wantVisits) {
@@ -156,15 +158,17 @@ func TestMatcherReuseAcrossTrees(t *testing.T) {
 	candsB := randomCandidates(rng, 40, 3, 35)
 	treeA, treeB := Build(candsA), Build(candsB)
 	mA, mB := treeA.NewMatcher(), treeB.NewMatcher()
+	rootA, rootB := treeA.pointerTree(), treeB.pointerTree()
 	for row := 0; row < 2000; row++ {
 		tx := randomTransaction(rng, 9, 40)
 		for _, pair := range []struct {
 			tree *Tree
+			root *node
 			m    *Matcher
-		}{{treeA, mA}, {treeB, mB}} {
+		}{{treeA, rootA, mA}, {treeB, rootB, mB}} {
 			var got, want []int
 			gotOps := pair.m.Subset(tx, func(i int) { got = append(got, i) })
-			wantOps := refSubset(pair.tree, tx, func(i int) { want = append(want, i) })
+			wantOps := refSubset(pair.tree, pair.root, tx, func(i int) { want = append(want, i) })
 			if !reflect.DeepEqual(got, want) || gotOps != wantOps {
 				t.Fatalf("row %d: reused matcher visits %v ops %d, want %v ops %d",
 					row, got, gotOps, want, wantOps)
