@@ -5,9 +5,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"yafim/internal/chaos"
 	"yafim/internal/cluster"
+	"yafim/internal/dfs"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
 )
@@ -289,5 +291,45 @@ func TestFailTaskOncePanicsOnBadArguments(t *testing.T) {
 			}()
 			r.FailTaskOnce(tc.stage, tc.task, tc.n)
 		})
+	}
+}
+
+// TestChaosWastedWorkReachesMakespan pins the retry accounting of both
+// stages: a chaos-killed attempt dies after doing its work and its retry
+// runs after it, so the wasted work must lengthen the stage, not only the
+// WastedCost counter. With every task failing its first three attempts on a
+// one-core cluster, each stage body takes four times the fault-free one
+// (each relaunch costs one more task launch, as each attempt did).
+func TestChaosWastedWorkReachesMakespan(t *testing.T) {
+	cfg := cluster.Local()
+	cfg.Nodes, cfg.CoresPerNode = 1, 1
+	run := func(plan *chaos.Plan) *sim.JobReport {
+		fs := dfs.New(1, dfs.WithBlockSize(16), dfs.WithReplication(1))
+		if err := fs.WriteFile("/in/data.txt", []byte(corpus), nil); err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunnerMust(t, cfg, fs)
+		if plan != nil {
+			r.SetResilience(chaos.Resilience{})
+			if err := r.SetChaos(plan); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, _, err := r.Run(wordCountJob(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	clean := run(nil)
+	chaotic := run(&chaos.Plan{Seed: 1, TaskFailProb: 1})
+	for i, st := range clean.Stages {
+		body := st.Makespan - cfg.StageOverhead
+		got := chaotic.Stages[i].Makespan - cfg.StageOverhead
+		// Each task's duration rounds to the nanosecond on its own.
+		if want := 4 * body; got < want-time.Microsecond {
+			t.Errorf("%s: chaotic stage body %v, want 4 x fault-free %v = %v",
+				st.Name, got, body, want)
+		}
 	}
 }

@@ -455,7 +455,10 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, c
 	}
 	placed := make([]sim.Placed, len(splits))
 	for i, cost := range costs {
-		placed[i] = sim.Placed{Cost: cost, Pref: splits[i].Locations, Relaunches: attempts[i] - 1}
+		// Retried tasks run their attempts back to back on one core, so the
+		// scheduled cost is the successful attempt plus everything wasted.
+		placed[i] = sim.Placed{Cost: cost.Add(wasted[i]), Pref: splits[i].Locations,
+			Relaunches: attempts[i] - 1}
 	}
 	r.noteFailures(job.Name+":map", attempts)
 	rep, placements, spec := sim.RunStageResilient(r.cfg, job.Name+":map", placed, r.stageOpts())
@@ -559,7 +562,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 	}
 	placed := make([]sim.Placed, len(costs))
 	for i, cost := range costs {
-		placed[i] = sim.Placed{Cost: cost, Relaunches: attempts[i] - 1}
+		placed[i] = sim.Placed{Cost: cost.Add(wasted[i]), Relaunches: attempts[i] - 1}
 	}
 	r.noteFailures(job.Name+":reduce", attempts)
 	rep, placements, spec := sim.RunStageResilient(r.cfg, job.Name+":reduce", placed, r.stageOpts())
