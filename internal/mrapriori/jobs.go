@@ -110,9 +110,9 @@ func CountSpec(name, inputPath, cacheName string, batch [][]itemset.Itemset,
 	}
 }
 
-// countMapper is the counting job's mapper (Algorithm 3 in MapReduce form). It
-// counts candidate occurrences across the task's whole input split into
-// dense per-tree arrays (in-mapper combining) and emits one
+// countMapper is the counting job's mapper (Algorithm 3 in MapReduce
+// form). It counts candidate occurrences across the task's whole input
+// split into dense per-tree arrays (in-mapper combining) and emits one
 // <candidate, count> record per locally occurring candidate at cleanup —
 // instead of one <candidate, 1> record per match, which is what the
 // combiner would otherwise have to crunch back down.

@@ -141,10 +141,11 @@ func Mine(ctx context.Context, ex dist.Executor, inputPath string, cfg Config,
 	return trace, nil
 }
 
-// SplitLevels parses the counting job's output and splits the surviving itemsets
-// back into the batchLen candidate levels starting at length k: a batch job
-// counts several lengths at once under FPC/DPC, and SON counts every length
-// at once. The levels come back unsorted; apriori.NewLevel sorts them.
+// SplitLevels parses the counting job's output and splits the surviving
+// itemsets back into the batchLen candidate levels starting at length k: a
+// batch job counts several lengths at once under FPC/DPC, and SON counts
+// every length at once. The levels come back unsorted; apriori.NewLevel
+// sorts them.
 func SplitLevels(kvs []mapreduce.KV, k, batchLen int) ([][]apriori.SetCount, error) {
 	levels := make([][]apriori.SetCount, batchLen)
 	for _, kv := range kvs {

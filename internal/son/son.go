@@ -81,8 +81,10 @@ func Mine(ctx context.Context, ex dist.Executor, inputPath string, cfg Config) (
 	}
 
 	// Job 1: local mining per split; the reducer is a dedup (first value).
-	// A float and an int always marshal.
-	params, _ := json.Marshal(candidateParams{Support: cfg.MinSupport, MaxK: cfg.MaxK})
+	params, err := json.Marshal(candidateParams{Support: cfg.MinSupport, MaxK: cfg.MaxK})
+	if err != nil {
+		return nil, fmt.Errorf("son: candidate params: %w", err)
+	}
 	out, err := ex.ExecJob(ctx, &dist.JobSpec{
 		Name:        "son-candidates",
 		Type:        JobTypeCandidates,
