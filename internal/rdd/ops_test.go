@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -271,9 +272,9 @@ func TestCacheMemoryLimitRejectsOversizedPartition(t *testing.T) {
 
 func TestCacheUnlimitedByDefault(t *testing.T) {
 	ctx := newTestContext(t)
-	computes := 0
+	var computes atomic.Int64 // the two partition tasks run concurrently
 	base := newRDD(ctx, "c", 2, nil, func(p int, led *sim.Ledger) ([]int, error) {
-		computes++
+		computes.Add(1)
 		return make([]int, 1000), nil
 	})
 	base.Cache()
@@ -282,8 +283,8 @@ func TestCacheUnlimitedByDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if computes != 2 {
-		t.Fatalf("computes = %d, want 2", computes)
+	if n := computes.Load(); n != 2 {
+		t.Fatalf("computes = %d, want 2", n)
 	}
 }
 
