@@ -89,30 +89,6 @@ func TestFuzzCompare(t *testing.T) {
 				}
 				cmpRes(t, fmt.Sprintf("apriori-strat%d", strat), ref, res, seed, sup)
 			}
-			if res, err := apriori.MineAprioriTid(db, sup); err != nil {
-				t.Fatalf("seed=%d tid: %v", seed, err)
-			} else {
-				cmpRes(t, "aprioritid", ref, res, seed, sup)
-			}
-			if res, err := apriori.MineDHP(db, sup, 64); err != nil {
-				t.Fatalf("seed=%d dhp: %v", seed, err)
-			} else {
-				cmpRes(t, "dhp", ref, res, seed, sup)
-			}
-			for _, p := range []int{1, 3, 7} {
-				if res, err := apriori.MinePartition(db, sup, p); err != nil {
-					t.Fatalf("seed=%d partition: %v", seed, err)
-				} else {
-					cmpRes(t, fmt.Sprintf("partition%d", p), ref, res, seed, sup)
-				}
-			}
-			for s2 := int64(0); s2 < 3; s2++ {
-				if res, err := apriori.MineToivonen(db, sup, apriori.ToivonenOptions{Seed: s2, SampleFraction: 0.3}); err != nil {
-					t.Fatalf("seed=%d toivonen: %v", seed, err)
-				} else {
-					cmpRes(t, fmt.Sprintf("toivonen%d", s2), ref, res, seed, sup)
-				}
-			}
 			if res, err := eclat.Mine(db, sup); err != nil {
 				t.Fatalf("seed=%d eclat: %v", seed, err)
 			} else {

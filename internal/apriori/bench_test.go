@@ -71,33 +71,3 @@ func BenchmarkMineTrie(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkMineDHP(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MineDHP(db, 0.35, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMinePartition(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MinePartition(db, 0.35, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMineToivonen(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MineToivonen(db, 0.35, ToivonenOptions{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
