@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"time"
-
 	"yafim/internal/chaos"
 	"yafim/internal/sim"
 )
@@ -19,87 +17,27 @@ func (r *Runner) SetChaos(plan *chaos.Plan) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	r.plan = plan
-	if !r.resilSet {
-		r.resil = chaos.Defaults()
-	}
-	r.health = chaos.NewNodeHealth(r.cfg.Nodes, r.resil)
-	if plan != nil {
-		r.fs.SetChaos(plan)
-	}
+	r.drv.SetChaos(plan)
 	return nil
 }
 
 // SetResilience overrides the mitigation configuration used when a chaos
 // plan is attached. The zero Resilience disables speculation, blacklisting
 // and re-replication while keeping fault injection active. Attach before
-// SetChaos.
-func (r *Runner) SetResilience(res chaos.Resilience) {
-	r.resil = res
-	r.resilSet = true
-	if r.health != nil {
-		r.health = chaos.NewNodeHealth(r.cfg.Nodes, res)
-	}
-}
+// running jobs.
+func (r *Runner) SetResilience(res chaos.Resilience) { r.drv.SetResilience(res) }
 
 // ChaosPlan returns the attached fault plan (nil when chaos is disabled).
-func (r *Runner) ChaosPlan() *chaos.Plan { return r.plan }
+func (r *Runner) ChaosPlan() *chaos.Plan { return r.drv.ChaosPlan() }
 
-// virtualNow returns the runner's position on the virtual timeline: every
-// finished job plus the open job's overhead and completed stages. It is
-// stable for the duration of one stage, which keeps crash and blacklist
-// decisions deterministic under concurrent task execution.
-func (r *Runner) virtualNow() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var d time.Duration
-	for _, rep := range r.reports {
-		d += rep.Duration()
-	}
-	if r.current != nil {
-		d += r.current.Overhead
-		for _, s := range r.current.Stages {
-			d += s.Makespan
-		}
-	}
-	return d
-}
-
-// maybeCrash fires the plan's node crash once the virtual clock passes its
-// time: the node is permanently excluded from scheduling and its DFS block
-// replicas disappear (re-replicated when mitigation says so, with the repair
-// traffic charged to the open job's overhead). Returns the dead node when
-// the crash fired at this boundary, so Run can re-execute the map tasks
-// whose output died with it. Called at stage boundaries from the Run
-// goroutine only.
-func (r *Runner) maybeCrash(report *sim.JobReport) (int, bool) {
-	plan := r.plan
-	if plan == nil || plan.Crash == nil || r.crashDone {
-		return -1, false
-	}
-	node := plan.Crash.Node
-	if node < 0 || node >= r.cfg.Nodes || r.virtualNow() < plan.Crash.At {
-		return -1, false
-	}
-	r.crashDone = true
-	r.health.MarkDead(node)
-	_, repaired := r.fs.KillNode(node, r.resil.ReReplicate)
-	if repaired > 0 {
-		secs := float64(repaired) / r.cfg.NetBWPerSec
-		report.Overhead += time.Duration(secs * float64(time.Second))
-	}
-	return node, true
-}
-
-// rerunLostMaps builds the recovery stage for a node crash between the map
-// and reduce stages: every map task the schedule had placed on the dead node
-// re-runs elsewhere, each paying its full recorded cost plus a fresh task
-// launch (the JVM respawn that makes this so much more expensive for
+// rerunLostMaps schedules the recovery stage for a node crash between the
+// map and reduce stages: every map task the schedule had placed on the dead
+// node re-runs elsewhere, each paying its full recorded cost plus a fresh
+// task launch (the JVM respawn that makes this so much more expensive for
 // MapReduce than Spark's lineage recompute). The in-memory outputs are
 // reused byte-identically; mapper closures are NOT re-executed, so record
 // counters stay exact.
-func (r *Runner) rerunLostMaps(job Job, node int, costs []sim.Cost,
-	placements []sim.TaskPlacement) (sim.StageReport, bool) {
+func (r *Runner) rerunLostMaps(job Job, node int, costs []sim.Cost, placements []sim.TaskPlacement) {
 	var placed []sim.Placed
 	for i, pl := range placements {
 		if pl.Node == node {
@@ -107,56 +45,8 @@ func (r *Runner) rerunLostMaps(job Job, node int, costs []sim.Cost,
 		}
 	}
 	if len(placed) == 0 {
-		return sim.StageReport{}, false
-	}
-	rep, pls, spec := sim.RunStageResilient(r.cfg, job.Name+":map-recovery", placed, r.stageOpts())
-	attempts := make([]int, len(placed))
-	for i := range attempts {
-		attempts[i] = 1
-	}
-	r.recordStage(rep, placed, pls, attempts, nil)
-	r.rec.AddSpeculation(spec.Launched, spec.Won)
-	r.rec.AddStageRerun()
-	return rep, true
-}
-
-// noteFailures attributes a stage's failed task attempts to nodes for
-// blacklisting, in deterministic (task, attempt) order after all tasks have
-// finished. Failed attempts of any cause count — injected or manual — since
-// a real scheduler cannot tell them apart either.
-func (r *Runner) noteFailures(stage string, attempts []int) {
-	if r.health == nil {
 		return
 	}
-	now := r.virtualNow()
-	var listings int64
-	for t, a := range attempts {
-		for attempt := 1; attempt < a; attempt++ {
-			node := r.plan.FailureNode(stage, t, attempt, r.cfg.Nodes)
-			if r.health.RecordFailure(node, now) {
-				listings++
-			}
-		}
-	}
-	r.rec.AddBlacklistings(listings)
-}
-
-// stageOpts assembles the resilience options for the next stage's schedule:
-// the plan's straggler factors, the currently blacklisted or dead nodes, and
-// the speculation policy.
-func (r *Runner) stageOpts() sim.StageOpts {
-	if r.plan == nil {
-		return sim.StageOpts{}
-	}
-	opts := sim.StageOpts{
-		NodeFactor: r.plan.NodeFactors(r.cfg.Nodes),
-		Exclude:    r.health.Excluded(r.virtualNow()),
-	}
-	if r.resil.SpecThreshold > 0 {
-		opts.Spec = &sim.SpecPolicy{
-			Threshold: r.resil.SpecThreshold,
-			MinTasks:  r.resil.SpecMinTasks,
-		}
-	}
-	return opts
+	r.drv.Schedule(job.Name+":map-recovery", placed, nil, nil)
+	r.rec.AddStageRerun()
 }

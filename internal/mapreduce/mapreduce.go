@@ -8,7 +8,10 @@
 //
 // Faithful to the era, every job pays a heavy startup cost (JobTracker
 // setup, JVM launches) and re-reads its input from the DFS — the overheads
-// the paper blames for MapReduce's poor fit for iterative algorithms.
+// the paper blames for MapReduce's poor fit for iterative algorithms. Tasks
+// run, retry and are scheduled on the same virtual cluster
+// (internal/vcluster) as the RDD engine's, so the two engines differ only in
+// what they compute and what they pay.
 package mapreduce
 
 import (
@@ -16,19 +19,17 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"yafim/internal/chaos"
 	"yafim/internal/cluster"
 	"yafim/internal/dfs"
 	"yafim/internal/exec"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
+	"yafim/internal/vcluster"
 )
 
 // Emit collects one key/value record from a mapper, combiner or reducer.
@@ -81,24 +82,15 @@ type Counters struct {
 	ReduceOutputRecords int64
 }
 
-// Runner executes jobs against one DFS and cluster configuration.
+// Runner executes jobs against one DFS on a virtual cluster, which runs the
+// stages and keeps the job reports.
 type Runner struct {
-	fs          *dfs.FileSystem
-	cfg         cluster.Config
-	parallelism int
-	rec         *obs.Recorder // telemetry; nil disables recording
-
-	// Chaos engineering state; see chaos.go. plan/resil/health are set
-	// before jobs run, crashDone and current only from the Run goroutine.
-	plan      *chaos.Plan
-	resil     chaos.Resilience
-	resilSet  bool
-	health    *chaos.NodeHealth
-	crashDone bool
+	fs  *dfs.FileSystem
+	cfg cluster.Config
+	drv *vcluster.Driver
+	rec *obs.Recorder // telemetry; nil disables recording
 
 	mu       sync.Mutex
-	reports  []sim.JobReport
-	current  *sim.JobReport // open job, for the virtual clock
 	failures map[failureKey]int
 }
 
@@ -106,7 +98,10 @@ type Runner struct {
 // runner executes is recorded as a span on the virtual timeline, along with
 // shuffle-byte and retry counters. A nil recorder (the default) disables
 // telemetry. Attach before running jobs.
-func (r *Runner) SetRecorder(rec *obs.Recorder) { r.rec = rec }
+func (r *Runner) SetRecorder(rec *obs.Recorder) {
+	r.rec = rec
+	r.drv.SetRecorder(rec)
+}
 
 // Recorder returns the attached telemetry recorder (nil when disabled).
 func (r *Runner) Recorder() *obs.Recorder { return r.rec }
@@ -115,9 +110,6 @@ type failureKey struct {
 	stage string // "map" or "reduce"
 	task  int
 }
-
-// maxTaskAttempts mirrors Hadoop's mapred.map.max.attempts default of 4.
-const maxTaskAttempts = 4
 
 // TransientError is the failure injected by FailTaskOnce; the task
 // scheduler retries any failed attempt, and tests use this type to assert
@@ -171,29 +163,21 @@ func NewRunner(fs *dfs.FileSystem, cfg cluster.Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Runner{fs: fs, cfg: cfg, parallelism: runtime.GOMAXPROCS(0)}, nil
+	// A node crash costs the dead node's DFS replicas; Run re-runs the map
+	// tasks whose output died with it.
+	drv := vcluster.New(cfg, "mapreduce", nil)
+	drv.AttachFS(fs)
+	return &Runner{fs: fs, cfg: cfg, drv: drv}, nil
 }
 
 // Config returns the simulated cluster configuration.
 func (r *Runner) Config() cluster.Config { return r.cfg }
 
 // Reports returns the job reports of every job run so far, in order.
-func (r *Runner) Reports() []sim.JobReport {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]sim.JobReport, len(r.reports))
-	copy(out, r.reports)
-	return out
-}
+func (r *Runner) Reports() []sim.JobReport { return r.drv.Reports() }
 
 // TotalDuration sums the virtual durations of all jobs run so far.
-func (r *Runner) TotalDuration() time.Duration {
-	var d time.Duration
-	for _, rep := range r.Reports() {
-		d += rep.Duration()
-	}
-	return d
-}
+func (r *Runner) TotalDuration() time.Duration { return r.drv.TotalDuration() }
 
 const recordOverheadBytes = 8 // per-record framing in spills and fetches
 
@@ -237,60 +221,43 @@ func (r *Runner) RunContext(ctx context.Context, job Job) (*sim.JobReport, *Coun
 		r.rec.AddCancellations(1)
 		return nil, nil, fmt.Errorf("mapreduce: %s: %w", job.Name, err)
 	}
-	report := &sim.JobReport{Name: job.Name, Overhead: r.cfg.JobStartup}
+	// Every Hadoop job pays its own startup: no executors stay resident.
+	r.drv.BeginJob(job.Name, r.cfg.JobStartup)
+	defer r.drv.AbortJob() // a failed job leaves no report
 	counters := &Counters{}
-	r.rec.BeginJob("mapreduce", job.Name)
-	r.mu.Lock()
-	r.current = report
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.current = nil
-		r.mu.Unlock()
-	}()
 
 	cache, cacheTime, err := r.loadCache(ctx, job.CacheFiles)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mapreduce: %s: distributed cache: %w", job.Name, err)
 	}
-	report.Overhead += cacheTime
+	r.drv.AddOverhead(cacheTime)
 
 	splits, err := r.collectSplits(job.Input, job.MapTasks)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mapreduce: %s: %w", job.Name, err)
 	}
 
-	// A crash planned before this job's map stage only costs exclusion (and
-	// any DFS repair); the map stage simply never schedules on the dead node.
-	r.maybeCrash(report)
-
-	outputs, mapCosts, mapPlacements, mapStage, err := r.runMapStage(ctx, job, splits, cache, counters)
+	// A crash due before this job's map stage fires as the stage starts and
+	// only costs exclusion (and any DFS repair): the map stage simply never
+	// schedules on the dead node.
+	outputs, mapCosts, mapPlacements, err := r.runMapStage(ctx, job, splits, cache, counters)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mapreduce: %s: map stage: %w", job.Name, err)
 	}
-	report.Stages = append(report.Stages, mapStage)
 
 	// A crash between the stages is MapReduce's worst case: the dead node's
 	// map output is gone, and unlike Spark there is no lineage cache — the
 	// JobTracker must re-run those map tasks from their DFS inputs before any
 	// reducer can fetch.
-	if node, fired := r.maybeCrash(report); fired {
-		if rep, ok := r.rerunLostMaps(job, node, mapCosts, mapPlacements); ok {
-			report.Stages = append(report.Stages, rep)
-		}
+	if node, fired := r.drv.MaybeCrash(); fired {
+		r.rerunLostMaps(job, node, mapCosts, mapPlacements)
 	}
 
-	reduceStage, err := r.runReduceStage(ctx, job, outputs, mapCosts, cache, counters)
-	if err != nil {
+	if err := r.runReduceStage(ctx, job, outputs, mapCosts, cache, counters); err != nil {
 		return nil, nil, fmt.Errorf("mapreduce: %s: reduce stage: %w", job.Name, err)
 	}
-	report.Stages = append(report.Stages, reduceStage)
-
-	r.mu.Lock()
-	r.reports = append(r.reports, *report)
-	r.mu.Unlock()
-	r.rec.EndJob(report.Overhead)
-	return report, counters, nil
+	report := r.drv.EndJob()
+	return &report, counters, nil
 }
 
 func validateJob(job Job) error {
@@ -344,7 +311,7 @@ func (r *Runner) collectSplits(inputs []string, mapTasks int) ([]dfs.Split, erro
 }
 
 func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, cache CacheFiles,
-	counters *Counters) ([]*mapOutput, []sim.Cost, []sim.TaskPlacement, sim.StageReport, error) {
+	counters *Counters) ([]*mapOutput, []sim.Cost, []sim.TaskPlacement, error) {
 	outputs := make([]*mapOutput, len(splits))
 	// Per-task counter snapshots, overwritten on retry and summed only after
 	// the stage settles: a failed attempt — chaos strikes after the work is
@@ -354,7 +321,15 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, c
 	emitRecs := make([]int64, len(splits))
 	combRecs := make([]int64, len(splits))
 
-	costs, wasted, attempts, err := r.forEach(ctx, "map", job.Name+":map", len(splits), func(t int, led *sim.Ledger) error {
+	prefs := make([][]int, len(splits))
+	for i, s := range splits {
+		prefs[i] = s.Locations
+	}
+	stage := vcluster.Stage{Name: job.Name + ":map", Tasks: len(splits), Prefs: prefs}
+	costs, placements, err := r.drv.RunStage(ctx, stage, func(t int, led *sim.Ledger) error {
+		if r.shouldFail("map", t) {
+			return &TransientError{Stage: "map", Task: t}
+		}
 		mapper := job.NewMapper()
 		if err := mapper.Setup(cache, led); err != nil {
 			return fmt.Errorf("task %d setup: %w", t, err)
@@ -431,7 +406,7 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, c
 		return nil
 	})
 	if err != nil {
-		return nil, nil, nil, sim.StageReport{}, err
+		return nil, nil, nil, err
 	}
 	for t := range splits {
 		counters.MapInputRecords += inRecs[t]
@@ -453,28 +428,21 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, c
 			r.rec.ObservePartitionOutput("mapreduce", job.Name+":map", int(rows), spill)
 		}
 	}
-	placed := make([]sim.Placed, len(splits))
-	for i, cost := range costs {
-		// Retried tasks run their attempts back to back on one core, so the
-		// scheduled cost is the successful attempt plus everything wasted.
-		placed[i] = sim.Placed{Cost: cost.Add(wasted[i]), Pref: splits[i].Locations,
-			Relaunches: attempts[i] - 1}
-	}
-	r.noteFailures(job.Name+":map", attempts)
-	rep, placements, spec := sim.RunStageResilient(r.cfg, job.Name+":map", placed, r.stageOpts())
-	r.recordStage(rep, placed, placements, attempts, wasted)
-	r.rec.AddSpeculation(spec.Launched, spec.Won)
-	return outputs, costs, placements, rep, nil
+	return outputs, costs, placements, nil
 }
 
 func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutput, mapCosts []sim.Cost,
-	cache CacheFiles, counters *Counters) (sim.StageReport, error) {
+	cache CacheFiles, counters *Counters) error {
 	groups := make([]int64, job.NumReducers)
 	outRecs := make([]int64, job.NumReducers)
 	parts := make([][]byte, job.NumReducers)
 	shuffleBytes := make([]int64, job.NumReducers)
 
-	costs, wasted, attempts, err := r.forEach(ctx, "reduce", job.Name+":reduce", job.NumReducers, func(p int, led *sim.Ledger) error {
+	name := job.Name + ":reduce"
+	_, _, err := r.drv.RunStage(ctx, vcluster.Stage{Name: name, Tasks: job.NumReducers}, func(p int, led *sim.Ledger) error {
+		if r.shouldFail("reduce", p) {
+			return &TransientError{Stage: "reduce", Task: p}
+		}
 		reducer := job.NewReducer()
 		if err := reducer.Setup(cache, led); err != nil {
 			return fmt.Errorf("reducer %d setup: %w", p, err)
@@ -485,8 +453,8 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 		// the reducer pays the dead fetch plus the map task's full recorded
 		// cost. The in-memory output is reused byte-identically — only the
 		// virtual cost is charged, never the mapper closure re-run.
-		if name := job.Name + ":reduce"; r.plan.FetchFails(name, p) {
-			victim := r.plan.FetchVictim(name, p, len(outputs))
+		if plan := r.drv.ChaosPlan(); plan.FetchFails(name, p) {
+			victim := plan.FetchVictim(name, p, len(outputs))
 			r.rec.AddFetchFailure()
 			r.rec.AddStageRerun()
 			led.AddNet(outputs[victim].bytes[p]) // the fetch that found nothing
@@ -537,7 +505,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 		return nil
 	})
 	if err != nil {
-		return sim.StageReport{}, err
+		return err
 	}
 	// Commit in partition order: the DFS places replicas round-robin, so
 	// commits racing from the task goroutines would place the part files in
@@ -546,7 +514,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 	for p, data := range parts {
 		path := fmt.Sprintf("%s/part-r-%05d", job.OutputDir, p)
 		if err := r.fs.WriteFile(path, data, nil); err != nil {
-			return sim.StageReport{}, fmt.Errorf("reducer %d commit: %w", p, err)
+			return fmt.Errorf("reducer %d commit: %w", p, err)
 		}
 	}
 	for p := 0; p < job.NumReducers; p++ {
@@ -560,132 +528,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 				int(outRecs[p]), int64(len(parts[p])))
 		}
 	}
-	placed := make([]sim.Placed, len(costs))
-	for i, cost := range costs {
-		placed[i] = sim.Placed{Cost: cost.Add(wasted[i]), Relaunches: attempts[i] - 1}
-	}
-	r.noteFailures(job.Name+":reduce", attempts)
-	rep, placements, spec := sim.RunStageResilient(r.cfg, job.Name+":reduce", placed, r.stageOpts())
-	r.recordStage(rep, placed, placements, attempts, wasted)
-	r.rec.AddSpeculation(spec.Launched, spec.Won)
-	return rep, nil
-}
-
-// recordStage converts one executed stage's schedule into telemetry: a stage
-// span with per-task spans plus retry and locality-placement counters.
-func (r *Runner) recordStage(rep sim.StageReport, placed []sim.Placed,
-	placements []sim.TaskPlacement, attempts []int, wasted []sim.Cost) {
-	if r.rec == nil {
-		return
-	}
-	costs := make([]sim.Cost, len(placed))
-	for i := range placed {
-		costs[i] = placed[i].Cost
-	}
-	r.rec.AddStage(obs.SpanFromSchedule(rep, r.cfg.StageOverhead, placements, costs, attempts))
-	var retries, local, remote int64
-	for i := range placements {
-		if attempts[i] > 1 {
-			retries += int64(attempts[i] - 1)
-		}
-		if len(placed[i].Pref) > 0 {
-			if placements[i].Remote {
-				remote++
-			} else {
-				local++
-			}
-		}
-	}
-	if retries > 0 {
-		// FailTaskOnce aborts at task start (zero waste); chaos-injected
-		// failures strike after the attempt's work, wasting its full cost.
-		var waste sim.Cost
-		for _, w := range wasted {
-			waste = waste.Add(w)
-		}
-		r.rec.AddRetries(retries, waste)
-	}
-	if local > 0 || remote > 0 {
-		r.rec.AddLocality(local, remote)
-	}
-}
-
-// forEach runs fn(0..n-1) on the worker pool, retrying each task up to the
-// Hadoop attempt limit. Each attempt gets a fresh ledger; the successful
-// attempt's total becomes the task's cost, failed attempts accumulate into
-// its wasted cost. After an attempt's work succeeds the chaos plan may still
-// kill it — the executor dies before reporting — so the full attempt is
-// wasted and retried; injection never touches the last permitted attempt,
-// keeping jobs degradable but not failable. stage is the FailTaskOnce key
-// ("map"/"reduce"), domain the job-qualified chaos decision domain.
-//
-// A panic in fn is recovered into a typed *exec.TaskError and retried like
-// any transient fault; a canceled context aborts each task at its next
-// attempt boundary without retrying. A stage that cannot complete returns an
-// *exec.StageError wrapping every task's terminal failure.
-func (r *Runner) forEach(ctx context.Context, stage, domain string, n int, fn func(i int, led *sim.Ledger) error) (costs, wasted []sim.Cost, attempts []int, err error) {
-	costs = make([]sim.Cost, n)
-	wasted = make([]sim.Cost, n)
-	attempts = make([]int, n)
-	errs := make([]error, n)
-	var panics int64
-	sem := make(chan struct{}, r.parallelism)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var lastErr error
-			for attempt := 1; attempt <= maxTaskAttempts; attempt++ {
-				if cerr := exec.ContextErr(ctx); cerr != nil {
-					errs[i] = cerr
-					return
-				}
-				attempts[i] = attempt
-				led := &sim.Ledger{}
-				if r.shouldFail(stage, i) {
-					lastErr = &TransientError{Stage: stage, Task: i}
-				} else if lastErr = exec.Guard("mapreduce", domain, i, attempt,
-					func() error { return fn(i, led) }); lastErr == nil &&
-					attempt < maxTaskAttempts && r.plan.TaskFails(domain, i, attempt) {
-					lastErr = &chaos.InjectedError{Stage: domain, Task: i, Attempt: attempt}
-				}
-				var te *exec.TaskError
-				if errors.As(lastErr, &te) && te.Panicked() {
-					atomic.AddInt64(&panics, 1)
-				}
-				if lastErr == nil {
-					costs[i] = led.Total()
-					return
-				}
-				if exec.IsCancellation(lastErr) {
-					// The task observed the cancellation itself; stop without
-					// retrying — retries only delay the shutdown.
-					errs[i] = lastErr
-					return
-				}
-				wasted[i] = wasted[i].Add(led.Total())
-			}
-			errs[i] = fmt.Errorf("task %d failed after %d attempts: %w",
-				i, maxTaskAttempts, lastErr)
-		}(i)
-	}
-	wg.Wait()
-	r.rec.AddTaskPanics(panics)
-	if join := errors.Join(errs...); join != nil {
-		// One representative cancellation instead of the join: every aborted
-		// task carries the same context error, and Join would print it once
-		// per task.
-		if cause := exec.CollapseCancellation(errs); cause != nil {
-			r.rec.AddCancellations(1)
-			return costs, wasted, attempts, &exec.StageError{Engine: "mapreduce", Stage: domain, Err: cause}
-		}
-		return costs, wasted, attempts, &exec.StageError{Engine: "mapreduce", Stage: domain,
-			Attempts: maxTaskAttempts, Err: join}
-	}
-	return costs, wasted, attempts, nil
+	return nil
 }
 
 func nLogN(n int64) float64 {

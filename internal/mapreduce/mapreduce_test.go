@@ -11,6 +11,7 @@ import (
 	"yafim/internal/cluster"
 	"yafim/internal/dfs"
 	"yafim/internal/sim"
+	"yafim/internal/vcluster"
 )
 
 // wordCountMapper is the canonical example job used by the engine tests.
@@ -417,7 +418,7 @@ func TestTaskRetryOnInjectedFailure(t *testing.T) {
 func TestTaskFailsAfterMaxAttempts(t *testing.T) {
 	fs := setupFS(t, 1024, corpus)
 	r := NewRunnerMust(t, cluster.Local(), fs)
-	r.FailTaskOnce("map", 0, maxTaskAttempts)
+	r.FailTaskOnce("map", 0, vcluster.MaxTaskAttempts)
 	_, _, err := r.Run(wordCountJob(false))
 	if err == nil {
 		t.Fatal("job succeeded despite exhausting all attempts")

@@ -12,6 +12,7 @@ import (
 	"yafim/internal/leaktest"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
+	"yafim/internal/vcluster"
 )
 
 // panicMapper panics while mapping: always when limit == 0, otherwise only
@@ -126,9 +127,9 @@ func TestMapperPanicIsolated(t *testing.T) {
 	if !te.Panicked() || te.PanicValue != "mapper exploded" {
 		t.Errorf("panic value = %v, want \"mapper exploded\"", te.PanicValue)
 	}
-	if te.Engine != "mapreduce" || te.Attempt != maxTaskAttempts {
+	if te.Engine != "mapreduce" || te.Attempt != vcluster.MaxTaskAttempts {
 		t.Errorf("task identity = %s attempt %d, want mapreduce attempt %d",
-			te.Engine, te.Attempt, maxTaskAttempts)
+			te.Engine, te.Attempt, vcluster.MaxTaskAttempts)
 	}
 	if rec.Counters().TaskPanics == 0 {
 		t.Error("panics not counted")

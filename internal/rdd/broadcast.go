@@ -31,7 +31,7 @@ func NewBroadcast[T any](ctx *Context, v T, bytes int64) *Broadcast[T] {
 	}
 	b := &Broadcast[T]{ctx: ctx, value: v, bytes: bytes}
 	if !ctx.naiveShipping {
-		ctx.addPendingOverhead(broadcastTime(ctx.cfg, bytes))
+		ctx.drv.AddOverhead(broadcastTime(ctx.cfg, bytes))
 		ctx.rec.AddBroadcastBytes(bytes)
 	}
 	return b

@@ -1,162 +1,24 @@
 package rdd
 
-import (
-	"time"
-
-	"yafim/internal/chaos"
-	"yafim/internal/dfs"
-	"yafim/internal/sim"
-)
+import "yafim/internal/chaos"
 
 // WithChaos attaches a seed-driven fault plan to the context: task attempts
 // fail with the plan's probability, shuffle fetches lose map outputs,
 // straggler nodes run slow, and the planned node crash fires at its virtual
-// time. Mitigation defaults to chaos.Defaults() — speculative execution,
-// failure-count blacklisting and DFS re-replication — override it with
-// WithResilience. The plan is validated by NewContext.
+// time, losing the node's cached partitions and shuffle output. Mitigation
+// defaults to chaos.Defaults() — speculative execution, failure-count
+// blacklisting and DFS re-replication — override it with WithResilience.
+// The plan is validated by NewContext.
 func WithChaos(plan *chaos.Plan) Option {
-	return func(c *Context) {
-		c.chaosPlan = plan
-		if !c.resilSet {
-			c.resil = chaos.Defaults()
-		}
-	}
+	return func(c *Context) { c.drv.SetChaos(plan) }
 }
 
 // WithResilience overrides the mitigation configuration used when a chaos
 // plan is attached. The zero Resilience disables speculation, blacklisting
 // and re-replication while keeping fault injection active.
 func WithResilience(r chaos.Resilience) Option {
-	return func(c *Context) {
-		c.resil = r
-		c.resilSet = true
-	}
+	return func(c *Context) { c.drv.SetResilience(r) }
 }
 
 // ChaosPlan returns the attached fault plan (nil when chaos is disabled).
-func (c *Context) ChaosPlan() *chaos.Plan { return c.chaosPlan }
-
-// registerFS ties a DFS instance to the context so a planned node crash
-// also destroys that node's block replicas, and so the plan's block-read
-// failures reach the filesystem. TextFile registers its source
-// automatically.
-func (c *Context) registerFS(fs *dfs.FileSystem) {
-	c.mu.Lock()
-	for _, f := range c.fss {
-		if f == fs {
-			c.mu.Unlock()
-			return
-		}
-	}
-	c.fss = append(c.fss, fs)
-	plan := c.chaosPlan
-	c.mu.Unlock()
-	if plan != nil {
-		fs.SetChaos(plan)
-	}
-}
-
-// virtualNow returns the driver's position on the virtual timeline: every
-// finished job plus the open job's overhead and completed stages. It is
-// stable for the duration of one stage (stages are appended only after all
-// their tasks finish), which keeps crash and blacklist decisions
-// deterministic under concurrent task execution.
-func (c *Context) virtualNow() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var d time.Duration
-	for _, r := range c.reports {
-		d += r.Duration()
-	}
-	if c.current != nil {
-		d += c.current.Overhead
-		for _, s := range c.current.Stages {
-			d += s.Makespan
-		}
-	}
-	return d
-}
-
-// maybeCrash fires the plan's node crash once the virtual clock passes its
-// time: the node's cached partitions are lost (to be recomputed from
-// lineage), its DFS replicas disappear (re-replicated when mitigation says
-// so, with the repair traffic charged to the current job), and the node is
-// permanently excluded from scheduling. Called at each stage boundary; the
-// driver runs stages sequentially so no locking is needed for crashDone.
-func (c *Context) maybeCrash() {
-	plan := c.chaosPlan
-	if plan == nil || plan.Crash == nil || c.crashDone {
-		return
-	}
-	node := plan.Crash.Node
-	if node >= c.cfg.Nodes || c.virtualNow() < plan.Crash.At {
-		return
-	}
-	c.crashDone = true
-	c.KillNode(node)
-	c.health.MarkDead(node)
-	c.mu.Lock()
-	fss := append([]*dfs.FileSystem(nil), c.fss...)
-	c.mu.Unlock()
-	var repaired int64
-	for _, fs := range fss {
-		_, bytes := fs.KillNode(node, c.resil.ReReplicate)
-		repaired += bytes
-	}
-	if repaired > 0 {
-		c.addCurrentOverhead(transferTime(c.cfg, repaired))
-	}
-}
-
-// addCurrentOverhead charges driver-side virtual time to the open job, or
-// to the next job when none is open.
-func (c *Context) addCurrentOverhead(d time.Duration) {
-	c.mu.Lock()
-	if c.current != nil {
-		c.current.Overhead += d
-	} else {
-		c.pendingOverhead += d
-	}
-	c.mu.Unlock()
-}
-
-// noteFailures attributes a stage's failed task attempts to nodes for
-// blacklisting, in deterministic (task, attempt) order after all tasks have
-// finished. Failed attempts of any cause count — injected or manual — since
-// a real scheduler cannot tell them apart either.
-func (c *Context) noteFailures(stage string, attempts []int) {
-	if c.health == nil {
-		return
-	}
-	now := c.virtualNow()
-	var listings int64
-	for p, a := range attempts {
-		for attempt := 1; attempt < a; attempt++ {
-			node := c.chaosPlan.FailureNode(stage, p, attempt, c.cfg.Nodes)
-			if c.health.RecordFailure(node, now) {
-				listings++
-			}
-		}
-	}
-	c.rec.AddBlacklistings(listings)
-}
-
-// stageOpts assembles the resilience options for the next stage's schedule:
-// the plan's straggler factors, the currently blacklisted or dead nodes, and
-// the speculation policy.
-func (c *Context) stageOpts() sim.StageOpts {
-	if c.chaosPlan == nil {
-		return sim.StageOpts{}
-	}
-	opts := sim.StageOpts{
-		NodeFactor: c.chaosPlan.NodeFactors(c.cfg.Nodes),
-		Exclude:    c.health.Excluded(c.virtualNow()),
-	}
-	if c.resil.SpecThreshold > 0 {
-		opts.Spec = &sim.SpecPolicy{
-			Threshold: c.resil.SpecThreshold,
-			MinTasks:  c.resil.SpecMinTasks,
-		}
-	}
-	return opts
-}
+func (c *Context) ChaosPlan() *chaos.Plan { return c.drv.ChaosPlan() }

@@ -134,7 +134,7 @@ func CombineByKey[K cmp.Ordered, V, C any](r *RDD[Pair[K, V]], name string,
 		// partition (a cache hit when the parent is cached — near free) and
 		// rebuild its map-side output. The resident buckets are reused as the
 		// recomputation's byte-identical result; only the cost is charged.
-		if plan := r.ctx.chaosPlan; plan.FetchFails(name, p) {
+		if plan := r.ctx.ChaosPlan(); plan.FetchFails(name, p) {
 			victim := plan.FetchVictim(name, p, r.parts)
 			r.ctx.rec.AddFetchFailure()
 			r.ctx.rec.AddStageRerun()

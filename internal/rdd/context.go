@@ -5,51 +5,46 @@
 // failures.
 //
 // Results are computed for real and exactly; time is virtual. Every task
-// meters its work into a sim.Ledger and the context converts each stage's
-// task costs into a deterministic makespan for the configured cluster, so a
-// driver program can be "run on 12 nodes" reproducibly on any machine.
+// meters its work into a sim.Ledger and the context's virtual cluster
+// (internal/vcluster, shared with the MapReduce engine) converts each
+// stage's task costs into a deterministic makespan for the configured
+// cluster, so a driver program can be "run on 12 nodes" reproducibly on any
+// machine.
 package rdd
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"yafim/internal/chaos"
 	"yafim/internal/cluster"
-	"yafim/internal/dfs"
 	"yafim/internal/exec"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
+	"yafim/internal/vcluster"
 )
 
-// Context owns the cluster configuration, the worker pool, fault-injection
-// state and the virtual-time job reports of one driver program. Drivers run
-// actions sequentially, as a Spark driver thread does; a Context must not
-// run two actions concurrently.
+// Context owns the cluster configuration, the caches, shuffles and
+// broadcast state of one driver program, and the virtual cluster that runs
+// its stages and keeps its job reports. Drivers run actions sequentially,
+// as a Spark driver thread does; a Context must not run two actions
+// concurrently.
 type Context struct {
-	cfg         cluster.Config
-	parallelism int
+	cfg cluster.Config
+	drv *vcluster.Driver
 
 	// goCtx carries the driver's cancellation signal (context cancel,
 	// deadline, SIGINT). Workers check it cooperatively at task boundaries;
 	// the default Background context never cancels.
 	goCtx context.Context
 
-	mu              sync.Mutex
-	nextID          int
-	started         bool // first job pays application startup
-	pendingOverhead time.Duration
-	current         *sim.JobReport
-	reports         []sim.JobReport
-	failures        map[failureKey]int
-	caches          []evictor
-	naiveShipping   bool  // disable broadcast variables (ablation)
-	jobShipBytes    int64 // naive-mode bytes serialized through the driver
+	mu            sync.Mutex
+	nextID        int
+	failures      map[failureKey]int
+	caches        []evictor
+	naiveShipping bool  // disable broadcast variables (ablation)
+	jobShipBytes  int64 // naive-mode bytes serialized through the driver
 
 	cacheMgr *cacheManager // per-node executor memory accounting
 
@@ -63,16 +58,6 @@ type Context struct {
 	shuffleTotal   int64
 	shufflePeak    int64
 	shuffleSpilled int64
-
-	// Chaos engineering: the seed-driven fault plan, the mitigation
-	// configuration, per-node failure bookkeeping, whether the planned crash
-	// has fired, and the filesystems that crash along with a node.
-	chaosPlan *chaos.Plan
-	resil     chaos.Resilience
-	resilSet  bool
-	health    *chaos.NodeHealth
-	crashDone bool
-	fss       []*dfs.FileSystem
 
 	// rec receives telemetry spans and counters; nil disables recording.
 	// computed tracks which (rdd, partition) pairs have been materialised
@@ -98,11 +83,7 @@ type Option func(*Context)
 // WithParallelism caps the number of OS-level worker goroutines used to
 // execute tasks. It affects real execution speed only, never virtual time.
 func WithParallelism(n int) Option {
-	return func(c *Context) {
-		if n > 0 {
-			c.parallelism = n
-		}
-	}
+	return func(c *Context) { c.drv.SetParallelism(n) }
 }
 
 // WithoutBroadcast disables the broadcast-variable optimisation: shared data
@@ -152,20 +133,19 @@ func NewContext(cfg cluster.Config, opts ...Option) (*Context, error) {
 	}
 	c := &Context{
 		cfg:         cfg,
-		parallelism: runtime.GOMAXPROCS(0),
 		goCtx:       context.Background(),
 		failures:    make(map[failureKey]int),
 		shuffleUsed: make([]int64, cfg.Nodes),
 	}
+	// A node crash loses the node's cached partitions and shuffle output.
+	c.drv = vcluster.New(cfg, "rdd", c.KillNode)
 	for _, o := range opts {
 		o(c)
 	}
-	if c.chaosPlan != nil {
-		if err := c.chaosPlan.Validate(); err != nil {
-			return nil, err
-		}
-		c.health = chaos.NewNodeHealth(cfg.Nodes, c.resil)
+	if err := c.drv.ChaosPlan().Validate(); err != nil {
+		return nil, err
 	}
+	c.drv.SetRecorder(c.rec)
 	return c, nil
 }
 
@@ -206,50 +186,24 @@ func (c *Context) noteCompute(rddID, part int) {
 }
 
 // Reports returns the job reports of every action run so far, in order.
-func (c *Context) Reports() []sim.JobReport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]sim.JobReport, len(c.reports))
-	copy(out, c.reports)
-	return out
-}
+func (c *Context) Reports() []sim.JobReport { return c.drv.Reports() }
 
 // NumJobs returns how many actions have run so far: a mark for
 // DurationSince, which is how the drivers attribute job time to a pass.
-func (c *Context) NumJobs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.reports)
-}
+func (c *Context) NumJobs() int { return c.drv.NumJobs() }
 
 // DurationSince sums the virtual durations of the jobs run after the first
 // mark ones.
-func (c *Context) DurationSince(mark int) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var d time.Duration
-	for _, r := range c.reports[mark:] {
-		d += r.Duration()
-	}
-	return d
-}
+func (c *Context) DurationSince(mark int) time.Duration { return c.drv.DurationSince(mark) }
 
 // TotalDuration sums the virtual durations of all jobs run so far.
-func (c *Context) TotalDuration() time.Duration { return c.DurationSince(0) }
+func (c *Context) TotalDuration() time.Duration { return c.drv.TotalDuration() }
 
 func (c *Context) allocID() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
 	return c.nextID
-}
-
-// addPendingOverhead schedules driver-side virtual time (e.g. broadcast
-// distribution) to be charged to the next job.
-func (c *Context) addPendingOverhead(d time.Duration) {
-	c.mu.Lock()
-	c.pendingOverhead += d
-	c.mu.Unlock()
 }
 
 func (c *Context) registerCache(e evictor) {
@@ -399,7 +353,7 @@ func (c *Context) KillNode(n int) {
 	for _, st := range shuffles {
 		st.dropNode(n, nodes)
 	}
-	c.health.MarkDead(n)
+	c.drv.MarkDead(n)
 }
 
 // DropAllCaches evicts every cached partition, as if all executors were
@@ -425,40 +379,27 @@ func (e *FlakyError) Error() string {
 	return fmt.Sprintf("rdd: injected failure in rdd %d partition %d", e.RDD, e.Part)
 }
 
-// maxTaskAttempts mirrors Hadoop/Spark's default of four attempts per task.
-const maxTaskAttempts = 4
-
 // beginJob opens a job report. The first job of the application additionally
-// pays the cluster's job (application) startup cost.
+// pays the cluster's job (application) startup cost; the executors then stay
+// resident for every later job.
 func (c *Context) beginJob(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.current != nil {
-		panic("rdd: nested or concurrent actions on one Context")
+	var startup time.Duration
+	if c.drv.NumJobs() == 0 {
+		startup = c.cfg.JobStartup
 	}
-	overhead := c.pendingOverhead
-	c.pendingOverhead = 0
-	if !c.started {
-		c.started = true
-		overhead += c.cfg.JobStartup
-	}
-	c.current = &sim.JobReport{Name: name, Overhead: overhead}
-	c.rec.BeginJob("rdd", name)
+	c.drv.BeginJob(name, startup)
 }
 
-func (c *Context) endJob() sim.JobReport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Context) endJob() {
 	// Without broadcast variables, every task's shared data is serialized
 	// through the driver's single uplink — the master-bandwidth bottleneck
 	// §IV-C describes — so the shipped volume is charged serially.
-	c.current.Overhead += transferTime(c.cfg, c.jobShipBytes)
+	c.mu.Lock()
+	ship := c.jobShipBytes
 	c.jobShipBytes = 0
-	rep := *c.current
-	c.current = nil
-	c.reports = append(c.reports, rep)
-	c.rec.EndJob(rep.Overhead)
-	return rep
+	c.mu.Unlock()
+	c.drv.AddOverhead(transferTime(c.cfg, ship))
+	c.drv.EndJob()
 }
 
 // addShipBytes records naive-mode data shipped with a task of the current
@@ -469,163 +410,16 @@ func (c *Context) addShipBytes(n int64) {
 	c.mu.Unlock()
 }
 
-func (c *Context) addStage(rep sim.StageReport) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.current == nil {
-		panic("rdd: stage executed outside any job")
-	}
-	c.current.Stages = append(c.current.Stages, rep)
-}
-
-// runTasks executes one stage: numTasks tasks on the worker pool, with
-// per-task cost metering, failure retry, panic isolation, cooperative
-// cancellation, and a deterministic makespan. The work callback is invoked
-// with the task index and that task's ledger; prefs (optional, per task)
-// lists the nodes holding the task's input for locality-aware scheduling.
-// lineage names the dataset chain feeding the stage (nearest first) and
-// annotates any StageError the stage dies with.
-//
-// A panic in the work closure is recovered into a typed *exec.TaskError and
-// retried like any transient fault; a deterministic panic exhausts the
-// attempt limit and fails the stage. A canceled context aborts each task at
-// its next attempt boundary without retrying.
+// runTasks executes one stage of numTasks tasks on the virtual cluster. The
+// work callback is invoked with the task index and that task's ledger; prefs
+// (optional, per task) lists the nodes holding the task's input for
+// locality-aware scheduling. lineage names the dataset chain feeding the
+// stage (nearest first) and annotates any StageError the stage dies with. A
+// task that finds its shuffle input missing is not retried: the stage fails
+// fast so the action can recover the map output from lineage and resubmit.
 func (c *Context) runTasks(name string, lineage []string, numTasks int, prefs [][]int, work func(p int, led *sim.Ledger) error) error {
-	if err := c.Err(); err != nil {
-		c.rec.AddCancellations(1)
-		return &exec.StageError{Engine: "rdd", Stage: name, Lineage: lineage, Err: err}
-	}
-	c.maybeCrash()
-
-	costs := make([]sim.Cost, numTasks)
-	wasted := make([]sim.Cost, numTasks) // cost burned by failed attempts
-	attempts := make([]int, numTasks)
-	errs := make([]error, numTasks)
-	var panics int64
-
-	sem := make(chan struct{}, c.parallelism)
-	var wg sync.WaitGroup
-	for p := 0; p < numTasks; p++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var lastErr error
-			for attempt := 1; attempt <= maxTaskAttempts; attempt++ {
-				if err := c.Err(); err != nil {
-					errs[p] = err
-					return
-				}
-				led := &sim.Ledger{}
-				lastErr = exec.Guard("rdd", name, p, attempt, func() error { return work(p, led) })
-				attempts[p] = attempt
-				var te *exec.TaskError
-				if errors.As(lastErr, &te) && te.Panicked() {
-					atomic.AddInt64(&panics, 1)
-				}
-				// A chaos-injected failure strikes after the work ran — the
-				// executor dies before reporting success — so the attempt's
-				// full cost is wasted. Never injected on the last permitted
-				// attempt: the plan degrades jobs, it cannot fail them.
-				if lastErr == nil && attempt < maxTaskAttempts &&
-					c.chaosPlan.TaskFails(name, p, attempt) {
-					lastErr = &chaos.InjectedError{Stage: name, Task: p, Attempt: attempt}
-				}
-				if lastErr == nil {
-					costs[p] = led.Total()
-					return
-				}
-				if exec.IsCancellation(lastErr) {
-					// The closure observed the cancellation itself; stop
-					// without retrying — retries only delay the shutdown.
-					errs[p] = lastErr
-					return
-				}
-				var miss *shuffleMissingError
-				if errors.As(lastErr, &miss) {
-					// A fetch failure: the map output this task needs is gone
-					// and no retry can regenerate it. Fail the stage fast so
-					// the driver can recover the missing map partitions from
-					// lineage and resubmit.
-					errs[p] = lastErr
-					return
-				}
-				// A failed attempt still occupied its core: its partial work
-				// is charged to the task so injected failures are visible in
-				// virtual time, and surfaced as wasted cost.
-				wasted[p] = wasted[p].Add(led.Total())
-			}
-			errs[p] = fmt.Errorf("task %d failed after %d attempts: %w",
-				p, maxTaskAttempts, lastErr)
-		}(p)
-	}
-	wg.Wait()
-
-	c.rec.AddTaskPanics(panics)
-	if err := errors.Join(errs...); err != nil {
-		// One representative cancellation instead of the join: every aborted
-		// task carries the same context error, and Join would print it once
-		// per task.
-		if cause := exec.CollapseCancellation(errs); cause != nil {
-			c.rec.AddCancellations(1)
-			return &exec.StageError{Engine: "rdd", Stage: name, Lineage: lineage, Err: cause}
-		}
-		return &exec.StageError{Engine: "rdd", Stage: name, Attempts: maxTaskAttempts,
-			Lineage: lineage, Err: err}
-	}
-	c.noteFailures(name, attempts)
-	placed := make([]sim.Placed, numTasks)
-	for i, cost := range costs {
-		// Retried tasks run their attempts back to back on one core, so the
-		// scheduled cost is the successful attempt plus everything wasted,
-		// and each retry re-dispatches the task (cheap on resident Spark
-		// executors, expensive on per-task MapReduce JVMs).
-		placed[i] = sim.Placed{Cost: cost.Add(wasted[i]), Relaunches: attempts[i] - 1}
-		if i < len(prefs) {
-			placed[i].Pref = prefs[i]
-		}
-	}
-	rep, placements, spec := sim.RunStageResilient(c.cfg, name, placed, c.stageOpts())
-	c.addStage(rep)
-	c.recordStage(rep, placed, placements, wasted, attempts)
-	c.rec.AddSpeculation(spec.Launched, spec.Won)
-	return nil
-}
-
-// recordStage converts one executed stage's schedule into telemetry: a
-// stage span with per-task spans, retry/wasted-cost counters and
-// locality-placement counters.
-func (c *Context) recordStage(rep sim.StageReport, placed []sim.Placed,
-	placements []sim.TaskPlacement, wasted []sim.Cost, attempts []int) {
-	if c.rec == nil {
-		return
-	}
-	costs := make([]sim.Cost, len(placed))
-	for i := range placed {
-		costs[i] = placed[i].Cost
-	}
-	span := obs.SpanFromSchedule(rep, c.cfg.StageOverhead, placements, costs, attempts)
-	var retries, local, remote int64
-	var totalWasted sim.Cost
-	for i := range placements {
-		if attempts[i] > 1 {
-			retries += int64(attempts[i] - 1)
-			totalWasted = totalWasted.Add(wasted[i])
-		}
-		if len(placed[i].Pref) > 0 {
-			if placements[i].Remote {
-				remote++
-			} else {
-				local++
-			}
-		}
-	}
-	c.rec.AddStage(span)
-	if retries > 0 {
-		c.rec.AddRetries(retries, totalWasted)
-	}
-	if local > 0 || remote > 0 {
-		c.rec.AddLocality(local, remote)
-	}
+	_, _, err := c.drv.RunStage(c.goCtx, vcluster.Stage{
+		Name: name, Tasks: numTasks, Prefs: prefs, Lineage: lineage, NoRetry: isShuffleMissing,
+	}, work)
+	return err
 }

@@ -8,6 +8,7 @@ import (
 
 	"yafim/internal/chaos"
 	"yafim/internal/cluster"
+	"yafim/internal/vcluster"
 )
 
 // fuzzProb folds an arbitrary float into a valid probability in [0, 1).
@@ -150,7 +151,7 @@ func FuzzShuffleLifecycle(f *testing.F) {
 				// Unpersist first: with the shuffle output resident the map
 				// stage would not re-run and the injection would never fire.
 				counted.Unpersist()
-				ctx.FailTaskOnce(pairs.ID(), i%16, maxTaskAttempts)
+				ctx.FailTaskOnce(pairs.ID(), i%16, vcluster.MaxTaskAttempts)
 				if _, err := run(); err == nil {
 					t.Fatalf("op %d: run with exhausted retries succeeded", i)
 				}

@@ -1,7 +1,6 @@
 package rdd
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -370,8 +369,7 @@ func runFinal[T any](r *RDD[T], action string) ([][]T, error) {
 				return results, nil
 			}
 		}
-		var miss *shuffleMissingError
-		if !errors.As(err, &miss) || resubmit >= maxStageResubmits {
+		if !isShuffleMissing(err) || resubmit >= maxStageResubmits {
 			return nil, err
 		}
 	}
@@ -401,7 +399,7 @@ func Collect[T any](r *RDD[T]) ([]T, error) {
 			out = append(out, rows...)
 		}
 	}
-	r.ctx.addPendingOverhead(transferTime(r.ctx.cfg, bytes))
+	r.ctx.drv.AddOverhead(transferTime(r.ctx.cfg, bytes))
 	return out, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"yafim/internal/cluster"
 	"yafim/internal/dfs"
 	"yafim/internal/sim"
+	"yafim/internal/vcluster"
 )
 
 func newTestContext(t *testing.T, opts ...Option) *Context {
@@ -277,7 +278,7 @@ func TestTaskRetryOnInjectedFailure(t *testing.T) {
 func TestTaskFailsAfterMaxAttempts(t *testing.T) {
 	ctx := newTestContext(t)
 	r := Parallelize(ctx, "nums", ints(10), 2)
-	ctx.FailTaskOnce(r.ID(), 0, maxTaskAttempts) // exhaust every attempt
+	ctx.FailTaskOnce(r.ID(), 0, vcluster.MaxTaskAttempts) // exhaust every attempt
 	_, err := Collect(r)
 	if err == nil {
 		t.Fatal("job succeeded despite permanent task failure")

@@ -11,6 +11,7 @@ import (
 	"yafim/internal/leaktest"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
+	"yafim/internal/vcluster"
 )
 
 // TestPreCanceledContext verifies a canceled context stops an action before
@@ -110,18 +111,18 @@ func TestDeterministicPanicFailsStage(t *testing.T) {
 	if te.Engine != "rdd" || te.Stage != "boom" || te.Part != 1 {
 		t.Errorf("task identity = %s/%s/part %d, want rdd/boom/part 1", te.Engine, te.Stage, te.Part)
 	}
-	if te.Attempt != maxTaskAttempts {
-		t.Errorf("surfaced attempt = %d, want the last (%d)", te.Attempt, maxTaskAttempts)
+	if te.Attempt != vcluster.MaxTaskAttempts {
+		t.Errorf("surfaced attempt = %d, want the last (%d)", te.Attempt, vcluster.MaxTaskAttempts)
 	}
 	if len(te.Stack) == 0 {
 		t.Error("panic stack not captured")
 	}
 	var se *exec.StageError
-	if !errors.As(err, &se) || se.Attempts != maxTaskAttempts {
-		t.Errorf("stage error = %v, want Attempts = %d", err, maxTaskAttempts)
+	if !errors.As(err, &se) || se.Attempts != vcluster.MaxTaskAttempts {
+		t.Errorf("stage error = %v, want Attempts = %d", err, vcluster.MaxTaskAttempts)
 	}
-	if got := rec.Counters().TaskPanics; got != maxTaskAttempts {
-		t.Errorf("TaskPanics = %d, want one per attempt (%d)", got, maxTaskAttempts)
+	if got := rec.Counters().TaskPanics; got != vcluster.MaxTaskAttempts {
+		t.Errorf("TaskPanics = %d, want one per attempt (%d)", got, vcluster.MaxTaskAttempts)
 	}
 }
 

@@ -1,6 +1,7 @@
 package rdd
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -40,6 +41,11 @@ type shuffleMissingError struct {
 
 func (e *shuffleMissingError) Error() string {
 	return fmt.Sprintf("rdd: %s: shuffle map output missing at read", e.name)
+}
+
+func isShuffleMissing(err error) bool {
+	var miss *shuffleMissingError
+	return errors.As(err, &miss)
 }
 
 // maxStageResubmits bounds how many times an action re-prepares and

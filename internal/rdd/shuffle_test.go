@@ -14,6 +14,7 @@ import (
 	"yafim/internal/leaktest"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
+	"yafim/internal/vcluster"
 )
 
 // sumByKey runs the canonical shuffle workload: parts partitions of n ints,
@@ -71,7 +72,7 @@ func TestExhaustedShuffleRerunsCleanly(t *testing.T) {
 	defer leaktest.Check(t)()
 	ctx := newTestContext(t)
 	pairs, sums := sumByKey(ctx, 64, 8, 4)
-	ctx.FailTaskOnce(pairs.ID(), 3, maxTaskAttempts)
+	ctx.FailTaskOnce(pairs.ID(), 3, vcluster.MaxTaskAttempts)
 
 	_, err := Collect(sums)
 	var fe *FlakyError
@@ -257,7 +258,7 @@ func TestRepartitionLifecycle(t *testing.T) {
 	ctx := newTestContext(t)
 	nums := Parallelize(ctx, "nums", ints(48), 4)
 	repart := Repartition(nums, "repart", 3)
-	ctx.FailTaskOnce(nums.ID(), 1, maxTaskAttempts)
+	ctx.FailTaskOnce(nums.ID(), 1, vcluster.MaxTaskAttempts)
 	if _, err := Collect(repart); err == nil {
 		t.Fatal("first run should fail from exhausted retries")
 	}

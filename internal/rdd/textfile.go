@@ -11,7 +11,8 @@ import (
 // parallelism. Reading a partition charges the split's disk traffic plus one
 // CPU op per line; cache the result to pay that only once across iterations.
 func TextFile(ctx *Context, fs *dfs.FileSystem, path string, minSplits int) (*RDD[string], error) {
-	ctx.registerFS(fs)
+	// The DFS crashes with a node and receives the plan's read faults.
+	ctx.drv.AttachFS(fs)
 	splits, err := fs.SplitsN(path, minSplits)
 	if err != nil {
 		return nil, err
