@@ -64,18 +64,20 @@ diag:
 # byte-identical itemsets vs the in-memory sim oracle), the graceful SIGTERM
 # drain, the block-cache invariants (a second job over the same input reads
 # the disk zero times; a restarted worker's cold cache re-reads with
-# identical results) and SON's two job types over the wire (itemsets equal
-# to the sim's) — then the CLI smoke mode, which forks its own workers,
-# performs the same kill-and-verify through cmd/yafim, and counter-asserts
-# from /metrics that the input was read from disk at most once per worker per
-# split. Worker logs, the master's live protocol journal and the
-# cache-metrics.prom counter dump land under artifacts/dist-smoke for CI to
-# upload on failure.
+# identical results), SON's two job types over the wire (itemsets equal to
+# the sim's) and the long-poll lease (the last map's completion wakes a held
+# request at once; Close releases held requests; a canceled one leaves no
+# goroutine and takes no task) — then the CLI smoke mode, which forks its
+# own workers, performs the same kill-and-verify through cmd/yafim, and
+# counter-asserts from /metrics that the input was read from disk at most
+# once per worker per split. Worker logs, the master's live protocol journal
+# and the cache-metrics.prom counter dump land under artifacts/dist-smoke for
+# CI to upload on failure.
 DIST_SMOKE_DIR ?= artifacts/dist-smoke
 dist-smoke:
 	@mkdir -p $(DIST_SMOKE_DIR)
 	@$(GO) test -race -count=1 -v -timeout 300s \
-		-run 'TestKillWorkerMidMiningParity|TestWorkerDrainsOnSIGTERM|TestSecondJobServedFromCache|TestCacheRebuildAfterWorkerRestartParity|TestSONMasterWorkersMatchSim' \
+		-run 'TestKillWorkerMidMiningParity|TestWorkerDrainsOnSIGTERM|TestSecondJobServedFromCache|TestCacheRebuildAfterWorkerRestartParity|TestSONMasterWorkersMatchSim|TestReducesGrantedOnLastMapCompletion|TestMasterCloseReleasesHeldLeases|TestCanceledHeldLeaseLeavesNothing' \
 		./internal/dist/ > $(DIST_SMOKE_DIR)/kill-test.log 2>&1; \
 		s=$$?; cat $(DIST_SMOKE_DIR)/kill-test.log; [ $$s -eq 0 ]
 	$(GO) build -race -o $(DIST_SMOKE_DIR)/yafim ./cmd/yafim

@@ -204,12 +204,14 @@ type LeaseRequest struct {
 	WorkerID int `json:"worker_id"`
 }
 
-// LeaseResponse carries at most one leased task. A nil Task with WaitMs set
-// means "nothing runnable right now, ask again after the wait" (the job may
-// be between phases, or the worker blacklisted). Rejoin as in heartbeats.
+// LeaseResponse carries at most one leased task. The master holds a request
+// that finds nothing runnable until a transition may have made a task
+// runnable or one HeartbeatInterval passes; a nil Task means that interval
+// passed with nothing for this worker (no job, the job between phases, or
+// the worker blacklisted), and the worker asks again at once. Rejoin as in
+// heartbeats.
 type LeaseResponse struct {
 	Task   *TaskSpec `json:"task,omitempty"`
-	WaitMs int64     `json:"wait_ms,omitempty"`
 	Rejoin bool      `json:"rejoin,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,31 +14,51 @@ import (
 )
 
 // TestDropStaleCachesEvictsOlderJobs is the regression test for the
-// distributed-cache blob leak: blobs were keyed by job seq and name but never
-// deleted, so a long-lived worker accumulated every finished job's candidate
-// batches forever. A task from a newer job proves every older job's blobs are
-// dead weight.
+// distributed-cache blob and map-output leaks: both were keyed by job seq but
+// never deleted, so a long-lived worker accumulated every finished job's
+// candidate batches and partitions forever. A task from a newer job proves
+// every older job's blobs and outputs are dead weight: they are no longer
+// served or re-advertised.
 func TestDropStaleCachesEvictsOlderJobs(t *testing.T) {
-	w := &worker{caches: map[cacheKey][]byte{
-		{seq: 1, name: "cand"}:  []byte("old"),
-		{seq: 1, name: "other"}: []byte("old2"),
-		{seq: 2, name: "cand"}:  []byte("current"),
-	}}
+	part := []partitionData{{"tea": {"1"}}}
+	w := &worker{
+		caches: map[cacheKey][]byte{
+			{seq: 1, name: "cand"}:  []byte("old"),
+			{seq: 1, name: "other"}: []byte("old2"),
+			{seq: 2, name: "cand"}:  []byte("current"),
+		},
+		outputs: map[outputKey][]partitionData{
+			{seq: 1, mapIndex: 0}: part,
+			{seq: 1, mapIndex: 1}: part,
+			{seq: 2, mapIndex: 0}: part,
+		},
+	}
 	w.dropStaleCaches(2)
 	want := map[cacheKey][]byte{{seq: 2, name: "cand"}: []byte("current")}
 	if !reflect.DeepEqual(w.caches, want) {
 		t.Fatalf("caches after drop = %v, want %v", w.caches, want)
 	}
+	if ads := w.outputAds(); !reflect.DeepEqual(ads, []OutputAd{{Seq: 2, Map: 0}}) {
+		t.Fatalf("output ads after drop = %v, want only seq 2's map 0", ads)
+	}
+	for _, c := range []struct{ seq, code int }{{1, http.StatusNotFound}, {2, http.StatusOK}} {
+		rec := httptest.NewRecorder()
+		w.handleOutput(rec, httptest.NewRequest(http.MethodGet,
+			fmt.Sprintf("/dist/output?seq=%d&map=0&part=0", c.seq), nil))
+		if rec.Code != c.code {
+			t.Fatalf("/dist/output for seq %d answered %d, want %d", c.seq, rec.Code, c.code)
+		}
+	}
 	// Dropping for the same seq again is a no-op.
 	w.dropStaleCaches(2)
-	if !reflect.DeepEqual(w.caches, want) {
-		t.Fatalf("idempotent drop changed caches: %v", w.caches)
+	if !reflect.DeepEqual(w.caches, want) || len(w.outputs) != 1 {
+		t.Fatalf("idempotent drop changed state: caches %v, %d outputs", w.caches, len(w.outputs))
 	}
 }
 
 // TestRunTaskDropsOlderSeqBlobs drives the eviction through the real task
-// path: executing any task of a newer job clears older jobs' blobs before
-// the task runs.
+// path: executing any task of a newer job clears older jobs' blobs and map
+// outputs before the task runs.
 func TestRunTaskDropsOlderSeqBlobs(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(rw).Encode(CompleteResponse{Accepted: true}) //nolint:errcheck
@@ -50,6 +71,10 @@ func TestRunTaskDropsOlderSeqBlobs(t *testing.T) {
 		caches: map[cacheKey][]byte{
 			{seq: 1, name: "cand"}: []byte("stale"),
 			{seq: 3, name: "cand"}: []byte("live"),
+		},
+		outputs: map[outputKey][]partitionData{
+			{seq: 1, mapIndex: 0}: {{"tea": {"1"}}},
+			{seq: 3, mapIndex: 0}: {{"tea": {"2"}}},
 		},
 	}
 	// An unknown phase fails the task, but the stale-cache sweep runs first
@@ -65,6 +90,12 @@ func TestRunTaskDropsOlderSeqBlobs(t *testing.T) {
 	}
 	if _, ok := w.caches[cacheKey{seq: 3, name: "cand"}]; !ok {
 		t.Fatal("current job's blob evicted")
+	}
+	if _, ok := w.outputs[outputKey{seq: 1, mapIndex: 0}]; ok {
+		t.Fatal("older job's map output survived a newer job's task")
+	}
+	if _, ok := w.outputs[outputKey{seq: 3, mapIndex: 0}]; !ok {
+		t.Fatal("current job's map output evicted")
 	}
 }
 

@@ -203,6 +203,14 @@ func (c *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
+// CloseIdleConnections forwards to the base transport, so a client built on
+// a ChaosTransport can release its idle connections like any other.
+func (c *ChaosTransport) CloseIdleConnections() {
+	if ci, ok := c.base.(interface{ CloseIdleConnections() }); ok {
+		ci.CloseIdleConnections()
+	}
+}
+
 // partitioned reports the target of the partition currently cutting this
 // link, or "" when the link is up.
 func (c *ChaosTransport) partitioned(target string) string {

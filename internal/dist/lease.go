@@ -160,8 +160,8 @@ type trackedTask struct {
 	// deferUntil implements the locality grace window (maps only): the
 	// first time a worker that does NOT cache this split asks for it while
 	// some other live worker does, the grant is deferred until this
-	// deadline so the caching worker — idle workers poll at heartbeat
-	// cadence — can claim its own block. Past the deadline anyone gets it:
+	// deadline so the caching worker — an idle one is woken by the job
+	// start — can claim its own block. Past the deadline anyone gets it:
 	// the preference can cost at most one bounded wait, never a stall.
 	deferUntil time.Duration
 
@@ -270,6 +270,13 @@ type leaseTable struct {
 	// incarnation already finished gets them back instantly.
 	finished map[string]*JobOutput
 
+	// wake is closed and replaced on every transition that can make a task
+	// runnable, releasing the lease requests the master holds (see
+	// Master.handleLease). Time-driven changes — a locality deferral or a
+	// blacklist window running out — do not close it; a held request sees
+	// those when its hold bound passes.
+	wake chan struct{}
+
 	wal *wal          // write-ahead journal, nil-safe
 	log *obs.EventLog // nil-safe
 	m   metrics
@@ -284,9 +291,25 @@ func newLeaseTable(cfg Tuning, log *obs.EventLog, reg *obs.Registry) *leaseTable
 			BlacklistBase:  cfg.BlacklistBase,
 		}),
 		finished: map[string]*JobOutput{},
+		wake:     make(chan struct{}),
 		log:      log,
 		m:        newMetrics(reg),
 	}
+}
+
+// changed returns the channel the next runnable-making transition closes.
+// A caller takes it before asking for a lease, so no transition can slip in
+// between an empty answer and the wait.
+func (t *leaseTable) changed() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.wake
+}
+
+// wakeLocked releases every waiter on the current wake channel.
+func (t *leaseTable) wakeLocked() {
+	close(t.wake)
+	t.wake = make(chan struct{})
 }
 
 // errTooManyWorkers is returned when registration exceeds Tuning.MaxWorkers.
@@ -427,6 +450,7 @@ func (t *leaseTable) sweep(now time.Duration) {
 		task.state = taskIdle
 		task.worker = 0
 		t.failJobIfExhaustedLocked(task)
+		t.wakeLocked()
 	}
 }
 
@@ -448,6 +472,9 @@ func (t *leaseTable) markDeadLocked(w *workerState, reason string) {
 	t.m.cacheBytes.Add(-float64(w.lastCache.Bytes))
 	w.lastCache.Bytes = 0
 	t.log.Append(obs.LiveEvent{Event: "worker_dead", Worker: w.id, Addr: w.addr, Detail: reason})
+	// Its tasks and lost outputs requeue below, and maps deferred for its
+	// cache are no longer deferred.
+	t.wakeLocked()
 	if t.job == nil || t.job.finished() {
 		return
 	}
@@ -492,7 +519,8 @@ func (t *leaseTable) strikeLocked(id int, now time.Duration) {
 }
 
 // failJobIfExhaustedLocked fails the whole job once a task has burned its
-// attempt budget — the Hadoop "task failed 4 times" terminal condition.
+// attempt budget — the Hadoop "task failed 4 times" terminal condition. Both
+// callers requeue the task first and wake held leases themselves.
 func (t *leaseTable) failJobIfExhaustedLocked(task *trackedTask) {
 	if t.job == nil || t.job.failure != nil || task.attempts < t.cfg.MaxTaskAttempts {
 		return
@@ -540,6 +568,7 @@ func (t *leaseTable) startJob(spec *JobSpec, splits []Split) (*distJob, error) {
 		NumReducers: spec.NumReducers}, true)
 	t.log.Append(obs.LiveEvent{Event: "job_start", Job: spec.Name, Seq: j.seq,
 		Detail: fmt.Sprintf("%d maps, %d reduces", len(j.maps), len(j.reduces))})
+	t.wakeLocked()
 	return j, nil
 }
 
@@ -575,6 +604,7 @@ func (t *leaseTable) adoptLocked(spec *JobSpec, splits []Split) (j *distJob, ado
 	t.log.Append(obs.LiveEvent{Event: "job_adopt", Job: spec.Name, Seq: j.seq,
 		Detail: fmt.Sprintf("%d/%d maps, %d/%d reduces already done",
 			j.mapsDone, len(j.maps), j.reducesDone, len(j.reduces))})
+	t.wakeLocked()
 	return j, true, nil
 }
 
@@ -803,6 +833,7 @@ func (t *leaseTable) complete(req *CompleteRequest, now time.Duration) (accepted
 			task.worker = 0
 		}
 		t.failJobIfExhaustedLocked(task)
+		t.wakeLocked()
 		return true, false
 	}
 	// Success. The reporter may no longer own the lease (it expired, or
@@ -833,6 +864,7 @@ func (t *leaseTable) complete(req *CompleteRequest, now time.Duration) (accepted
 	t.log.Append(obs.LiveEvent{Event: "task_complete", Worker: req.WorkerID,
 		Job: j.spec.Name, Seq: j.seq, Phase: req.Phase, Task: req.Index + 1,
 		Attempt: req.Attempt})
+	t.wakeLocked() // the last map's success opens the reduces
 	return true, false
 }
 

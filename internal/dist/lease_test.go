@@ -428,6 +428,75 @@ func TestStaleSeqCompletionDropped(t *testing.T) {
 	}
 }
 
+// TestWakeOnRunnableTransitions pins the long poll's wake sources on the
+// virtual clock: every transition that can make a task runnable closes the
+// channel a held lease request waits on; a heartbeat and a grant do not.
+func TestWakeOnRunnableTransitions(t *testing.T) {
+	cfg := testTuning()
+	tb := newLeaseTable(cfg, nil, nil)
+	w1 := register(t, tb, "a:1", 0)
+	w2 := register(t, tb, "b:2", 0)
+	step := func(name string, want bool, fn func()) {
+		t.Helper()
+		ch := tb.changed()
+		fn()
+		woke := false
+		select {
+		case <-ch:
+			woke = true
+		default:
+		}
+		if woke != want {
+			t.Fatalf("%s: woke = %v, want %v", name, woke, want)
+		}
+	}
+
+	var j *distJob
+	step("job start", true, func() { j = testJob(t, tb, 2, 1) })
+	step("heartbeat", false, func() { tb.heartbeat(w1, 0) })
+	var m0, m1 *TaskSpec
+	step("grants", false, func() {
+		m0, _ = tb.lease(w1, 0)
+		m1, _ = tb.lease(w2, 0)
+	})
+	completeOK(tb, w1, m0, 0)
+	step("last map's completion", true, func() { completeOK(tb, w2, m1, 0) })
+	red, _ := tb.lease(w1, 0)
+	if red == nil || red.Phase != PhaseReduce {
+		t.Fatalf("reduce lease = %+v", red)
+	}
+	step("failed completion with FailedMaps", true, func() {
+		tb.complete(&CompleteRequest{WorkerID: w1, Seq: red.Seq, Phase: red.Phase,
+			Index: red.Index, Attempt: red.Attempt, Error: "fetch",
+			FailedMaps: []int{m1.Index}}, 0)
+	})
+	if re, _ := tb.lease(w2, 0); re == nil || re.Phase != PhaseMap || re.Index != m1.Index {
+		t.Fatalf("recompute lease = %+v", re)
+	}
+	// w2 sits on the recompute past its lease deadline, still beating.
+	now := cfg.LeaseDeadline + 1
+	tb.heartbeat(w1, now)
+	tb.heartbeat(w2, now)
+	step("lease expiry in sweep", true, func() { tb.sweep(now) })
+	// Then w2 stops beating.
+	now += cfg.HeartbeatTimeout + 1
+	tb.heartbeat(w1, now)
+	step("worker death in sweep", true, func() { tb.sweep(now) })
+	step("job failure", true, func() { tb.failJob(j, fmt.Errorf("canceled")) })
+
+	// A job left suspended by journal replay is adopted by a re-submission
+	// of the same shape.
+	j2 := testJob(t, tb, 1, 1)
+	tb.mu.Lock()
+	j2.suspended = true
+	tb.mu.Unlock()
+	step("adoption of a suspended job", true, func() {
+		if j := testJob(t, tb, 1, 1); j != j2 {
+			t.Fatal("re-submission did not adopt the suspended job")
+		}
+	})
+}
+
 // FuzzLeaseReassignment drives the lease table through arbitrary
 // interleavings of worker crashes, rejoins, failures, expiries and duplicate
 // completions, then checks the protocol's core invariants: the state machine

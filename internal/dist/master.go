@@ -122,7 +122,13 @@ func StartMaster(opts MasterOptions) (*Master, error) {
 	mux.HandleFunc("/dist/cache", m.handleCache)
 	mux.HandleFunc("/dist/events", m.handleEvents)
 	mux.HandleFunc("/metrics", m.handleMetrics)
-	m.srv = &http.Server{Handler: mux}
+	// A lease request is held for up to one HeartbeatInterval, so the write
+	// deadline allows that plus a HeartbeatTimeout of margin.
+	m.srv = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: cfg.HeartbeatTimeout,
+		WriteTimeout:      cfg.HeartbeatInterval + cfg.HeartbeatTimeout,
+	}
 	go m.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	go m.sweeper()
 	return m, nil
@@ -239,6 +245,7 @@ func (t *leaseTable) failJob(j *distJob, err error) {
 	j.failure = err
 	t.wal.append(walRecord{Rec: recJobFail, Job: j.spec.Name, Error: err.Error()}, true)
 	close(j.doneCh)
+	t.wakeLocked()
 }
 
 // decode parses a JSON request body, replying 400 on malformed input.
@@ -287,17 +294,38 @@ func (m *Master) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	reply(w, HeartbeatResponse{OK: ok, Rejoin: !ok})
 }
 
+// handleLease is a long poll: a request that finds nothing runnable is held
+// until the lease table wakes it, and asks again. The hold ends with an
+// empty answer after one HeartbeatInterval, so an idle worker still calls
+// once per interval and time-driven changes (a locality deferral or a
+// blacklist window running out) are seen within one. A closing master
+// answers 503, which the worker treats as an unreachable master. The table
+// lock is never held while waiting.
 func (m *Master) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !decode(w, r, &req) {
 		return
 	}
-	task, rejoin := m.table.lease(req.WorkerID, m.now())
-	resp := LeaseResponse{Task: task, Rejoin: rejoin}
-	if task == nil {
-		resp.WaitMs = m.cfg.HeartbeatInterval.Milliseconds()
+	bound := time.NewTimer(m.cfg.HeartbeatInterval)
+	defer bound.Stop()
+	for r.Context().Err() == nil {
+		wake := m.table.changed()
+		task, rejoin := m.table.lease(req.WorkerID, m.now())
+		if task != nil || rejoin {
+			reply(w, LeaseResponse{Task: task, Rejoin: rejoin})
+			return
+		}
+		select {
+		case <-wake:
+		case <-bound.C:
+			reply(w, LeaseResponse{})
+			return
+		case <-m.stopSweep:
+			http.Error(w, "dist: master closing", http.StatusServiceUnavailable)
+			return
+		case <-r.Context().Done():
+		}
 	}
-	reply(w, resp)
 }
 
 func (m *Master) handleComplete(w http.ResponseWriter, r *http.Request) {

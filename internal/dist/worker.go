@@ -105,6 +105,13 @@ func (w *worker) workerID() int {
 	return w.id
 }
 
+// clientTimeout bounds each of the worker's HTTP calls; headerTimeout bounds
+// how long its output server waits for a request's header.
+const (
+	clientTimeout = 30 * time.Second
+	headerTimeout = 10 * time.Second
+)
+
 // RunWorker runs a worker until ctx is done: register with the master,
 // heartbeat on the master's cadence, pull task leases, execute them with
 // the registered job-type closures, serve map output to peers over HTTP.
@@ -114,7 +121,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	opts = opts.withDefaults()
 	w := &worker{
 		opts:    opts,
-		client:  &http.Client{Timeout: 30 * time.Second, Transport: opts.Transport},
+		client:  &http.Client{Timeout: clientTimeout, Transport: opts.Transport},
 		log:     opts.Log,
 		blocks:  newBlockCache(DefaultTuning().InputCacheBytes),
 		outputs: map[outputKey][]partitionData{},
@@ -132,9 +139,14 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		rw.Header().Set("Content-Type", "application/x-ndjson")
 		w.log.WriteTo(rw) //nolint:errcheck
 	})
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: headerTimeout}
 	go srv.Serve(ln) //nolint:errcheck
 	defer func() {
+		// Shutdown waits for every open connection, including one a
+		// transport dialed to this server and never used. Closing the
+		// client's idle connections first closes those that share its
+		// transport (every in-process worker shares the default one).
+		w.client.CloseIdleConnections()
 		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		srv.Shutdown(sctx) //nolint:errcheck
@@ -313,7 +325,9 @@ func (w *worker) heartbeatLoop(ctx context.Context) {
 
 // leaseLoop pulls and executes tasks until the context is done. A task
 // already running when cancellation arrives completes and is reported —
-// the graceful SIGTERM drain.
+// the graceful SIGTERM drain. The master holds a lease request until a task
+// is runnable or its hold bound passes, so an empty answer is followed by
+// the next request at once.
 //
 // An unreachable master does not end the loop: the worker is the durable
 // party during a master crash (it holds computed map outputs), so it keeps
@@ -352,15 +366,7 @@ func (w *worker) leaseLoop(ctx context.Context) error {
 			continue
 		}
 		if resp.Task == nil {
-			wait := time.Duration(resp.WaitMs) * time.Millisecond
-			if wait <= 0 {
-				wait = 50 * time.Millisecond
-			}
-			select {
-			case <-ctx.Done():
-			case <-time.After(wait):
-			}
-			continue
+			continue // the master already held the request for us
 		}
 		w.runTask(ctx, resp.Task)
 	}
@@ -429,15 +435,22 @@ func (w *worker) runTask(ctx context.Context, task *TaskSpec) {
 		Seq: task.Seq, Phase: task.Phase, Task: task.Index + 1, Attempt: task.Attempt})
 }
 
-// dropStaleCaches evicts distributed-cache blobs of jobs older than seq.
-// Seqs increase monotonically and one job runs at a time, so a task from a
-// newer job proves every older job's blobs are dead weight; without this a
-// long-lived worker leaked every finished job's candidate batches.
+// dropStaleCaches evicts the distributed-cache blobs and the map outputs of
+// jobs older than seq. Seqs increase monotonically and one job runs at a
+// time, so a task from a newer job proves every older job's blobs and
+// partitions are dead weight (a resumed master rebinds only the current
+// job's outputs); without this a long-lived worker leaked every finished
+// job's candidate batches and map outputs.
 func (w *worker) dropStaleCaches(seq int) {
 	w.mu.Lock()
 	for k := range w.caches {
 		if k.seq < seq {
 			delete(w.caches, k)
+		}
+	}
+	for k := range w.outputs {
+		if k.seq < seq {
+			delete(w.outputs, k)
 		}
 	}
 	w.mu.Unlock()
