@@ -89,7 +89,8 @@ dist-smoke:
 # and resume it from the write-ahead journal (TestMasterKillResumeParity),
 # mine to byte-identical results through a seeded fault-injecting transport
 # (TestChaosMiningParityWordCount), the ChaosTransport determinism and fault
-# unit tests, and the fetch-budget bound — then the CLI smoke mode with a
+# unit tests, the fetch-budget bound and the journaled verdict on a
+# partition that does not decode — then the CLI smoke mode with a
 # chaos seed on every worker link, which additionally SIGKILLs a worker
 # mid-run. Logs plus the master's WAL land under artifacts/dist-chaos for CI
 # to upload on failure.
@@ -98,7 +99,7 @@ DIST_CHAOS_SEED ?= 42
 dist-chaos:
 	@mkdir -p $(DIST_CHAOS_DIR)
 	@$(GO) test -race -count=1 -v -timeout 300s \
-		-run 'TestMasterKillResumeParity|TestChaosMiningParityWordCount|TestChaosTransport|TestReduceFetchBudget|TestReduceDrainBeatsBudget' \
+		-run 'TestMasterKillResumeParity|TestChaosMiningParityWordCount|TestChaosTransport|TestReduceFetchBudget|TestReduceDrainBeatsBudget|TestReduceCorruptPartitionJournaled' \
 		./internal/dist/ > $(DIST_CHAOS_DIR)/chaos-test.log 2>&1; \
 		s=$$?; cat $(DIST_CHAOS_DIR)/chaos-test.log; [ $$s -eq 0 ]
 	$(GO) build -race -o $(DIST_CHAOS_DIR)/yafim ./cmd/yafim

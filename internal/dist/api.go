@@ -84,7 +84,7 @@ type Executor interface {
 }
 
 // Split is one map task's byte range of the real input file. Line-boundary
-// reconciliation follows the sim DFS reader's convention (see ReadSplit).
+// reconciliation follows the sim DFS reader's convention (see readSplit).
 type Split struct {
 	Path   string `json:"path"`
 	Offset int64  `json:"offset"`

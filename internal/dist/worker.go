@@ -634,6 +634,9 @@ func (w *worker) runReduce(ctx context.Context, task *TaskSpec) ([]KV, []int, er
 		}
 		var part partitionData
 		if err := json.Unmarshal(data, &part); err != nil {
+			w.log.Append(obs.LiveEvent{Event: "fetch_failed", Worker: w.workerID(),
+				Job: task.Job, Seq: task.Seq, Phase: PhaseReduce,
+				Task: task.Index + 1, Detail: fmt.Sprintf("map %d at %s: decode: %v", mi, addr, err)})
 			failed = append(failed, mi)
 			continue
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,5 +123,49 @@ func TestReduceDrainBeatsBudget(t *testing.T) {
 	}
 	if len(failed) != 0 {
 		t.Fatalf("drain blamed map outputs: FailedMaps = %v, want none", failed)
+	}
+}
+
+// TestReduceCorruptPartitionJournaled checks that a map-output partition
+// that does not decode is journaled as a fetch failure naming the decode
+// error, so a corrupt or truncated body is told apart from a dead producer.
+func TestReduceCorruptPartitionJournaled(t *testing.T) {
+	typ := wordCountType(t)
+	peer := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		rw.Write([]byte("{not json")) //nolint:errcheck
+	}))
+	defer peer.Close()
+
+	log := obs.NewEventLog(nil)
+	w := &worker{
+		opts: WorkerOptions{
+			Fetch:        exec.Backoff{Base: 5 * time.Millisecond, Cap: 20 * time.Millisecond},
+			FetchRetries: 3,
+			FetchBudget:  time.Minute,
+		},
+		client:  &http.Client{Timeout: 10 * time.Second},
+		log:     log,
+		outputs: map[outputKey][]partitionData{},
+		caches:  map[cacheKey][]byte{},
+	}
+	task := &TaskSpec{
+		Job: "j", Seq: 1, Type: typ, Phase: PhaseReduce, Index: 0,
+		NumMaps: 1, NumReducers: 1, MapAddrs: []string{strings.TrimPrefix(peer.URL, "http://")},
+	}
+	_, failed, rerr := w.runReduce(context.Background(), task)
+	if rerr == nil {
+		t.Fatal("runReduce succeeded on a partition that does not decode")
+	}
+	if len(failed) != 1 || failed[0] != 0 {
+		t.Fatalf("FailedMaps = %v, want [0]", failed)
+	}
+	journaled := false
+	for _, ev := range log.Events() {
+		if ev.Event == "fetch_failed" && strings.Contains(ev.Detail, "decode") {
+			journaled = true
+		}
+	}
+	if !journaled {
+		t.Fatalf("no fetch_failed event with a decode detail journaled: %+v", log.Events())
 	}
 }

@@ -45,7 +45,7 @@ type Counters struct {
 
 	// Shuffle lifecycle: map-output bytes currently resident in executor
 	// memory (a gauge — commits add, frees/node losses subtract), map-output
-	// slices reclaimed by Unpersist/FreeShuffles/node loss, and map tasks
+	// slices reclaimed by FreeShuffles/Close/node loss, and map tasks
 	// re-executed to regenerate output a node loss destroyed.
 	ShuffleResidentBytes int64 `json:"shuffle_resident_bytes"`
 	ShuffleFrees         int64 `json:"shuffle_frees"`
@@ -518,8 +518,8 @@ func (r *Recorder) AddShuffleResident(n int64) {
 		Observe(float64(level))
 }
 
-// AddShuffleFrees records n map-output slices reclaimed (Unpersist, the
-// facade's pass-boundary free, Context.Close, or a node loss).
+// AddShuffleFrees records n map-output slices reclaimed (the facade's
+// pass-boundary free, Context.Close, or a node loss).
 func (r *Recorder) AddShuffleFrees(n int64) {
 	if r == nil || n == 0 {
 		return

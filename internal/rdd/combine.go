@@ -12,41 +12,36 @@ import (
 // Its lifecycle — when the buckets exist, when an error forces a re-run,
 // when a node loss punches holes, when the memory is reclaimed — lives in
 // the embedded shuffleCore, registered with the Context.
-type combineState[K cmp.Ordered, C any] struct {
+type combineState[K cmp.Ordered, V any] struct {
 	core    *shuffleCore
-	buckets [][]map[K]C // [mapTask][reducePart]
+	buckets [][]map[K]V // [mapTask][reducePart]
 	bytes   [][]int64   // [mapTask][reducePart]
 }
 
-// CombineByKey is the engine's map-side pre-aggregation primitive, with
-// Spark's combiner semantics: per map partition, each key's values are
-// folded into a combiner of type C (createCombiner for the first value,
-// mergeValue for the rest) before anything is spilled, so shuffle volume is
-// one combiner per distinct key per map task rather than one record per
-// value. The reduce side merges map outputs with mergeCombiners, which must
-// be associative and commutative. parts sets the output partition count (0
+// ReduceByKey combines all values sharing a key with the associative,
+// commutative function combine, producing an RDD with parts partitions (0
 // means inherit the parent's). Output partitions are sorted by key for
 // determinism.
 //
-// Like Spark's, the implementation hash partitions by key, writes shuffle
-// output to (virtual) local disk, and fetches it over the (virtual) network
-// on the reduce side; every step is ledger-metered. The spilled output is
-// tracked by the context's shuffle lifecycle manager: a failed or canceled
-// map stage invalidates it (the next action re-runs instead of replaying
-// the error), KillNode destroys the dead node's slices (re-run of just the
-// missing map tasks), and Unpersist or Context.FreeShuffles reclaims it.
-func CombineByKey[K cmp.Ordered, V, C any](r *RDD[Pair[K, V]], name string,
-	createCombiner func(V) C, mergeValue func(C, V) C, mergeCombiners func(C, C) C,
-	parts int) *RDD[Pair[K, C]] {
+// Like Spark's, it combines map-side before anything is spilled, so shuffle
+// volume is one record per distinct key per map task rather than one per
+// value; it hash partitions by key, writes shuffle output to (virtual)
+// local disk, and fetches it over the (virtual) network on the reduce side;
+// every step is ledger-metered. The spilled output is tracked by the
+// context's shuffle lifecycle manager: a failed or canceled map stage
+// invalidates it (the next action re-runs instead of replaying the error),
+// KillNode destroys the dead node's slices (re-run of just the missing map
+// tasks), and Context.FreeShuffles reclaims it.
+func ReduceByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string,
+	combine func(V, V) V, parts int) *RDD[Pair[K, V]] {
 	if parts <= 0 {
 		parts = r.parts
 	}
-	st := &combineState[K, C]{}
+	st := &combineState[K, V]{}
 	st.core = newShuffleCore(r.ctx, name, r.parts,
 		func(p int) { st.buckets[p], st.bytes[p] = nil, nil },
 		func() { st.buckets, st.bytes = nil, nil })
-	out := newRDD[Pair[K, C]](r.ctx, name, parts, []preparable{r}, nil)
-	out.shuffle = st.core
+	out := newRDD[Pair[K, V]](r.ctx, name, parts, []preparable{r}, nil)
 
 	// runMap executes the map side for one parent partition: hash-partition
 	// into buckets, combine per key, spill to (virtual) local disk.
@@ -55,23 +50,23 @@ func CombineByKey[K cmp.Ordered, V, C any](r *RDD[Pair[K, V]], name string,
 		if err != nil {
 			return err
 		}
-		buckets := make([]map[K]C, parts)
+		buckets := make([]map[K]V, parts)
 		for i := range buckets {
-			buckets[i] = make(map[K]C)
+			buckets[i] = make(map[K]V)
 		}
 		for _, kv := range rows {
 			b := buckets[int(hashKey(kv.Key))%parts]
 			if old, ok := b[kv.Key]; ok {
-				b[kv.Key] = mergeValue(old, kv.Value)
+				b[kv.Key] = combine(old, kv.Value)
 			} else {
-				b[kv.Key] = createCombiner(kv.Value)
+				b[kv.Key] = kv.Value
 			}
 		}
 		sizes := make([]int64, parts)
 		var spill int64
 		for i, b := range buckets {
 			for k, v := range b {
-				sizes[i] += Pair[K, C]{k, v}.SizeBytes()
+				sizes[i] += Pair[K, V]{k, v}.SizeBytes()
 			}
 			spill += sizes[i]
 		}
@@ -94,7 +89,7 @@ func CombineByKey[K cmp.Ordered, V, C any](r *RDD[Pair[K, V]], name string,
 	out.prepare = func() error {
 		missing, runAll := st.core.plan()
 		if runAll {
-			st.buckets = make([][]map[K]C, r.parts)
+			st.buckets = make([][]map[K]V, r.parts)
 			st.bytes = make([][]int64, r.parts)
 			err := r.ctx.runTasks(name+":map", r.lineageNames(), r.parts, r.prefs, runMap)
 			if err != nil {
@@ -125,7 +120,7 @@ func CombineByKey[K cmp.Ordered, V, C any](r *RDD[Pair[K, V]], name string,
 		}
 		return st.core.recover(missing, r.prefs, r.lineageNames(), runMap, taskBytes)
 	}
-	out.compute = func(p int, led *sim.Ledger) ([]Pair[K, C], error) {
+	out.compute = func(p int, led *sim.Ledger) ([]Pair[K, V], error) {
 		if !st.core.ready() {
 			return nil, &shuffleMissingError{name: name}
 		}
@@ -150,7 +145,7 @@ func CombineByKey[K cmp.Ordered, V, C any](r *RDD[Pair[K, V]], name string,
 			led.AddCPU(2 * float64(len(rows)))
 			led.AddDiskWrite(spill)
 		}
-		merged := make(map[K]C)
+		merged := make(map[K]V)
 		var fetched int64
 		for m := range st.buckets {
 			led.AddNet(st.bytes[m][p])
@@ -158,16 +153,16 @@ func CombineByKey[K cmp.Ordered, V, C any](r *RDD[Pair[K, V]], name string,
 			fetched += st.bytes[m][p]
 			for k, v := range st.buckets[m][p] {
 				if old, ok := merged[k]; ok {
-					merged[k] = mergeCombiners(old, v)
+					merged[k] = combine(old, v)
 				} else {
 					merged[k] = v
 				}
 				led.AddCPU(1)
 			}
 		}
-		out := make([]Pair[K, C], 0, len(merged))
+		out := make([]Pair[K, V], 0, len(merged))
 		for k, v := range merged {
-			out = append(out, Pair[K, C]{k, v})
+			out = append(out, Pair[K, V]{k, v})
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 		led.AddCPU(float64(len(out)))

@@ -1,95 +1,14 @@
 package rdd
 
 import (
-	"reflect"
 	"testing"
 
 	"yafim/internal/cluster"
 )
 
-// CombineByKey with a slice combiner is groupByKey: values sharing a key
-// collect into one slice, built map-side so the shuffle carries one
-// combiner per distinct key per map task.
-func TestCombineByKeyGroups(t *testing.T) {
-	ctx, err := NewContext(cluster.Local())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := []Pair[string, int]{
-		{"a", 1}, {"b", 2}, {"a", 3}, {"c", 4}, {"b", 5}, {"a", 6},
-	}
-	r := Parallelize(ctx, "p", pairs, 3)
-	grouped := CombineByKey(r, "group",
-		func(v int) []int { return []int{v} },
-		func(c []int, v int) []int { return append(c, v) },
-		func(a, b []int) []int { return append(a, b...) },
-		2)
-	out, err := Collect(grouped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]int{}
-	for _, kv := range out {
-		sum := 0
-		for _, v := range kv.Value {
-			sum += v
-		}
-		got[kv.Key] = sum
-	}
-	want := map[string]int{"a": 10, "b": 7, "c": 4}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("grouped sums = %v, want %v", got, want)
-	}
-}
-
-// ReduceByKey is CombineByKey with the identity combiner; both must produce
-// the same partitions, in the same order, at the same metered cost.
-func TestCombineByKeyMatchesReduceByKey(t *testing.T) {
-	mk := func() (*Context, *RDD[Pair[int, int]]) {
-		ctx, err := NewContext(cluster.Local())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs := make([]Pair[int, int], 1000)
-		for i := range pairs {
-			pairs[i] = Pair[int, int]{i % 37, 1}
-		}
-		return ctx, Parallelize(ctx, "p", pairs, 8)
-	}
-
-	ctxR, r := mk()
-	red, err := Collect(ReduceByKey(r, "sum", func(a, b int) int { return a + b }, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxC, c := mk()
-	com, err := Collect(CombineByKey(c, "sum",
-		func(v int) int { return v },
-		func(acc, v int) int { return acc + v },
-		func(a, b int) int { return a + b },
-		4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(red, com) {
-		t.Fatalf("ReduceByKey = %v\nCombineByKey = %v", red, com)
-	}
-
-	// The cost model must not distinguish the two formulations.
-	rr, cr := ctxR.Reports(), ctxC.Reports()
-	if len(rr) != len(cr) {
-		t.Fatalf("job counts differ: %d vs %d", len(rr), len(cr))
-	}
-	for i := range rr {
-		if rr[i].Duration() != cr[i].Duration() {
-			t.Fatalf("job %d duration %v vs %v", i, rr[i].Duration(), cr[i].Duration())
-		}
-	}
-}
-
 // Map-side combining must shrink what a shuffle moves: many duplicate keys
 // per partition spill one combined record each.
-func TestCombineByKeyCombinesMapSide(t *testing.T) {
+func TestReduceByKeyCombinesMapSide(t *testing.T) {
 	ctx, err := NewContext(cluster.Local())
 	if err != nil {
 		t.Fatal(err)

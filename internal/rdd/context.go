@@ -46,13 +46,11 @@ type Context struct {
 	naiveShipping bool  // disable broadcast variables (ablation)
 	jobShipBytes  int64 // naive-mode bytes serialized through the driver
 
-	cacheMgr *cacheManager // per-node executor memory accounting
-
-	// Shuffle lifecycle: every shuffle operator registers its state here so
-	// the context can invalidate it on error, drop a dead node's slices, and
+	// Shuffle lifecycle: every shuffle registers its state here so the
+	// context can invalidate it on error, drop a dead node's slices, and
 	// reclaim it at pass boundaries. shuffleUsed tracks resident map-output
-	// spill per node next to the cache manager's budget; shuffleSpilled and
-	// shufflePeak record the run's cumulative and high-water spill volume.
+	// spill per node; shuffleSpilled and shufflePeak record the run's
+	// cumulative and high-water spill volume.
 	shuffles       []*shuffleCore
 	shuffleUsed    []int64
 	shuffleTotal   int64
@@ -80,12 +78,6 @@ type evictor interface {
 // Option configures a Context.
 type Option func(*Context)
 
-// WithParallelism caps the number of OS-level worker goroutines used to
-// execute tasks. It affects real execution speed only, never virtual time.
-func WithParallelism(n int) Option {
-	return func(c *Context) { c.drv.SetParallelism(n) }
-}
-
 // WithoutBroadcast disables the broadcast-variable optimisation: shared data
 // is shipped with every task, the naive default behaviour the paper's §IV-C
 // argues against. Used by the broadcast ablation experiment.
@@ -112,18 +104,6 @@ func WithContext(ctx context.Context) Option {
 // recorder (the default) disables telemetry at zero overhead.
 func WithRecorder(rec *obs.Recorder) Option {
 	return func(c *Context) { c.rec = rec }
-}
-
-// WithExecutorMemory caps the cache memory available per node (the paper's
-// testbed has 24 GB per node). Cached partitions beyond the budget evict
-// the least recently used residents of their node; evicted partitions are
-// transparently recomputed from lineage. Zero (the default) is unlimited.
-func WithExecutorMemory(bytesPerNode int64) Option {
-	return func(c *Context) {
-		if bytesPerNode > 0 {
-			c.cacheMgr = newCacheManager(c.cfg.Nodes, bytesPerNode)
-		}
-	}
 }
 
 // NewContext creates a driver context for the given simulated cluster.
@@ -154,9 +134,6 @@ func (c *Context) Config() cluster.Config { return c.cfg }
 
 // Recorder returns the attached telemetry recorder (nil when disabled).
 func (c *Context) Recorder() *obs.Recorder { return c.rec }
-
-// Ctx returns the driver's Go context (never nil).
-func (c *Context) Ctx() context.Context { return c.goCtx }
 
 // Err reports the driver's cancellation state: nil while the run may
 // continue, otherwise a sentinel-wrapped cancellation or deadline error.
@@ -303,7 +280,7 @@ func (c *Context) FreeShuffles() {
 // defer. It always returns nil and exists to satisfy io.Closer.
 func (c *Context) Close() error {
 	c.FreeShuffles()
-	c.DropAllCaches()
+	c.dropAllCaches()
 	return nil
 }
 
@@ -356,9 +333,9 @@ func (c *Context) KillNode(n int) {
 	c.drv.MarkDead(n)
 }
 
-// DropAllCaches evicts every cached partition, as if all executors were
-// restarted. Used by the cache ablation to force recomputation.
-func (c *Context) DropAllCaches() {
+// dropAllCaches evicts every cached partition, as if all executors were
+// restarted.
+func (c *Context) dropAllCaches() {
 	c.mu.Lock()
 	caches := append([]evictor(nil), c.caches...)
 	c.mu.Unlock()

@@ -99,7 +99,7 @@ func FuzzChaosInvariant(f *testing.F) {
 }
 
 // FuzzShuffleLifecycle drives the shuffle lifecycle manager through an
-// arbitrary interleaving of actions, cancellations, node kills, unpersists,
+// arbitrary interleaving of actions, cancellations, node kills, cache drops,
 // exhausted-retry failures and reclamations, then checks the two lifecycle
 // invariants: after Close the shuffle residency accounting is exactly zero,
 // and a final clean action still produces the fault-free reference result.
@@ -145,12 +145,12 @@ func FuzzShuffleLifecycle(f *testing.F) {
 				ctx.SetContext(context.Background())
 			case 2: // node loss
 				ctx.KillNode(int(op) % 2)
-			case 3: // reclaim one RDD's shuffle
-				counted.Unpersist()
+			case 3: // drop every cached partition
+				ctx.dropAllCaches()
 			case 4: // exhaust the retry budget in the map stage
-				// Unpersist first: with the shuffle output resident the map
+				// Free the shuffle first: with its output resident the map
 				// stage would not re-run and the injection would never fire.
-				counted.Unpersist()
+				ctx.FreeShuffles()
 				ctx.FailTaskOnce(pairs.ID(), i%16, vcluster.MaxTaskAttempts)
 				if _, err := run(); err == nil {
 					t.Fatalf("op %d: run with exhausted retries succeeded", i)

@@ -25,9 +25,9 @@ func TestRecorderCacheCounters(t *testing.T) {
 		t.Fatalf("warm run recorded recomputes/evictions: %+v", c)
 	}
 
-	ctx.DropAllCaches()
+	ctx.dropAllCaches()
 	if got := rec.Counters().CacheEvictions; got != 4 {
-		t.Fatalf("evictions after DropAllCaches = %d, want 4", got)
+		t.Fatalf("evictions after dropAllCaches = %d, want 4", got)
 	}
 	if _, err := Collect(base); err != nil {
 		t.Fatal(err)

@@ -114,42 +114,3 @@ func hashKey[K cmp.Ordered](k K) uint32 {
 		return h.Sum32()
 	}
 }
-
-// ReduceByKey combines all values sharing a key with the associative,
-// commutative function combine, producing an RDD with parts partitions (0
-// means inherit the parent's). It is CombineByKey with the identity
-// combiner: map-side combining, hash partitioning by key, shuffle output
-// written to (virtual) local disk and fetched over the (virtual) network on
-// the reduce side. Output partitions are sorted by key for determinism.
-func ReduceByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string,
-	combine func(V, V) V, parts int) *RDD[Pair[K, V]] {
-	return CombineByKey(r, name, func(v V) V { return v }, combine, combine, parts)
-}
-
-// CountByKey counts occurrences of each key via a shuffle and returns the
-// result as a map on the driver.
-func CountByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string) (map[K]int64, error) {
-	ones := Map(r, name+":ones", func(kv Pair[K, V]) Pair[K, int64] {
-		return Pair[K, int64]{kv.Key, 1}
-	})
-	counted := ReduceByKey(ones, name, func(a, b int64) int64 { return a + b }, 0)
-	pairs, err := Collect(counted)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[K]int64, len(pairs))
-	for _, kv := range pairs {
-		out[kv.Key] = kv.Value
-	}
-	return out, nil
-}
-
-// Keys projects the keys of a pair RDD.
-func Keys[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string) *RDD[K] {
-	return Map(r, name, func(kv Pair[K, V]) K { return kv.Key })
-}
-
-// Values projects the values of a pair RDD.
-func Values[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string) *RDD[V] {
-	return Map(r, name, func(kv Pair[K, V]) V { return kv.Value })
-}

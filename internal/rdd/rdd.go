@@ -9,10 +9,10 @@ import (
 )
 
 // RDD is an immutable, partitioned, lazily evaluated dataset. Building an
-// RDD records lineage only; work happens when an action (Collect, Count,
-// Reduce, ...) runs. RDDs are created from a Context via Parallelize or
-// TextFile and derived with the package-level transformation functions
-// (methods cannot introduce new type parameters in Go).
+// RDD records lineage only; work happens when an action (Collect or Count)
+// runs. RDDs are created from a Context via Parallelize or TextFile and
+// derived with the package-level transformation functions (methods cannot
+// introduce new type parameters in Go).
 type RDD[T any] struct {
 	ctx   *Context
 	id    int
@@ -30,10 +30,6 @@ type RDD[T any] struct {
 	prefs [][]int
 
 	cache *cacheState[T]
-	// shuffle is the lifecycle state of this RDD's own shuffle (set by wide
-	// transformations such as CombineByKey and Repartition); nil for narrow
-	// RDDs. Unpersist frees it.
-	shuffle *shuffleCore
 }
 
 type preparable interface {
@@ -43,10 +39,8 @@ type preparable interface {
 
 // cacheState holds materialised partitions for a cached RDD. Partition p is
 // considered resident on virtual node p mod nodes, which is what KillNode
-// uses to decide which partitions a node failure destroys and how the cache
-// manager accounts per-node memory.
+// uses to decide which partitions a node failure destroys.
 type cacheState[T any] struct {
-	mgr   *cacheManager
 	rec   *obs.Recorder // counts evictions; nil-safe
 	mu    sync.Mutex
 	parts []*[]T // nil entry: not cached
@@ -57,70 +51,41 @@ func (cs *cacheState[T]) get(p int) ([]T, bool) {
 	rows := cs.parts[p]
 	cs.mu.Unlock()
 	if rows != nil {
-		cs.mgr.touch(cs, p)
 		return *rows, true
 	}
 	return nil, false
 }
 
-// put stores a computed partition if the executor memory budget admits it.
-// Admission runs before taking cs.mu so manager-driven eviction of this
-// store's own partitions cannot deadlock.
 func (cs *cacheState[T]) put(p int, rows []T) {
-	var bytes int64
-	for _, v := range rows {
-		bytes += recordBytes(v)
-	}
-	if !cs.mgr.admit(cs, p, bytes) {
-		return
-	}
 	cs.mu.Lock()
 	cs.parts[p] = &rows
 	cs.mu.Unlock()
 }
 
-// evictPart implements partEvictor for manager-initiated LRU eviction; the
-// manager has already dropped its accounting.
-func (cs *cacheState[T]) evictPart(p int) {
-	cs.mu.Lock()
-	cs.parts[p] = nil
-	cs.mu.Unlock()
-	cs.rec.AddEvictions(1)
-}
-
-// evictNode and evictAll drop partitions under cs.mu but release manager
-// accounting afterwards: taking mgr.mu while holding cs.mu would invert the
-// admit -> evictPart lock order and deadlock.
 func (cs *cacheState[T]) evictNode(node, nodes int) {
 	cs.mu.Lock()
-	var dropped []int
+	var dropped int64
 	for p := range cs.parts {
 		if p%nodes == node && cs.parts[p] != nil {
 			cs.parts[p] = nil
-			dropped = append(dropped, p)
+			dropped++
 		}
 	}
 	cs.mu.Unlock()
-	for _, p := range dropped {
-		cs.mgr.release(cs, p)
-	}
-	cs.rec.AddEvictions(int64(len(dropped)))
+	cs.rec.AddEvictions(dropped)
 }
 
 func (cs *cacheState[T]) evictAll() {
 	cs.mu.Lock()
-	var dropped []int
+	var dropped int64
 	for p := range cs.parts {
 		if cs.parts[p] != nil {
 			cs.parts[p] = nil
-			dropped = append(dropped, p)
+			dropped++
 		}
 	}
 	cs.mu.Unlock()
-	for _, p := range dropped {
-		cs.mgr.release(cs, p)
-	}
-	cs.rec.AddEvictions(int64(len(dropped)))
+	cs.rec.AddEvictions(dropped)
 }
 
 func newRDD[T any](ctx *Context, name string, parts int, deps []preparable,
@@ -141,37 +106,13 @@ func (r *RDD[T]) Name() string { return r.name }
 // NumPartitions returns the number of partitions.
 func (r *RDD[T]) NumPartitions() int { return r.parts }
 
-// PreferredNodes returns the locality preference of partition p (nil when
-// the partition can run anywhere at no penalty).
-func (r *RDD[T]) PreferredNodes(p int) []int {
-	if p < 0 || p >= len(r.prefs) {
-		return nil
-	}
-	return r.prefs[p]
-}
-
 // Cache marks the RDD so its partitions are kept in executor memory after
 // first computation; later jobs reuse them without recomputation or input
 // re-reads. It returns r for chaining.
 func (r *RDD[T]) Cache() *RDD[T] {
 	if r.cache == nil {
-		r.cache = &cacheState[T]{mgr: r.ctx.cacheMgr, rec: r.ctx.rec, parts: make([]*[]T, r.parts)}
+		r.cache = &cacheState[T]{rec: r.ctx.rec, parts: make([]*[]T, r.parts)}
 		r.ctx.registerCache(r.cache)
-	}
-	return r
-}
-
-// Unpersist releases the RDD's materialised state: cached partitions and,
-// for wide transformations, the resident shuffle map output. The lineage
-// stays intact — a later action recomputes (and re-shuffles) from scratch —
-// so this is Spark's unpersist: a memory release, never a correctness
-// hazard. It returns r for chaining.
-func (r *RDD[T]) Unpersist() *RDD[T] {
-	if r.cache != nil {
-		r.cache.evictAll()
-	}
-	if r.shuffle != nil {
-		r.shuffle.free()
 	}
 	return r
 }
@@ -322,29 +263,6 @@ func inherit[T, U any](parent *RDD[T], child *RDD[U]) *RDD[U] {
 	return child
 }
 
-// Union concatenates two RDDs partition-wise (their partition lists are
-// appended, as in Spark).
-func Union[T any](a, b *RDD[T], name string) *RDD[T] {
-	if a.ctx != b.ctx {
-		panic("rdd: Union across contexts")
-	}
-	out := newRDD(a.ctx, name, a.parts+b.parts, []preparable{a, b}, func(p int, led *sim.Ledger) ([]T, error) {
-		if p < a.parts {
-			return a.materialize(p, led)
-		}
-		return b.materialize(p-a.parts, led)
-	})
-	if a.prefs != nil || b.prefs != nil {
-		prefs := make([][]int, a.parts+b.parts)
-		copy(prefs, a.prefs)
-		for i := 0; i < b.parts && i < len(b.prefs); i++ {
-			prefs[a.parts+i] = b.prefs[i]
-		}
-		out.prefs = prefs
-	}
-	return out
-}
-
 // runFinal executes the action's final stage over r's partitions and
 // returns the materialised partitions. A reduce-side fetch failure (shuffle
 // map output destroyed by a node loss after its map stage ran) aborts the
@@ -414,29 +332,4 @@ func Count[T any](r *RDD[T]) (int64, error) {
 		n += int64(len(rows))
 	}
 	return n, nil
-}
-
-// Reduce folds all elements with the associative, commutative function f.
-// It returns an error if the RDD is empty.
-func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
-	var zero T
-	parts, err := runFinal(r, "reduce")
-	if err != nil {
-		return zero, err
-	}
-	acc := zero
-	seen := false
-	for _, rows := range parts {
-		for _, v := range rows {
-			if !seen {
-				acc, seen = v, true
-			} else {
-				acc = f(acc, v)
-			}
-		}
-	}
-	if !seen {
-		return zero, fmt.Errorf("rdd: reduce of empty RDD %s", r.name)
-	}
-	return acc, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -89,20 +90,12 @@ func TestMapFilterFlatMap(t *testing.T) {
 	}
 }
 
-func TestCountAndReduce(t *testing.T) {
+func TestCount(t *testing.T) {
 	ctx := newTestContext(t)
 	r := Parallelize(ctx, "nums", ints(101), 8)
 	n, err := Count(r)
 	if err != nil || n != 101 {
 		t.Fatalf("count = %d, %v", n, err)
-	}
-	sum, err := Reduce(r, func(a, b int) int { return a + b })
-	if err != nil || sum != 5050 {
-		t.Fatalf("sum = %d, %v", sum, err)
-	}
-	_, err = Reduce(Parallelize(ctx, "empty", []int(nil), 1), func(a, b int) int { return a + b })
-	if err == nil {
-		t.Fatal("reduce of empty RDD succeeded")
 	}
 }
 
@@ -208,42 +201,6 @@ func TestReduceByKeyOutputSorted(t *testing.T) {
 	}
 }
 
-func TestCountByKey(t *testing.T) {
-	ctx := newTestContext(t)
-	pairs := Map(Parallelize(ctx, "n", ints(30), 3), "kv",
-		func(v int) Pair[string, int] { return Pair[string, int]{string(rune('a' + v%2)), v} })
-	got, err := CountByKey(pairs, "cbk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["a"] != 15 || got["b"] != 15 {
-		t.Fatalf("CountByKey = %v", got)
-	}
-}
-
-func TestKeysValues(t *testing.T) {
-	ctx := newTestContext(t)
-	pairs := Parallelize(ctx, "p", []Pair[string, int]{{"x", 1}, {"y", 2}}, 1)
-	ks, err := Collect(Keys(pairs, "k"))
-	if err != nil || len(ks) != 2 || ks[0] != "x" {
-		t.Fatalf("keys = %v, %v", ks, err)
-	}
-	vs, err := Collect(Values(pairs, "v"))
-	if err != nil || len(vs) != 2 || vs[1] != 2 {
-		t.Fatalf("values = %v, %v", vs, err)
-	}
-}
-
-func TestUnion(t *testing.T) {
-	ctx := newTestContext(t)
-	a := Parallelize(ctx, "a", []int{1, 2}, 2)
-	b := Parallelize(ctx, "b", []int{3}, 1)
-	got, err := Collect(Union(a, b, "ab"))
-	if err != nil || len(got) != 3 {
-		t.Fatalf("union = %v, %v", got, err)
-	}
-}
-
 func TestCacheAvoidsRecomputation(t *testing.T) {
 	ctx := newTestContext(t)
 	computes := make([]int, 4) // one slot per partition; tasks touch only their own
@@ -262,6 +219,24 @@ func TestCacheAvoidsRecomputation(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("partition %d computed %d times, want 1", p, n)
 		}
+	}
+}
+
+func TestCacheUnlimitedByDefault(t *testing.T) {
+	ctx := newTestContext(t)
+	var computes atomic.Int64 // the two partition tasks run concurrently
+	base := newRDD(ctx, "c", 2, nil, func(p int, led *sim.Ledger) ([]int, error) {
+		computes.Add(1)
+		return make([]int, 1000), nil
+	})
+	base.Cache()
+	for i := 0; i < 3; i++ {
+		if _, err := Collect(base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := computes.Load(); n != 2 {
+		t.Fatalf("computes = %d, want 2", n)
 	}
 }
 
@@ -330,7 +305,7 @@ func TestDropAllCaches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctx.DropAllCaches()
+	ctx.dropAllCaches()
 	if _, err := Collect(base); err != nil {
 		t.Fatal(err)
 	}
@@ -425,6 +400,47 @@ func TestTextFile(t *testing.T) {
 	}
 	if _, err := TextFile(ctx, fs, "/missing", 0); err == nil {
 		t.Fatal("TextFile on missing path succeeded")
+	}
+}
+
+// dfsNewForLocality stages a small multi-block file.
+func dfsNewForLocality(t *testing.T) *dfs.FileSystem {
+	t.Helper()
+	fs := dfs.New(2, dfs.WithBlockSize(16), dfs.WithReplication(1))
+	if err := fs.WriteFile("/loc.txt", []byte("alpha\nbeta\ngamma\ndelta\nepsilon\n"), nil); err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+func TestTextFilePartitionsCarryLocality(t *testing.T) {
+	fs := dfsNewForLocality(t)
+	ctx := newTestContext(t)
+	r, err := TextFile(ctx, fs, "/loc.txt", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for p := 0; p < r.NumPartitions(); p++ {
+		if len(r.prefs[p]) > 0 {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("no partition carries block locations")
+	}
+	// Narrow transformations inherit the preferences; shuffles drop them.
+	m := Map(r, "m", func(s string) string { return s })
+	if len(m.prefs) == 0 || len(m.prefs[0]) == 0 {
+		t.Fatal("Map lost locality preferences")
+	}
+	pairs := Map(r, "kv", func(s string) Pair[string, int] { return Pair[string, int]{s, 1} })
+	red := ReduceByKey(pairs, "c", func(a, b int) int { return a + b }, 2)
+	if len(red.prefs) != 0 {
+		t.Fatal("shuffle output unexpectedly has locality preferences")
+	}
+	if _, err := Collect(red); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // shufflePhase is the lifecycle state of one shuffle's map-side output.
 // The legal transitions form the state machine documented in DESIGN.md:
 //
-//	pending ──map stage ok──▶ mapped ──Unpersist/FreeShuffles/Close──▶ freed
+//	pending ──map stage ok──▶ mapped ──FreeShuffles/Close──▶ freed
 //	   ▲                        │ ▲
 //	   │                        │ └──KillNode drops slices; recovery refills──┘
 //	   └──────map stage failed──┴──────────────────────────▶ invalidated
@@ -54,11 +54,11 @@ func isShuffleMissing(err error) bool {
 // only stops a pathological loop.
 const maxStageResubmits = 4
 
-// shuffleCore is the non-generic lifecycle bookkeeping shared by every
-// shuffle operator (CombineByKey, Repartition). The generic operator owns
-// the typed buckets; the core owns the phase, the per-map-task residency and
-// spill accounting, and the Context registration that makes error
-// invalidation, node-loss recovery and reclamation work.
+// shuffleCore is the non-generic lifecycle bookkeeping of one ReduceByKey
+// shuffle. The generic operator owns the typed buckets; the core owns the
+// phase, the per-map-task residency and spill accounting, and the Context
+// registration that makes error invalidation, node-loss recovery and
+// reclamation work.
 //
 // Map task p's output is considered resident on virtual node p mod nodes,
 // the same placement convention cacheState uses, so KillNode destroys
@@ -163,7 +163,7 @@ func (st *shuffleCore) invalidate() {
 	st.releaseAll(shuffleInvalidated)
 }
 
-// free reclaims the shuffle's resident map output (Unpersist, the facade's
+// free reclaims the shuffle's resident map output (the facade's
 // pass-boundary hook, Close). The lineage stays valid: a later action
 // re-runs the map stage.
 func (st *shuffleCore) free() {

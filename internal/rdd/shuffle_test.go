@@ -178,37 +178,6 @@ func TestKillNodeMidActionResubmitsStage(t *testing.T) {
 	assertSums(t, got, 64, 4)
 }
 
-// TestUnpersistReleasesShuffle frees one RDD's shuffle output and asserts
-// the accounting returns to zero, the free is counted, and a later action
-// transparently re-runs the map stage.
-func TestUnpersistReleasesShuffle(t *testing.T) {
-	defer leaktest.Check(t)()
-	rec := obs.New()
-	ctx := newTestContext(t, WithRecorder(rec))
-	_, sums := sumByKey(ctx, 64, 4, 4)
-	want, err := Collect(sums)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctx.ShuffleResidentBytes() <= 0 {
-		t.Fatal("no shuffle bytes resident after the action")
-	}
-	sums.Unpersist()
-	if got := ctx.ShuffleResidentBytes(); got != 0 {
-		t.Fatalf("resident = %d after Unpersist, want 0", got)
-	}
-	if rec.Counters().ShuffleFrees != 4 {
-		t.Fatalf("ShuffleFrees = %d, want 4 map-task slices", rec.Counters().ShuffleFrees)
-	}
-	got, err := Collect(sums)
-	if err != nil {
-		t.Fatalf("re-run after Unpersist: %v", err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("re-run result diverged:\n got %v\nwant %v", got, want)
-	}
-}
-
 // TestCloseReleasesEverything runs shuffles and caches, closes the context,
 // and asserts all shuffle residency is gone (globally and per node) while
 // the context stays usable. Close is idempotent.
@@ -221,8 +190,8 @@ func TestCloseReleasesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repart := Repartition(Parallelize(ctx, "more", ints(32), 4), "repart", 2)
-	if _, err := Collect(repart); err != nil {
+	_, more := sumByKey(ctx, 32, 4, 2)
+	if _, err := Collect(more); err != nil {
 		t.Fatal(err)
 	}
 	if ctx.ShuffleResidentBytes() <= 0 {
@@ -248,38 +217,6 @@ func TestCloseReleasesEverything(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("post-Close result diverged:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestRepartitionLifecycle exercises the same invalidation and node-loss
-// semantics on Repartition's shuffle.
-func TestRepartitionLifecycle(t *testing.T) {
-	defer leaktest.Check(t)()
-	ctx := newTestContext(t)
-	nums := Parallelize(ctx, "nums", ints(48), 4)
-	repart := Repartition(nums, "repart", 3)
-	ctx.FailTaskOnce(nums.ID(), 1, vcluster.MaxTaskAttempts)
-	if _, err := Collect(repart); err == nil {
-		t.Fatal("first run should fail from exhausted retries")
-	}
-	want, err := Collect(repart)
-	if err != nil {
-		t.Fatalf("re-run after exhausted retries: %v", err)
-	}
-	if len(want) != 48 {
-		t.Fatalf("repartition lost rows: %d", len(want))
-	}
-	ctx.KillNode(1)
-	got, err := Collect(repart)
-	if err != nil {
-		t.Fatalf("re-run after KillNode: %v", err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatal("repartition output changed after node-loss recovery")
-	}
-	ctx.FreeShuffles()
-	if n := ctx.ShuffleResidentBytes(); n != 0 {
-		t.Fatalf("resident = %d after FreeShuffles, want 0", n)
 	}
 }
 

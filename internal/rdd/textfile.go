@@ -22,7 +22,7 @@ func TextFile(ctx *Context, fs *dfs.FileSystem, path string, minSplits int) (*RD
 	}
 	out := newRDD(ctx, "textFile("+path+")", len(splits), nil,
 		func(p int, led *sim.Ledger) ([]string, error) {
-			lines, err := fs.ReadLinesContext(ctx.Ctx(), splits[p], led)
+			lines, err := fs.ReadLinesContext(ctx.goCtx, splits[p], led)
 			if err != nil {
 				return nil, err
 			}

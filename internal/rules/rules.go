@@ -57,20 +57,21 @@ func Generate(res *apriori.Result, minConfidence float64, numTransactions int) (
 	var out []Rule
 	for k := 2; k <= res.MaxK(); k++ {
 		for _, sc := range res.Frequent(k) {
-			rules, err := FromItemset(res, sc, minConfidence, numTransactions)
+			rules, err := fromItemset(res, sc, minConfidence, numTransactions)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, rules...)
 		}
 	}
-	Sort(out)
+	sortRules(out)
 	return out, nil
 }
 
-// Sort orders rules by descending confidence, then descending support, then
-// antecedent and consequent order — the deterministic order Generate uses.
-func Sort(out []Rule) {
+// sortRules orders rules by descending confidence, then descending support,
+// then antecedent and consequent order — the deterministic order Generate
+// uses.
+func sortRules(out []Rule) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Confidence != out[j].Confidence {
 			return out[i].Confidence > out[j].Confidence
@@ -85,12 +86,11 @@ func Sort(out []Rule) {
 	})
 }
 
-// FromItemset enumerates the non-empty proper subsets of sc.Set as
+// fromItemset enumerates the non-empty proper subsets of sc.Set as
 // antecedents and returns the rules meeting minConfidence. Every subset of
 // a frequent itemset is frequent, so its support is always available in
-// res; a miss means res is inconsistent. It is the per-itemset unit of work
-// that both the sequential Generate and YAFIM's ParallelRules share.
-func FromItemset(res *apriori.Result, sc apriori.SetCount, minConfidence float64,
+// res; a miss means res is inconsistent.
+func fromItemset(res *apriori.Result, sc apriori.SetCount, minConfidence float64,
 	n int) ([]Rule, error) {
 	k := sc.Set.Len()
 	if k > maxRuleItems {
@@ -135,57 +135,4 @@ func FromItemset(res *apriori.Result, sc apriori.SetCount, minConfidence float64
 		})
 	}
 	return out, nil
-}
-
-// Filter returns the rules whose consequent contains the given item —
-// convenient for questions like "what implies this diagnosis?".
-func Filter(rules []Rule, item itemset.Item) []Rule {
-	var out []Rule
-	for _, r := range rules {
-		if r.Consequent.Contains(item) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// TopK returns the first k rules of an already sorted rule list (Generate
-// sorts by confidence, then support).
-func TopK(rules []Rule, k int) []Rule {
-	if k < 0 {
-		k = 0
-	}
-	if k > len(rules) {
-		k = len(rules)
-	}
-	return rules[:k]
-}
-
-// FilterRedundant removes rules dominated by a simpler rule: A => C is
-// redundant when some A' ⊂ A yields A' => C with at least the same
-// confidence — the larger antecedent adds conditions without adding
-// predictive power. Input order is preserved for the survivors.
-func FilterRedundant(rules []Rule) []Rule {
-	// Index rules by consequent for subset scans.
-	byCons := map[string][]Rule{}
-	for _, r := range rules {
-		key := r.Consequent.Key()
-		byCons[key] = append(byCons[key], r)
-	}
-	var out []Rule
-	for _, r := range rules {
-		redundant := false
-		for _, other := range byCons[r.Consequent.Key()] {
-			if other.Antecedent.Len() < r.Antecedent.Len() &&
-				r.Antecedent.ContainsAll(other.Antecedent) &&
-				other.Confidence >= r.Confidence {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -96,19 +96,6 @@ func TestGenerateInvalid(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	res := mustMine(t)
-	rules, err := Generate(res, 0.5, classicDB().Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range Filter(rules, 2) {
-		if !r.Consequent.Contains(2) {
-			t.Fatalf("filtered rule lacks item: %v", r)
-		}
-	}
-}
-
 func TestRuleString(t *testing.T) {
 	r := Rule{
 		Antecedent: itemset.New(1, 2), Consequent: itemset.New(3),
@@ -186,52 +173,6 @@ func TestLeverageAndConviction(t *testing.T) {
 		// Leverage and lift must agree on the direction of correlation.
 		if (r.Lift > 1) != (r.Leverage > 0) && r.Lift != 1 {
 			t.Errorf("rule %v: lift %v vs leverage %v disagree", r, r.Lift, r.Leverage)
-		}
-	}
-}
-
-func TestTopK(t *testing.T) {
-	res := mustMine(t)
-	rules, err := Generate(res, 0.1, classicDB().Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := TopK(rules, 3); len(got) != 3 {
-		t.Fatalf("TopK(3) = %d rules", len(got))
-	}
-	if got := TopK(rules, 10000); len(got) != len(rules) {
-		t.Fatal("TopK overflow mishandled")
-	}
-	if got := TopK(rules, -1); len(got) != 0 {
-		t.Fatal("TopK(-1) non-empty")
-	}
-}
-
-func TestFilterRedundant(t *testing.T) {
-	res := mustMine(t)
-	rules, err := Generate(res, 0.3, classicDB().Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := FilterRedundant(rules)
-	if len(kept) == 0 || len(kept) >= len(rules) {
-		t.Fatalf("FilterRedundant kept %d of %d", len(kept), len(rules))
-	}
-	// No kept rule may be dominated by a simpler kept rule.
-	for _, r := range kept {
-		for _, other := range kept {
-			if other.Consequent.Equal(r.Consequent) &&
-				other.Antecedent.Len() < r.Antecedent.Len() &&
-				r.Antecedent.ContainsAll(other.Antecedent) &&
-				other.Confidence >= r.Confidence {
-				t.Fatalf("kept rule %v dominated by %v", r, other)
-			}
-		}
-	}
-	// Example: {1,5}=>{2} (conf 1.0) is dominated by {5}=>{2} (conf 1.0).
-	for _, r := range kept {
-		if r.Antecedent.Equal(itemset.New(1, 5)) && r.Consequent.Equal(itemset.New(2)) {
-			t.Error("{1 5} => {2} survived despite {5} => {2}")
 		}
 	}
 }

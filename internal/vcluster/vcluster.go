@@ -40,11 +40,10 @@ const MaxTaskAttempts = 4
 // virtual clock. Jobs run one at a time, as on a Spark driver thread or a
 // Hadoop client; the tasks of a stage run concurrently.
 type Driver struct {
-	cfg         cluster.Config
-	engine      string // "rdd" or "mapreduce": names errors and job spans
-	parallelism int
-	onCrash     func(node int) // the engine's share of a node crash; may be nil
-	rec         *obs.Recorder  // nil disables telemetry
+	cfg     cluster.Config
+	engine  string         // "rdd" or "mapreduce": names errors and job spans
+	onCrash func(node int) // the engine's share of a node crash; may be nil
+	rec     *obs.Recorder  // nil disables telemetry
 
 	// Chaos state: plan, resil and health are set before jobs run;
 	// crashDone changes only at stage boundaries.
@@ -65,15 +64,7 @@ type Driver struct {
 // errors and telemetry; onCrash (may be nil) runs when the chaos plan's node
 // crash fires, to drop whatever the engine keeps on that node.
 func New(cfg cluster.Config, engine string, onCrash func(node int)) *Driver {
-	return &Driver{cfg: cfg, engine: engine, onCrash: onCrash, parallelism: runtime.GOMAXPROCS(0)}
-}
-
-// SetParallelism caps the worker goroutines that execute tasks. It affects
-// real execution speed only, never virtual time.
-func (d *Driver) SetParallelism(n int) {
-	if n > 0 {
-		d.parallelism = n
-	}
+	return &Driver{cfg: cfg, engine: engine, onCrash: onCrash}
 }
 
 // SetRecorder attaches a telemetry recorder (nil disables telemetry).
@@ -296,7 +287,7 @@ func (d *Driver) RunStage(ctx context.Context, st Stage, work func(task int, led
 	attempts := make([]int, n)
 	errs := make([]error, n)
 	var panics atomic.Int64
-	sem := make(chan struct{}, d.parallelism)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for t := 0; t < n; t++ {
 		wg.Add(1)

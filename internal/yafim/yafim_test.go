@@ -11,7 +11,6 @@ import (
 	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/rdd"
-	"yafim/internal/rules"
 )
 
 func classicDB() *itemset.DB {
@@ -224,54 +223,5 @@ func TestMineMatchesOracleProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParallelRulesMatchSequential(t *testing.T) {
-	ctx, fs, path := stage(t, classicDB())
-	trace, err := Mine(ctx, fs, path, Config{MinSupport: 2.0 / 9.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParallelRules(ctx, trace.Result, 0.5, classicDB().Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := rules.Generate(trace.Result, 0.5, classicDB().Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("parallel rules = %d, sequential = %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Antecedent.Equal(want[i].Antecedent) ||
-			!got[i].Consequent.Equal(want[i].Consequent) ||
-			got[i].Confidence != want[i].Confidence {
-			t.Fatalf("rule %d differs: %v vs %v", i, got[i], want[i])
-		}
-	}
-	// Rule derivation must appear as jobs on the context.
-	reps := ctx.Reports()
-	if reps[len(reps)-1].TotalCost().CPUOps <= 0 {
-		t.Fatal("parallel rule derivation charged no work")
-	}
-}
-
-func TestParallelRulesInvalid(t *testing.T) {
-	ctx, fs, path := stage(t, classicDB())
-	trace, err := Mine(ctx, fs, path, Config{MinSupport: 2.0 / 9.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParallelRules(ctx, trace.Result, -1, 9); err == nil {
-		t.Error("negative confidence accepted")
-	}
-	if _, err := ParallelRules(ctx, trace.Result, 0.5, 0); err == nil {
-		t.Error("zero transactions accepted")
-	}
-	empty := &apriori.Result{}
-	if got, err := ParallelRules(ctx, empty, 0.5, 9); err != nil || got != nil {
-		t.Errorf("empty result: %v, %v", got, err)
 	}
 }
