@@ -237,7 +237,8 @@ func TestRegistryAddsNoAllocsToPass2Kernel(t *testing.T) {
 }
 
 // BenchmarkPass2KernelHashTree measures the flat hash-tree counting kernel:
-// dense per-scan count array, pooled matcher scratch, bitset containment.
+// dense per-scan count array, one matcher's scratch reused across rows,
+// leaf checks against the row's stamped item ids.
 func BenchmarkPass2KernelHashTree(b *testing.B) {
 	txs, cands := pass2Fixture(b)
 	tree := hashtree.Build(cands)

@@ -35,12 +35,10 @@ type Tree struct {
 	sets      []itemset.Itemset // candidates by index
 
 	// Flat layout, built by compact: see flat.go.
-	index     *itemset.ItemIndex // dense remap of the candidate item universe
-	candDense []int32            // k dense item ids per candidate, by index
-	nodes     []flatNode
-	childIdx  []int32
-	entryIdx  []int32
-	matchers  sync.Pool // *Matcher scratch for Tree.Subset
+	index    *itemset.ItemIndex // dense remap of the candidate item universe
+	nodes    []flatNode
+	leafData []int32   // per leaf: candidate indexes, then k dense item columns
+	matchers sync.Pool // *Matcher scratch for Tree.Subset
 }
 
 // node is one node of the pointer tree Build inserts into before compacting.
@@ -63,9 +61,9 @@ func WithMaxLeaf(n int) Option {
 }
 
 // Build constructs a hash tree over the given candidate k-itemsets. All
-// candidates must be the same length k >= 1 and must be canonical (sorted);
-// Build panics otherwise, because a malformed candidate set poisons every
-// support count derived from it.
+// candidates must be the same length k >= 1 and must be canonical (items
+// strictly increasing); Build panics otherwise, because a malformed
+// candidate set poisons every support count derived from it.
 func Build(candidates []itemset.Itemset, opts ...Option) *Tree {
 	if len(candidates) == 0 {
 		panic("hashtree: Build with no candidates")
@@ -91,6 +89,11 @@ func Build(candidates []itemset.Itemset, opts ...Option) *Tree {
 	for i, c := range candidates {
 		if c.Len() != t.k {
 			panic(fmt.Sprintf("hashtree: candidate %d has length %d, want %d", i, c.Len(), t.k))
+		}
+		for j := 1; j < len(c); j++ {
+			if c[j] <= c[j-1] {
+				panic(fmt.Sprintf("hashtree: candidate %d %v is not strictly increasing", i, c))
+			}
 		}
 	}
 	t.compact(t.pointerTree())
@@ -167,11 +170,14 @@ func (t *Tree) insert(n *node, depth, idx int) {
 }
 
 // Subset calls visit(i) for every candidate i whose itemset is contained in
-// the transaction items (which must be canonical). It returns the number of
-// elementary operations performed (node hops plus per-candidate membership
-// checks), which callers use to charge CPU time in the performance model.
-// The walk borrows a pooled Matcher; workers processing many rows should
-// hold their own (NewMatcher) to skip even the pool round-trip.
+// the transaction items (which must be canonical). Matches come leaf by
+// leaf, depth first with children in ascending hash order, and in insertion
+// order within a leaf. Subset returns ops, the performance model's charge
+// for the walk, which callers bill as CPU time: 1 per node visited plus k
+// per entry of every leaf visited, whether or not that entry's check exits
+// early (1 in all for a row shorter than k). The walk borrows a pooled
+// Matcher; workers processing many rows should hold their own (NewMatcher)
+// to skip even the pool round-trip.
 func (t *Tree) Subset(items itemset.Itemset, visit func(i int)) int64 {
 	m := t.matchers.Get().(*Matcher)
 	ops := m.Subset(items, visit)
@@ -192,7 +198,8 @@ func (t *Tree) CountSupports(transactions []itemset.Transaction) (counts []int, 
 }
 
 // SerializedBytes estimates the wire size of the tree for broadcast cost
-// accounting: four bytes per item plus per-candidate and per-node framing.
+// accounting: four bytes per item, eight bytes of framing per candidate and
+// a fixed 64-byte header. The tree's shape does not enter the estimate.
 func (t *Tree) SerializedBytes() int64 {
 	return int64(t.Len())*int64(4*t.k+8) + 64
 }

@@ -102,6 +102,10 @@ func TestBuildPanics(t *testing.T) {
 		"zero length":   func() { Build([]itemset.Itemset{{}}) },
 		"bad fanout":    func() { Build(sets([]itemset.Item{1}), WithFanout(1)) },
 		"bad leaf":      func() { Build(sets([]itemset.Item{1}), WithMaxLeaf(0)) },
+		// Non-canonical candidates bypass sets (which canonicalises): their
+		// counts would depend on the tree's shape.
+		"unsorted":       func() { Build([]itemset.Itemset{{5, 3}, {1, 2}}) },
+		"duplicate item": func() { Build([]itemset.Itemset{{1, 2}, {3, 3}}) },
 	}
 	for name, fn := range cases {
 		func() {

@@ -1,6 +1,8 @@
 package hashtree
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,8 +15,8 @@ import (
 // elementary-operation charge. The reference below replays the original
 // recursive algorithm over a pointer tree from the builder Build compacts
 // (Tree.pointerTree), so any drift in the flat layout, the dense item
-// remapping, or the bitset containment test shows up as a parity failure
-// here.
+// remapping, the touched-children bitmaps or the stamped containment test
+// shows up as a parity failure here.
 
 // refSubset is the pre-compaction pointer walk over root, the tree's
 // pointer tree, preserved as the parity oracle.
@@ -77,9 +79,32 @@ func randomTransaction(rng *rand.Rand, maxLen, universe int) itemset.Itemset {
 	return itemset.New(items...)
 }
 
+// assertParity runs tx through the matcher m, the pooled Tree.Subset and
+// the reference pointer walk, failing unless all three visit the same
+// candidates in the same order at the same ops.
+func assertParity(t *testing.T, label string, tree *Tree, root *node, m *Matcher, tx itemset.Itemset) {
+	t.Helper()
+	var wantVisits, gotVisits, pooledVisits []int
+	wantOps := refSubset(tree, root, tx, func(i int) { wantVisits = append(wantVisits, i) })
+	gotOps := m.Subset(tx, func(i int) { gotVisits = append(gotVisits, i) })
+	pooledOps := tree.Subset(tx, func(i int) { pooledVisits = append(pooledVisits, i) })
+	if !reflect.DeepEqual(gotVisits, wantVisits) {
+		t.Fatalf("%s k=%d tx=%v: flat visits %v, pointer visits %v",
+			label, tree.k, tx, gotVisits, wantVisits)
+	}
+	if gotOps != wantOps {
+		t.Fatalf("%s k=%d tx=%v: flat ops %d, pointer ops %d",
+			label, tree.k, tx, gotOps, wantOps)
+	}
+	if !reflect.DeepEqual(pooledVisits, wantVisits) || pooledOps != wantOps {
+		t.Fatalf("%s: pooled Subset diverges from reference", label)
+	}
+}
+
 // TestFlatWalkMatchesPointerWalk drives random candidate sets and
 // transactions through both walks across seeds and tree shapes, requiring
-// identical visit sequences and identical ops.
+// identical visit sequences and identical ops. The shapes include a fanout
+// far wider than any row and one that is not a power of two.
 func TestFlatWalkMatchesPointerWalk(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -88,6 +113,8 @@ func TestFlatWalkMatchesPointerWalk(t *testing.T) {
 		{"default", nil},
 		{"deep", []Option{WithFanout(2), WithMaxLeaf(1)}},
 		{"wide", []Option{WithFanout(64), WithMaxLeaf(4)}},
+		{"wider than rows", []Option{WithFanout(256)}},
+		{"odd fanout", []Option{WithFanout(7)}},
 	}
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -98,25 +125,52 @@ func TestFlatWalkMatchesPointerWalk(t *testing.T) {
 			tree := Build(cands, shape.opts...)
 			root := tree.pointerTree()
 			m := tree.NewMatcher()
+			label := fmt.Sprintf("seed %d %s", seed, shape.name)
 			for row := 0; row < 50; row++ {
-				tx := randomTransaction(rng, 12, universe+5)
-				var wantVisits, gotVisits, pooledVisits []int
-				wantOps := refSubset(tree, root, tx, func(i int) { wantVisits = append(wantVisits, i) })
-				gotOps := m.Subset(tx, func(i int) { gotVisits = append(gotVisits, i) })
-				pooledOps := tree.Subset(tx, func(i int) { pooledVisits = append(pooledVisits, i) })
-				if !reflect.DeepEqual(gotVisits, wantVisits) {
-					t.Fatalf("seed %d %s k=%d tx=%v: flat visits %v, pointer visits %v",
-						seed, shape.name, k, tx, gotVisits, wantVisits)
-				}
-				if gotOps != wantOps {
-					t.Fatalf("seed %d %s k=%d tx=%v: flat ops %d, pointer ops %d",
-						seed, shape.name, k, tx, gotOps, wantOps)
-				}
-				if !reflect.DeepEqual(pooledVisits, wantVisits) || pooledOps != wantOps {
-					t.Fatalf("seed %d %s: pooled Subset diverges from reference", seed, shape.name)
-				}
+				assertParity(t, label, tree, root, m, randomTransaction(rng, 12, universe+5))
 			}
 		}
+	}
+}
+
+// TestFlatWalkMatchesPointerWalkLargeC2 checks parity on a pass-2 candidate
+// set as large as T10I4D100K's, on which adaptiveFanout picks fanout 128,
+// with rows from two items to 300, longer than a new Matcher's row
+// scratch. One matcher serves every row, so a long row must not disturb
+// the short rows after it.
+func TestFlatWalkMatchesPointerWalkLargeC2(t *testing.T) {
+	cands := kSubsets(2, 400, math.MaxInt)
+	tree := Build(cands)
+	if tree.fanout != 128 {
+		t.Fatalf("adaptive fanout %d for %d 2-candidates, want 128", tree.fanout, len(cands))
+	}
+	root := tree.pointerTree()
+	m := tree.NewMatcher()
+	rng := rand.New(rand.NewSource(2014))
+	for _, n := range []int{2, 10, 12, 40, 300, 3, 11, 300, 150, 9} {
+		picks := rng.Perm(410)[:n] // a few items no candidate contains
+		items := make([]itemset.Item, n)
+		for i, p := range picks {
+			items[i] = itemset.Item(p)
+		}
+		assertParity(t, fmt.Sprintf("%d-item row", n), tree, root, m, itemset.New(items...))
+	}
+}
+
+// TestMatcherRowStampWraps drives a matcher across the wrap of its row
+// counter: the membership stamps of the first rows must not leak into the
+// rows that reuse their numbers after the wrap.
+func TestMatcherRowStampWraps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cands := randomCandidates(rng, 60, 2, 20)
+	tree := Build(cands)
+	root := tree.pointerTree()
+	m := tree.NewMatcher()
+	for row := 0; row < 20; row++ {
+		if row == 10 {
+			m.row = math.MaxInt32 - 3
+		}
+		assertParity(t, fmt.Sprintf("row %d", row), tree, root, m, randomTransaction(rng, 9, 22))
 	}
 }
 

@@ -99,12 +99,6 @@ func (b *Bitset) AndCount(other *Bitset) int {
 	return total
 }
 
-// ClearAll zeroes every bit, letting one bitset be reused across
-// transactions instead of allocating per row.
-func (b *Bitset) ClearAll() {
-	clear(b.words)
-}
-
 // Clone returns a copy sharing no storage.
 func (b *Bitset) Clone() *Bitset {
 	out := NewBitset(b.n)

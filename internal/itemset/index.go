@@ -67,27 +67,3 @@ func (ix *ItemIndex) DenseOf(it Item) int32 {
 	}
 	return -1
 }
-
-// Remap appends the dense ids of s's indexed items to dst and returns it.
-// Unindexed items are dropped: they cannot occur in any candidate, so subset
-// tests never need them.
-func (ix *ItemIndex) Remap(s Itemset, dst []int32) []int32 {
-	for _, it := range s {
-		if d := ix.DenseOf(it); d >= 0 {
-			dst = append(dst, d)
-		}
-	}
-	return dst
-}
-
-// Encode sets, in bits (which must have capacity >= ix.Len()), the bit of
-// every indexed item of s. Callers reuse one scratch bitset per worker:
-// ClearAll + Encode replaces a per-transaction allocation, and containment
-// of a remapped candidate becomes one Get per item.
-func (ix *ItemIndex) Encode(s Itemset, bits *Bitset) {
-	for _, it := range s {
-		if d := ix.DenseOf(it); d >= 0 {
-			bits.Set(int(d))
-		}
-	}
-}
