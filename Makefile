@@ -113,6 +113,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosInvariant' -fuzztime $(FUZZTIME) ./internal/rdd/
 	$(GO) test -run '^$$' -fuzz 'FuzzShuffleLifecycle' -fuzztime $(FUZZTIME) ./internal/rdd/
+	$(GO) test -run '^$$' -fuzz 'FuzzReduceByKeyParity' -fuzztime $(FUZZTIME) ./internal/rdd/
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosInvariant' -fuzztime $(FUZZTIME) ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosMiningInvariant' -fuzztime $(FUZZTIME) ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz 'FuzzRDDEclatParity' -fuzztime $(FUZZTIME) ./internal/rddeclat/

@@ -25,24 +25,47 @@ func BenchmarkMapCollect(b *testing.B) {
 	}
 }
 
+// BenchmarkReduceByKey measures the shuffle alone: "mod512" folds many
+// duplicate keys map-side; "countPass" has the shape of YAFIM's counting
+// pass on T10I4D100K, 192 map tasks each emitting ascending unique candidate
+// ids into 96 reduce partitions.
 func BenchmarkReduceByKey(b *testing.B) {
-	ctx, err := NewContext(cluster.Local())
-	if err != nil {
-		b.Fatal(err)
+	mod512 := make([]Pair[int, int], 100000)
+	for i := range mod512 {
+		mod512[i] = Pair[int, int]{i % 512, 1}
 	}
-	pairs := make([]Pair[int, int], 100000)
-	for i := range pairs {
-		pairs[i] = Pair[int, int]{i % 512, 1}
-	}
-	r := Parallelize(ctx, "p", pairs, 16).Cache()
-	if _, err := Collect(r); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		red := ReduceByKey(r, "sum", func(a, c int) int { return a + c }, 8)
-		if _, err := Collect(red); err != nil {
-			b.Fatal(err)
+	var countPass []Pair[int, int]
+	for m := 0; m < 192; m++ {
+		for k := m % 4; k < 20000; k += 4 {
+			countPass = append(countPass, Pair[int, int]{k, 1 + k%3})
 		}
+	}
+	for _, bc := range []struct {
+		name              string
+		pairs             []Pair[int, int]
+		mapTasks, reduces int
+	}{
+		{"mod512", mod512, 16, 8},
+		{"countPass", countPass, 192, 96},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx, err := NewContext(cluster.Local())
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := Parallelize(ctx, "p", bc.pairs, bc.mapTasks).Cache()
+			if _, err := Collect(r); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				red := ReduceByKey(r, "sum", func(a, c int) int { return a + c }, bc.reduces)
+				if _, err := Collect(red); err != nil {
+					b.Fatal(err)
+				}
+				ctx.FreeShuffles() // keep earlier iterations' map output from piling up
+			}
+		})
 	}
 }

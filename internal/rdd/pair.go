@@ -44,12 +44,63 @@ func valueBytes(v any) int64 {
 	}
 }
 
-// recordBytes estimates the serialized size of any record.
-func recordBytes[T any](v T) int64 {
-	if s, ok := any(v).(Sizer); ok {
-		return s.SizeBytes()
+// sizer prices values of one type exactly as valueBytes does, without
+// boxing each value: the type is inspected once, so a fixed-size kind is a
+// constant and only Sizers, strings and byte slices are read value by value.
+type sizer[T any] struct {
+	fixed int64          // every value's size, when each is nil
+	each  func(*T) int64 // one value's size; nil for fixed-size kinds
+}
+
+func newSizer[T any]() sizer[T] {
+	var zero T
+	switch any(zero).(type) {
+	case nil: // an interface type: each value's dynamic type decides
+		return sizer[T]{each: func(v *T) int64 { return valueBytes(*v) }}
+	case Sizer:
+		if _, ok := any(&zero).(Sizer); ok {
+			// *T has T's SizeBytes: call it through the pointer rather
+			// than box a copy of the value.
+			return sizer[T]{each: func(v *T) int64 { return any(v).(Sizer).SizeBytes() }}
+		}
+		// T is a pointer with the method, and boxing a pointer is free.
+		return sizer[T]{each: func(v *T) int64 { return valueBytes(*v) }}
+	case string:
+		return sizer[T]{each: func(v *T) int64 { return int64(len(*any(v).(*string))) + 4 }}
+	case []byte:
+		return sizer[T]{each: func(v *T) int64 { return int64(len(*any(v).(*[]byte))) + 4 }}
 	}
-	return valueBytes(v)
+	return sizer[T]{fixed: valueBytes(zero)}
+}
+
+// size prices one value; v points into the caller's rows.
+func (s sizer[T]) size(v *T) int64 {
+	if s.each == nil {
+		return s.fixed
+	}
+	return s.each(v)
+}
+
+// total prices every value in vs.
+func (s sizer[T]) total(vs []T) int64 {
+	n := int64(len(vs)) * s.fixed
+	if s.each != nil {
+		for i := range vs {
+			n += s.each(&vs[i])
+		}
+	}
+	return n
+}
+
+// newPairSizer prices Pair[K, V] as Pair.SizeBytes does, without boxing.
+func newPairSizer[K cmp.Ordered, V any]() sizer[Pair[K, V]] {
+	ks, vs := newSizer[K](), newSizer[V]()
+	if ks.each == nil && vs.each == nil {
+		return sizer[Pair[K, V]]{fixed: ks.fixed + vs.fixed}
+	}
+	return sizer[Pair[K, V]]{each: func(p *Pair[K, V]) int64 {
+		return ks.size(&p.Key) + vs.size(&p.Value)
+	}}
 }
 
 // FNV-1a 32-bit parameters (hash/fnv), inlined so the hot path can hash
@@ -59,9 +110,9 @@ const (
 	fnvPrime32  = 16777619
 )
 
-func fnv1a(h uint32, b []byte) uint32 {
-	for _, c := range b {
-		h ^= uint32(c)
+func fnv1a[B string | []byte](h uint32, b B) uint32 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint32(b[i])
 		h *= fnvPrime32
 	}
 	return h
@@ -81,7 +132,7 @@ func hashKey[K cmp.Ordered](k K) uint32 {
 	var buf [32]byte
 	switch x := any(k).(type) {
 	case string:
-		return fnv1a(fnvOffset32, []byte(x))
+		return fnv1a(fnvOffset32, x)
 	case int:
 		return fnv1a(fnvOffset32, strconv.AppendInt(buf[:0], int64(x), 10))
 	case int8:
@@ -109,8 +160,15 @@ func hashKey[K cmp.Ordered](k K) uint32 {
 	case float64:
 		return fnv1a(fnvOffset32, strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
 	default:
-		h := fnv.New32a()
-		fmt.Fprintf(h, "%v", x)
-		return h.Sum32()
+		return hashKeyFmt(k)
 	}
+}
+
+// hashKeyFmt is hashKey's fallback for named key types: FNV-1a over fmt's
+// %v text. It takes K, not hashKey's switched-on interface, so that
+// interface never escapes and the built-in kinds are hashed without boxing.
+func hashKeyFmt[K cmp.Ordered](k K) uint32 {
+	h := fnv.New32a()
+	fmt.Fprintf(h, "%v", k)
+	return h.Sum32()
 }

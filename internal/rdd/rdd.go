@@ -304,11 +304,10 @@ func Collect[T any](r *RDD[T]) ([]T, error) {
 	// instead of growing append-by-append across partitions.
 	var total int
 	var bytes int64
+	sz := newSizer[T]()
 	for _, rows := range parts {
 		total += len(rows)
-		for _, v := range rows {
-			bytes += recordBytes(v)
-		}
+		bytes += sz.total(rows)
 	}
 	var out []T
 	if total > 0 {

@@ -55,7 +55,7 @@ func isShuffleMissing(err error) bool {
 const maxStageResubmits = 4
 
 // shuffleCore is the non-generic lifecycle bookkeeping of one ReduceByKey
-// shuffle. The generic operator owns the typed buckets; the core owns the
+// shuffle. The generic operator owns the typed runs; the core owns the
 // phase, the per-map-task residency and spill accounting, and the Context
 // registration that makes error invalidation, node-loss recovery and
 // reclamation work.
@@ -72,7 +72,7 @@ type shuffleCore struct {
 	present  []bool  // map task output resident
 	mapBytes []int64 // per-map-task resident spill bytes
 
-	// dropData releases the typed buckets of one map task; dropAll releases
+	// dropData releases the typed runs of one map task; dropAll releases
 	// them all. Both run with mu held and must not call back into the core.
 	dropData func(mapTask int)
 	dropAll  func()

@@ -52,8 +52,8 @@ func newBuildNode() *buildNode {
 }
 
 // Build constructs a trie over the given candidate k-itemsets. All
-// candidates must share length k >= 1 and be canonical; Build panics
-// otherwise, mirroring hashtree.Build.
+// candidates must share length k >= 1, have strictly increasing items and
+// be distinct; Build panics otherwise.
 func Build(candidates []itemset.Itemset) *Trie {
 	if len(candidates) == 0 {
 		panic("trie: Build with no candidates")
@@ -68,6 +68,11 @@ func Build(candidates []itemset.Itemset) *Trie {
 		if c.Len() != t.k {
 			panic(fmt.Sprintf("trie: candidate %d has length %d, want %d", i, c.Len(), t.k))
 		}
+		for j := 1; j < len(c); j++ {
+			if c[j] <= c[j-1] {
+				panic(fmt.Sprintf("trie: candidate %d %v is not strictly increasing", i, c))
+			}
+		}
 		cur := root
 		for _, it := range c {
 			next, ok := cur.children[it]
@@ -77,6 +82,9 @@ func Build(candidates []itemset.Itemset) *Trie {
 				edges++
 			}
 			cur = next
+		}
+		if cur.entry >= 0 {
+			panic(fmt.Sprintf("trie: candidate %d %v repeats candidate %d", i, c, cur.entry))
 		}
 		cur.entry = int32(i)
 	}

@@ -50,9 +50,14 @@ func TestSubsetShortTransaction(t *testing.T) {
 
 func TestBuildPanics(t *testing.T) {
 	cases := map[string]func(){
-		"empty":         func() { Build(nil) },
-		"mixed lengths": func() { Build(sets([]itemset.Item{1}, []itemset.Item{1, 2})) },
-		"zero length":   func() { Build([]itemset.Itemset{{}}) },
+		"empty":          func() { Build(nil) },
+		"mixed lengths":  func() { Build(sets([]itemset.Item{1}, []itemset.Item{1, 2})) },
+		"zero length":    func() { Build([]itemset.Itemset{{}}) },
+		"unsorted":       func() { Build([]itemset.Itemset{{1, 2}, {5, 3}}) },
+		"duplicate item": func() { Build([]itemset.Itemset{{1, 2}, {3, 3}}) },
+		"duplicate candidate": func() {
+			Build(sets([]itemset.Item{1, 2}, []itemset.Item{1, 2}, []itemset.Item{3, 5}))
+		},
 	}
 	for name, fn := range cases {
 		func() {
