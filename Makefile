@@ -108,7 +108,10 @@ dist-chaos:
 
 # fuzz-smoke gives each fuzz target a short budget of fresh inputs on top of
 # its seed corpus — enough to catch regressions in the determinism and
-# exactness invariants without turning CI into a fuzzing farm.
+# exactness invariants without turning CI into a fuzzing farm. The split
+# reader's seeds hold lines of several KiB, so its minimization of each new
+# interesting input is capped in runs; at the default 60 s cap a 10 s budget
+# would be spent minimizing instead of fuzzing.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosInvariant' -fuzztime $(FUZZTIME) ./internal/rdd/
@@ -118,6 +121,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosMiningInvariant' -fuzztime $(FUZZTIME) ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz 'FuzzRDDEclatParity' -fuzztime $(FUZZTIME) ./internal/rddeclat/
 	$(GO) test -run '^$$' -fuzz 'FuzzSubsetParity' -fuzztime $(FUZZTIME) ./internal/hashtree/
+	$(GO) test -run '^$$' -fuzz 'FuzzReadSplitMatchesDFS' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 50x ./internal/dist/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

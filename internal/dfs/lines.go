@@ -20,11 +20,7 @@ type Line struct {
 const readAhead = 4096
 
 // ReadLines reads the text records belonging to a split using Hadoop's
-// LineRecordReader convention: a split that does not start at offset zero
-// discards its first line (whether partial or whole — it belongs to the
-// previous split), and every split keeps reading records whose first byte
-// lies at or before the split's end, extending past the boundary as needed.
-// Together the splits of a file yield every line exactly once.
+// LineRecordReader convention (see SplitLines).
 func (fs *FileSystem) ReadLines(split Split, led *sim.Ledger) ([]Line, error) {
 	return fs.ReadLinesContext(context.Background(), split, led)
 }
@@ -38,15 +34,33 @@ func (fs *FileSystem) ReadLinesContext(ctx context.Context, split Split, led *si
 	if err != nil {
 		return nil, err
 	}
-	start := split.Offset
-	end := split.Offset + split.Length
+	return SplitLines(size, split.Offset, split.Length, func(off, n int64) ([]byte, error) {
+		return fs.ReadRangeContext(ctx, split.Path, off, n, led)
+	})
+}
+
+// SplitLines is Hadoop's LineRecordReader over a file of size bytes: it
+// returns the records of the split [offset, offset+length), reading through
+// readRange, which returns up to n bytes at off and fewer only at end of
+// file. A split that does not start at offset zero discards its first line
+// (whether partial or whole — it belongs to the previous split), and every
+// split keeps reading records whose first byte lies at or before the split's
+// end, extending past the boundary in readAhead chunks as needed. Together
+// the splits of a file yield every line exactly once.
+//
+// It reads the split's range in one call and then one call per read-ahead
+// chunk, so a metered reader pays exactly for the bytes a Hadoop task would
+// pull.
+func SplitLines(size, offset, length int64, readRange func(off, n int64) ([]byte, error)) ([]Line, error) {
+	start := offset
+	end := offset + length
 	if end > size {
 		end = size
 	}
 	if start >= size || start >= end {
 		return nil, nil
 	}
-	buf, err := fs.ReadRangeContext(ctx, split.Path, start, end-start, led)
+	buf, err := readRange(start, end-start)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +87,7 @@ func (fs *FileSystem) ReadLinesContext(ctx context.Context, split Split, led *si
 		}
 		nl := bytes.IndexByte(buf[pos:], '\n')
 		for nl < 0 && bufStart+int64(len(buf)) < size {
-			chunk, err := fs.ReadRangeContext(ctx, split.Path, bufStart+int64(len(buf)), readAhead, led)
+			chunk, err := readRange(bufStart+int64(len(buf)), readAhead)
 			if err != nil {
 				return nil, err
 			}

@@ -83,8 +83,8 @@ type Executor interface {
 	ExecJob(ctx context.Context, job *JobSpec) (*JobOutput, error)
 }
 
-// Split is one map task's byte range of the real input file. Line-boundary
-// reconciliation follows the sim DFS reader's convention (see readSplit).
+// Split is one map task's byte range of the real input file. Its records
+// are read by the sim DFS's own line record reader (see readSplit).
 type Split struct {
 	Path   string `json:"path"`
 	Offset int64  `json:"offset"`

@@ -5,6 +5,8 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"yafim/internal/dfs"
 )
 
 // The worker-side input block cache. The paper's central complaint about
@@ -40,7 +42,7 @@ const blockLineOverhead = 32
 // blockEntry is one resident decoded block.
 type blockEntry struct {
 	key   blockKey
-	lines []fileLine
+	lines []dfs.Line
 	bytes int64
 	elem  *list.Element
 }
@@ -82,7 +84,7 @@ func (c *blockCache) setBudget(budget int64) {
 // get returns the split's records, from memory when the block is resident
 // and from disk otherwise. A block whose decoded cost alone exceeds the
 // whole budget is served uncached rather than evicting everything else.
-func (c *blockCache) get(split Split) ([]fileLine, error) {
+func (c *blockCache) get(split Split) ([]dfs.Line, error) {
 	if c == nil {
 		return readSplit(split)
 	}
@@ -110,7 +112,7 @@ func (c *blockCache) get(split Split) ([]fileLine, error) {
 	}
 	cost := int64(0)
 	for _, l := range lines {
-		cost += int64(len(l.text)) + blockLineOverhead
+		cost += int64(len(l.Text)) + blockLineOverhead
 	}
 	c.mu.Lock()
 	c.reads++

@@ -60,7 +60,7 @@ func TestBlockCacheInvalidatedWhenFileChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) == 0 || lines[0].text != "new-1" {
+	if len(lines) == 0 || lines[0].Text != "new-1" {
 		t.Fatalf("stale block served after rewrite: %v", lines)
 	}
 	st := c.snapshot()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
 )
 
@@ -20,14 +21,14 @@ import (
 // every older job's blobs and outputs are dead weight: they are no longer
 // served or re-advertised.
 func TestDropStaleCachesEvictsOlderJobs(t *testing.T) {
-	part := []partitionData{{"tea": {"1"}}}
+	part := []mapreduce.Partition{{"tea": {"1"}}}
 	w := &worker{
 		caches: map[cacheKey][]byte{
 			{seq: 1, name: "cand"}:  []byte("old"),
 			{seq: 1, name: "other"}: []byte("old2"),
 			{seq: 2, name: "cand"}:  []byte("current"),
 		},
-		outputs: map[outputKey][]partitionData{
+		outputs: map[outputKey][]mapreduce.Partition{
 			{seq: 1, mapIndex: 0}: part,
 			{seq: 1, mapIndex: 1}: part,
 			{seq: 2, mapIndex: 0}: part,
@@ -72,7 +73,7 @@ func TestRunTaskDropsOlderSeqBlobs(t *testing.T) {
 			{seq: 1, name: "cand"}: []byte("stale"),
 			{seq: 3, name: "cand"}: []byte("live"),
 		},
-		outputs: map[outputKey][]partitionData{
+		outputs: map[outputKey][]mapreduce.Partition{
 			{seq: 1, mapIndex: 0}: {{"tea": {"1"}}},
 			{seq: 3, mapIndex: 0}: {{"tea": {"2"}}},
 		},

@@ -1,20 +1,12 @@
 package dist
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
-	"strings"
-)
 
-// fileLine is one text record of a real input file: the byte offset of the
-// line start (the conventional MapReduce key) and the text without its
-// trailing newline.
-type fileLine struct {
-	offset int64
-	text   string
-}
+	"yafim/internal/dfs"
+)
 
 // splitFile cuts a real file into at least minSplits byte ranges, mirroring
 // dfs.SplitsN's FileInputFormat behaviour (minus block structure, which real
@@ -54,15 +46,11 @@ func splitFile(path string, minSplits int) ([]Split, error) {
 }
 
 // readSplit reads the records belonging to one split of a real file with
-// Hadoop's LineRecordReader convention, exactly as the sim DFS reader
-// (dfs.ReadLines) applies it: a split not starting at offset zero discards
-// its first line — partial or whole, it belongs to the previous split — and
-// every split keeps reading records whose first byte lies at or before the
-// split's end, extending past the boundary to finish the last record.
-// Together the splits of a file yield every line exactly once, which is what
-// keeps the distributed map stage's record count (and with it the absolute
-// min-support threshold) byte-identical to the sim oracle's.
-func readSplit(split Split) ([]fileLine, error) {
+// the sim DFS's own Hadoop LineRecordReader (dfs.SplitLines), so together
+// the splits of a file yield every line exactly once and the distributed map
+// stage's record count (and with it the absolute min-support threshold)
+// stays byte-identical to the sim oracle's.
+func readSplit(split Split) ([]dfs.Line, error) {
 	f, err := os.Open(split.Path)
 	if err != nil {
 		return nil, err
@@ -72,51 +60,12 @@ func readSplit(split Split) ([]fileLine, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := fi.Size()
-	start := split.Offset
-	end := split.Offset + split.Length
-	if end > size {
-		end = size
-	}
-	if start >= size || start >= end {
-		return nil, nil
-	}
-	if _, err := f.Seek(start, io.SeekStart); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	pos := start
-	if start > 0 {
-		skipped, err := br.ReadString('\n')
+	return dfs.SplitLines(fi.Size(), split.Offset, split.Length, func(off, n int64) ([]byte, error) {
+		buf := make([]byte, n)
+		k, err := f.ReadAt(buf, off)
 		if err == io.EOF {
-			// The split lies entirely inside one long unterminated line
-			// started in an earlier split; it contributes no records.
-			return nil, nil
+			err = nil // a short read at end of file, as dfs.ReadRange
 		}
-		if err != nil {
-			return nil, err
-		}
-		pos += int64(len(skipped))
-	}
-	var lines []fileLine
-	for {
-		if pos > end || pos >= size {
-			// Records starting strictly past the boundary belong to the
-			// next split (which discards its leading line to compensate).
-			break
-		}
-		text, err := br.ReadString('\n')
-		if err == io.EOF {
-			if len(text) > 0 {
-				lines = append(lines, fileLine{offset: pos, text: text})
-			}
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		lines = append(lines, fileLine{offset: pos, text: strings.TrimSuffix(text, "\n")})
-		pos += int64(len(text))
-	}
-	return lines, nil
+		return buf[:k], err
+	})
 }

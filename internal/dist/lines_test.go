@@ -1,10 +1,15 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"yafim/internal/dfs"
 )
 
 // writeInput writes content to a temp file and returns its path.
@@ -84,7 +89,7 @@ func TestSplitReadExactlyOnce(t *testing.T) {
 						t.Fatalf("minSplits=%d: readSplit(%+v): %v", minSplits, s, err)
 					}
 					for _, l := range lines {
-						got = append(got, l.text)
+						got = append(got, l.Text)
 					}
 				}
 				if len(got) != len(tc.want) {
@@ -134,4 +139,84 @@ func TestReadSplitPastEOFYieldsNothing(t *testing.T) {
 	if len(lines) != 0 {
 		t.Fatalf("past-EOF split produced records: %v", lines)
 	}
+}
+
+// FuzzReadSplitMatchesDFS holds the real runtime's split reader to the sim
+// DFS's on arbitrary bytes cut at arbitrary points: every range reads the
+// same records from a real file as from the sim DFS (16-byte blocks), and
+// together the ranges return each line exactly once, in order, from the
+// range that holds its start — a line starting at offset 0 from the first
+// range, any other from the range with offset < start <= offset+length.
+// The seeds include lines longer than the reader's 4096-byte read-ahead.
+//
+// Each pair of cut bytes is one big-endian cut point, taken modulo
+// len(data)+1.
+func FuzzReadSplitMatchesDFS(f *testing.F) {
+	long := strings.Repeat("x", 5000)
+	f.Add([]byte("a\nbb\nccc"), []byte{0, 2, 0, 3})
+	f.Add([]byte("1 2 3\n4 5\n\n6\n"), []byte{0, 1, 0, 6, 0, 7})
+	f.Add([]byte(long+"\n"+long+"\nshort\n"), []byte{0, 16, 0x13, 0x88, 0x13, 0x89, 0x20, 0})
+	f.Add([]byte(strings.Repeat("y", 9000)+"\nz"), []byte{0, 16, 0x23, 0x28})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		path := writeInput(t, string(data))
+		fs := dfs.New(3, dfs.WithBlockSize(16))
+		if err := fs.WriteFile("/in", data, nil); err != nil {
+			t.Fatal(err)
+		}
+		bounds := []int64{0, int64(len(data))}
+		for i := 0; i+1 < len(cuts); i += 2 {
+			bounds = append(bounds, int64(binary.BigEndian.Uint16(cuts[i:]))%int64(len(data)+1))
+		}
+		slices.Sort(bounds)
+		bounds = slices.Compact(bounds)
+
+		want := allLines(data)
+		next := 0
+		for i := 0; i+1 < len(bounds); i++ {
+			off, length := bounds[i], bounds[i+1]-bounds[i]
+			got, err := readSplit(Split{Path: path, Offset: off, Length: length})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := fs.ReadLines(dfs.Split{Path: "/in", Offset: off, Length: length}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, sim) {
+				t.Fatalf("range [%d,+%d): file reader %v, DFS reader %v", off, length, got, sim)
+			}
+			for _, l := range got {
+				if next == len(want) || l != want[next] {
+					t.Fatalf("range [%d,+%d) returned the line at %d (%q) out of order",
+						off, length, l.Offset, l.Text)
+				}
+				owner := off < l.Offset && l.Offset <= off+length
+				if l.Offset == 0 {
+					owner = i == 0
+				}
+				if !owner {
+					t.Fatalf("range [%d,+%d) returned the line at %d", off, length, l.Offset)
+				}
+				next++
+			}
+		}
+		if next != len(want) {
+			t.Fatalf("ranges returned %d of %d lines", next, len(want))
+		}
+	})
+}
+
+// allLines cuts data into its lines: one starts at offset 0 and one after
+// every newline that is not the last byte.
+func allLines(data []byte) []dfs.Line {
+	var lines []dfs.Line
+	for start := 0; start < len(data); {
+		n := bytes.IndexByte(data[start:], '\n')
+		if n < 0 {
+			n = len(data) - start
+		}
+		lines = append(lines, dfs.Line{Offset: int64(start), Text: string(data[start : start+n])})
+		start += n + 1
+	}
+	return lines
 }

@@ -277,10 +277,10 @@ func TestSplitFileRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, l := range lines {
-				if data[l.offset] != l.text[0] {
-					t.Fatalf("split %v: line %q claims offset %d", s, l.text, l.offset)
+				if data[l.Offset] != l.Text[0] {
+					t.Fatalf("split %v: line %q claims offset %d", s, l.Text, l.Offset)
 				}
-				got = append(got, l.text)
+				got = append(got, l.Text)
 			}
 		}
 		if total != int64(len(data)) {
@@ -308,7 +308,7 @@ func TestReadSplitUnterminatedFinalLine(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, l := range lines {
-			got = append(got, l.text)
+			got = append(got, l.Text)
 		}
 	}
 	if !reflect.DeepEqual(got, []string{"alpha", "beta", "gamma"}) {

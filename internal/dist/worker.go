@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"yafim/internal/dfs"
 	"yafim/internal/exec"
 	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
@@ -62,10 +63,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	return o
 }
 
-// partitionData is one map task's output for one reduce partition: the
-// per-key value lists, preserving emit order within each key.
-type partitionData map[string][]string
-
 // outputKey identifies one map task's stored output.
 type outputKey struct {
 	seq, mapIndex int
@@ -89,10 +86,10 @@ type worker struct {
 	addr string // own map-output serving address
 
 	mu      sync.Mutex
-	id      int                           // current registration; changes on rejoin (see reregister)
-	hbMs    int64                         // master-assigned heartbeat cadence
-	outputs map[outputKey][]partitionData // completed map outputs by task
-	caches  map[cacheKey][]byte           // fetched cache blobs by job seq and name
+	id      int                                 // current registration; changes on rejoin (see reregister)
+	hbMs    int64                               // master-assigned heartbeat cadence
+	outputs map[outputKey][]mapreduce.Partition // completed map outputs by task
+	caches  map[cacheKey][]byte                 // fetched cache blobs by job seq and name
 }
 
 // workerID returns the current registration's id. Re-registration (after a
@@ -124,7 +121,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		client:  &http.Client{Timeout: clientTimeout, Transport: opts.Transport},
 		log:     opts.Log,
 		blocks:  newBlockCache(DefaultTuning().InputCacheBytes),
-		outputs: map[outputKey][]partitionData{},
+		outputs: map[outputKey][]mapreduce.Partition{},
 		caches:  map[cacheKey][]byte{},
 	}
 
@@ -513,10 +510,10 @@ func (w *worker) fetchURL(ctx context.Context, url string) ([]byte, error) {
 	return data, nil
 }
 
-// runMap executes one map task: read the split with the sim reader's
-// line-boundary convention, run the registered mapper (and combiner),
-// partition with the engine's exact hash, and store the partitions for
-// serving. Returns the consumed record count (the driver's counter source).
+// runMap executes one map task through the sim's own map-task body:
+// read the split from the block cache, map, partition and combine, and
+// store the partitions for serving. Returns the consumed record count (the
+// driver's counter source).
 func (w *worker) runMap(ctx context.Context, task *TaskSpec) (int64, error) {
 	jt, err := lookupJobType(task.Type)
 	if err != nil {
@@ -530,61 +527,32 @@ func (w *worker) runMap(ctx context.Context, task *TaskSpec) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	led := new(sim.Ledger) // real runtime: costs are measured, not metered
-	if err := mapper.Setup(cache, led); err != nil {
-		return 0, fmt.Errorf("map %d setup: %w", task.Index, err)
+	var combiner mapreduce.Reducer
+	if jt.NewCombiner != nil {
+		if combiner, err = jt.NewCombiner(task.Params); err != nil {
+			return 0, err
+		}
 	}
 	// The block cache is the fix for the paper's central Hadoop complaint:
 	// the first pass parses the split from disk, every later pass of the
 	// k-pass mining job replays the decoded records from memory.
-	lines, err := w.blocks.get(task.Split)
+	read := func() ([]dfs.Line, error) { return w.blocks.get(task.Split) }
+	// Real runtime: costs are measured, not metered.
+	out, err := mapreduce.MapTask(task.Index, mapper, combiner, cache, read,
+		task.NumReducers, new(sim.Ledger))
 	if err != nil {
-		return 0, fmt.Errorf("map %d read: %w", task.Index, err)
-	}
-	buckets := make([]partitionData, task.NumReducers)
-	for i := range buckets {
-		buckets[i] = partitionData{}
-	}
-	emit := func(k, v string) {
-		b := buckets[mapreduce.PartitionOf(k, task.NumReducers)]
-		b[k] = append(b[k], v)
-	}
-	for _, line := range lines {
-		if err := mapper.Map(line.offset, line.text, emit, led); err != nil {
-			return 0, fmt.Errorf("map %d: %w", task.Index, err)
-		}
-	}
-	if err := mapper.Cleanup(emit, led); err != nil {
-		return 0, fmt.Errorf("map %d cleanup: %w", task.Index, err)
-	}
-	if jt.NewCombiner != nil {
-		c, err := jt.NewCombiner(task.Params)
-		if err != nil {
-			return 0, err
-		}
-		if err := c.Setup(cache, led); err != nil {
-			return 0, fmt.Errorf("map %d combiner setup: %w", task.Index, err)
-		}
-		for i, b := range buckets {
-			nb := partitionData{}
-			cemit := func(k, v string) { nb[k] = append(nb[k], v) }
-			for k, vs := range b {
-				if err := c.Reduce(k, vs, cemit, led); err != nil {
-					return 0, fmt.Errorf("map %d combine: %w", task.Index, err)
-				}
-			}
-			buckets[i] = nb
-		}
+		return 0, err
 	}
 	w.mu.Lock()
-	w.outputs[outputKey{task.Seq, task.Index}] = buckets
+	w.outputs[outputKey{task.Seq, task.Index}] = out.Partitions
 	w.mu.Unlock()
-	return int64(len(lines)), nil
+	return out.InputRecords, nil
 }
 
-// runReduce executes one reduce task: fetch this partition from every map
-// task's producer with capped-backoff retries, merge in map-index order,
-// process keys sorted (the engine's order), and return the output records.
+// runReduce executes one reduce task through the sim's own reduce-task
+// body: fetch this partition from every map task's producer with
+// capped-backoff retries, merging each in map-index order as it arrives,
+// then reduce the keys in sorted order and return the output records.
 // Unfetchable map outputs are returned as FailedMaps for the master's
 // FetchFailed recovery; the reduce itself then fails this attempt.
 func (w *worker) runReduce(ctx context.Context, task *TaskSpec) ([]KV, []int, error) {
@@ -596,6 +564,14 @@ func (w *worker) runReduce(ctx context.Context, task *TaskSpec) ([]KV, []int, er
 	if err != nil {
 		return nil, nil, err
 	}
+	reducer, err := jt.NewReducer(task.Params)
+	if err != nil {
+		return nil, nil, err
+	}
+	rt, err := mapreduce.NewReduceTask(task.Index, reducer, cache, new(sim.Ledger))
+	if err != nil {
+		return nil, nil, err
+	}
 	// The whole fetch fan-in runs under one wall-clock budget, layered over
 	// the per-target backoff: a partitioned peer (reachable to TCP but never
 	// answering, or a link the chaos transport cut indefinitely) must
@@ -604,7 +580,6 @@ func (w *worker) runReduce(ctx context.Context, task *TaskSpec) ([]KV, []int, er
 	// outer context: if ctx itself is live, the deadline was ours.
 	fctx, cancelFetch := context.WithTimeout(ctx, w.opts.FetchBudget)
 	defer cancelFetch()
-	merged := map[string][]string{}
 	var failed []int
 	for mi, addr := range task.MapAddrs {
 		u := fmt.Sprintf("http://%s/dist/output?seq=%d&map=%d&part=%d",
@@ -632,7 +607,7 @@ func (w *worker) runReduce(ctx context.Context, task *TaskSpec) ([]KV, []int, er
 			failed = append(failed, mi)
 			continue
 		}
-		var part partitionData
+		var part mapreduce.Partition
 		if err := json.Unmarshal(data, &part); err != nil {
 			w.log.Append(obs.LiveEvent{Event: "fetch_failed", Worker: w.workerID(),
 				Job: task.Job, Seq: task.Seq, Phase: PhaseReduce,
@@ -640,32 +615,15 @@ func (w *worker) runReduce(ctx context.Context, task *TaskSpec) ([]KV, []int, er
 			failed = append(failed, mi)
 			continue
 		}
-		for k, vs := range part {
-			merged[k] = append(merged[k], vs...)
-		}
+		rt.Merge(part)
 	}
 	if len(failed) > 0 {
 		return nil, failed, fmt.Errorf("dist: reduce %d: %d map outputs unfetchable", task.Index, len(failed))
 	}
-	reducer, err := jt.NewReducer(task.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	led := new(sim.Ledger)
-	if err := reducer.Setup(cache, led); err != nil {
-		return nil, nil, fmt.Errorf("reduce %d setup: %w", task.Index, err)
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var out []KV
 	emit := func(k, v string) { out = append(out, KV{Key: k, Value: v}) }
-	for _, k := range keys {
-		if err := reducer.Reduce(k, merged[k], emit, led); err != nil {
-			return nil, nil, fmt.Errorf("reduce %d key %q: %w", task.Index, k, err)
-		}
+	if _, err := rt.Reduce(emit); err != nil {
+		return nil, nil, err
 	}
 	return out, nil, nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"yafim/internal/exec"
+	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
 )
 
@@ -45,7 +46,7 @@ func TestReduceFetchBudget(t *testing.T) {
 		},
 		client:  &http.Client{Timeout: 10 * time.Second},
 		log:     log,
-		outputs: map[outputKey][]partitionData{},
+		outputs: map[outputKey][]mapreduce.Partition{},
 		caches:  map[cacheKey][]byte{},
 	}
 
@@ -105,7 +106,7 @@ func TestReduceDrainBeatsBudget(t *testing.T) {
 			FetchBudget:  time.Minute,
 		},
 		client:  &http.Client{Timeout: 10 * time.Second},
-		outputs: map[outputKey][]partitionData{},
+		outputs: map[outputKey][]mapreduce.Partition{},
 		caches:  map[cacheKey][]byte{},
 	}
 	task := &TaskSpec{
@@ -145,7 +146,7 @@ func TestReduceCorruptPartitionJournaled(t *testing.T) {
 		},
 		client:  &http.Client{Timeout: 10 * time.Second},
 		log:     log,
-		outputs: map[outputKey][]partitionData{},
+		outputs: map[outputKey][]mapreduce.Partition{},
 		caches:  map[cacheKey][]byte{},
 	}
 	task := &TaskSpec{

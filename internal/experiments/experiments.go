@@ -19,7 +19,6 @@ import (
 	"yafim/internal/dataset"
 	"yafim/internal/dfs"
 	"yafim/internal/dist"
-	"yafim/internal/disteclat"
 	"yafim/internal/exec"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
@@ -151,24 +150,6 @@ func RunYAFIM(goCtx context.Context, db *itemset.DB, support float64, cfg cluste
 		mineCfg.NumPartitions = tasks
 	}
 	trace, err := yafim.Mine(ctx, fs, path, mineCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return trace, ctx, nil
-}
-
-// RunDistEclat stages db into a fresh DFS and mines it with Dist-Eclat on
-// the given cluster. Pass rdd.WithRecorder to capture telemetry.
-func RunDistEclat(goCtx context.Context, db *itemset.DB, support float64, cfg cluster.Config, tasks int,
-	opts ...rdd.Option) (*apriori.Trace, *rdd.Context, error) {
-	ctx, fs, path, err := stageRDD(goCtx, db, cfg, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	trace, err := disteclat.Mine(ctx, fs, path, disteclat.Config{
-		MinSupport:    support,
-		NumPartitions: tasks,
-	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -262,7 +262,7 @@ func TestFmtDur(t *testing.T) {
 	}
 }
 
-// TestVariants runs the one-phase vs k-phase strategy comparison: all seven
+// TestVariants runs the one-phase vs k-phase strategy comparison: all six
 // strategies must agree exactly, SON must use exactly two jobs, and FPC
 // must use fewer jobs than SPC.
 func TestVariants(t *testing.T) {
@@ -276,7 +276,7 @@ func TestVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Results) != 7 {
+	if len(v.Results) != 6 {
 		t.Fatalf("results = %d", len(v.Results))
 	}
 	byName := map[string]VariantResult{}

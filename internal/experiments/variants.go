@@ -67,16 +67,6 @@ func RunVariants(ctx context.Context, b Benchmark, env Env) (*Variants, error) {
 		return nil, err
 	}
 
-	// Dist-Eclat on the Spark profile: vertical mining in a fixed number of
-	// jobs.
-	dTrace, dCtx, err := RunDistEclat(ctx, db, b.Support, env.Spark, env.tasks(env.Spark))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: variants %s: disteclat: %w", b.Name, err)
-	}
-	if err := check("Dist-Eclat", dTrace.Result, len(dCtx.Reports()), dTrace.TotalDuration()); err != nil {
-		return nil, err
-	}
-
 	// RDD-Eclat on the Spark profile: equivalence-class-partitioned bitset
 	// intersection.
 	rTrace, rCtx, err := RunRDDEclat(ctx, db, b.Support, env.Spark, env.tasks(env.Spark), rddeclat.Config{})

@@ -78,10 +78,10 @@ func MinSupportCount(relative float64, n int64) int {
 // reads its input as text splits.
 func ParseLine(line string) (Itemset, error) {
 	var items []Item
-	v, inNum := 0, false
+	v, inNum := int64(0), false
 	for i := 0; i <= len(line); i++ {
 		if i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			if v = v*10 + int(line[i]-'0'); v > math.MaxInt32 {
+			if v = v*10 + int64(line[i]-'0'); v > math.MaxInt32 {
 				return nil, fmt.Errorf("itemset: item out of range in line %q", line)
 			}
 			inNum = true

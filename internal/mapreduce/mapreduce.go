@@ -18,8 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -179,30 +177,6 @@ func (r *Runner) Reports() []sim.JobReport { return r.drv.Reports() }
 // TotalDuration sums the virtual durations of all jobs run so far.
 func (r *Runner) TotalDuration() time.Duration { return r.drv.TotalDuration() }
 
-const recordOverheadBytes = 8 // per-record framing in spills and fetches
-
-func pairBytes(k, v string) int64 { return int64(len(k)+len(v)) + recordOverheadBytes }
-
-func hashString(s string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return h.Sum32()
-}
-
-// PartitionOf returns the reduce partition the engine routes key to. The
-// distributed runtime's workers use it so their shuffle partitioning is
-// bit-identical to the in-memory engine's — a precondition for byte-equal
-// job output between the two executors.
-func PartitionOf(key string, numReducers int) int {
-	return int(hashString(key)) % numReducers
-}
-
-// mapOutput is one map task's partitioned, optionally combined output.
-type mapOutput struct {
-	buckets []map[string][]string // [reducePartition] -> key -> values
-	bytes   []int64               // serialized size per partition
-}
-
 // Run executes the job and returns its virtual-time report and counters.
 func (r *Runner) Run(job Job) (*sim.JobReport, *Counters, error) {
 	return r.RunContext(context.Background(), job)
@@ -311,16 +285,12 @@ func (r *Runner) collectSplits(inputs []string, mapTasks int) ([]dfs.Split, erro
 }
 
 func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, cache CacheFiles,
-	counters *Counters) ([]*mapOutput, []sim.Cost, []sim.TaskPlacement, error) {
-	outputs := make([]*mapOutput, len(splits))
-	// Per-task counter snapshots, overwritten on retry and summed only after
-	// the stage settles: a failed attempt — chaos strikes after the work is
-	// done — must not double-count records (MapInputRecords feeds minimum
-	// support thresholds downstream).
-	inRecs := make([]int64, len(splits))
-	emitRecs := make([]int64, len(splits))
-	combRecs := make([]int64, len(splits))
-
+	counters *Counters) ([]*MapOutput, []sim.Cost, []sim.TaskPlacement, error) {
+	// A retried attempt overwrites its task's output, and the counters are
+	// summed only after the stage settles: a failed attempt — chaos strikes
+	// after the work is done — must not double-count records
+	// (MapInputRecords feeds minimum support thresholds downstream).
+	outputs := make([]*MapOutput, len(splits))
 	prefs := make([][]int, len(splits))
 	for i, s := range splits {
 		prefs[i] = s.Locations
@@ -330,99 +300,36 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, c
 		if r.shouldFail("map", t) {
 			return &TransientError{Stage: "map", Task: t}
 		}
-		mapper := job.NewMapper()
-		if err := mapper.Setup(cache, led); err != nil {
-			return fmt.Errorf("task %d setup: %w", t, err)
-		}
-		lines, err := r.fs.ReadLinesContext(ctx, splits[t], led)
-		if err != nil {
-			return fmt.Errorf("task %d read: %w", t, err)
-		}
-		out := &mapOutput{
-			buckets: make([]map[string][]string, job.NumReducers),
-			bytes:   make([]int64, job.NumReducers),
-		}
-		for i := range out.buckets {
-			out.buckets[i] = make(map[string][]string)
-		}
-		var emitted int64
-		emit := func(k, v string) {
-			b := out.buckets[PartitionOf(k, job.NumReducers)]
-			b[k] = append(b[k], v)
-			emitted++
-		}
-		for _, line := range lines {
-			if err := mapper.Map(line.Offset, line.Text, emit, led); err != nil {
-				return fmt.Errorf("task %d map: %w", t, err)
-			}
-		}
-		if err := mapper.Cleanup(emit, led); err != nil {
-			return fmt.Errorf("task %d cleanup: %w", t, err)
-		}
-		led.AddCPU(float64(len(lines)) + float64(emitted))
-
-		var combined int64
+		var combiner Reducer
 		if job.NewCombiner != nil {
-			c := job.NewCombiner()
-			if err := c.Setup(cache, led); err != nil {
-				return fmt.Errorf("task %d combiner setup: %w", t, err)
-			}
-			for i, b := range out.buckets {
-				nb := make(map[string][]string, len(b))
-				cemit := func(k, v string) {
-					nb[k] = append(nb[k], v)
-					combined++
-				}
-				for k, vs := range b {
-					if err := c.Reduce(k, vs, cemit, led); err != nil {
-						return fmt.Errorf("task %d combine: %w", t, err)
-					}
-					led.AddCPU(float64(len(vs)))
-				}
-				out.buckets[i] = nb
-			}
+			combiner = job.NewCombiner()
 		}
-
-		// Sort-and-spill: Hadoop sorts map output before writing it to local
-		// disk; charge n log n comparisons plus the spill bytes.
-		var records int64
-		for i, b := range out.buckets {
-			for k, vs := range b {
-				for _, v := range vs {
-					out.bytes[i] += pairBytes(k, v)
-					records++
-				}
-			}
+		read := func() ([]dfs.Line, error) { return r.fs.ReadLinesContext(ctx, splits[t], led) }
+		out, err := MapTask(t, job.NewMapper(), combiner, cache, read, job.NumReducers, led)
+		if err != nil {
+			return err
 		}
-		led.AddCPU(nLogN(records))
-		for _, n := range out.bytes {
-			led.AddDiskWrite(n)
-		}
-
 		outputs[t] = out
-		inRecs[t] = int64(len(lines))
-		emitRecs[t] = emitted
-		combRecs[t] = combined
 		return nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	for t := range splits {
-		counters.MapInputRecords += inRecs[t]
-		counters.MapOutputRecords += emitRecs[t]
-		counters.CombineOutputRecs += combRecs[t]
+	for _, out := range outputs {
+		counters.MapInputRecords += out.InputRecords
+		counters.MapOutputRecords += out.MapRecords
+		counters.CombineOutputRecs += out.CombineRecords
 	}
 	// Per-partition output shape for the skew analysis, observed driver-side
 	// after the stage settled so retried attempts never double-count.
 	if r.rec.Enabled() {
-		for t := range splits {
-			rows := emitRecs[t]
+		for _, out := range outputs {
+			rows := out.MapRecords
 			if job.NewCombiner != nil {
-				rows = combRecs[t]
+				rows = out.CombineRecords
 			}
 			var spill int64
-			for _, n := range outputs[t].bytes {
+			for _, n := range out.Bytes {
 				spill += n
 			}
 			r.rec.ObservePartitionOutput("mapreduce", job.Name+":map", int(rows), spill)
@@ -431,7 +338,7 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, c
 	return outputs, costs, placements, nil
 }
 
-func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutput, mapCosts []sim.Cost,
+func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*MapOutput, mapCosts []sim.Cost,
 	cache CacheFiles, counters *Counters) error {
 	groups := make([]int64, job.NumReducers)
 	outRecs := make([]int64, job.NumReducers)
@@ -443,9 +350,9 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 		if r.shouldFail("reduce", p) {
 			return &TransientError{Stage: "reduce", Task: p}
 		}
-		reducer := job.NewReducer()
-		if err := reducer.Setup(cache, led); err != nil {
-			return fmt.Errorf("reducer %d setup: %w", p, err)
+		rt, err := NewReduceTask(p, job.NewReducer(), cache, led)
+		if err != nil {
+			return err
 		}
 		// Chaos: a failed shuffle fetch means one map task's output is gone.
 		// MapReduce has no lineage cache, so the JobTracker re-runs the whole
@@ -457,29 +364,18 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 			victim := plan.FetchVictim(name, p, len(outputs))
 			r.rec.AddFetchFailure()
 			r.rec.AddStageRerun()
-			led.AddNet(outputs[victim].bytes[p]) // the fetch that found nothing
+			led.AddNet(outputs[victim].Bytes[p]) // the fetch that found nothing
 			led.Add(mapCosts[victim])
 		}
-		// Shuffle fetch: this reducer's bucket from every map task.
-		merged := make(map[string][]string)
-		var fetched, fetchedBytes int64
+		// Shuffle fetch: this reducer's partition from every map task.
+		var fetchedBytes int64
 		for _, out := range outputs {
-			led.AddDiskRead(out.bytes[p])
-			led.AddNet(out.bytes[p])
-			fetchedBytes += out.bytes[p]
-			for k, vs := range out.buckets[p] {
-				merged[k] = append(merged[k], vs...)
-				fetched += int64(len(vs))
-			}
+			led.AddDiskRead(out.Bytes[p])
+			led.AddNet(out.Bytes[p])
+			fetchedBytes += out.Bytes[p]
+			rt.Merge(out.Partitions[p])
 		}
 		shuffleBytes[p] = fetchedBytes
-		// Merge sort of fetched runs.
-		led.AddCPU(nLogN(fetched))
-		keys := make([]string, 0, len(merged))
-		for k := range merged {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 
 		var sb strings.Builder
 		var outRecords int64
@@ -490,17 +386,15 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 			sb.WriteByte('\n')
 			outRecords++
 		}
-		for _, k := range keys {
-			if err := reducer.Reduce(k, merged[k], emit, led); err != nil {
-				return fmt.Errorf("reducer %d key %q: %w", p, k, err)
-			}
-			led.AddCPU(float64(len(merged[k])))
+		keys, err := rt.Reduce(emit)
+		if err != nil {
+			return err
 		}
 		// Every attempt pays for writing its output; the driver commits
 		// the surviving one below.
 		r.fs.ChargeWrite(int64(sb.Len()), led)
 		parts[p] = []byte(sb.String())
-		groups[p] = int64(len(keys))
+		groups[p] = keys
 		outRecs[p] = outRecords
 		return nil
 	})
@@ -529,15 +423,4 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*mapOutp
 		}
 	}
 	return nil
-}
-
-func nLogN(n int64) float64 {
-	if n <= 1 {
-		return float64(n)
-	}
-	lg := 0.0
-	for v := n; v > 1; v >>= 1 {
-		lg++
-	}
-	return float64(n) * lg
 }

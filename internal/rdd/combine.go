@@ -173,7 +173,7 @@ func combineRuns[K cmp.Ordered, V any](rows []Pair[K, V], parts int,
 	bucket := make([]int32, len(rows))
 	offs = make([]int, parts+1)
 	for i := range rows {
-		b := int(hashKey(rows[i].Key)) % parts
+		b := int(hashKey(rows[i].Key) % uint32(parts))
 		bucket[i] = int32(b)
 		offs[b+1]++
 	}

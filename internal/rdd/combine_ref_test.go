@@ -43,7 +43,7 @@ func refReduceByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string,
 			buckets[i] = make(map[K]V)
 		}
 		for _, kv := range rows {
-			b := buckets[int(hashKey(kv.Key))%parts]
+			b := buckets[hashKey(kv.Key)%uint32(parts)]
 			if old, ok := b[kv.Key]; ok {
 				b[kv.Key] = combine(old, kv.Value)
 			} else {

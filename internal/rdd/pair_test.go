@@ -1,6 +1,7 @@
 package rdd
 
 import (
+	"math"
 	"testing"
 )
 
@@ -33,7 +34,7 @@ func checkSizer[T any](t *testing.T, vs ...T) {
 }
 
 func TestSizerMatchesValueBytes(t *testing.T) {
-	checkSizer(t, 0, -7, 1<<40)
+	checkSizer(t, 0, -7, math.MaxInt)
 	checkSizer[int8](t, 1, -1)
 	checkSizer[uint8](t, 0, 255)
 	checkSizer[int16](t, 300)

@@ -16,19 +16,24 @@ import (
 // FuzzRDDEclatParity locks RDD-Eclat to the sequential Eclat oracle on
 // arbitrary databases, supports, partitionings and chaos plans: the
 // distributed bitset walk must reproduce the tidlist walk's output exactly,
-// faults included.
+// faults included. Databases hold 1–34 transactions over 1–10 items; the
+// seeds reach a 1-item database (7), a 1-transaction one (47) and one that
+// is both (364).
 func FuzzRDDEclatParity(f *testing.F) {
 	f.Add(int64(7), uint8(3), uint8(2), int64(0), false)
 	f.Add(int64(2014), uint8(0), uint8(1), int64(3), true)
 	f.Add(int64(-1), uint8(6), uint8(4), int64(9), false)
+	f.Add(int64(47), uint8(2), uint8(2), int64(5), false)
+	f.Add(int64(364), uint8(5), uint8(0), int64(11), true)
 	f.Fuzz(func(t *testing.T, dbSeed int64, sup8, parts8 uint8, chaosSeed int64, crash bool) {
 		rng := rand.New(rand.NewSource(dbSeed))
 		sup := 0.1 + float64(sup8%8)/10.0
-		rows := make([][]itemset.Item, rng.Intn(30)+5)
+		rows := make([][]itemset.Item, 1+rng.Intn(34))
+		items := 1 + rng.Intn(10)
 		for i := range rows {
 			n := rng.Intn(6) + 1
 			for j := 0; j < n; j++ {
-				rows[i] = append(rows[i], itemset.Item(rng.Intn(10)))
+				rows[i] = append(rows[i], itemset.Item(rng.Intn(items)))
 			}
 		}
 		db := itemset.NewDB("fuzz", rows)
