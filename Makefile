@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test race vet vuln staticcheck check chaos diag dist-smoke dist-chaos fuzz-smoke bench bench-json clean
+.PHONY: build fmt test race vet perfbench vuln staticcheck check chaos diag dist-smoke dist-chaos fuzz-smoke bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,13 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench vets and tests the benchmark module. It is a nested module, so
+# the root ./... patterns never enter it, yet it imports internal/apriori,
+# internal/hashtree and internal/itemset: a deletion there would break the
+# benchmark while build, vet and test stayed green.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # vuln scans dependencies and stdlib usage when govulncheck is on PATH.
 # The tool is not vendored, so offline checkouts skip with a note; CI
@@ -37,10 +44,11 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# check is the CI gate: everything must build, be gofmt-clean, vet clean,
-# lint clean, scan clean, and pass the full suite under the race detector in
-# shuffled order (the engines are genuinely concurrent and order-independent).
-check: build fmt vet staticcheck race vuln
+# check is the CI gate: everything must build, be gofmt-clean, vet clean
+# (the benchmark module too), lint clean, scan clean, and pass the full
+# suite under the race detector in shuffled order (the engines are genuinely
+# concurrent and order-independent).
+check: build fmt vet perfbench staticcheck race vuln
 
 # chaos runs the fault-injection invariant suite under the race detector:
 # every Chaos* test plus the FuzzChaosInvariant seed corpora, which assert

@@ -25,7 +25,6 @@ import (
 	"yafim/internal/obs"
 	"yafim/internal/rdd"
 	"yafim/internal/rddeclat"
-	"yafim/internal/trie"
 	"yafim/internal/yafim"
 )
 
@@ -256,19 +255,6 @@ func BenchmarkPass2KernelHashTree(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(cands)), "cands")
 	b.ReportMetric(float64(matched), "matched")
-}
-
-// BenchmarkPass2KernelTrie measures the flat prefix-trie counting kernel on
-// the same workload.
-func BenchmarkPass2KernelTrie(b *testing.B) {
-	txs, cands := pass2Fixture(b)
-	t := trie.Build(cands)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		counts, _ := t.CountSupports(txs)
-		_ = counts
-	}
 }
 
 // BenchmarkPass2KernelBuild measures candidate-store construction (the

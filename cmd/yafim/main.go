@@ -139,7 +139,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&f.engine, "engine", "yafim", "engine: "+engineNames())
 	fs.StringVar(&f.mode, "mode", "all", "itemsets to report: all, closed, maximal")
 	fs.IntVar(&f.maxK, "maxk", 0, "stop after frequent itemsets of this size (0 = unbounded)")
-	fs.IntVar(&f.nodes, "nodes", 0, "override simulated node count for parallel engines")
+	fs.IntVar(&f.nodes, "nodes", 0, "override simulated node count for parallel engines (0 = engine default, negative rejected)")
 	fs.Float64Var(&f.ruleConf, "rules", 0, "if > 0, derive association rules at this confidence")
 	fs.IntVar(&f.top, "top", 20, "itemsets/rules to print per section")
 	fs.BoolVar(&f.quiet, "q", false, "print only summary lines")
@@ -202,6 +202,9 @@ func runSim(ctx context.Context, f cliFlags, fs *flag.FlagSet, stdout, stderr io
 	if f.input == "" {
 		fs.Usage()
 		return fmt.Errorf("-input is required")
+	}
+	if f.nodes < 0 {
+		return fmt.Errorf("-nodes must not be negative, got %d", f.nodes)
 	}
 	eng, err := yafim.ParseEngine(f.engine)
 	if err != nil {

@@ -60,6 +60,23 @@ func TestRunMinesQuietly(t *testing.T) {
 	}
 }
 
+// TestRunNodesFlag: -nodes 0 keeps the engine's default cluster, and a
+// negative count is rejected with an error naming the flag instead of being
+// silently ignored.
+func TestRunNodesFlag(t *testing.T) {
+	defer leaktest.Check(t)()
+	input := writeDataset(t)
+	if err := run(context.Background(), []string{"-input", input, "-support", "0.35",
+		"-q", "-nodes", "0"}, io.Discard, io.Discard); err != nil {
+		t.Fatalf("-nodes 0: %v", err)
+	}
+	err := run(context.Background(), []string{"-input", input, "-support", "0.35",
+		"-q", "-nodes", "-2"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-nodes") {
+		t.Fatalf("-nodes -2: err = %v, want an error naming -nodes", err)
+	}
+}
+
 // TestRunFlushesTelemetryOnCancel is the SIGINT path: NotifyContext turns
 // the signal into context cancellation, and the telemetry captured up to
 // that point must still reach the -trace and -journal files.

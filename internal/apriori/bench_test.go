@@ -32,41 +32,11 @@ func BenchmarkGen(b *testing.B) {
 	}
 }
 
-func BenchmarkMineHashTree(b *testing.B) {
+func BenchmarkMine(b *testing.B) {
 	db := benchDB(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Mine(db, 0.35, Options{Counting: HashTreeCounting}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMineBruteForce(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Mine(db, 0.35, Options{Counting: BruteForceCounting}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMineBitmap(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Mine(db, 0.35, Options{Counting: BitmapCounting}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMineTrie(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Mine(db, 0.35, Options{Counting: TrieCounting}); err != nil {
+		if _, err := Mine(db, 0.35, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

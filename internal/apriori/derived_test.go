@@ -88,16 +88,10 @@ func TestDerivedDefinitionsProperty(t *testing.T) {
 		bruteMaximal := map[string]bool{}
 		bruteClosed := map[string]bool{}
 		for key, count := range all {
-			set, err := itemset.FromKey(key)
-			if err != nil {
-				return false
-			}
+			set := keySet(key)
 			maximal, closed := true, true
 			for otherKey, otherCount := range all {
-				other, err := itemset.FromKey(otherKey)
-				if err != nil {
-					return false
-				}
+				other := keySet(otherKey)
 				if other.Len() <= set.Len() || !other.ContainsAll(set) {
 					continue
 				}

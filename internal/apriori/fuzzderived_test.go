@@ -34,7 +34,7 @@ func TestFuzzMaximalClosed(t *testing.T) {
 			wantMax := map[string]bool{}
 			wantClosed := map[string]bool{}
 			for key, cnt := range all {
-				s, _ := itemset.FromKey(key)
+				s := keySet(key)
 				maximal, closed := true, true
 				// check all supersets by one item
 				for it := 0; it < db.NumItems(); it++ {

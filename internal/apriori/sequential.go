@@ -5,31 +5,10 @@ import (
 
 	"yafim/internal/hashtree"
 	"yafim/internal/itemset"
-	"yafim/internal/trie"
-)
-
-// CountingStrategy selects how the sequential miner counts candidate
-// supports during each pass.
-type CountingStrategy int
-
-const (
-	// HashTreeCounting stores candidates in a hash tree and enumerates the
-	// candidates contained in each transaction (the paper's structure).
-	HashTreeCounting CountingStrategy = iota
-	// BruteForceCounting tests every candidate against every transaction;
-	// the ablation baseline for the hash tree.
-	BruteForceCounting
-	// BitmapCounting intersects vertical item bitmaps per candidate — the
-	// fastest strategy for dense datasets such as Chess.
-	BitmapCounting
-	// TrieCounting stores candidates in a prefix trie instead of the hash
-	// tree — the design-space alternative benchmarked in the ablations.
-	TrieCounting
 )
 
 // Options configure the sequential miner.
 type Options struct {
-	Counting CountingStrategy
 	// MaxK stops mining after frequent itemsets of this size (0 = unbounded).
 	MaxK int
 	// Interrupt, when non-nil, is called before every pass; a non-nil return
@@ -56,11 +35,6 @@ func Mine(db *itemset.DB, minSupport float64, opts Options) (*Result, error) {
 		}
 	}
 
-	var vertical *itemset.VerticalBitmap
-	if opts.Counting == BitmapCounting {
-		vertical = db.Vertical()
-	}
-
 	l1 := frequentItems(db, minCount)
 	if len(l1) == 0 {
 		return res, nil
@@ -81,22 +55,7 @@ func Mine(db *itemset.DB, minSupport float64, opts Options) (*Result, error) {
 		if len(cands) == 0 {
 			break
 		}
-		var counts []int
-		switch opts.Counting {
-		case HashTreeCounting:
-			counts, _ = hashtree.Build(cands).CountSupports(db.Transactions)
-		case BruteForceCounting:
-			counts = bruteForceCount(cands, db.Transactions)
-		case BitmapCounting:
-			counts = make([]int, len(cands))
-			for i, c := range cands {
-				counts[i] = vertical.Support(c)
-			}
-		case TrieCounting:
-			counts, _ = trie.Build(cands).CountSupports(db.Transactions)
-		default:
-			return nil, fmt.Errorf("apriori: unknown counting strategy %d", opts.Counting)
-		}
+		counts, _ := hashtree.Build(cands).CountSupports(db.Transactions)
 		var lk []SetCount
 		for i, c := range counts {
 			if c >= minCount {
@@ -137,17 +96,4 @@ func SetsOf(scs []SetCount) []itemset.Itemset {
 		out[i] = sc.Set
 	}
 	return out
-}
-
-// bruteForceCount is the no-hash-tree counting baseline.
-func bruteForceCount(cands []itemset.Itemset, txs []itemset.Transaction) []int {
-	counts := make([]int, len(cands))
-	for _, tr := range txs {
-		for i, c := range cands {
-			if tr.Items.ContainsAll(c) {
-				counts[i]++
-			}
-		}
-	}
-	return counts
 }

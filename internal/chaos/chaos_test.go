@@ -158,9 +158,6 @@ func TestNodeHealthBlacklisting(t *testing.T) {
 	if h.Excluded(41*time.Second) != nil {
 		t.Fatal("doubled window lasted too long")
 	}
-	if h.Blacklistings() != 2 {
-		t.Fatalf("Blacklistings = %d, want 2", h.Blacklistings())
-	}
 }
 
 func TestNodeHealthNeverExcludesEverything(t *testing.T) {
@@ -187,7 +184,7 @@ func TestNodeHealthNilSafe(t *testing.T) {
 		t.Fatal("nil health blacklisted")
 	}
 	h.MarkDead(0)
-	if h.Excluded(0) != nil || h.Blacklistings() != 0 {
+	if h.Excluded(0) != nil {
 		t.Fatal("nil health excluded a node")
 	}
 }

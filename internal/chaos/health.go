@@ -12,11 +12,10 @@ import (
 // *NodeHealth is inert: every method is a no-op and nothing is ever
 // excluded.
 type NodeHealth struct {
-	res      Resilience
-	strikes  []int           // total failures attributed to each node
-	until    []time.Duration // blacklisted while virtual now < until[node]
-	dead     []bool          // permanently lost (crashed) nodes
-	listings int64           // times any node entered a blacklist window
+	res     Resilience
+	strikes []int           // total failures attributed to each node
+	until   []time.Duration // blacklisted while virtual now < until[node]
+	dead    []bool          // permanently lost (crashed) nodes
 }
 
 // NewNodeHealth tracks the given number of nodes under the given mitigation
@@ -45,7 +44,6 @@ func (h *NodeHealth) RecordFailure(node int, now time.Duration) bool {
 		return false
 	}
 	h.until[node] = now + exec.Backoff{Base: h.res.BlacklistBase}.Delay(over)
-	h.listings++
 	return true
 }
 
@@ -93,12 +91,4 @@ func (h *NodeHealth) Excluded(now time.Duration) []bool {
 		copy(out, h.dead)
 	}
 	return out
-}
-
-// Blacklistings returns how many blacklist windows have been opened so far.
-func (h *NodeHealth) Blacklistings() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.listings
 }

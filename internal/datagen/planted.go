@@ -54,21 +54,6 @@ func (c PlantedConfig) Validate() error {
 	return nil
 }
 
-// BlockItems returns the item range [start, start+size) of block i, which
-// tests and experiments use to check that planted itemsets surface as
-// frequent.
-func (c PlantedConfig) BlockItems(i int) itemset.Itemset {
-	start := 0
-	for j := 0; j < i; j++ {
-		start += c.Blocks[j].Size
-	}
-	items := make([]itemset.Item, c.Blocks[i].Size)
-	for k := range items {
-		items[k] = itemset.Item(start + k)
-	}
-	return itemset.New(items...)
-}
-
 // Planted generates the dataset: each transaction independently includes
 // each block with its probability (all items of the block at once), then is
 // padded with uniformly random noise items drawn from the remaining

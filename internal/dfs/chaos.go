@@ -22,13 +22,6 @@ func (fs *FileSystem) chaosPlan() *chaos.Plan {
 	return fs.plan
 }
 
-// IsDead reports whether the node has been lost to a crash.
-func (fs *FileSystem) IsDead(node int) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return node >= 0 && node < len(fs.dead) && fs.dead[node]
-}
-
 // KillNode simulates the permanent loss of one data node: every replica it
 // held disappears and the node receives no further placements. When
 // rereplicate is true the name node immediately restores the replication

@@ -18,7 +18,7 @@ func TestKillNodeReReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := fs.NodeUsage()
+	before := nodeUsage(fs)
 	if before[1] == 0 {
 		t.Fatal("test setup: node 1 holds no replicas")
 	}
@@ -47,7 +47,7 @@ func TestKillNodeReReplicates(t *testing.T) {
 			}
 		}
 	}
-	if got := fs.NodeUsage()[1]; got != 0 {
+	if got := nodeUsage(fs)[1]; got != 0 {
 		t.Fatalf("dead node still charged with %d bytes", got)
 	}
 	if c := rec.Counters(); c.ReReplicatedBlocks != int64(lost) {
@@ -116,8 +116,8 @@ func TestKillNodeIdempotentAndDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if !fs1.IsDead(2) || fs1.IsDead(0) {
-		t.Fatal("IsDead wrong after kill")
+	if !fs1.dead[2] || fs1.dead[0] {
+		t.Fatal("dead-node set wrong after kill")
 	}
 }
 

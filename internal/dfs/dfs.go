@@ -105,12 +105,6 @@ func (fs *FileSystem) recorder() *obs.Recorder {
 	return fs.rec
 }
 
-// Nodes returns the number of data nodes.
-func (fs *FileSystem) Nodes() int { return fs.nodes }
-
-// BlockSize returns the configured block size in bytes.
-func (fs *FileSystem) BlockSize() int64 { return fs.blockSize }
-
 // WriteFile stores data at path, replacing any existing file. The ledger is
 // charged for the replication pipeline: every replica's disk write plus the
 // network transfer to each non-local replica.
@@ -275,14 +269,6 @@ func (fs *FileSystem) Stat(path string) (size int64, blocks int, err error) {
 	return f.size, len(f.blocks), nil
 }
 
-// Exists reports whether path names a file.
-func (fs *FileSystem) Exists(path string) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.files[path]
-	return ok
-}
-
 // Delete removes path. Deleting a missing file is an error, as in HDFS.
 func (fs *FileSystem) Delete(path string) error {
 	fs.mu.Lock()
@@ -306,22 +292,6 @@ func (fs *FileSystem) List(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// NodeUsage returns the bytes stored (including replicas) on each node,
-// which tests use to verify balanced block placement.
-func (fs *FileSystem) NodeUsage() []int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	usage := make([]int64, fs.nodes)
-	for _, f := range fs.files {
-		for _, b := range f.blocks {
-			for _, n := range b.replicas {
-				usage[n] += int64(len(b.data))
-			}
-		}
-	}
-	return usage
 }
 
 // Split describes a byte range of a file assigned to one map task, plus the

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -10,6 +11,21 @@ import (
 
 	"yafim/internal/sim"
 )
+
+// nodeUsage returns the bytes stored (including replicas) on each node.
+func nodeUsage(fs *FileSystem) []int64 {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	usage := make([]int64, fs.nodes)
+	for _, f := range fs.files {
+		for _, b := range f.blocks {
+			for _, n := range b.replicas {
+				usage[n] += int64(len(b.data))
+			}
+		}
+	}
+	return usage
+}
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	fs := New(3, WithBlockSize(8), WithReplication(2))
@@ -132,8 +148,11 @@ func TestDeleteAndList(t *testing.T) {
 	if err := fs.Delete("/a/1"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists("/a/1") || !fs.Exists("/a/2") {
-		t.Fatal("Exists wrong after delete")
+	if _, _, err := fs.Stat("/a/1"); err == nil {
+		t.Fatal("deleted file still stats")
+	}
+	if _, _, err := fs.Stat("/a/2"); err != nil {
+		t.Fatalf("surviving file: %v", err)
 	}
 }
 
@@ -142,7 +161,7 @@ func TestBlockPlacementBalanced(t *testing.T) {
 	if err := fs.WriteFile("/big", make([]byte, 400), nil); err != nil {
 		t.Fatal(err)
 	}
-	usage := fs.NodeUsage()
+	usage := nodeUsage(fs)
 	for n, u := range usage {
 		if u != 100 {
 			t.Errorf("node %d usage = %d, want 100 (round robin)", n, u)
@@ -201,7 +220,7 @@ func TestReadLinesSimple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, err := fs.ReadLines(splits[0], nil)
+	lines, err := fs.ReadLinesContext(context.Background(), splits[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +244,7 @@ func splitLines(t *testing.T, fs *FileSystem, path string) []string {
 	}
 	var all []string
 	for _, s := range splits {
-		lines, err := fs.ReadLines(s, nil)
+		lines, err := fs.ReadLinesContext(context.Background(), s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +303,7 @@ func TestReadLinesExactlyOnceProperty(t *testing.T) {
 		}
 		var got []string
 		for _, s := range splits {
-			lines, err := fs.ReadLines(s, nil)
+			lines, err := fs.ReadLinesContext(context.Background(), s, nil)
 			if err != nil {
 				return false
 			}
@@ -409,7 +428,7 @@ func TestSplitsNLinesExactlyOnce(t *testing.T) {
 	}
 	var got []string
 	for _, s := range splits {
-		lines, err := fs.ReadLines(s, nil)
+		lines, err := fs.ReadLinesContext(context.Background(), s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,13 +19,8 @@ type Line struct {
 // chunk, to complete a record that crosses the boundary.
 const readAhead = 4096
 
-// ReadLines reads the text records belonging to a split using Hadoop's
-// LineRecordReader convention (see SplitLines).
-func (fs *FileSystem) ReadLines(split Split, led *sim.Ledger) ([]Line, error) {
-	return fs.ReadLinesContext(context.Background(), split, led)
-}
-
-// ReadLinesContext is ReadLines with cooperative cancellation: the context is
+// ReadLinesContext reads the text records belonging to a split using
+// Hadoop's LineRecordReader convention (see SplitLines). The context is
 // checked before the split's main range read and again before every
 // read-ahead chunk, so a canceled task stops within one chunk of extra I/O
 // even on records that span many blocks.

@@ -143,23 +143,6 @@ func (c *blockCache) evictOverLocked() {
 	}
 }
 
-// ads lists the resident blocks as wire Splits in deterministic order — the
-// inventory advertised to the master on register/heartbeat/complete. Two
-// generations of the same range (the file changed under us) collapse into
-// one ad: the advertisement is a placement hint, never a correctness input.
-func (c *blockCache) ads() []Split {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	set := make(map[Split]struct{}, len(c.entries))
-	for k := range c.entries {
-		set[Split{Path: k.path, Offset: k.offset, Length: k.length}] = struct{}{}
-	}
-	c.mu.Unlock()
-	return sortedSplits(set)
-}
-
 // sortedSplits flattens a split set into deterministic wire order.
 func sortedSplits(set map[Split]struct{}) []Split {
 	out := make([]Split, 0, len(set))
@@ -175,17 +158,6 @@ func sortedSplits(set map[Split]struct{}) []Split {
 	return out
 }
 
-// snapshot returns the cumulative counters without advancing the report
-// sequence (test and inspection entry point).
-func (c *blockCache) snapshot() CacheStats {
-	if c == nil {
-		return CacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.statsLocked()
-}
-
 func (c *blockCache) statsLocked() CacheStats {
 	return CacheStats{
 		Seq:   c.reportSeq,
@@ -197,7 +169,10 @@ func (c *blockCache) statsLocked() CacheStats {
 // report atomically takes the inventory and counters for one wire report,
 // stamped with the next report sequence. Register, heartbeat and complete
 // all go through here, so the master can totally order a worker's reports
-// however the HTTP requests interleave.
+// however the HTTP requests interleave. The inventory lists the resident
+// blocks as wire Splits in deterministic order; two generations of the same
+// range (the file changed under us) collapse into one entry, because the
+// advertisement is a placement hint, never a correctness input.
 func (c *blockCache) report() ([]Split, CacheStats) {
 	if c == nil {
 		return nil, CacheStats{}

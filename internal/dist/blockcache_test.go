@@ -19,6 +19,18 @@ func blockSplits(t *testing.T, content string, n int) []Split {
 	return splits
 }
 
+// cacheStats and cachedSplits read a cache's counters and inventory through
+// report, the one path a worker reads them by.
+func cacheStats(c *blockCache) CacheStats {
+	_, st := c.report()
+	return st
+}
+
+func cachedSplits(c *blockCache) []Split {
+	splits, _ := c.report()
+	return splits
+}
+
 func TestBlockCacheHitOnSecondRead(t *testing.T) {
 	splits := blockSplits(t, "a\nbb\nccc\ndddd\n", 2)
 	c := newBlockCache(1 << 20)
@@ -34,7 +46,7 @@ func TestBlockCacheHitOnSecondRead(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("cached read diverges: %v vs %v", first, second)
 	}
-	st := c.snapshot()
+	st := cacheStats(c)
 	if st.Reads != 1 || st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want 1 read, 1 miss, 1 hit", st)
 	}
@@ -63,7 +75,7 @@ func TestBlockCacheInvalidatedWhenFileChanges(t *testing.T) {
 	if len(lines) == 0 || lines[0].Text != "new-1" {
 		t.Fatalf("stale block served after rewrite: %v", lines)
 	}
-	st := c.snapshot()
+	st := cacheStats(c)
 	if st.Reads != 2 || st.Misses != 2 {
 		t.Fatalf("stats = %+v, want 2 reads and 2 misses after rewrite", st)
 	}
@@ -83,7 +95,7 @@ func TestBlockCacheEvictsLRUUnderBudget(t *testing.T) {
 	if _, err := c.get(b); err != nil {
 		t.Fatal(err)
 	}
-	st := c.snapshot()
+	st := cacheStats(c)
 	if st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1 (budget holds one block)", st.Evictions)
 	}
@@ -94,7 +106,7 @@ func TestBlockCacheEvictsLRUUnderBudget(t *testing.T) {
 	if _, err := c.get(a); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.snapshot(); st.Reads != 3 || st.Hits != 0 {
+	if st := cacheStats(c); st.Reads != 3 || st.Hits != 0 {
 		t.Fatalf("stats = %+v, want 3 reads and 0 hits after LRU eviction", st)
 	}
 }
@@ -112,13 +124,13 @@ func TestBlockCacheOversizedBlockServedUncached(t *testing.T) {
 			t.Fatalf("read %d: %d lines", i, len(lines))
 		}
 	}
-	st := c.snapshot()
+	st := cacheStats(c)
 	if st.Reads != 2 || st.Hits != 0 || st.Bytes != 0 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v: an oversized block must bypass the cache "+
 			"without evicting anything", st)
 	}
-	if len(c.ads()) != 0 {
-		t.Fatalf("uncached block advertised: %v", c.ads())
+	if len(cachedSplits(c)) != 0 {
+		t.Fatalf("uncached block advertised: %v", cachedSplits(c))
 	}
 }
 
@@ -133,13 +145,13 @@ func TestBlockCacheSetBudgetShrinkEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(c.ads()); n != 4 {
+	if n := len(cachedSplits(c)); n != 4 {
 		t.Fatalf("%d blocks resident, want 4", n)
 	}
 	c.setBudget(1) // shrink below any block: everything must go
-	st := c.snapshot()
-	if st.Bytes != 0 || len(c.ads()) != 0 {
-		t.Fatalf("resident %d bytes, ads %v after shrink to 1", st.Bytes, c.ads())
+	st := cacheStats(c)
+	if st.Bytes != 0 || len(cachedSplits(c)) != 0 {
+		t.Fatalf("resident %d bytes, ads %v after shrink to 1", st.Bytes, cachedSplits(c))
 	}
 	if st.Evictions != 4 {
 		t.Fatalf("evictions = %d, want 4", st.Evictions)
@@ -155,7 +167,7 @@ func TestBlockCacheAdsSortedDeterministically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ads := c.ads()
+	ads := cachedSplits(c)
 	if !reflect.DeepEqual(ads, splits) {
 		t.Fatalf("ads = %v, want sorted %v", ads, splits)
 	}
@@ -169,9 +181,6 @@ func TestBlockCacheReportSeqMonotonic(t *testing.T) {
 		t.Fatalf("report seqs %d, %d: must be nonzero and strictly increasing",
 			s1.Seq, s2.Seq)
 	}
-	if st := c.snapshot(); st.Seq != s2.Seq {
-		t.Fatalf("snapshot seq %d advanced past last report %d", st.Seq, s2.Seq)
-	}
 }
 
 func TestNilBlockCacheFallsThrough(t *testing.T) {
@@ -183,12 +192,6 @@ func TestNilBlockCacheFallsThrough(t *testing.T) {
 	}
 	if len(lines) != 2 {
 		t.Fatalf("nil cache read %d lines, want 2", len(lines))
-	}
-	if ads := c.ads(); ads != nil {
-		t.Fatalf("nil cache ads = %v", ads)
-	}
-	if st := c.snapshot(); st != (CacheStats{}) {
-		t.Fatalf("nil cache stats = %+v", st)
 	}
 	if a, st := c.report(); a != nil || st != (CacheStats{}) {
 		t.Fatalf("nil cache report = %v, %+v", a, st)

@@ -112,7 +112,7 @@ func TestSecondJobServedFromCache(t *testing.T) {
 	// a non-caching worker steal a split before its owner polls again.
 	cfg.HeartbeatTimeout = 5 * time.Second
 	reg := obs.NewRegistry()
-	master, err := NewMaster("127.0.0.1:0", cfg, nil, reg)
+	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: cfg, Reg: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCacheRebuildAfterWorkerRestartParity(t *testing.T) {
 	typ := wordCountType(t)
 	input := writeCorpus(t, 120)
 	reg := obs.NewRegistry()
-	master, err := NewMaster("127.0.0.1:0", fastTuning(), nil, reg)
+	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: fastTuning(), Reg: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func TestChaosMiningParityWordCount(t *testing.T) {
 	})
 
 	log := obs.NewEventLog(nil)
-	m, err := NewMaster("127.0.0.1:0", fastTuning(), log, nil)
+	m, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: fastTuning(), Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}

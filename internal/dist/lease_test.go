@@ -183,10 +183,10 @@ func TestLeaseExpiryReassignsAndStrikes(t *testing.T) {
 	// The overrun charged w1 a strike but one strike is under the blacklist
 	// threshold; it can still lease once the task frees up again.
 	tb.mu.Lock()
-	strikes := tb.health.Blacklistings()
+	excluded := tb.health.Excluded(now)
 	tb.mu.Unlock()
-	if strikes != 0 {
-		t.Fatalf("blacklisted after one strike, threshold %d", cfg.BlacklistAfter)
+	if excluded != nil {
+		t.Fatalf("blacklisted after one strike, threshold %d: %v", cfg.BlacklistAfter, excluded)
 	}
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -178,7 +179,7 @@ func FuzzReadSplitMatchesDFS(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := fs.ReadLines(dfs.Split{Path: "/in", Offset: off, Length: length}, nil)
+			sim, err := fs.ReadLinesContext(context.Background(), dfs.Split{Path: "/in", Offset: off, Length: length}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,11 +1,35 @@
 package dist
 
 import (
+	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"yafim/internal/obs"
 )
+
+// gaugeValue reads the unlabelled gauge name from reg's Prometheus export,
+// as a scraper of /metrics would.
+func gaugeValue(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("gauge %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("gauge %s not exported", name)
+	return 0
+}
 
 // testSplit returns the split testJob assigns to map i.
 func testSplit(i int) Split {
@@ -95,7 +119,7 @@ func TestLeaseDeadOwnerAdsClearedImmediately(t *testing.T) {
 	w2 := register(t, tb, "b:2", 0)
 
 	tb.advertiseCache(w1, []Split{testSplit(0)}, CacheStats{Bytes: 4096}, false)
-	if got := tb.m.cacheBytes.Value(); got != 4096 {
+	if got := gaugeValue(t, reg, "dist_input_cache_bytes"); got != 4096 {
 		t.Fatalf("cache bytes gauge = %v, want 4096", got)
 	}
 	// w1 dies without ever beating again; its cache died with the process,
@@ -108,14 +132,15 @@ func TestLeaseDeadOwnerAdsClearedImmediately(t *testing.T) {
 	if task == nil || task.Index != 0 {
 		t.Fatalf("lease after owner death = %+v, want map 0", task)
 	}
-	if got := tb.m.cacheBytes.Value(); got != 0 {
+	if got := gaugeValue(t, reg, "dist_input_cache_bytes"); got != 0 {
 		t.Fatalf("cache bytes gauge = %v after owner death, want 0", got)
 	}
 	_ = w1
 }
 
 func TestAdvertiseCacheFoldsDeltasOnce(t *testing.T) {
-	tb := newLeaseTable(testTuning(), nil, obs.NewRegistry())
+	reg := obs.NewRegistry()
+	tb := newLeaseTable(testTuning(), nil, reg)
 	w := register(t, tb, "a:1", 0)
 
 	// Registration installs the baseline without counting: a rejoining
@@ -124,7 +149,7 @@ func TestAdvertiseCacheFoldsDeltasOnce(t *testing.T) {
 	if got := tb.m.inputReads.Value(); got != 0 {
 		t.Fatalf("baseline counted: input reads = %v", got)
 	}
-	if got := tb.m.cacheBytes.Value(); got != 100 {
+	if got := gaugeValue(t, reg, "dist_input_cache_bytes"); got != 100 {
 		t.Fatalf("cache bytes gauge = %v, want 100", got)
 	}
 	// The next report folds only the delta.
@@ -135,13 +160,14 @@ func TestAdvertiseCacheFoldsDeltasOnce(t *testing.T) {
 	if got := tb.m.cacheHits.Value(); got != 4 {
 		t.Fatalf("cache hits = %v, want delta 4", got)
 	}
-	if got := tb.m.cacheBytes.Value(); got != 60 {
+	if got := gaugeValue(t, reg, "dist_input_cache_bytes"); got != 60 {
 		t.Fatalf("cache bytes gauge = %v, want 60", got)
 	}
 }
 
 func TestAdvertiseCacheDropsStaleSeqReport(t *testing.T) {
-	tb := newLeaseTable(testTuning(), nil, obs.NewRegistry())
+	reg := obs.NewRegistry()
+	tb := newLeaseTable(testTuning(), nil, reg)
 	testJob(t, tb, 1, 1)
 	w := register(t, tb, "a:1", 0)
 
@@ -155,7 +181,7 @@ func TestAdvertiseCacheDropsStaleSeqReport(t *testing.T) {
 	if got := tb.m.inputReads.Value(); got != 2 {
 		t.Fatalf("input reads = %v after stale report, want 2", got)
 	}
-	if got := tb.m.cacheBytes.Value(); got != 50 {
+	if got := gaugeValue(t, reg, "dist_input_cache_bytes"); got != 50 {
 		t.Fatalf("cache bytes gauge = %v after stale report, want 50", got)
 	}
 	task, _ := tb.lease(w, 0)
@@ -169,17 +195,18 @@ func TestAdvertiseCacheDropsStaleSeqReport(t *testing.T) {
 
 func TestAdvertiseCacheIgnoresUnknownAndDeadWorkers(t *testing.T) {
 	cfg := testTuning()
-	tb := newLeaseTable(cfg, nil, obs.NewRegistry())
+	reg := obs.NewRegistry()
+	tb := newLeaseTable(cfg, nil, reg)
 	w := register(t, tb, "a:1", 0)
 
 	tb.advertiseCache(99, []Split{testSplit(0)}, CacheStats{Bytes: 10}, false)
-	if got := tb.m.cacheBytes.Value(); got != 0 {
+	if got := gaugeValue(t, reg, "dist_input_cache_bytes"); got != 0 {
 		t.Fatalf("unknown worker moved the gauge: %v", got)
 	}
 	var now time.Duration = cfg.HeartbeatTimeout + 1
 	tb.sweep(now) // w dies
 	tb.advertiseCache(w, []Split{testSplit(0)}, CacheStats{Bytes: 10}, false)
-	if got := tb.m.cacheBytes.Value(); got != 0 {
+	if got := gaugeValue(t, reg, "dist_input_cache_bytes"); got != 0 {
 		t.Fatalf("dead worker moved the gauge: %v", got)
 	}
 }

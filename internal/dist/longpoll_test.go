@@ -90,7 +90,7 @@ func TestReducesGrantedOnLastMapCompletion(t *testing.T) {
 	typ := barrierType(t)
 	input := writeCorpus(t, 200)
 	log := obs.NewEventLog(nil)
-	master, err := NewMaster("127.0.0.1:0", holdTuning(2*time.Second), log, nil)
+	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: holdTuning(2 * time.Second), Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestReducesGrantedOnLastMapCompletion(t *testing.T) {
 // to run, then closes the master: Close must not wait out the 2 s hold, and
 // both requests get the 503 a worker treats as an unreachable master.
 func TestMasterCloseReleasesHeldLeases(t *testing.T) {
-	master, err := NewMaster("127.0.0.1:0", holdTuning(2*time.Second), nil, nil)
+	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: holdTuning(2 * time.Second)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMasterCloseReleasesHeldLeases(t *testing.T) {
 // granted to the departed request.
 func TestCanceledHeldLeaseLeavesNothing(t *testing.T) {
 	log := obs.NewEventLog(nil)
-	master, err := NewMaster("127.0.0.1:0", holdTuning(5*time.Second), log, nil)
+	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: holdTuning(5 * time.Second), Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestCanceledHeldLeaseLeavesNothing(t *testing.T) {
 // (HeartbeatTimeout), not hold it open forever.
 func TestMasterClosesSilentConnection(t *testing.T) {
 	cfg := fastTuning()
-	master, err := NewMaster("127.0.0.1:0", cfg, nil, nil)
+	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestMasterClosesSilentConnection(t *testing.T) {
 // answer, which is a well-formed empty lease.
 func TestLeaseHeldForFullBoundAnswersEmpty(t *testing.T) {
 	cfg := holdTuning(300 * time.Millisecond)
-	master, err := NewMaster("127.0.0.1:0", cfg, nil, nil)
+	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,13 +57,6 @@ type MasterOptions struct {
 	Resume bool
 }
 
-// NewMaster starts a master listening on addr ("host:port"; ":0" picks a
-// free port). log and reg may be nil. Close releases the listener and the
-// sweeper. Journal-less convenience wrapper around StartMaster.
-func NewMaster(addr string, cfg Tuning, log *obs.EventLog, reg *obs.Registry) (*Master, error) {
-	return StartMaster(MasterOptions{Addr: addr, Tuning: cfg, Log: log, Reg: reg})
-}
-
 // StartMaster starts a master. See MasterOptions for the journal and
 // crash-recovery knobs.
 func StartMaster(opts MasterOptions) (*Master, error) {

@@ -140,11 +140,11 @@ func TestKillWorkerMidMiningParity(t *testing.T) {
 	}
 
 	log := obs.NewEventLog(nil)
-	master, err := dist.NewMaster("127.0.0.1:0", dist.Tuning{
+	master, err := dist.StartMaster(dist.MasterOptions{Addr: "127.0.0.1:0", Tuning: dist.Tuning{
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  400 * time.Millisecond,
 		LeaseDeadline:     20 * time.Second,
-	}, log, obs.NewRegistry())
+	}, Log: log, Reg: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestWorkerDrainsOnSIGTERM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks real processes")
 	}
-	master, err := dist.NewMaster("127.0.0.1:0", dist.Tuning{}, nil, nil)
+	master, err := dist.StartMaster(dist.MasterOptions{Addr: "127.0.0.1:0", Tuning: dist.Tuning{}})
 	if err != nil {
 		t.Fatal(err)
 	}

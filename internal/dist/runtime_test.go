@@ -158,7 +158,7 @@ func TestMasterWorkersMatchLocalOracle(t *testing.T) {
 	}
 
 	log := obs.NewEventLog(nil)
-	master, err := NewMaster("127.0.0.1:0", fastTuning(), log, obs.NewRegistry())
+	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: fastTuning(), Log: log, Reg: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestMasterWorkersMatchLocalOracle(t *testing.T) {
 func TestMasterSequentialJobs(t *testing.T) {
 	typ := wordCountType(t)
 	input := writeCorpus(t, 50)
-	master, err := NewMaster("127.0.0.1:0", fastTuning(), nil, nil)
+	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: fastTuning()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestMasterSequentialJobs(t *testing.T) {
 func TestMasterExecJobCanceled(t *testing.T) {
 	typ := wordCountType(t)
 	input := writeCorpus(t, 50)
-	master, err := NewMaster("127.0.0.1:0", fastTuning(), nil, nil)
+	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: fastTuning()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,11 @@ func TestSONMasterWorkersMatchSim(t *testing.T) {
 	if err := dataset.SaveFile(db, input); err != nil {
 		t.Fatal(err)
 	}
-	master, err := dist.NewMaster("127.0.0.1:0", dist.Tuning{
+	master, err := dist.StartMaster(dist.MasterOptions{Addr: "127.0.0.1:0", Tuning: dist.Tuning{
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  400 * time.Millisecond,
 		LeaseDeadline:     20 * time.Second,
-	}, obs.NewEventLog(nil), obs.NewRegistry())
+	}, Log: obs.NewEventLog(nil), Reg: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

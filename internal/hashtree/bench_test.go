@@ -32,11 +32,11 @@ func BenchmarkBuild(b *testing.B) {
 
 func BenchmarkSubset(b *testing.B) {
 	cands, txs := benchFixture(10000, 3, 200, 20)
-	tree := Build(cands)
+	m := Build(cands).NewMatcher()
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		tree.Subset(txs[i%len(txs)], func(int) { n++ })
+		m.Subset(txs[i%len(txs)], func(int) { n++ })
 	}
 }
 

@@ -38,7 +38,6 @@ func (t *Tree) compact(root *node) {
 	t.nodes = make([]flatNode, 1)
 	t.leafData = make([]int32, 0, len(t.sets)*(t.k+1))
 	t.flatten(root, 0)
-	t.matchers.New = func() any { return t.NewMatcher() }
 }
 
 // flatten stores pointer node n at flat position id, appending the window
@@ -79,7 +78,7 @@ const rowScratch = 64
 
 // Matcher holds the reusable scratch state of one subset-enumeration
 // worker. A Matcher is not safe for concurrent use; each worker owns one
-// (NewMatcher), or lets Tree.Subset borrow one from the tree's pool.
+// (NewMatcher).
 type Matcher struct {
 	t *Tree
 	// row numbers the current transaction: dense item d is in it exactly
@@ -115,9 +114,13 @@ func (t *Tree) NewMatcher() *Matcher {
 	}
 }
 
-// Subset calls visit(i) for every candidate i contained in the transaction
-// items (which must be canonical), in the order Tree.Subset does, and
-// returns the same ops.
+// Subset calls visit(i) for every candidate i whose itemset is contained in
+// the transaction items (which must be canonical). Matches come leaf by
+// leaf, depth first with children in ascending hash order, and in insertion
+// order within a leaf. Subset returns ops, the performance model's charge
+// for the walk, which callers bill as CPU time: 1 per node visited plus k
+// per entry of every leaf visited, whether or not that entry's check exits
+// early (1 in all for a row shorter than k).
 func (m *Matcher) Subset(items itemset.Itemset, visit func(i int)) int64 {
 	t := m.t
 	if items.Len() < t.k {

@@ -12,7 +12,6 @@ package hashtree
 
 import (
 	"fmt"
-	"sync"
 
 	"yafim/internal/itemset"
 )
@@ -37,8 +36,7 @@ type Tree struct {
 	// Flat layout, built by compact: see flat.go.
 	index    *itemset.ItemIndex // dense remap of the candidate item universe
 	nodes    []flatNode
-	leafData []int32   // per leaf: candidate indexes, then k dense item columns
-	matchers sync.Pool // *Matcher scratch for Tree.Subset
+	leafData []int32 // per leaf: candidate indexes, then k dense item columns
 }
 
 // node is one node of the pointer tree Build inserts into before compacting.
@@ -110,9 +108,6 @@ func (t *Tree) pointerTree() *node {
 	return root
 }
 
-// K returns the candidate itemset length.
-func (t *Tree) K() int { return t.k }
-
 // Len returns the number of candidates stored.
 func (t *Tree) Len() int { return len(t.sets) }
 
@@ -167,22 +162,6 @@ func (t *Tree) insert(n *node, depth, idx int) {
 			t.insert(n.children[t.hash(t.sets[e][depth])], depth+1, e)
 		}
 	}
-}
-
-// Subset calls visit(i) for every candidate i whose itemset is contained in
-// the transaction items (which must be canonical). Matches come leaf by
-// leaf, depth first with children in ascending hash order, and in insertion
-// order within a leaf. Subset returns ops, the performance model's charge
-// for the walk, which callers bill as CPU time: 1 per node visited plus k
-// per entry of every leaf visited, whether or not that entry's check exits
-// early (1 in all for a row shorter than k). The walk borrows a pooled
-// Matcher; workers processing many rows should hold their own (NewMatcher)
-// to skip even the pool round-trip.
-func (t *Tree) Subset(items itemset.Itemset, visit func(i int)) int64 {
-	m := t.matchers.Get().(*Matcher)
-	ops := m.Subset(items, visit)
-	t.matchers.Put(m)
-	return ops
 }
 
 // CountSupports scans the transactions and returns the support count of

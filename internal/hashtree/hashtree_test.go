@@ -18,7 +18,7 @@ func sets(raw ...[]itemset.Item) []itemset.Itemset {
 
 func collectMatches(t *Tree, tr itemset.Itemset) []itemset.Itemset {
 	var got []itemset.Itemset
-	t.Subset(tr, func(i int) { got = append(got, t.Candidate(i)) })
+	t.NewMatcher().Subset(tr, func(i int) { got = append(got, t.Candidate(i)) })
 	itemset.SortSets(got)
 	return got
 }
@@ -28,8 +28,8 @@ func TestSubsetBasic(t *testing.T) {
 		[]itemset.Item{1, 2}, []itemset.Item{1, 3}, []itemset.Item{2, 3},
 		[]itemset.Item{2, 4}, []itemset.Item{3, 5},
 	))
-	if tree.K() != 2 || tree.Len() != 5 {
-		t.Fatalf("tree shape k=%d len=%d", tree.K(), tree.Len())
+	if tree.k != 2 || tree.Len() != 5 {
+		t.Fatalf("tree shape k=%d len=%d", tree.k, tree.Len())
 	}
 	got := collectMatches(tree, itemset.New(1, 2, 3))
 	want := sets([]itemset.Item{1, 2}, []itemset.Item{1, 3}, []itemset.Item{2, 3})
@@ -193,7 +193,7 @@ func TestSubsetMatchesBruteForceProperty(t *testing.T) {
 			tr := itemset.New(items...)
 
 			got := map[string]bool{}
-			tree.Subset(tr, func(i int) { got[tree.Candidate(i).Key()] = true })
+			tree.NewMatcher().Subset(tr, func(i int) { got[tree.Candidate(i).Key()] = true })
 
 			want := map[string]bool{}
 			for _, c := range cands {
@@ -230,7 +230,7 @@ func TestSubsetVisitsOnceProperty(t *testing.T) {
 		}
 		tr := itemset.New(items...) // contains everything
 		visits := map[int]int{}
-		tree.Subset(tr, func(i int) { visits[i]++ })
+		tree.NewMatcher().Subset(tr, func(i int) { visits[i]++ })
 		if len(visits) != len(cands) {
 			return false
 		}

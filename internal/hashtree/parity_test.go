@@ -79,15 +79,14 @@ func randomTransaction(rng *rand.Rand, maxLen, universe int) itemset.Itemset {
 	return itemset.New(items...)
 }
 
-// assertParity runs tx through the matcher m, the pooled Tree.Subset and
-// the reference pointer walk, failing unless all three visit the same
-// candidates in the same order at the same ops.
+// assertParity runs tx through the matcher m and the reference pointer
+// walk, failing unless both visit the same candidates in the same order at
+// the same ops.
 func assertParity(t *testing.T, label string, tree *Tree, root *node, m *Matcher, tx itemset.Itemset) {
 	t.Helper()
-	var wantVisits, gotVisits, pooledVisits []int
+	var wantVisits, gotVisits []int
 	wantOps := refSubset(tree, root, tx, func(i int) { wantVisits = append(wantVisits, i) })
 	gotOps := m.Subset(tx, func(i int) { gotVisits = append(gotVisits, i) })
-	pooledOps := tree.Subset(tx, func(i int) { pooledVisits = append(pooledVisits, i) })
 	if !reflect.DeepEqual(gotVisits, wantVisits) {
 		t.Fatalf("%s k=%d tx=%v: flat visits %v, pointer visits %v",
 			label, tree.k, tx, gotVisits, wantVisits)
@@ -95,9 +94,6 @@ func assertParity(t *testing.T, label string, tree *Tree, root *node, m *Matcher
 	if gotOps != wantOps {
 		t.Fatalf("%s k=%d tx=%v: flat ops %d, pointer ops %d",
 			label, tree.k, tx, gotOps, wantOps)
-	}
-	if !reflect.DeepEqual(pooledVisits, wantVisits) || pooledOps != wantOps {
-		t.Fatalf("%s: pooled Subset diverges from reference", label)
 	}
 }
 

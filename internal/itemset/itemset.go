@@ -147,19 +147,6 @@ func (s Itemset) Key() string {
 	return b.String()
 }
 
-// FromKey decodes an itemset previously encoded with Key. It returns an
-// error if the key length is not a multiple of 4.
-func FromKey(key string) (Itemset, error) {
-	if len(key)%4 != 0 {
-		return nil, fmt.Errorf("itemset: malformed key of length %d", len(key))
-	}
-	s := make(Itemset, len(key)/4)
-	for i := range s {
-		s[i] = Item(binary.BigEndian.Uint32([]byte(key[4*i : 4*i+4])))
-	}
-	return s, nil
-}
-
 // String renders the itemset as "{1 5 9}".
 func (s Itemset) String() string {
 	var b strings.Builder

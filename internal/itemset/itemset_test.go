@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -110,19 +111,21 @@ func TestWithout(t *testing.T) {
 	}
 }
 
+// fromKey decodes an itemset encoded with Key.
+func fromKey(key string) Itemset {
+	s := make(Itemset, len(key)/4)
+	for i := range s {
+		s[i] = Item(binary.BigEndian.Uint32([]byte(key[4*i : 4*i+4])))
+	}
+	return s
+}
+
 func TestKeyRoundTrip(t *testing.T) {
 	sets := []Itemset{New(), New(0), New(1, 2, 3), New(1 << 20)}
 	for _, s := range sets {
-		got, err := FromKey(s.Key())
-		if err != nil {
-			t.Fatalf("FromKey(%v): %v", s, err)
-		}
-		if !got.Equal(s) {
+		if got := fromKey(s.Key()); len(s.Key()) != 4*len(s) || !got.Equal(s) {
 			t.Errorf("round trip %v -> %v", s, got)
 		}
-	}
-	if _, err := FromKey("abc"); err == nil {
-		t.Error("FromKey on malformed key succeeded")
 	}
 }
 

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func BenchmarkWordCountJob(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CleanOutput(fs, "/out/wc")
-		if _, _, err := r.Run(wordCountJob(true)); err != nil {
+		if _, _, err := r.RunContext(context.Background(), wordCountJob(true)); err != nil {
 			b.Fatal(err)
 		}
 	}

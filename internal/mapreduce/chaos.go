@@ -27,9 +27,6 @@ func (r *Runner) SetChaos(plan *chaos.Plan) error {
 // running jobs.
 func (r *Runner) SetResilience(res chaos.Resilience) { r.drv.SetResilience(res) }
 
-// ChaosPlan returns the attached fault plan (nil when chaos is disabled).
-func (r *Runner) ChaosPlan() *chaos.Plan { return r.drv.ChaosPlan() }
-
 // rerunLostMaps schedules the recovery stage for a node crash between the
 // map and reduce stages: every map task the schedule had placed on the dead
 // node re-runs elsewhere, each paying its full recorded cost plus a fresh

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -30,8 +31,8 @@ func runWordCountOn(t *testing.T, content string, configure func(*Runner)) ([]KV
 	if configure != nil {
 		configure(r)
 	}
-	fs.SetRecorder(r.Recorder())
-	rep, counters, err := r.Run(wordCountJob(false))
+	fs.SetRecorder(r.rec)
+	rep, counters, err := r.RunContext(context.Background(), wordCountJob(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestChaosTaskFailuresPreserveOutput(t *testing.T) {
 	if c.TaskRetries == 0 {
 		t.Fatal("50% failure probability produced no retries")
 	}
-	if c.WastedCost.IsZero() {
+	if c.WastedCost == (sim.Cost{}) {
 		t.Fatal("chaos failures strike after the work, so retries must waste cost")
 	}
 }
@@ -157,7 +158,7 @@ func TestChaosNodeCrashRerunsLostMaps(t *testing.T) {
 			t.Fatalf("reduce task scheduled on dead node %d", node)
 		}
 	}
-	if r.ChaosPlan() == nil {
+	if r.drv.ChaosPlan() == nil {
 		t.Fatal("ChaosPlan lost the attached plan")
 	}
 }
@@ -270,30 +271,6 @@ func TestSetChaosRejectsInvalidPlan(t *testing.T) {
 	}
 }
 
-func TestFailTaskOncePanicsOnBadArguments(t *testing.T) {
-	fs := setupFS(t, 16, corpus)
-	r := NewRunnerMust(t, cluster.Local(), fs)
-	for _, tc := range []struct {
-		name    string
-		stage   string
-		task, n int
-	}{
-		{"unknown stage", "shuffle", 0, 1},
-		{"empty stage", "", 0, 1},
-		{"negative task", "map", -1, 1},
-		{"negative count", "reduce", 0, -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("FailTaskOnce(%q, %d, %d) did not panic", tc.stage, tc.task, tc.n)
-				}
-			}()
-			r.FailTaskOnce(tc.stage, tc.task, tc.n)
-		})
-	}
-}
-
 // TestChaosWastedWorkReachesMakespan pins the retry accounting of both
 // stages: a chaos-killed attempt dies after doing its work and its retry
 // runs after it, so the wasted work must lengthen the stage, not only the
@@ -315,7 +292,7 @@ func TestChaosWastedWorkReachesMakespan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rep, _, err := r.Run(wordCountJob(false))
+		rep, _, err := r.RunContext(context.Background(), wordCountJob(false))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"yafim/internal/cluster"
@@ -87,9 +86,6 @@ type Runner struct {
 	cfg cluster.Config
 	drv *vcluster.Driver
 	rec *obs.Recorder // telemetry; nil disables recording
-
-	mu       sync.Mutex
-	failures map[failureKey]int
 }
 
 // SetRecorder attaches a telemetry recorder: every job, stage and task the
@@ -99,61 +95,6 @@ type Runner struct {
 func (r *Runner) SetRecorder(rec *obs.Recorder) {
 	r.rec = rec
 	r.drv.SetRecorder(rec)
-}
-
-// Recorder returns the attached telemetry recorder (nil when disabled).
-func (r *Runner) Recorder() *obs.Recorder { return r.rec }
-
-type failureKey struct {
-	stage string // "map" or "reduce"
-	task  int
-}
-
-// TransientError is the failure injected by FailTaskOnce; the task
-// scheduler retries any failed attempt, and tests use this type to assert
-// the retry happened for the injected reason.
-type TransientError struct {
-	Stage string
-	Task  int
-}
-
-func (e *TransientError) Error() string {
-	return fmt.Sprintf("mapreduce: injected failure in %s task %d", e.Stage, e.Task)
-}
-
-// FailTaskOnce schedules n transient failures for the given task index of
-// the given stage ("map" or "reduce"): its next n attempts fail and are
-// retried, exercising Hadoop-style task re-execution. Any other stage name
-// or a negative task index or count is a bug in the caller and panics: a
-// misspelled stage would otherwise silently inject nothing.
-func (r *Runner) FailTaskOnce(stage string, task, n int) {
-	if stage != "map" && stage != "reduce" {
-		panic(fmt.Sprintf("mapreduce: FailTaskOnce: unknown stage %q (want %q or %q)",
-			stage, "map", "reduce"))
-	}
-	if task < 0 {
-		panic(fmt.Sprintf("mapreduce: FailTaskOnce: negative task index %d", task))
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("mapreduce: FailTaskOnce: negative failure count %d", n))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.failures == nil {
-		r.failures = make(map[failureKey]int)
-	}
-	r.failures[failureKey{stage, task}] += n
-}
-
-func (r *Runner) shouldFail(stage string, task int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := failureKey{stage, task}
-	if r.failures[k] > 0 {
-		r.failures[k]--
-		return true
-	}
-	return false
 }
 
 // NewRunner creates a job runner for the given file system and cluster.
@@ -177,16 +118,11 @@ func (r *Runner) Reports() []sim.JobReport { return r.drv.Reports() }
 // TotalDuration sums the virtual durations of all jobs run so far.
 func (r *Runner) TotalDuration() time.Duration { return r.drv.TotalDuration() }
 
-// Run executes the job and returns its virtual-time report and counters.
-func (r *Runner) Run(job Job) (*sim.JobReport, *Counters, error) {
-	return r.RunContext(context.Background(), job)
-}
-
-// RunContext is Run with cooperative cancellation: a canceled or expired
-// context aborts the job at the next task boundary, returning an error
-// matching exec.ErrCanceled or exec.ErrDeadlineExceeded. As with a killed
-// Hadoop job, committed output of completed stages stays in the DFS; no
-// worker goroutines outlive the call.
+// RunContext executes the job and returns its virtual-time report and
+// counters. A canceled or expired context aborts the job at the next task
+// boundary, returning an error matching exec.ErrCanceled or
+// exec.ErrDeadlineExceeded. As with a killed Hadoop job, committed output of
+// completed stages stays in the DFS; no worker goroutines outlive the call.
 func (r *Runner) RunContext(ctx context.Context, job Job) (*sim.JobReport, *Counters, error) {
 	if err := validateJob(job); err != nil {
 		return nil, nil, err
@@ -297,9 +233,6 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, c
 	}
 	stage := vcluster.Stage{Name: job.Name + ":map", Tasks: len(splits), Prefs: prefs}
 	costs, placements, err := r.drv.RunStage(ctx, stage, func(t int, led *sim.Ledger) error {
-		if r.shouldFail("map", t) {
-			return &TransientError{Stage: "map", Task: t}
-		}
 		var combiner Reducer
 		if job.NewCombiner != nil {
 			combiner = job.NewCombiner()
@@ -347,9 +280,6 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*MapOutp
 
 	name := job.Name + ":reduce"
 	_, _, err := r.drv.RunStage(ctx, vcluster.Stage{Name: name, Tasks: job.NumReducers}, func(p int, led *sim.Ledger) error {
-		if r.shouldFail("reduce", p) {
-			return &TransientError{Stage: "reduce", Task: p}
-		}
 		rt, err := NewReduceTask(p, job.NewReducer(), cache, led)
 		if err != nil {
 			return err

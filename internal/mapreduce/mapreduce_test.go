@@ -1,11 +1,13 @@
 package mapreduce
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"yafim/internal/cluster"
@@ -88,7 +90,7 @@ func TestWordCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, counters, err := r.Run(wordCountJob(combiner))
+			rep, counters, err := r.RunContext(context.Background(), wordCountJob(combiner))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +149,7 @@ func TestReduceCommitsInPartitionOrder(t *testing.T) {
 	}
 	job := wordCountJob(true)
 	job.NumReducers = 32
-	if _, _, err := r.Run(job); err != nil {
+	if _, _, err := r.RunContext(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	var prev []int
@@ -157,7 +159,7 @@ func TestReduceCommitsInPartitionOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		first := splits[0].Locations
-		if prev != nil && first[0] != (prev[len(prev)-1]+1)%fs.Nodes() {
+		if prev != nil && first[0] != (prev[len(prev)-1]+1)%4 { // setupFS's 4 nodes
 			t.Fatalf("part %d starts on %v right after part %d ended on %v", p, first, p-1, prev)
 		}
 		prev = splits[len(splits)-1].Locations
@@ -171,7 +173,7 @@ func TestCombinerReducesShuffleBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, _, err := r.Run(wordCountJob(combiner))
+		rep, _, err := r.RunContext(context.Background(), wordCountJob(combiner))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +192,7 @@ func TestJobChargesInputAndOutputIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := r.Run(wordCountJob(false))
+	rep, _, err := r.RunContext(context.Background(), wordCountJob(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +224,14 @@ func TestDistributedCache(t *testing.T) {
 	job := wordCountJob(false)
 	job.CacheFiles = []string{"/cache/side"}
 	job.NewMapper = func() Mapper { return &cacheCheckMapper{saw: &sawCache} }
-	rep, _, err := r.Run(job)
+	rep, _, err := r.RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sawCache != payload {
 		t.Fatalf("mapper saw %d cache bytes", len(sawCache))
 	}
-	plain, _, err := NewRunnerMust(t, cluster.Local(), fs).Run(wordCountJob(false))
+	plain, _, err := NewRunnerMust(t, cluster.Local(), fs).RunContext(context.Background(), wordCountJob(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +270,7 @@ func TestMapperErrorFailsJob(t *testing.T) {
 	r := NewRunnerMust(t, cluster.Local(), fs)
 	job := wordCountJob(false)
 	job.NewMapper = func() Mapper { return &wordCountMapper{failOn: "lazy"} }
-	if _, _, err := r.Run(job); err == nil || !strings.Contains(err.Error(), "poisoned") {
+	if _, _, err := r.RunContext(context.Background(), job); err == nil || !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -288,7 +290,7 @@ func TestReducerErrorFailsJob(t *testing.T) {
 	r := NewRunnerMust(t, cluster.Local(), fs)
 	job := wordCountJob(false)
 	job.NewReducer = func() Reducer { return badReducer{} }
-	if _, _, err := r.Run(job); err == nil || !strings.Contains(err.Error(), "fox rejected") {
+	if _, _, err := r.RunContext(context.Background(), job); err == nil || !strings.Contains(err.Error(), "fox rejected") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -308,13 +310,13 @@ func TestValidateJob(t *testing.T) {
 	} {
 		j := base
 		mutate(&j)
-		if _, _, err := r.Run(j); err == nil {
+		if _, _, err := r.RunContext(context.Background(), j); err == nil {
 			t.Errorf("%s: job ran", name)
 		}
 	}
 	j := base
 	j.Input = []string{"/does/not/exist"}
-	if _, _, err := r.Run(j); err == nil {
+	if _, _, err := r.RunContext(context.Background(), j); err == nil {
 		t.Error("missing input: job ran")
 	}
 }
@@ -326,7 +328,7 @@ func TestReduceKeysProcessedInSortedOrder(t *testing.T) {
 	job := wordCountJob(false)
 	job.NumReducers = 1
 	job.NewReducer = func() Reducer { return &orderRecorder{order: &order} }
-	if _, _, err := r.Run(job); err != nil {
+	if _, _, err := r.RunContext(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	if !sort.StringsAreSorted(order) {
@@ -348,7 +350,7 @@ func TestEveryJobPaysStartup(t *testing.T) {
 	r := NewRunnerMust(t, cluster.PaperHadoop(), fs)
 	for i := 0; i < 3; i++ {
 		CleanOutput(fs, "/out/wc")
-		if _, _, err := r.Run(wordCountJob(false)); err != nil {
+		if _, _, err := r.RunContext(context.Background(), wordCountJob(false)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,7 +372,7 @@ func TestJobTimingDeterministic(t *testing.T) {
 	run := func() string {
 		fs := setupFS(t, 16, strings.Repeat(corpus, 5))
 		r := NewRunnerMust(t, cluster.PaperHadoop(), fs)
-		rep, _, err := r.Run(wordCountJob(true))
+		rep, _, err := r.RunContext(context.Background(), wordCountJob(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,12 +396,81 @@ func TestReadOutputErrors(t *testing.T) {
 	}
 }
 
+// errInjected is the task failure the tests inject through task code.
+var errInjected = errors.New("mapreduce test: injected task failure")
+
+// failPlan schedules failures for the task code of flakyJob, keyed by the
+// byte offset of a map record (int64) or by a reduce key (string).
+type failPlan struct {
+	mu   sync.Mutex
+	left map[any]int
+}
+
+// arm makes the next n map calls on the record at an offset, or reduce
+// calls on a key, fail.
+func (f *failPlan) arm(at any, n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.left == nil {
+		f.left = make(map[any]int)
+	}
+	f.left[at] += n
+}
+
+// fail reports whether this call on at fails, using up one armed failure
+// when it does.
+func (f *failPlan) fail(at any) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.left[at] > 0 {
+		f.left[at]--
+		return true
+	}
+	return false
+}
+
+type flakyMapper struct {
+	wordCountMapper
+	plan *failPlan
+}
+
+func (m *flakyMapper) Map(offset int64, line string, emit Emit, led *sim.Ledger) error {
+	if m.plan.fail(offset) {
+		return errInjected
+	}
+	return m.wordCountMapper.Map(offset, line, emit, led)
+}
+
+type flakyReducer struct {
+	sumReducer
+	plan *failPlan
+}
+
+func (r flakyReducer) Reduce(key string, values []string, emit Emit, led *sim.Ledger) error {
+	if r.plan.fail(key) {
+		return errInjected
+	}
+	return r.sumReducer.Reduce(key, values, emit, led)
+}
+
+// flakyJob is the word-count job whose map and reduce calls fail with
+// errInjected as plan arms them. A map task fails when it reaches an armed
+// record, so arming the offset of a split's first record fails that
+// split's task.
+func flakyJob(plan *failPlan) Job {
+	j := wordCountJob(false)
+	j.NewMapper = func() Mapper { return &flakyMapper{plan: plan} }
+	j.NewReducer = func() Reducer { return flakyReducer{plan: plan} }
+	return j
+}
+
 func TestTaskRetryOnInjectedFailure(t *testing.T) {
 	fs := setupFS(t, 16, corpus) // several map tasks
 	r := NewRunnerMust(t, cluster.Local(), fs)
-	r.FailTaskOnce("map", 0, 2)    // two transient failures, then success
-	r.FailTaskOnce("reduce", 1, 1) // one reducer hiccup
-	_, counters, err := r.Run(wordCountJob(false))
+	var plan failPlan
+	plan.arm(int64(0), 2) // two transient failures of map task 0, then success
+	plan.arm("fox", 1)    // one reducer hiccup
+	_, counters, err := r.RunContext(context.Background(), flakyJob(&plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,13 +489,13 @@ func TestTaskRetryOnInjectedFailure(t *testing.T) {
 func TestTaskFailsAfterMaxAttempts(t *testing.T) {
 	fs := setupFS(t, 1024, corpus)
 	r := NewRunnerMust(t, cluster.Local(), fs)
-	r.FailTaskOnce("map", 0, vcluster.MaxTaskAttempts)
-	_, _, err := r.Run(wordCountJob(false))
+	var plan failPlan
+	plan.arm(int64(0), vcluster.MaxTaskAttempts)
+	_, _, err := r.RunContext(context.Background(), flakyJob(&plan))
 	if err == nil {
 		t.Fatal("job succeeded despite exhausting all attempts")
 	}
-	var te *TransientError
-	if !errors.As(err, &te) {
-		t.Fatalf("error does not wrap TransientError: %v", err)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("error does not wrap the injected failure: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"testing"
 
 	"yafim/internal/cluster"
@@ -16,7 +17,7 @@ func TestRecorderJobSpansAndCounters(t *testing.T) {
 	fs.SetRecorder(rec)
 	r := NewRunnerMust(t, cluster.Local(), fs)
 	r.SetRecorder(rec)
-	rep, _, err := r.Run(wordCountJob(false))
+	rep, _, err := r.RunContext(context.Background(), wordCountJob(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +71,16 @@ func TestRecorderJobSpansAndCounters(t *testing.T) {
 	}
 }
 
-// TestRecorderCountsInjectedRetries checks the retry counter against the
-// engine's task fault injection.
+// TestRecorderCountsInjectedRetries checks the retry counter against
+// failures injected through task code.
 func TestRecorderCountsInjectedRetries(t *testing.T) {
 	fs := setupFS(t, 16, corpus)
 	rec := obs.New()
 	r := NewRunnerMust(t, cluster.Local(), fs)
 	r.SetRecorder(rec)
-	r.FailTaskOnce("map", 1, 2) // fail task 1 twice, succeed third
-	if _, _, err := r.Run(wordCountJob(false)); err != nil {
+	var plan failPlan
+	plan.arm(int64(20), 2) // fail task 1 (its split starts at byte 20) twice, succeed third
+	if _, _, err := r.RunContext(context.Background(), flakyJob(&plan)); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Counters().TaskRetries; got != 2 {

@@ -116,7 +116,7 @@ func TestMapperPanicIsolated(t *testing.T) {
 
 	job := wordCountJob(false)
 	job.NewMapper = func() Mapper { return &panicMapper{} }
-	_, _, err := runner.Run(job)
+	_, _, err := runner.RunContext(context.Background(), job)
 	if err == nil {
 		t.Fatal("panicking job succeeded")
 	}
@@ -146,7 +146,7 @@ func TestMapperTransientPanicRetried(t *testing.T) {
 	var budget int64 = 1
 	job := wordCountJob(false)
 	job.NewMapper = func() Mapper { return &panicMapper{limit: &budget} }
-	_, _, err := runner.Run(job)
+	_, _, err := runner.RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatalf("transient panic not recovered: %v", err)
 	}

@@ -36,10 +36,10 @@ func stage(t *testing.T, db *itemset.DB) (*mapreduce.Runner, *dfs.FileSystem, st
 	return runner, fs, path
 }
 
-// mineSim mines on the simulator: every job goes through dist.Local on
-// runner and fs, with the runner's recorder.
+// mineSim mines on the simulator, without telemetry: every job goes
+// through dist.Local on runner and fs.
 func mineSim(runner *mapreduce.Runner, fs *dfs.FileSystem, path string, cfg Config) (*apriori.Trace, error) {
-	return Mine(context.Background(), dist.NewLocal(runner, fs), path, cfg, runner.Recorder())
+	return Mine(context.Background(), dist.NewLocal(runner, fs), path, cfg, nil)
 }
 
 func TestMineMatchesSequentialOracle(t *testing.T) {

@@ -162,7 +162,7 @@ func TestSpanFromSchedule(t *testing.T) {
 
 	// Missing costs/attempts default to zero cost and one attempt.
 	bare := SpanFromSchedule(rep, 0, placements, nil, nil)
-	if got := bare.Tasks[0]; got.Attempts != 1 || !got.Cost.IsZero() {
+	if got := bare.Tasks[0]; got.Attempts != 1 || got.Cost != (sim.Cost{}) {
 		t.Fatalf("bare task = %+v", got)
 	}
 }

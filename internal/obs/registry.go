@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,10 +20,6 @@ import (
 //
 //   - Deterministic: bucket bounds are fixed at construction, never adaptive,
 //     so two identical runs export byte-identical metric text.
-//   - Exact where it matters: each histogram retains raw samples up to a
-//     fixed cap, so quantiles over small populations (every stage table in
-//     this repo) are exact; beyond the cap it degrades to standard
-//     bucket-boundary interpolation.
 //   - Allocation-free observation: once a family and series exist, Observe /
 //     Add / Set take a mutex and touch preallocated memory only, so metrics
 //     never perturb the allocation behaviour of the Pass 2 hot path.
@@ -53,12 +48,6 @@ var (
 	}
 )
 
-// histogramSampleCap bounds the raw samples a histogram series retains for
-// exact quantiles. Small enough to be cheap (32 KiB per series), large
-// enough that every per-stage and per-pass distribution in this repo stays
-// exact.
-const histogramSampleCap = 4096
-
 // Registry holds metric families keyed by name. Safe for concurrent use.
 type Registry struct {
 	mu       sync.Mutex
@@ -78,12 +67,11 @@ type family struct {
 
 // series is one (family, label values) instance.
 type series struct {
-	labels  []string  // values aligned with family.labelNames
-	value   float64   // counter / gauge
-	counts  []uint64  // histogram: per-bucket (non-cumulative), +1 overflow
-	sum     float64   // histogram
-	count   uint64    // histogram
-	samples []float64 // histogram: raw observations up to histogramSampleCap
+	labels []string // values aligned with family.labelNames
+	value  float64  // counter / gauge
+	counts []uint64 // histogram: per-bucket (non-cumulative), +1 overflow
+	sum    float64  // histogram
+	count  uint64   // histogram
 }
 
 // NewRegistry creates an empty registry.
@@ -122,7 +110,6 @@ func (g *Registry) get(name, help, typ string, bounds []float64, labels []string
 		s = &series{labels: values}
 		if typ == "histogram" {
 			s.counts = make([]uint64, len(bounds)+1)
-			s.samples = make([]float64, 0, histogramSampleCap)
 		}
 		f.series[key] = s
 	}
@@ -216,26 +203,15 @@ func (g *Gauge) Add(v float64) {
 	g.g.mu.Unlock()
 }
 
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	g.g.mu.Lock()
-	defer g.g.mu.Unlock()
-	return g.s.value
-}
-
-// Histogram is a distribution series with fixed buckets and exact small-n
-// quantiles.
+// Histogram is a distribution series with fixed buckets.
 type Histogram struct {
 	g *Registry
 	f *family
 	s *series
 }
 
-// Observe records one sample. Allocation-free: the bucket array and the
-// sample buffer are preallocated at construction.
+// Observe records one sample. Allocation-free: the bucket array is
+// preallocated at construction.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -246,78 +222,7 @@ func (h *Histogram) Observe(v float64) {
 	s.counts[i]++
 	s.sum += v
 	s.count++
-	if len(s.samples) < cap(s.samples) {
-		s.samples = append(s.samples, v)
-	}
 	h.g.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.g.mu.Lock()
-	defer h.g.mu.Unlock()
-	return h.s.count
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.g.mu.Lock()
-	defer h.g.mu.Unlock()
-	return h.s.sum
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
-// distribution. While every observation is still retained in the sample
-// buffer the estimate is exact (nearest-rank); once the buffer has
-// overflowed it falls back to linear interpolation within the bucket that
-// holds the rank.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.g.mu.Lock()
-	defer h.g.mu.Unlock()
-	s := h.s
-	if s.count == 0 {
-		return 0
-	}
-	if uint64(len(s.samples)) == s.count {
-		sorted := append([]float64(nil), s.samples...)
-		sort.Float64s(sorted)
-		rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if rank < 0 {
-			rank = 0
-		}
-		if rank >= len(sorted) {
-			rank = len(sorted) - 1
-		}
-		return sorted[rank]
-	}
-	f := h.f
-	rank := q * float64(s.count)
-	var cum float64
-	for i, c := range s.counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		lo, hi := float64(0), f.bounds[len(f.bounds)-1]
-		if i > 0 {
-			lo = f.bounds[i-1]
-		}
-		if i < len(f.bounds) {
-			hi = f.bounds[i]
-		}
-		return lo + (hi-lo)*(rank-prev)/float64(c)
-	}
-	return f.bounds[len(f.bounds)-1]
 }
 
 // WritePrometheus renders every family in the Prometheus text exposition

@@ -14,7 +14,6 @@ package rdd
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -41,7 +40,6 @@ type Context struct {
 
 	mu            sync.Mutex
 	nextID        int
-	failures      map[failureKey]int
 	caches        []evictor
 	naiveShipping bool  // disable broadcast variables (ablation)
 	jobShipBytes  int64 // naive-mode bytes serialized through the driver
@@ -49,23 +47,22 @@ type Context struct {
 	// Shuffle lifecycle: every shuffle registers its state here so the
 	// context can invalidate it on error, drop a dead node's slices, and
 	// reclaim it at pass boundaries. shuffleUsed tracks resident map-output
-	// spill per node; shuffleSpilled and shufflePeak record the run's
-	// cumulative and high-water spill volume.
-	shuffles       []*shuffleCore
-	shuffleUsed    []int64
-	shuffleTotal   int64
-	shufflePeak    int64
-	shuffleSpilled int64
+	// spill per node; shufflePeak records the run's high-water spill volume.
+	shuffles     []*shuffleCore
+	shuffleUsed  []int64
+	shuffleTotal int64
+	shufflePeak  int64
 
 	// rec receives telemetry spans and counters; nil disables recording.
 	// computed tracks which (rdd, partition) pairs have been materialised
 	// before, so repeated computations surface as lineage recomputes; it is
 	// only maintained while a recorder is attached.
 	rec      *obs.Recorder
-	computed map[failureKey]bool
+	computed map[partKey]bool
 }
 
-type failureKey struct {
+// partKey names one partition of one RDD.
+type partKey struct {
 	rdd  int
 	part int
 }
@@ -114,7 +111,6 @@ func NewContext(cfg cluster.Config, opts ...Option) (*Context, error) {
 	c := &Context{
 		cfg:         cfg,
 		goCtx:       context.Background(),
-		failures:    make(map[failureKey]int),
 		shuffleUsed: make([]int64, cfg.Nodes),
 	}
 	// A node crash loses the node's cached partitions and shuffle output.
@@ -149,10 +145,10 @@ func (c *Context) noteCompute(rddID, part int) {
 	if c.rec == nil {
 		return
 	}
-	k := failureKey{rddID, part}
+	k := partKey{rddID, part}
 	c.mu.Lock()
 	if c.computed == nil {
-		c.computed = make(map[failureKey]bool)
+		c.computed = make(map[partKey]bool)
 	}
 	again := c.computed[k]
 	c.computed[k] = true
@@ -197,16 +193,13 @@ func (c *Context) registerShuffle(st *shuffleCore) {
 
 // shuffleAccount charges (or, with negative n, releases) resident shuffle
 // spill produced by the given map task against its node, maintaining the
-// total, cumulative and peak volumes and mirroring the delta into the
-// telemetry gauge. Called by shuffleCore with its own lock held; the core
-// never calls back while c.mu is held, so the order is always core -> ctx.
+// total and peak volumes and mirroring the delta into the telemetry gauge.
+// Called by shuffleCore with its own lock held; the core never calls back
+// while c.mu is held, so the order is always core -> ctx.
 func (c *Context) shuffleAccount(mapTask int, n int64) {
 	c.mu.Lock()
 	c.shuffleUsed[mapTask%len(c.shuffleUsed)] += n
 	c.shuffleTotal += n
-	if n > 0 {
-		c.shuffleSpilled += n
-	}
 	if c.shuffleTotal > c.shufflePeak {
 		c.shufflePeak = c.shuffleTotal
 	}
@@ -231,35 +224,6 @@ func (c *Context) ShufflePeakBytes() int64 {
 	return c.shufflePeak
 }
 
-// ShuffleSpilledBytes reports the cumulative shuffle spill written over the
-// context's lifetime, reclaimed or not. Peak versus cumulative is the
-// measure of how much the lifecycle manager's reclamation saves.
-func (c *Context) ShuffleSpilledBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shuffleSpilled
-}
-
-// shuffleNodeBytes reports one node's resident shuffle spill (for tests).
-func (c *Context) shuffleNodeBytes(node int) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shuffleUsed[node]
-}
-
-// SetContext replaces the driver's Go context for subsequent actions. A
-// long-running driver — one Context serving many queries — attaches each
-// request's cancellation or deadline here; after a canceled or timed-out
-// action, attach a fresh context and re-run the lineage: invalidated
-// shuffle state re-executes instead of replaying the stale error. Must not
-// be called while an action is running (actions are sequential anyway).
-func (c *Context) SetContext(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.goCtx = ctx
-}
-
 // FreeShuffles reclaims every registered shuffle's resident map output.
 // The YAFIM driver calls it at each pass boundary so pass k's shuffle
 // spill is released before pass k+1 starts; lineage stays valid, so an RDD
@@ -282,34 +246,6 @@ func (c *Context) Close() error {
 	c.FreeShuffles()
 	c.dropAllCaches()
 	return nil
-}
-
-// FailTaskOnce injects n transient failures into the given partition of the
-// given RDD: its next n materialisations return an error, exercising the
-// scheduler's task retry path. Negative partition indices or failure counts
-// are injector bugs — the failures would silently never fire — so they
-// panic.
-func (c *Context) FailTaskOnce(rddID, part, n int) {
-	if part < 0 {
-		panic(fmt.Sprintf("rdd: FailTaskOnce: negative partition index %d", part))
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("rdd: FailTaskOnce: negative failure count %d", n))
-	}
-	c.mu.Lock()
-	c.failures[failureKey{rddID, part}] += n
-	c.mu.Unlock()
-}
-
-func (c *Context) shouldFail(rddID, part int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := failureKey{rddID, part}
-	if c.failures[k] > 0 {
-		c.failures[k]--
-		return true
-	}
-	return false
 }
 
 // KillNode simulates losing worker node n: every cached partition and every
@@ -342,18 +278,6 @@ func (c *Context) dropAllCaches() {
 	for _, e := range caches {
 		e.evictAll()
 	}
-}
-
-// FlakyError is the failure injected by FailTaskOnce. The stage scheduler
-// retries tasks that fail with any error; tests use this type to assert the
-// retry happened for the injected reason.
-type FlakyError struct {
-	RDD  int
-	Part int
-}
-
-func (e *FlakyError) Error() string {
-	return fmt.Sprintf("rdd: injected failure in rdd %d partition %d", e.RDD, e.Part)
 }
 
 // beginJob opens a job report. The first job of the application additionally

@@ -2,6 +2,7 @@ package rdd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -120,7 +121,8 @@ func FuzzShuffleLifecycle(f *testing.F) {
 		for i := 0; i < nRows; i++ {
 			data = append(data, Pair[string, int64]{Key: fmt.Sprintf("k%d", i%nKeys), Value: 1})
 		}
-		pairs := Parallelize(ctx, "pairs", data, 16).Cache()
+		var plan failPlan
+		pairs := flaky(Parallelize(ctx, "pairs", data, 16).Cache(), &plan)
 		counted := ReduceByKey(pairs, "counted", func(a, b int64) int64 { return a + b }, 8)
 
 		run := func() ([]Pair[string, int64], error) { return Collect(counted) }
@@ -138,11 +140,11 @@ func FuzzShuffleLifecycle(f *testing.F) {
 			case 1: // cancel before the action, then restore
 				canceled, cancel := context.WithCancel(context.Background())
 				cancel()
-				ctx.SetContext(canceled)
+				ctx.goCtx = canceled
 				if _, err := run(); err == nil {
 					t.Fatalf("op %d: canceled run succeeded", i)
 				}
-				ctx.SetContext(context.Background())
+				ctx.goCtx = context.Background()
 			case 2: // node loss
 				ctx.KillNode(int(op) % 2)
 			case 3: // drop every cached partition
@@ -151,9 +153,9 @@ func FuzzShuffleLifecycle(f *testing.F) {
 				// Free the shuffle first: with its output resident the map
 				// stage would not re-run and the injection would never fire.
 				ctx.FreeShuffles()
-				ctx.FailTaskOnce(pairs.ID(), i%16, vcluster.MaxTaskAttempts)
-				if _, err := run(); err == nil {
-					t.Fatalf("op %d: run with exhausted retries succeeded", i)
+				plan.arm(i%16, vcluster.MaxTaskAttempts)
+				if _, err := run(); !errors.Is(err, errInjected) {
+					t.Fatalf("op %d: run with exhausted retries: err = %v, want the injected failure", i, err)
 				}
 			case 5: // reclaim everything
 				ctx.FreeShuffles()

@@ -96,16 +96,6 @@ func newRDD[T any](ctx *Context, name string, parts int, deps []preparable,
 	return &RDD[T]{ctx: ctx, id: ctx.allocID(), name: name, parts: parts, deps: deps, compute: compute}
 }
 
-// ID returns the RDD's unique identifier within its context (used by fault
-// injection).
-func (r *RDD[T]) ID() int { return r.id }
-
-// Name returns the RDD's human-readable name.
-func (r *RDD[T]) Name() string { return r.name }
-
-// NumPartitions returns the number of partitions.
-func (r *RDD[T]) NumPartitions() int { return r.parts }
-
 // Cache marks the RDD so its partitions are kept in executor memory after
 // first computation; later jobs reuse them without recomputation or input
 // re-reads. It returns r for chaining.
@@ -117,14 +107,10 @@ func (r *RDD[T]) Cache() *RDD[T] {
 	return r
 }
 
-// materialize produces partition p, consulting the cache and injecting any
-// scheduled task failures.
+// materialize produces partition p, consulting the cache.
 func (r *RDD[T]) materialize(p int, led *sim.Ledger) ([]T, error) {
 	if p < 0 || p >= r.parts {
 		return nil, fmt.Errorf("rdd: %s: partition %d out of range [0,%d)", r.name, p, r.parts)
-	}
-	if r.ctx.shouldFail(r.id, p) {
-		return nil, &FlakyError{RDD: r.id, Part: p}
 	}
 	if r.cache != nil {
 		if rows, ok := r.cache.get(p); ok {

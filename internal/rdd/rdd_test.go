@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -23,6 +24,15 @@ func newTestContext(t *testing.T, opts ...Option) *Context {
 	return ctx
 }
 
+// jobCost sums the resource cost of every stage of a job.
+func jobCost(j sim.JobReport) sim.Cost {
+	var c sim.Cost
+	for _, st := range j.Stages {
+		c = c.Add(st.Total)
+	}
+	return c
+}
+
 func ints(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -34,8 +44,8 @@ func ints(n int) []int {
 func TestParallelizeCollect(t *testing.T) {
 	ctx := newTestContext(t)
 	r := Parallelize(ctx, "nums", ints(100), 7)
-	if r.NumPartitions() != 7 {
-		t.Fatalf("parts = %d", r.NumPartitions())
+	if r.parts != 7 {
+		t.Fatalf("parts = %d", r.parts)
 	}
 	got, err := Collect(r)
 	if err != nil {
@@ -64,8 +74,8 @@ func TestParallelizeEdgeCases(t *testing.T) {
 	}
 	// parts <= 0 defaults to cluster core count.
 	def := Parallelize(ctx, "def", ints(1000), 0)
-	if def.NumPartitions() != ctx.Config().TotalCores() {
-		t.Fatalf("default parts = %d", def.NumPartitions())
+	if def.parts != ctx.Config().TotalCores() {
+		t.Fatalf("default parts = %d", def.parts)
 	}
 }
 
@@ -123,8 +133,8 @@ func TestMapPartitionsLedger(t *testing.T) {
 	}
 	reps := ctx.Reports()
 	last := reps[len(reps)-1]
-	if last.TotalCost().CPUOps < 4000 {
-		t.Fatalf("ledger cost not propagated: %+v", last.TotalCost())
+	if jobCost(last).CPUOps < 4000 {
+		t.Fatalf("ledger cost not propagated: %+v", jobCost(last))
 	}
 }
 
@@ -240,11 +250,53 @@ func TestCacheUnlimitedByDefault(t *testing.T) {
 	}
 }
 
+// errInjected is the task failure the tests inject through task code.
+var errInjected = errors.New("rdd test: injected task failure")
+
+// failPlan schedules failures for the partitions of a flaky RDD.
+type failPlan struct {
+	mu   sync.Mutex
+	left map[int]int
+}
+
+// arm makes the next n computations of partition part fail.
+func (f *failPlan) arm(part, n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.left == nil {
+		f.left = make(map[int]int)
+	}
+	f.left[part] += n
+}
+
+// fail reports whether this computation of partition part fails, using up
+// one armed failure when it does.
+func (f *failPlan) fail(part int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.left[part] > 0 {
+		f.left[part]--
+		return true
+	}
+	return false
+}
+
+// flaky passes r through a MapPartitions whose partitions fail with
+// errInjected as plan arms them.
+func flaky[T any](r *RDD[T], plan *failPlan) *RDD[T] {
+	return MapPartitions(r, "flaky", func(p int, rows []T, _ *sim.Ledger) ([]T, error) {
+		if plan.fail(p) {
+			return nil, errInjected
+		}
+		return rows, nil
+	})
+}
+
 func TestTaskRetryOnInjectedFailure(t *testing.T) {
 	ctx := newTestContext(t)
-	r := Parallelize(ctx, "nums", ints(10), 2)
-	ctx.FailTaskOnce(r.ID(), 1, 2) // fail twice, succeed on third attempt
-	got, err := Collect(r)
+	var plan failPlan
+	plan.arm(1, 2) // fail twice, succeed on third attempt
+	got, err := Collect(flaky(Parallelize(ctx, "nums", ints(10), 2), &plan))
 	if err != nil || len(got) != 10 {
 		t.Fatalf("collect after injected failures: %v, %v", got, err)
 	}
@@ -252,15 +304,14 @@ func TestTaskRetryOnInjectedFailure(t *testing.T) {
 
 func TestTaskFailsAfterMaxAttempts(t *testing.T) {
 	ctx := newTestContext(t)
-	r := Parallelize(ctx, "nums", ints(10), 2)
-	ctx.FailTaskOnce(r.ID(), 0, vcluster.MaxTaskAttempts) // exhaust every attempt
-	_, err := Collect(r)
+	var plan failPlan
+	plan.arm(0, vcluster.MaxTaskAttempts) // exhaust every attempt
+	_, err := Collect(flaky(Parallelize(ctx, "nums", ints(10), 2), &plan))
 	if err == nil {
 		t.Fatal("job succeeded despite permanent task failure")
 	}
-	var fe *FlakyError
-	if !errors.As(err, &fe) {
-		t.Fatalf("error does not wrap FlakyError: %v", err)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("error does not wrap the injected failure: %v", err)
 	}
 }
 
@@ -350,8 +401,8 @@ func TestBroadcastCosts(t *testing.T) {
 	}
 	reps := ctx.Reports()
 	job := reps[len(reps)-1]
-	if job.TotalCost().Net != 0 {
-		t.Fatalf("broadcast mode charged per-task net: %+v", job.TotalCost())
+	if jobCost(job).Net != 0 {
+		t.Fatalf("broadcast mode charged per-task net: %+v", jobCost(job))
 	}
 	if job.Overhead <= ctx.Config().JobStartup {
 		t.Fatal("broadcast distribution time missing from job overhead")
@@ -370,7 +421,7 @@ func TestBroadcastCosts(t *testing.T) {
 	}
 	repsN := ctxN.Reports()
 	jobN := repsN[len(repsN)-1]
-	if got := jobN.TotalCost().Net; got != 4<<20 {
+	if got := jobCost(jobN).Net; got != 4<<20 {
 		t.Fatalf("naive mode net = %d, want %d", got, 4<<20)
 	}
 }
@@ -395,7 +446,7 @@ func TestTextFile(t *testing.T) {
 		t.Fatalf("TextFile lines = %v", got)
 	}
 	reps := ctx.Reports()
-	if reps[len(reps)-1].TotalCost().DiskRead == 0 {
+	if jobCost(reps[len(reps)-1]).DiskRead == 0 {
 		t.Fatal("TextFile read charged no disk I/O")
 	}
 	if _, err := TextFile(ctx, fs, "/missing", 0); err == nil {
@@ -421,7 +472,7 @@ func TestTextFilePartitionsCarryLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for p := 0; p < r.NumPartitions(); p++ {
+	for p := 0; p < r.parts; p++ {
 		if len(r.prefs[p]) > 0 {
 			found = true
 		}

@@ -17,6 +17,13 @@ import (
 	"yafim/internal/vcluster"
 )
 
+// shuffleNodeBytes reports one node's resident shuffle spill.
+func (c *Context) shuffleNodeBytes(node int) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.shuffleUsed[node]
+}
+
 // sumByKey runs the canonical shuffle workload: parts partitions of n ints,
 // keyed mod keys, summed by key.
 func sumByKey(ctx *Context, n, parts, keys int) (*RDD[Pair[int, int]], *RDD[Pair[int, int]]) {
@@ -30,7 +37,8 @@ func sumByKey(ctx *Context, n, parts, keys int) (*RDD[Pair[int, int]], *RDD[Pair
 // shuffle bug: a cancellation mid map stage used to be memoized in the
 // shuffle's sync.Once and replayed by every later action on the same
 // lineage. Now the failed map stage invalidates the shuffle state, so the
-// same RDD graph re-runs successfully once a fresh Go context is attached.
+// same RDD graph re-runs successfully once the driver's Go context is live
+// again.
 func TestCanceledShuffleRerunsCleanly(t *testing.T) {
 	defer leaktest.Check(t)()
 	goCtx, cancel := context.WithCancel(context.Background())
@@ -57,7 +65,7 @@ func TestCanceledShuffleRerunsCleanly(t *testing.T) {
 		t.Fatalf("first run: err = %v, want ErrCanceled", err)
 	}
 	// The same action on the same lineage, with a fresh driver context.
-	ctx.SetContext(context.Background())
+	ctx.goCtx = context.Background()
 	got, err := Collect(sums)
 	if err != nil {
 		t.Fatalf("re-run after cancellation: %v", err)
@@ -71,13 +79,16 @@ func TestCanceledShuffleRerunsCleanly(t *testing.T) {
 func TestExhaustedShuffleRerunsCleanly(t *testing.T) {
 	defer leaktest.Check(t)()
 	ctx := newTestContext(t)
-	pairs, sums := sumByKey(ctx, 64, 8, 4)
-	ctx.FailTaskOnce(pairs.ID(), 3, vcluster.MaxTaskAttempts)
+	var plan failPlan
+	plan.arm(3, vcluster.MaxTaskAttempts)
+	pairs := Map(flaky(Parallelize(ctx, "nums", ints(64), 8), &plan), "pairs", func(v int) Pair[int, int] {
+		return Pair[int, int]{Key: v % 4, Value: v}
+	})
+	sums := ReduceByKey(pairs, "sums", func(a, b int) int { return a + b }, 8)
 
 	_, err := Collect(sums)
-	var fe *FlakyError
-	if !errors.As(err, &fe) {
-		t.Fatalf("first run: err = %v, want the injected FlakyError after exhausted retries", err)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("first run: err = %v, want the injected failure after exhausted retries", err)
 	}
 	got, err := Collect(sums)
 	if err != nil {
@@ -246,8 +257,8 @@ func TestShuffleResidentGaugeMatchesCounters(t *testing.T) {
 	check("after recovery")
 	ctx.Close()
 	check("after Close")
-	if peak, spilled := ctx.ShufflePeakBytes(), ctx.ShuffleSpilledBytes(); peak <= 0 || spilled < peak {
-		t.Fatalf("peak %d / spilled %d: want 0 < peak <= spilled", peak, spilled)
+	if peak := ctx.ShufflePeakBytes(); peak <= 0 {
+		t.Fatalf("peak %d: want a positive high-water mark", peak)
 	}
 }
 

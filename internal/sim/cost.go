@@ -48,11 +48,6 @@ func (c Cost) Sub(d Cost) Cost {
 	}
 }
 
-// IsZero reports whether the cost records no resource use at all.
-func (c Cost) IsZero() bool {
-	return c.CPUOps == 0 && c.DiskRead == 0 && c.DiskWrite == 0 && c.Net == 0
-}
-
 // Norm collapses the cost into a single cluster-independent magnitude (the
 // component sum). It is not a time estimate — use TaskTime for that — but it
 // orders tasks by how much data-dependent work they carry, which is what the
@@ -137,15 +132,6 @@ func (l *Ledger) Total() Cost {
 	return l.cost
 }
 
-// Reset clears the ledger and returns what it held.
-func (l *Ledger) Reset() Cost {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c := l.cost
-	l.cost = Cost{}
-	return c
-}
-
 // StageReport summarises one executed stage: how many tasks ran, their
 // summed cost, and the virtual makespan the scheduler computed for them.
 type StageReport struct {
@@ -172,13 +158,4 @@ func (j *JobReport) Duration() time.Duration {
 		d += s.Makespan
 	}
 	return d
-}
-
-// TotalCost returns the summed resource cost across all stages.
-func (j *JobReport) TotalCost() Cost {
-	var c Cost
-	for _, s := range j.Stages {
-		c = c.Add(s.Total)
-	}
-	return c
 }

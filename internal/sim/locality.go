@@ -33,29 +33,6 @@ type TaskPlacement struct {
 	Remote bool
 }
 
-// PlaceTasks schedules tasks with locality preferences and returns the full
-// schedule — one placement per task, indexed like tasks — plus the schedule
-// length (excluding the per-stage overhead). It implements the
-// delay-scheduling policy of both Hadoop and Spark (spark.locality.wait):
-// a task runs on a preferred node unless that would delay it beyond the
-// configured locality wait relative to the best core anywhere; when it does
-// run remotely, its input bytes travel over the network instead of the
-// local disk, and the task pays for both. Tasks are placed longest first
-// (LPT) with all ties broken on the lowest index, so the schedule is
-// deterministic.
-func PlaceTasks(cfg cluster.Config, tasks []Placed) ([]TaskPlacement, time.Duration) {
-	placements, _, makespan := PlaceTasksOpts(cfg, tasks, StageOpts{})
-	return placements, makespan
-}
-
-// MakespanPlaced schedules tasks with locality preferences (see PlaceTasks)
-// and returns the resulting stage completion time, including the per-stage
-// scheduling overhead.
-func MakespanPlaced(cfg cluster.Config, tasks []Placed) time.Duration {
-	_, makespan := PlaceTasks(cfg, tasks)
-	return cfg.StageOverhead + makespan
-}
-
 // localityWait is how long a task will queue behind a busy preferred node
 // before accepting a remote slot — Spark's 3 s default scaled to our task
 // granularity: ten task launches.
@@ -92,29 +69,4 @@ func contains(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// RunStagePlaced builds a StageReport for a stage whose tasks carry
-// locality preferences.
-func RunStagePlaced(cfg cluster.Config, name string, tasks []Placed) StageReport {
-	rep, _ := RunStageScheduled(cfg, name, tasks)
-	return rep
-}
-
-// RunStageScheduled builds a StageReport for a stage whose tasks carry
-// locality preferences and additionally returns the full deterministic
-// schedule — the per-task placements and run intervals the telemetry layer
-// records as task spans.
-func RunStageScheduled(cfg cluster.Config, name string, tasks []Placed) (StageReport, []TaskPlacement) {
-	var total Cost
-	for _, t := range tasks {
-		total = total.Add(t.Cost)
-	}
-	placements, makespan := PlaceTasks(cfg, tasks)
-	return StageReport{
-		Name:     name,
-		Tasks:    len(tasks),
-		Total:    total,
-		Makespan: cfg.StageOverhead + makespan,
-	}, placements
 }

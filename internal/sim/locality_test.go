@@ -10,13 +10,13 @@ func TestMakespanPlacedLocalitySatisfied(t *testing.T) {
 	// locally and the makespan equals the unplaced one.
 	cfg := testConfig(2, 2)
 	tasks := make([]Placed, 4)
-	plain := make([]Cost, 4)
+	plain := make([]Placed, 4)
 	for i := range tasks {
 		c := Cost{CPUOps: 1e6, DiskRead: 1000}
 		tasks[i] = Placed{Cost: c, Pref: []int{i % 2}}
-		plain[i] = c
+		plain[i] = Placed{Cost: c}
 	}
-	if got, want := MakespanPlaced(cfg, tasks), Makespan(cfg, plain); got != want {
+	if got, want := makespan(cfg, tasks), makespan(cfg, plain); got != want {
 		t.Fatalf("local schedule %v != unplaced %v", got, want)
 	}
 }
@@ -28,46 +28,47 @@ func TestMakespanPlacedRemotePenalty(t *testing.T) {
 	cfg := testConfig(2, 1)
 	cfg.TaskLaunch = time.Millisecond
 	tasks := make([]Placed, 8)
-	plain := make([]Cost, 8)
+	plain := make([]Placed, 8)
 	for i := range tasks {
 		c := Cost{CPUOps: 1e6, DiskRead: 500e3}
 		tasks[i] = Placed{Cost: c, Pref: []int{0}}
-		plain[i] = c
+		plain[i] = Placed{Cost: c}
 	}
-	placed := MakespanPlaced(cfg, tasks)
-	unplaced := Makespan(cfg, plain)
+	placed := makespan(cfg, tasks)
+	unplaced := makespan(cfg, plain)
 	if placed <= unplaced {
 		t.Fatalf("remote reads not penalised: placed %v <= unplaced %v", placed, unplaced)
 	}
 }
 
+// A task that prefers every node is local wherever it runs, so it
+// schedules exactly like a task with no preference.
 func TestMakespanPlacedNoPrefsMatchesMakespan(t *testing.T) {
 	cfg := testConfig(3, 2)
-	var tasks []Placed
-	var plain []Cost
+	var tasks, plain []Placed
 	for i := 0; i < 20; i++ {
-		c := Cost{CPUOps: float64(i) * 1e5}
-		tasks = append(tasks, Placed{Cost: c})
-		plain = append(plain, c)
+		c := Cost{CPUOps: float64(i) * 1e5, DiskRead: int64(i) * 1e3}
+		tasks = append(tasks, Placed{Cost: c, Pref: []int{0, 1, 2}})
+		plain = append(plain, Placed{Cost: c})
 	}
-	if got, want := MakespanPlaced(cfg, tasks), Makespan(cfg, plain); got != want {
-		t.Fatalf("prefs-free placed schedule %v != plain %v", got, want)
+	if got, want := makespan(cfg, tasks), makespan(cfg, plain); got != want {
+		t.Fatalf("everywhere-local schedule %v != prefs-free %v", got, want)
 	}
 }
 
 func TestMakespanPlacedEmptyAndDeterministic(t *testing.T) {
 	cfg := testConfig(2, 2)
 	cfg.StageOverhead = 5 * time.Millisecond
-	if got := MakespanPlaced(cfg, nil); got != 5*time.Millisecond {
+	if got := makespan(cfg, nil); got != 5*time.Millisecond {
 		t.Fatalf("empty stage = %v", got)
 	}
 	tasks := make([]Placed, 30)
 	for i := range tasks {
 		tasks[i] = Placed{Cost: Cost{CPUOps: float64((i * 131) % 7e5), DiskRead: int64(i)}, Pref: []int{i % 2}}
 	}
-	first := MakespanPlaced(cfg, tasks)
+	first := makespan(cfg, tasks)
 	for i := 0; i < 5; i++ {
-		if got := MakespanPlaced(cfg, tasks); got != first {
+		if got := makespan(cfg, tasks); got != first {
 			t.Fatalf("non-deterministic: %v vs %v", got, first)
 		}
 	}
@@ -75,9 +76,9 @@ func TestMakespanPlacedEmptyAndDeterministic(t *testing.T) {
 
 func TestRunStagePlacedAggregates(t *testing.T) {
 	cfg := testConfig(2, 2)
-	rep := RunStagePlaced(cfg, "map", []Placed{
+	rep, _, _ := RunStageResilient(cfg, "map", []Placed{
 		{Cost: Cost{CPUOps: 5}}, {Cost: Cost{CPUOps: 7}, Pref: []int{1}},
-	})
+	}, StageOpts{})
 	if rep.Tasks != 2 || rep.Total.CPUOps != 12 || rep.Makespan <= 0 {
 		t.Fatalf("report = %+v", rep)
 	}

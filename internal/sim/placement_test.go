@@ -21,7 +21,7 @@ func placedTasks(n int) []Placed {
 func TestPlaceTasksScheduleConsistent(t *testing.T) {
 	cfg := cluster.Local()
 	tasks := placedTasks(17)
-	placements, makespan := PlaceTasks(cfg, tasks)
+	placements, _, length := PlaceTasksOpts(cfg, tasks, StageOpts{})
 	if len(placements) != len(tasks) {
 		t.Fatalf("placements = %d, want %d", len(placements), len(tasks))
 	}
@@ -43,8 +43,8 @@ func TestPlaceTasksScheduleConsistent(t *testing.T) {
 		}
 		byCore[core{pl.Node, pl.Core}] = append(byCore[core{pl.Node, pl.Core}], pl)
 	}
-	if latest != makespan {
-		t.Fatalf("makespan = %v, latest task end = %v", makespan, latest)
+	if latest != length {
+		t.Fatalf("schedule length = %v, latest task end = %v", length, latest)
 	}
 	for c, pls := range byCore {
 		for _, a := range pls {
@@ -59,25 +59,22 @@ func TestPlaceTasksScheduleConsistent(t *testing.T) {
 		}
 	}
 
-	// The same schedule drives both the makespan and the report paths.
-	if got := MakespanPlaced(cfg, tasks); got != cfg.StageOverhead+makespan {
-		t.Fatalf("MakespanPlaced = %v, want %v", got, cfg.StageOverhead+makespan)
-	}
-	rep, pls2 := RunStageScheduled(cfg, "s", tasks)
-	if rep.Makespan != cfg.StageOverhead+makespan || rep.Tasks != len(tasks) {
+	// The same schedule drives the report path.
+	rep, pls2, _ := RunStageResilient(cfg, "s", tasks, StageOpts{})
+	if rep.Makespan != cfg.StageOverhead+length || rep.Tasks != len(tasks) {
 		t.Fatalf("report = %+v", rep)
 	}
 	for i := range placements {
 		if placements[i] != pls2[i] {
-			t.Fatalf("schedule differs between PlaceTasks and RunStageScheduled at %d", i)
+			t.Fatalf("schedule differs between PlaceTasksOpts and RunStageResilient at %d", i)
 		}
 	}
 }
 
 func TestPlaceTasksDeterministic(t *testing.T) {
 	cfg := cluster.Local()
-	a, ma := PlaceTasks(cfg, placedTasks(23))
-	b, mb := PlaceTasks(cfg, placedTasks(23))
+	a, _, ma := PlaceTasksOpts(cfg, placedTasks(23), StageOpts{})
+	b, _, mb := PlaceTasksOpts(cfg, placedTasks(23), StageOpts{})
 	if ma != mb {
 		t.Fatalf("makespans differ: %v vs %v", ma, mb)
 	}

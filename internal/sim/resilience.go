@@ -8,7 +8,8 @@ import (
 )
 
 // StageOpts tunes one stage's schedule for fault and straggler handling.
-// The zero value schedules exactly like PlaceTasks.
+// The zero value schedules every node at full speed, excludes none and
+// speculates on nothing.
 type StageOpts struct {
 	// NodeFactor is an optional per-node service-time multiplier (>= 1);
 	// tasks placed on a slowed node take factor times as long. Nil or a
@@ -40,17 +41,19 @@ type SpecStats struct {
 	Won      int64 // backups that beat the original attempt
 }
 
-// Add accumulates another stage's speculation counts.
-func (s *SpecStats) Add(o SpecStats) {
-	s.Launched += o.Launched
-	s.Won += o.Won
-}
-
-// PlaceTasksOpts schedules tasks like PlaceTasks, additionally honouring the
-// stage options: excluded nodes receive no tasks, slowed nodes stretch the
-// tasks placed on them, and the speculation policy launches backup copies of
-// stragglers after the main placement. Returns the schedule, the speculation
-// counts, and the schedule length (excluding the per-stage overhead).
+// PlaceTasksOpts schedules tasks with locality preferences and returns the
+// full schedule — one placement per task, indexed like tasks — plus the
+// speculation counts and the schedule length (excluding the per-stage
+// overhead). It implements the delay-scheduling policy of both Hadoop and
+// Spark (spark.locality.wait): a task runs on a preferred node unless that
+// would delay it beyond the configured locality wait relative to the best
+// core anywhere; when it does run remotely, its input bytes travel over the
+// network instead of the local disk, and the task pays for both. Tasks are
+// placed longest first (LPT) with all ties broken on the lowest index, so
+// the schedule is deterministic. The stage options then apply: excluded
+// nodes receive no tasks, slowed nodes stretch the tasks placed on them,
+// and the speculation policy launches backup copies of stragglers after the
+// main placement.
 func PlaceTasksOpts(cfg cluster.Config, tasks []Placed, opts StageOpts) ([]TaskPlacement, SpecStats, time.Duration) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -240,9 +243,11 @@ func allExcluded(nodes int, exclude []bool) bool {
 	return true
 }
 
-// RunStageResilient builds a StageReport like RunStageScheduled while
-// honouring stage options (exclusions, straggler factors, speculation), and
-// additionally returns the stage's speculation counts.
+// RunStageResilient builds the StageReport of a named stage — its task
+// count, summed cost and makespan including the per-stage overhead — from
+// the schedule PlaceTasksOpts computes, and also returns that schedule (the
+// per-task placements and run intervals the telemetry layer records as
+// task spans) and the stage's speculation counts.
 func RunStageResilient(cfg cluster.Config, name string, tasks []Placed, opts StageOpts) (StageReport, []TaskPlacement, SpecStats) {
 	var total Cost
 	for _, t := range tasks {

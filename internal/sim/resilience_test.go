@@ -27,6 +27,8 @@ func uniformTasks(n int, ops float64) []Placed {
 	return tasks
 }
 
+// The zero StageOpts schedules like options that name every node at full
+// speed, exclude none and never speculate.
 func TestZeroOptsMatchesPlaceTasks(t *testing.T) {
 	cfg := testCfg()
 	tasks := []Placed{
@@ -35,7 +37,12 @@ func TestZeroOptsMatchesPlaceTasks(t *testing.T) {
 		{Cost: Cost{CPUOps: 200, DiskRead: 5000}, Pref: []int{1, 2}},
 		{Cost: Cost{CPUOps: 50}},
 	}
-	p1, m1 := PlaceTasks(cfg, tasks)
+	neutral := StageOpts{
+		NodeFactor: []float64{1, 1, 1, 1},
+		Exclude:    []bool{false, false, false, false},
+		Spec:       &SpecPolicy{Threshold: 0},
+	}
+	p1, _, m1 := PlaceTasksOpts(cfg, tasks, neutral)
 	p2, stats, m2 := PlaceTasksOpts(cfg, tasks, StageOpts{})
 	if m1 != m2 {
 		t.Fatalf("makespan differs: %v vs %v", m1, m2)
@@ -195,8 +202,8 @@ func TestRunStageResilientReportsTotals(t *testing.T) {
 	if rep.Total.CPUOps != 4000 {
 		t.Fatalf("total CPU ops %v, want 4000", rep.Total.CPUOps)
 	}
-	plain, plainPl := RunStageScheduled(cfg, "s", tasks)
-	if rep.Makespan != plain.Makespan || len(plainPl) != len(placements) {
-		t.Fatalf("zero-opts resilient stage diverges from RunStageScheduled")
+	plainPl, _, length := PlaceTasksOpts(cfg, tasks, StageOpts{})
+	if rep.Makespan != cfg.StageOverhead+length || len(plainPl) != len(placements) {
+		t.Fatalf("zero-opts resilient stage diverges from PlaceTasksOpts")
 	}
 }

@@ -28,38 +28,3 @@ func TaskTime(cfg cluster.Config, c Cost) time.Duration {
 	secs += float64(c.Net) / (cfg.NetBWPerSec / share)
 	return cfg.TaskLaunch + time.Duration(secs*float64(time.Second))
 }
-
-// Makespan schedules the stage's tasks onto the cluster's virtual cores
-// using the classic LPT (longest processing time first) greedy rule and
-// returns the resulting stage completion time, including the per-stage
-// scheduling overhead. The schedule is deterministic: ties in both task
-// ordering and core selection break on the lowest index. Tasks without
-// locality preferences schedule identically under PlaceTasks, which is the
-// single scheduling implementation.
-func Makespan(cfg cluster.Config, tasks []Cost) time.Duration {
-	_, makespan := PlaceTasks(cfg, asPlaced(tasks))
-	return cfg.StageOverhead + makespan
-}
-
-// asPlaced wraps plain task costs as preference-free placed tasks.
-func asPlaced(tasks []Cost) []Placed {
-	placed := make([]Placed, len(tasks))
-	for i, c := range tasks {
-		placed[i] = Placed{Cost: c}
-	}
-	return placed
-}
-
-// RunStage builds a StageReport for a named stage from per-task costs.
-func RunStage(cfg cluster.Config, name string, tasks []Cost) StageReport {
-	var total Cost
-	for _, c := range tasks {
-		total = total.Add(c)
-	}
-	return StageReport{
-		Name:     name,
-		Tasks:    len(tasks),
-		Total:    total,
-		Makespan: Makespan(cfg, tasks),
-	}
-}

@@ -10,8 +10,7 @@
 //
 // The engines keep only what really differs between them: what a task
 // computes, how lost output is recovered (RDD lineage against MapReduce's
-// map re-run), what a job pays at startup, and how a test injects a task
-// failure.
+// map re-run) and what a job pays at startup.
 package vcluster
 
 import (
@@ -384,8 +383,8 @@ func (d *Driver) Schedule(name string, placed []sim.Placed, attempts []int, wast
 
 // noteFailures attributes a stage's failed task attempts to nodes for
 // blacklisting, in deterministic (task, attempt) order after all tasks have
-// finished. Failed attempts of any cause count, injected or manual, since a
-// real scheduler cannot tell them apart either.
+// finished. Failed attempts of any cause count, chaos-injected or raised by
+// the task's own code, since a real scheduler cannot tell them apart either.
 func (d *Driver) noteFailures(stage string, attempts []int) {
 	if d.health == nil {
 		return

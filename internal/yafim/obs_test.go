@@ -159,8 +159,8 @@ func TestPassBoundaryFreesShuffle(t *testing.T) {
 	if n := ctx.ShuffleResidentBytes(); n != 0 {
 		t.Fatalf("shuffle_resident_bytes = %d after Mine, want 0", n)
 	}
-	if peak, spilled := ctx.ShufflePeakBytes(), ctx.ShuffleSpilledBytes(); peak <= 0 || spilled < peak {
-		t.Fatalf("peak %d / spilled %d: want 0 < peak <= spilled", peak, spilled)
+	if peak := ctx.ShufflePeakBytes(); peak <= 0 {
+		t.Fatalf("peak %d: want a positive high-water mark", peak)
 	}
 	if got := rec.Counters().ShuffleResidentBytes; got != 0 {
 		t.Fatalf("telemetry gauge = %d after Mine, want 0", got)

@@ -6,10 +6,12 @@ import (
 	"testing/quick"
 
 	"yafim/internal/apriori"
+	"yafim/internal/chaos"
 	"yafim/internal/cluster"
 	"yafim/internal/dataset"
 	"yafim/internal/dfs"
 	"yafim/internal/itemset"
+	"yafim/internal/obs"
 	"yafim/internal/rdd"
 )
 
@@ -126,7 +128,9 @@ func TestCacheAblationCostsDiskReads(t *testing.T) {
 		}
 		var disk int64
 		for _, r := range ctx.Reports() {
-			disk += r.TotalCost().DiskRead
+			for _, st := range r.Stages {
+				disk += st.Total.DiskRead
+			}
 		}
 		return disk
 	}
@@ -175,13 +179,17 @@ func TestMineEmptyFile(t *testing.T) {
 }
 
 func TestSurvivesInjectedTaskFailure(t *testing.T) {
-	ctx, fs, path := stage(t, classicDB())
-	// Fail an early RDD id (the textFile or transactions RDD) a few times;
-	// the scheduler must retry and the result must stay exact.
-	ctx.FailTaskOnce(1, 0, 2)
+	// Fail task attempts at random; the scheduler must retry and the result
+	// must stay exact.
+	rec := obs.New()
+	ctx, fs, path := stage(t, classicDB(),
+		rdd.WithChaos(&chaos.Plan{Seed: 1, TaskFailProb: 0.3}), rdd.WithRecorder(rec))
 	got, err := Mine(ctx, fs, path, Config{MinSupport: 2.0 / 9.0})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rec.Counters().TaskRetries == 0 {
+		t.Fatal("a 30% task failure rate produced no retries")
 	}
 	want, _ := apriori.Mine(classicDB(), 2.0/9.0, apriori.Options{})
 	if !got.Result.Equal(want) {
