@@ -97,8 +97,8 @@ dist-smoke:
 # and resume it from the write-ahead journal (TestMasterKillResumeParity),
 # mine to byte-identical results through a seeded fault-injecting transport
 # (TestChaosMiningParityWordCount), the ChaosTransport determinism and fault
-# unit tests, the fetch-budget bound and the journaled verdict on a
-# partition that does not decode — then the CLI smoke mode with a
+# unit tests, the fetch-budget bound and the journaled verdict on a run
+# frame that does not parse or is cut short — then the CLI smoke mode with a
 # chaos seed on every worker link, which additionally SIGKILLs a worker
 # mid-run. Logs plus the master's WAL land under artifacts/dist-chaos for CI
 # to upload on failure.
@@ -126,6 +126,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzShuffleLifecycle' -fuzztime $(FUZZTIME) ./internal/rdd/
 	$(GO) test -run '^$$' -fuzz 'FuzzReduceByKeyParity' -fuzztime $(FUZZTIME) ./internal/rdd/
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosInvariant' -fuzztime $(FUZZTIME) ./internal/mapreduce/
+	$(GO) test -run '^$$' -fuzz 'FuzzMapTaskParity' -fuzztime $(FUZZTIME) ./internal/mapreduce/
+	$(GO) test -run '^$$' -fuzz 'FuzzParseRun' -fuzztime $(FUZZTIME) ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosMiningInvariant' -fuzztime $(FUZZTIME) ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz 'FuzzRDDEclatParity' -fuzztime $(FUZZTIME) ./internal/rddeclat/
 	$(GO) test -run '^$$' -fuzz 'FuzzSubsetParity' -fuzztime $(FUZZTIME) ./internal/hashtree/
@@ -136,7 +138,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # bench-json runs the perf-gated benchmarks — the pass-2 counting kernels,
-# the shuffle residency kernel, and the diagnosis layer — and renders them as
+# the shuffle residency kernel, the MapReduce shuffle's wire frame, and the
+# diagnosis layer — and renders them as
 # a JSON trajectory point. CI regenerates this into a scratch file and gates
 # it against the committed baseline:
 #
@@ -147,7 +150,7 @@ bench:
 # plain `make bench-json` and commit the updated BENCH_9.json.
 BENCH_JSON ?= BENCH_9.json
 bench-json:
-	$(GO) test -run '^$$' -bench 'Pass2|ShuffleResident|Diagnosis' -benchmem -benchtime 3x -count 1 . \
+	$(GO) test -run '^$$' -bench 'Pass2|ShuffleResident|ShuffleFrame|Diagnosis' -benchmem -benchtime 3x -count 1 . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_JSON)
 
 clean:

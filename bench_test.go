@@ -15,16 +15,21 @@ package yafim
 import (
 	"context"
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"yafim/internal/apriori"
 	"yafim/internal/experiments"
 	"yafim/internal/hashtree"
 	"yafim/internal/itemset"
+	"yafim/internal/mapreduce"
 	"yafim/internal/mrapriori"
 	"yafim/internal/obs"
 	"yafim/internal/rdd"
 	"yafim/internal/rddeclat"
+	"yafim/internal/shuffle"
 	"yafim/internal/yafim"
 )
 
@@ -297,8 +302,8 @@ func BenchmarkPass2YAFIM(b *testing.B) {
 // BenchmarkShuffleResident measures the shuffle lifecycle manager on the
 // full mining run: peak resident map-output bytes (with the facade's
 // pass-boundary frees this is roughly one pass's shuffle volume, not the
-// whole run's) and the bytes still resident after mining (must be ~0 once
-// Close runs). Both metrics are deterministic virtual quantities and are
+// whole run's) and the bytes still resident after mining (must be 0 once
+// FreeShuffles runs). Both metrics are deterministic virtual quantities and are
 // perf-gated like virt-sec.
 func BenchmarkShuffleResident(b *testing.B) {
 	env := benchEnv()
@@ -317,14 +322,39 @@ func BenchmarkShuffleResident(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := ctx.Close(); err != nil {
-			b.Fatal(err)
-		}
+		ctx.FreeShuffles()
 		peak = float64(ctx.ShufflePeakBytes())
 		final = float64(ctx.ShuffleResidentBytes())
 	}
 	b.ReportMetric(peak, "peak-resident-bytes")
 	b.ReportMetric(final, "final-resident-bytes")
+}
+
+// BenchmarkShuffleFrame measures the MapReduce shuffle's wire frame on a
+// pass-2 count job's shape: the <candidate, count> records one map task
+// over the candidate-heavy workload files in one of four reduce partitions,
+// encoded as a worker serves its run and parsed as a reducer reads it.
+func BenchmarkShuffleFrame(b *testing.B) {
+	txs, cands := pass2Fixture(b)
+	counts, _ := hashtree.Build(cands).CountSupports(txs)
+	var run mapreduce.Run
+	for i, c := range counts {
+		if key := mrapriori.SetKey(cands[i]); c != 0 && shuffle.HashKey(key)%4 == 0 {
+			run = append(run, shuffle.Pair[string, []string]{Key: key, Value: []string{strconv.Itoa(c)}})
+		}
+	}
+	slices.SortFunc(run, func(x, y shuffle.Pair[string, []string]) int { return strings.Compare(x.Key, y.Key) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	var frame []byte
+	for i := 0; i < b.N; i++ {
+		frame = mapreduce.AppendRun(nil, run)
+		if _, err := mapreduce.ParseRun(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(run)), "records")
+	b.ReportMetric(float64(len(frame)), "frame-bytes")
 }
 
 // BenchmarkDiagnosis measures the diagnosis layer end to end on the

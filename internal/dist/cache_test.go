@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
 )
 
@@ -21,14 +20,14 @@ import (
 // every older job's blobs and outputs are dead weight: they are no longer
 // served or re-advertised.
 func TestDropStaleCachesEvictsOlderJobs(t *testing.T) {
-	part := []mapreduce.Partition{{"tea": {"1"}}}
+	part := [][]byte{[]byte("tea\t1\n")}
 	w := &worker{
 		caches: map[cacheKey][]byte{
 			{seq: 1, name: "cand"}:  []byte("old"),
 			{seq: 1, name: "other"}: []byte("old2"),
 			{seq: 2, name: "cand"}:  []byte("current"),
 		},
-		outputs: map[outputKey][]mapreduce.Partition{
+		outputs: map[outputKey][][]byte{
 			{seq: 1, mapIndex: 0}: part,
 			{seq: 1, mapIndex: 1}: part,
 			{seq: 2, mapIndex: 0}: part,
@@ -48,6 +47,10 @@ func TestDropStaleCachesEvictsOlderJobs(t *testing.T) {
 			fmt.Sprintf("/dist/output?seq=%d&map=0&part=0", c.seq), nil))
 		if rec.Code != c.code {
 			t.Fatalf("/dist/output for seq %d answered %d, want %d", c.seq, rec.Code, c.code)
+		}
+		if c.code == http.StatusOK && (rec.Body.String() != "tea\t1\n" || rec.Header().Get("Content-Length") != "6") {
+			t.Fatalf("/dist/output served %q with Content-Length %q, want the stored frame and its length",
+				rec.Body.String(), rec.Header().Get("Content-Length"))
 		}
 	}
 	// Dropping for the same seq again is a no-op.
@@ -73,9 +76,9 @@ func TestRunTaskDropsOlderSeqBlobs(t *testing.T) {
 			{seq: 1, name: "cand"}: []byte("stale"),
 			{seq: 3, name: "cand"}: []byte("live"),
 		},
-		outputs: map[outputKey][]mapreduce.Partition{
-			{seq: 1, mapIndex: 0}: {{"tea": {"1"}}},
-			{seq: 3, mapIndex: 0}: {{"tea": {"2"}}},
+		outputs: map[outputKey][][]byte{
+			{seq: 1, mapIndex: 0}: {[]byte("tea\t1\n")},
+			{seq: 3, mapIndex: 0}: {[]byte("tea\t2\n")},
 		},
 	}
 	// An unknown phase fails the task, but the stale-cache sweep runs first

@@ -86,10 +86,10 @@ type worker struct {
 	addr string // own map-output serving address
 
 	mu      sync.Mutex
-	id      int                                 // current registration; changes on rejoin (see reregister)
-	hbMs    int64                               // master-assigned heartbeat cadence
-	outputs map[outputKey][]mapreduce.Partition // completed map outputs by task
-	caches  map[cacheKey][]byte                 // fetched cache blobs by job seq and name
+	id      int                    // current registration; changes on rejoin (see reregister)
+	hbMs    int64                  // master-assigned heartbeat cadence
+	outputs map[outputKey][][]byte // completed map outputs by task: one run frame per reduce partition
+	caches  map[cacheKey][]byte    // fetched cache blobs by job seq and name
 }
 
 // workerID returns the current registration's id. Re-registration (after a
@@ -121,7 +121,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		client:  &http.Client{Timeout: clientTimeout, Transport: opts.Transport},
 		log:     opts.Log,
 		blocks:  newBlockCache(DefaultTuning().InputCacheBytes),
-		outputs: map[outputKey][]mapreduce.Partition{},
+		outputs: map[outputKey][][]byte{},
 		caches:  map[cacheKey][]byte{},
 	}
 
@@ -512,7 +512,7 @@ func (w *worker) fetchURL(ctx context.Context, url string) ([]byte, error) {
 
 // runMap executes one map task through the sim's own map-task body:
 // read the split from the block cache, map, partition and combine, and
-// store the partitions for serving. Returns the consumed record count (the
+// store each run's frame for serving. Returns the consumed record count (the
 // driver's counter source).
 func (w *worker) runMap(ctx context.Context, task *TaskSpec) (int64, error) {
 	jt, err := lookupJobType(task.Type)
@@ -543,16 +543,20 @@ func (w *worker) runMap(ctx context.Context, task *TaskSpec) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	frames := make([][]byte, len(out.Runs))
+	for p, run := range out.Runs {
+		frames[p] = mapreduce.AppendRun(nil, run)
+	}
 	w.mu.Lock()
-	w.outputs[outputKey{task.Seq, task.Index}] = out.Partitions
+	w.outputs[outputKey{task.Seq, task.Index}] = frames
 	w.mu.Unlock()
 	return out.InputRecords, nil
 }
 
 // runReduce executes one reduce task through the sim's own reduce-task
-// body: fetch this partition from every map task's producer with
-// capped-backoff retries, merging each in map-index order as it arrives,
-// then reduce the keys in sorted order and return the output records.
+// body: fetch this partition's run from every map task's producer with
+// capped-backoff retries, in map-index order, then merge the runs, reduce
+// the keys in order and return the output records.
 // Unfetchable map outputs are returned as FailedMaps for the master's
 // FetchFailed recovery; the reduce itself then fails this attempt.
 func (w *worker) runReduce(ctx context.Context, task *TaskSpec) ([]KV, []int, error) {
@@ -607,15 +611,15 @@ func (w *worker) runReduce(ctx context.Context, task *TaskSpec) ([]KV, []int, er
 			failed = append(failed, mi)
 			continue
 		}
-		var part mapreduce.Partition
-		if err := json.Unmarshal(data, &part); err != nil {
+		run, err := mapreduce.ParseRun(data)
+		if err != nil {
 			w.log.Append(obs.LiveEvent{Event: "fetch_failed", Worker: w.workerID(),
 				Job: task.Job, Seq: task.Seq, Phase: PhaseReduce,
 				Task: task.Index + 1, Detail: fmt.Sprintf("map %d at %s: decode: %v", mi, addr, err)})
 			failed = append(failed, mi)
 			continue
 		}
-		rt.Merge(part)
+		rt.Merge(run)
 	}
 	if len(failed) > 0 {
 		return nil, failed, fmt.Errorf("dist: reduce %d: %d map outputs unfetchable", task.Index, len(failed))
@@ -628,7 +632,8 @@ func (w *worker) runReduce(ctx context.Context, task *TaskSpec) ([]KV, []int, er
 	return out, nil, nil
 }
 
-// handleOutput serves one stored map-output partition as JSON.
+// handleOutput serves one stored run frame. The Content-Length lets the
+// fetching reducer tell a body cut short from a whole one.
 func (w *worker) handleOutput(rw http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	seq, err1 := strconv.Atoi(q.Get("seq"))
@@ -639,12 +644,13 @@ func (w *worker) handleOutput(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	buckets, ok := w.outputs[outputKey{seq, mi}]
+	frames, ok := w.outputs[outputKey{seq, mi}]
 	w.mu.Unlock()
-	if !ok || part < 0 || part >= len(buckets) {
+	if !ok || part < 0 || part >= len(frames) {
 		http.Error(rw, "no such partition", http.StatusNotFound)
 		return
 	}
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(buckets[part]) //nolint:errcheck
+	rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	rw.Header().Set("Content-Length", strconv.Itoa(len(frames[part])))
+	rw.Write(frames[part]) //nolint:errcheck
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"yafim/internal/exec"
-	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
 )
 
@@ -46,7 +45,7 @@ func TestReduceFetchBudget(t *testing.T) {
 		},
 		client:  &http.Client{Timeout: 10 * time.Second},
 		log:     log,
-		outputs: map[outputKey][]mapreduce.Partition{},
+		outputs: map[outputKey][][]byte{},
 		caches:  map[cacheKey][]byte{},
 	}
 
@@ -106,7 +105,7 @@ func TestReduceDrainBeatsBudget(t *testing.T) {
 			FetchBudget:  time.Minute,
 		},
 		client:  &http.Client{Timeout: 10 * time.Second},
-		outputs: map[outputKey][]mapreduce.Partition{},
+		outputs: map[outputKey][][]byte{},
 		caches:  map[cacheKey][]byte{},
 	}
 	task := &TaskSpec{
@@ -127,46 +126,73 @@ func TestReduceDrainBeatsBudget(t *testing.T) {
 	}
 }
 
-// TestReduceCorruptPartitionJournaled checks that a map-output partition
-// that does not decode is journaled as a fetch failure naming the decode
-// error, so a corrupt or truncated body is told apart from a dead producer.
+// TestReduceCorruptPartitionJournaled checks that a map-output run frame
+// that does not parse is journaled as a fetch failure naming the decode
+// error, so a corrupt body is told apart from a dead producer, and that a
+// body cut short of its Content-Length fails the fetch. Either way the map
+// lands in FailedMaps.
 func TestReduceCorruptPartitionJournaled(t *testing.T) {
 	typ := wordCountType(t)
-	peer := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
-		rw.Write([]byte("{not json")) //nolint:errcheck
-	}))
-	defer peer.Close()
+	for _, c := range []struct {
+		name   string
+		serve  func(rw http.ResponseWriter)
+		detail string // what the fetch_failed event's detail must hold
+	}{
+		{"line without a tab", func(rw http.ResponseWriter) {
+			rw.Write([]byte("fox\t1\nno-tab-here\n")) //nolint:errcheck
+		}, "decode: malformed record"},
+		{"keys out of order", func(rw http.ResponseWriter) {
+			rw.Write([]byte("fox\t1\nbrown\t1\n")) //nolint:errcheck
+		}, `decode: key "brown" after key "fox"`},
+		{"body shorter than its Content-Length", func(rw http.ResponseWriter) {
+			conn, buf, err := http.NewResponseController(rw).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			buf.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 64\r\n\r\nfox\t1\n") //nolint:errcheck
+			buf.Flush()                                                              //nolint:errcheck
+		}, "map 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peer := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+				c.serve(rw)
+			}))
+			defer peer.Close()
 
-	log := obs.NewEventLog(nil)
-	w := &worker{
-		opts: WorkerOptions{
-			Fetch:        exec.Backoff{Base: 5 * time.Millisecond, Cap: 20 * time.Millisecond},
-			FetchRetries: 3,
-			FetchBudget:  time.Minute,
-		},
-		client:  &http.Client{Timeout: 10 * time.Second},
-		log:     log,
-		outputs: map[outputKey][]mapreduce.Partition{},
-		caches:  map[cacheKey][]byte{},
-	}
-	task := &TaskSpec{
-		Job: "j", Seq: 1, Type: typ, Phase: PhaseReduce, Index: 0,
-		NumMaps: 1, NumReducers: 1, MapAddrs: []string{strings.TrimPrefix(peer.URL, "http://")},
-	}
-	_, failed, rerr := w.runReduce(context.Background(), task)
-	if rerr == nil {
-		t.Fatal("runReduce succeeded on a partition that does not decode")
-	}
-	if len(failed) != 1 || failed[0] != 0 {
-		t.Fatalf("FailedMaps = %v, want [0]", failed)
-	}
-	journaled := false
-	for _, ev := range log.Events() {
-		if ev.Event == "fetch_failed" && strings.Contains(ev.Detail, "decode") {
-			journaled = true
-		}
-	}
-	if !journaled {
-		t.Fatalf("no fetch_failed event with a decode detail journaled: %+v", log.Events())
+			log := obs.NewEventLog(nil)
+			w := &worker{
+				opts: WorkerOptions{
+					Fetch:        exec.Backoff{Base: 5 * time.Millisecond, Cap: 20 * time.Millisecond},
+					FetchRetries: 3,
+					FetchBudget:  time.Minute,
+				},
+				client:  &http.Client{Timeout: 10 * time.Second},
+				log:     log,
+				outputs: map[outputKey][][]byte{},
+				caches:  map[cacheKey][]byte{},
+			}
+			task := &TaskSpec{
+				Job: "j", Seq: 1, Type: typ, Phase: PhaseReduce, Index: 0,
+				NumMaps: 1, NumReducers: 1, MapAddrs: []string{strings.TrimPrefix(peer.URL, "http://")},
+			}
+			_, failed, rerr := w.runReduce(context.Background(), task)
+			if rerr == nil {
+				t.Fatal("runReduce succeeded on a bad run frame")
+			}
+			if len(failed) != 1 || failed[0] != 0 {
+				t.Fatalf("FailedMaps = %v, want [0]", failed)
+			}
+			journaled := false
+			for _, ev := range log.Events() {
+				if ev.Event == "fetch_failed" && strings.Contains(ev.Detail, c.detail) {
+					journaled = true
+				}
+			}
+			if !journaled {
+				t.Fatalf("no fetch_failed event with %q in its detail journaled: %+v", c.detail, log.Events())
+			}
+		})
 	}
 }

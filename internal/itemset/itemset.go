@@ -11,6 +11,7 @@ package itemset
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -35,14 +36,8 @@ func New(items ...Item) Itemset {
 // Canonical sorts s in place, removes duplicates and returns the (possibly
 // shortened) slice.
 func Canonical(s Itemset) Itemset {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:0]
-	for i, it := range s {
-		if i == 0 || it != s[i-1] {
-			out = append(out, it)
-		}
-	}
-	return out
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // Len returns the number of items in s (the "k" of a k-itemset).

@@ -30,6 +30,8 @@ import (
 )
 
 // Emit collects one key/value record from a mapper, combiner or reducer.
+// Records move between tasks and land in part files as key\tvalue\n lines,
+// so a key holds no tab or newline and a value no newline.
 type Emit func(key, value string)
 
 // CacheFiles holds the contents of the job's distributed-cache files,
@@ -49,7 +51,10 @@ type Mapper interface {
 	Cleanup(emit Emit, led *sim.Ledger) error
 }
 
-// Reducer processes the values of one key. Also used for combiners.
+// Reducer processes the values of one key. Also used for combiners, which
+// emit only under the key they combine. The values are read-only, as
+// Hadoop's value iterator is: they may be a map task's stored output, which
+// a retried attempt reads again.
 type Reducer interface {
 	Setup(cache CacheFiles, led *sim.Ledger) error
 	Reduce(key string, values []string, emit Emit, led *sim.Ledger) error
@@ -303,7 +308,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*MapOutp
 			led.AddDiskRead(out.Bytes[p])
 			led.AddNet(out.Bytes[p])
 			fetchedBytes += out.Bytes[p]
-			rt.Merge(out.Partitions[p])
+			rt.Merge(out.Runs[p])
 		}
 		shuffleBytes[p] = fetchedBytes
 

@@ -166,6 +166,41 @@ func TestReduceCommitsInPartitionOrder(t *testing.T) {
 	}
 }
 
+// rekeyCombiner sums like sumReducer but files the from key's total under
+// the to key.
+type rekeyCombiner struct{ from, to string }
+
+func (rekeyCombiner) Setup(CacheFiles, *sim.Ledger) error { return nil }
+
+func (c rekeyCombiner) Reduce(key string, values []string, emit Emit, led *sim.Ledger) error {
+	if key == c.from {
+		key = c.to
+	}
+	return sumReducer{}.Reduce(key, values, emit, led)
+}
+
+// A combiner that emits under another key would file that record in the
+// partition being combined, whichever reducer owns the key, and split the
+// key's output across part files. The map task fails instead, naming both
+// keys.
+func TestCombinerMustKeepItsKey(t *testing.T) {
+	fs := setupFS(t, 1<<20, corpus)
+	r, err := NewRunner(fs, cluster.Local())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := wordCountJob(true)
+	job.NewCombiner = func() Reducer { return rekeyCombiner{from: "the", to: "fox"} }
+	_, _, err = r.RunContext(context.Background(), job)
+	if err == nil {
+		out, _ := ReadOutput(fs, "/out/wc", nil)
+		t.Fatalf("job with a re-keying combiner succeeded, writing %v", out)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"fox"`) || !strings.Contains(msg, `"the"`) {
+		t.Fatalf("error %q does not name both keys", msg)
+	}
+}
+
 func TestCombinerReducesShuffleBytes(t *testing.T) {
 	run := func(combiner bool) sim.Cost {
 		fs := setupFS(t, 1024, strings.Repeat(corpus, 20))

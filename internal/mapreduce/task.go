@@ -2,28 +2,29 @@ package mapreduce
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 
 	"yafim/internal/dfs"
+	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
 
 // The task bodies below are the one implementation of a map task and a
 // reduce task. The Runner's stages call them with the task's metered
 // ledger; the distributed runtime's workers call them with a throwaway one,
-// reading their split from a real file and fetching partitions over HTTP.
+// reading their split from a real file and fetching runs over HTTP.
 // Sharing the bodies is what makes a distributed job's output byte-equal to
 // the sim's.
 
-// Partition is one map task's output for one reduce partition: the values
-// of each key, in emit order.
-type Partition map[string][]string
+// Run is one map task's output for one reduce partition: keys strictly
+// ascending, each key once with its values in emit order.
+type Run = []shuffle.Pair[string, []string]
 
 // MapOutput is one map task's partitioned, optionally combined output.
 type MapOutput struct {
-	Partitions []Partition // by reduce partition
-	Bytes      []int64     // spilled size of each partition
+	Runs  []Run   // by reduce partition
+	Bytes []int64 // spilled size of each run
 	// InputRecords counts the lines read, MapRecords the records the mapper
 	// emitted and CombineRecords those the combiner emitted (zero without
 	// one).
@@ -31,9 +32,10 @@ type MapOutput struct {
 }
 
 // MapTask is the body of map task t: set the mapper up, read the split,
-// map every line, clean up, route each record to its partitionOf partition,
-// fold each partition through the combiner (nil for none) and charge the
-// sort-and-spill. Every charge goes to led, in that order.
+// map every line, clean up, group the records by key, route each key to its
+// shuffle.HashKey partition, sort each partition into a run, fold each run
+// through the combiner (nil for none) and charge the sort-and-spill. Every
+// charge goes to led, in that order.
 func MapTask(t int, mapper Mapper, combiner Reducer, cache CacheFiles,
 	read func() ([]dfs.Line, error), reducers int, led *sim.Ledger) (*MapOutput, error) {
 	if err := mapper.Setup(cache, led); err != nil {
@@ -44,16 +46,20 @@ func MapTask(t int, mapper Mapper, combiner Reducer, cache CacheFiles,
 		return nil, fmt.Errorf("task %d read: %w", t, err)
 	}
 	out := &MapOutput{
-		Partitions:   make([]Partition, reducers),
+		Runs:         make([]Run, reducers),
 		Bytes:        make([]int64, reducers),
 		InputRecords: int64(len(lines)),
 	}
-	for i := range out.Partitions {
-		out.Partitions[i] = make(Partition)
-	}
+	var groups Run // one per distinct key, in first-emit order
+	index := make(map[string]int)
 	emit := func(k, v string) {
-		b := out.Partitions[partitionOf(k, reducers)]
-		b[k] = append(b[k], v)
+		i, ok := index[k]
+		if !ok {
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, shuffle.Pair[string, []string]{Key: k})
+		}
+		groups[i].Value = append(groups[i].Value, v)
 		out.MapRecords++
 	}
 	for _, line := range lines {
@@ -65,36 +71,56 @@ func MapTask(t int, mapper Mapper, combiner Reducer, cache CacheFiles,
 		return nil, fmt.Errorf("task %d cleanup: %w", t, err)
 	}
 	led.AddCPU(float64(len(lines)) + float64(out.MapRecords))
+	for _, g := range groups {
+		p := shuffle.HashKey(g.Key) % uint32(reducers)
+		out.Runs[p] = append(out.Runs[p], g)
+	}
+	for _, run := range out.Runs {
+		slices.SortFunc(run, func(a, b shuffle.Pair[string, []string]) int { return strings.Compare(a.Key, b.Key) })
+	}
 
 	if combiner != nil {
 		if err := combiner.Setup(cache, led); err != nil {
 			return nil, fmt.Errorf("task %d combiner setup: %w", t, err)
 		}
-		for i, b := range out.Partitions {
-			nb := make(Partition, len(b))
-			cemit := func(k, v string) {
-				nb[k] = append(nb[k], v)
-				out.CombineRecords++
+		var key string
+		var vals, stray []string // the key's combined values; keys emitted under instead
+		cemit := func(k, v string) {
+			if k != key {
+				stray = append(stray, k)
 			}
-			for k, vs := range b {
-				if err := combiner.Reduce(k, vs, cemit, led); err != nil {
+			vals = append(vals, v)
+			out.CombineRecords++
+		}
+		for i, run := range out.Runs {
+			combined := make(Run, 0, len(run))
+			for _, kv := range run {
+				key, vals = kv.Key, nil
+				if err := combiner.Reduce(kv.Key, kv.Value, cemit, led); err != nil {
 					return nil, fmt.Errorf("task %d combine: %w", t, err)
 				}
-				led.AddCPU(float64(len(vs)))
+				if len(stray) > 0 { // this run would file it out of order, whichever reducer owns it
+					return nil, fmt.Errorf("task %d combine: combiner emitted key %q while combining key %q",
+						t, stray[0], key)
+				}
+				if len(vals) > 0 {
+					combined = append(combined, shuffle.Pair[string, []string]{Key: key, Value: vals})
+				}
+				led.AddCPU(float64(len(kv.Value)))
 			}
-			out.Partitions[i] = nb
+			out.Runs[i] = combined
 		}
 	}
 
 	// Sort-and-spill: Hadoop sorts map output before writing it to local
 	// disk; charge n log n comparisons plus the spill bytes.
 	var records int64
-	for i, b := range out.Partitions {
-		for k, vs := range b {
-			for _, v := range vs {
-				out.Bytes[i] += pairBytes(k, v)
-				records++
+	for i, run := range out.Runs {
+		for _, kv := range run {
+			for _, v := range kv.Value {
+				out.Bytes[i] += pairBytes(kv.Key, v)
 			}
+			records += int64(len(kv.Value))
 		}
 	}
 	led.AddCPU(nLogN(records))
@@ -105,13 +131,13 @@ func MapTask(t int, mapper Mapper, combiner Reducer, cache CacheFiles,
 }
 
 // ReduceTask is the body of one reduce task: NewReduceTask sets the reducer
-// up, Merge takes each map task's partition as it arrives, and Reduce sorts
-// the keys and reduces them.
+// up, Merge takes each map task's run as it arrives, and Reduce merges the
+// runs and reduces every key.
 type ReduceTask struct {
 	t       int
 	reducer Reducer
 	led     *sim.Ledger
-	merged  map[string][]string
+	runs    []Run
 	records int64
 }
 
@@ -120,53 +146,38 @@ func NewReduceTask(t int, reducer Reducer, cache CacheFiles, led *sim.Ledger) (*
 	if err := reducer.Setup(cache, led); err != nil {
 		return nil, fmt.Errorf("reducer %d setup: %w", t, err)
 	}
-	return &ReduceTask{t: t, reducer: reducer, led: led, merged: make(map[string][]string)}, nil
+	return &ReduceTask{t: t, reducer: reducer, led: led}, nil
 }
 
-// Merge appends one map task's partition. Calls come in map-index order, so
-// a key's values keep map order and, within a map, emit order.
-func (rt *ReduceTask) Merge(p Partition) {
-	for k, vs := range p {
-		rt.merged[k] = append(rt.merged[k], vs...)
-		rt.records += int64(len(vs))
+// Merge takes one map task's run. Calls come in map-index order, so a key's
+// values keep map order and, within a map, emit order. The run is only
+// read: the sim hands a retried attempt the same stored map output.
+func (rt *ReduceTask) Merge(run Run) {
+	rt.runs = append(rt.runs, run)
+	for _, kv := range run {
+		rt.records += int64(len(kv.Value))
 	}
 }
 
-// Reduce charges the merge sort of the fetched runs, then reduces every key
-// in ascending order. It returns the number of keys.
+// Reduce charges the merge sort of the fetched runs, merges them (the
+// earlier map's values first) and reduces every key in ascending order. It
+// returns the number of keys.
 func (rt *ReduceTask) Reduce(emit Emit) (int64, error) {
 	rt.led.AddCPU(nLogN(rt.records))
-	keys := make([]string, 0, len(rt.merged))
-	for k := range rt.merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		vs := rt.merged[k]
-		if err := rt.reducer.Reduce(k, vs, emit, rt.led); err != nil {
-			return 0, fmt.Errorf("reducer %d key %q: %w", rt.t, k, err)
+	m := shuffle.Merger[string, []string]{Combine: func(a, b []string) []string { return slices.Concat(a, b) }}
+	merged := m.Merge(rt.runs)
+	for _, kv := range merged {
+		if err := rt.reducer.Reduce(kv.Key, kv.Value, emit, rt.led); err != nil {
+			return 0, fmt.Errorf("reducer %d key %q: %w", rt.t, kv.Key, err)
 		}
-		rt.led.AddCPU(float64(len(vs)))
+		rt.led.AddCPU(float64(len(kv.Value)))
 	}
-	return int64(len(keys)), nil
+	return int64(len(merged)), nil
 }
 
 const recordOverheadBytes = 8 // per-record framing in spills and fetches
 
 func pairBytes(k, v string) int64 { return int64(len(k)+len(v)) + recordOverheadBytes }
-
-func hashString(s string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return h.Sum32()
-}
-
-// partitionOf returns the reduce partition MapTask routes key to. The
-// modulo is taken in uint32, so the partition is the same on every
-// platform.
-func partitionOf(key string, numReducers int) int {
-	return int(hashString(key) % uint32(numReducers))
-}
 
 func nLogN(n int64) float64 {
 	if n <= 1 {

@@ -30,18 +30,6 @@ type counterMetric struct {
 	value float64
 }
 
-// counterTags returns the json tag of every Counters field, in declaration
-// order. Cost-valued fields contribute their own tag (the drift test checks
-// table rows against this list).
-func counterTags() []string {
-	t := reflect.TypeOf(Counters{})
-	tags := make([]string, 0, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		tags = append(tags, jsonTag(t.Field(i)))
-	}
-	return tags
-}
-
 // counterMetrics flattens a Counters snapshot into exportable name/value
 // pairs, expanding sim.Cost fields component-wise.
 func counterMetrics(c Counters) []counterMetric {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"yafim/internal/cluster"
+	"yafim/internal/shuffle"
 )
 
 func BenchmarkMapCollect(b *testing.B) {
@@ -30,19 +31,19 @@ func BenchmarkMapCollect(b *testing.B) {
 // pass on T10I4D100K, 192 map tasks each emitting ascending unique candidate
 // ids into 96 reduce partitions.
 func BenchmarkReduceByKey(b *testing.B) {
-	mod512 := make([]Pair[int, int], 100000)
+	mod512 := make([]shuffle.Pair[int, int], 100000)
 	for i := range mod512 {
-		mod512[i] = Pair[int, int]{i % 512, 1}
+		mod512[i] = shuffle.Pair[int, int]{Key: i % 512, Value: 1}
 	}
-	var countPass []Pair[int, int]
+	var countPass []shuffle.Pair[int, int]
 	for m := 0; m < 192; m++ {
 		for k := m % 4; k < 20000; k += 4 {
-			countPass = append(countPass, Pair[int, int]{k, 1 + k%3})
+			countPass = append(countPass, shuffle.Pair[int, int]{Key: k, Value: 1 + k%3})
 		}
 	}
 	for _, bc := range []struct {
 		name              string
-		pairs             []Pair[int, int]
+		pairs             []shuffle.Pair[int, int]
 		mapTasks, reduces int
 	}{
 		{"mod512", mod512, 16, 8},

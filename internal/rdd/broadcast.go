@@ -37,13 +37,6 @@ func NewBroadcast[T any](ctx *Context, v T, bytes int64) *Broadcast[T] {
 	return b
 }
 
-// Value returns the broadcast value without charging anything; use Acquire
-// inside tasks so the cost model sees the access.
-func (b *Broadcast[T]) Value() T { return b.value }
-
-// Bytes returns the registered serialized size.
-func (b *Broadcast[T]) Bytes() int64 { return b.bytes }
-
 // Acquire returns the value from within a task. Under naive shipping the
 // task's ledger is charged for receiving the payload and the driver's
 // serialized uplink (the master-bandwidth bottleneck of §IV-C) is charged

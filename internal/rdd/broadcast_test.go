@@ -45,8 +45,8 @@ func TestBroadcastChargesDistributionOnce(t *testing.T) {
 
 	const bytes = int64(1 << 20)
 	bc := NewBroadcast(ctx, 2, bytes)
-	if bc.Value() != 2 || bc.Bytes() != bytes {
-		t.Fatalf("broadcast accessors: value=%d bytes=%d", bc.Value(), bc.Bytes())
+	if bc.value != 2 || bc.bytes != bytes {
+		t.Fatalf("broadcast fields: value=%d bytes=%d", bc.value, bc.bytes)
 	}
 	rep := collectWithBroadcast(t, ctx, bc)
 
@@ -136,7 +136,7 @@ func TestBroadcastTimeModel(t *testing.T) {
 	if a, b := broadcastTime(cfg, 1<<20), broadcastTime(big, 1<<20); b != 2*a {
 		t.Errorf("rounds scaling: 2 nodes %v, 12 nodes %v, want exactly 2x", a, b)
 	}
-	if bc := NewBroadcast(newTestContext(t), 0, -5); bc.Bytes() != 0 {
-		t.Errorf("negative size not clamped: %d", bc.Bytes())
+	if bc := NewBroadcast(newTestContext(t), 0, -5); bc.bytes != 0 {
+		t.Errorf("negative size not clamped: %d", bc.bytes)
 	}
 }

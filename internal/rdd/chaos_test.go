@@ -10,21 +10,22 @@ import (
 	"yafim/internal/cluster"
 	"yafim/internal/dfs"
 	"yafim/internal/obs"
+	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
 
 // chaosWorkload runs a small two-job pipeline — cache, count, shuffle — and
 // returns the shuffled pairs plus the context, so tests can compare chaotic
 // runs against fault-free ones.
-func chaosWorkload(t *testing.T, opts ...Option) ([]Pair[string, int64], *Context) {
+func chaosWorkload(t *testing.T, opts ...Option) ([]shuffle.Pair[string, int64], *Context) {
 	t.Helper()
 	ctx, err := NewContext(cluster.Local(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var data []Pair[string, int64]
+	var data []shuffle.Pair[string, int64]
 	for i := 0; i < 400; i++ {
-		data = append(data, Pair[string, int64]{Key: fmt.Sprintf("k%d", i%37), Value: 1})
+		data = append(data, shuffle.Pair[string, int64]{Key: fmt.Sprintf("k%d", i%37), Value: 1})
 	}
 	pairs := Parallelize(ctx, "pairs", data, 16).Cache()
 	if _, err := Count(pairs); err != nil {
@@ -38,7 +39,7 @@ func chaosWorkload(t *testing.T, opts ...Option) ([]Pair[string, int64], *Contex
 	return out, ctx
 }
 
-func pairsEqual(a, b []Pair[string, int64]) bool {
+func pairsEqual(a, b []shuffle.Pair[string, int64]) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"sort"
 
+	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
 
@@ -20,8 +21,8 @@ type refCombineState[K cmp.Ordered, V any] struct {
 // kept as the parity reference: a Go map per map-side bucket, a map merge
 // and a sort on the reduce side. ReduceByKey must match it in output rows,
 // every stage's cost and clock, and the telemetry it records.
-func refReduceByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string,
-	combine func(V, V) V, parts int) *RDD[Pair[K, V]] {
+func refReduceByKey[K cmp.Ordered, V any](r *RDD[shuffle.Pair[K, V]], name string,
+	combine func(V, V) V, parts int) *RDD[shuffle.Pair[K, V]] {
 	if parts <= 0 {
 		parts = r.parts
 	}
@@ -29,7 +30,7 @@ func refReduceByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string,
 	st.core = newShuffleCore(r.ctx, name, r.parts,
 		func(p int) { st.buckets[p], st.bytes[p] = nil, nil },
 		func() { st.buckets, st.bytes = nil, nil })
-	out := newRDD[Pair[K, V]](r.ctx, name, parts, []preparable{r}, nil)
+	out := newRDD[shuffle.Pair[K, V]](r.ctx, name, parts, []preparable{r}, nil)
 
 	// runMap executes the map side for one parent partition: hash-partition
 	// into buckets, combine per key, spill to (virtual) local disk.
@@ -43,7 +44,7 @@ func refReduceByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string,
 			buckets[i] = make(map[K]V)
 		}
 		for _, kv := range rows {
-			b := buckets[hashKey(kv.Key)%uint32(parts)]
+			b := buckets[shuffle.HashKey(kv.Key)%uint32(parts)]
 			if old, ok := b[kv.Key]; ok {
 				b[kv.Key] = combine(old, kv.Value)
 			} else {
@@ -54,7 +55,7 @@ func refReduceByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string,
 		var spill int64
 		for i, b := range buckets {
 			for k, v := range b {
-				sizes[i] += Pair[K, V]{k, v}.SizeBytes()
+				sizes[i] += shuffle.Pair[K, V]{Key: k, Value: v}.SizeBytes()
 			}
 			spill += sizes[i]
 		}
@@ -108,7 +109,7 @@ func refReduceByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string,
 		}
 		return st.core.recover(missing, r.prefs, r.lineageNames(), runMap, taskBytes)
 	}
-	out.compute = func(p int, led *sim.Ledger) ([]Pair[K, V], error) {
+	out.compute = func(p int, led *sim.Ledger) ([]shuffle.Pair[K, V], error) {
 		if !st.core.ready() {
 			return nil, &shuffleMissingError{name: name}
 		}
@@ -148,9 +149,9 @@ func refReduceByKey[K cmp.Ordered, V any](r *RDD[Pair[K, V]], name string,
 				led.AddCPU(1)
 			}
 		}
-		out := make([]Pair[K, V], 0, len(merged))
+		out := make([]shuffle.Pair[K, V], 0, len(merged))
 		for k, v := range merged {
-			out = append(out, Pair[K, V]{k, v})
+			out = append(out, shuffle.Pair[K, V]{Key: k, Value: v})
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 		led.AddCPU(float64(len(out)))

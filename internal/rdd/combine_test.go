@@ -11,6 +11,7 @@ import (
 	"yafim/internal/chaos"
 	"yafim/internal/cluster"
 	"yafim/internal/obs"
+	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
 
@@ -21,9 +22,9 @@ func TestReduceByKeyCombinesMapSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := make([]Pair[int, int], 4096)
+	pairs := make([]shuffle.Pair[int, int], 4096)
 	for i := range pairs {
-		pairs[i] = Pair[int, int]{i % 4, 1} // 4 distinct keys
+		pairs[i] = shuffle.Pair[int, int]{Key: i % 4, Value: 1} // 4 distinct keys
 	}
 	r := Parallelize(ctx, "p", pairs, 4)
 	summed := ReduceByKey(r, "sum", func(a, b int) int { return a + b }, 2)
@@ -68,13 +69,13 @@ func concatStrings(a, b string) string { return a + b }
 func concatFrags(a, b tidFrag) tidFrag { return append(append(tidFrag(nil), a...), b...) }
 
 // reduceFunc is the signature ReduceByKey and its reference share.
-type reduceFunc[K cmp.Ordered, V any] func(*RDD[Pair[K, V]], string, func(V, V) V, int) *RDD[Pair[K, V]]
+type reduceFunc[K cmp.Ordered, V any] func(*RDD[shuffle.Pair[K, V]], string, func(V, V) V, int) *RDD[shuffle.Pair[K, V]]
 
 // reduceTrace is everything a ReduceByKey pipeline shows from outside: each
 // action's rows, every job's stages with their cost and clock, the counters
 // and the metrics text, which holds the ObservePartitionOutput histograms.
 type reduceTrace[K cmp.Ordered, V any] struct {
-	rows     [][]Pair[K, V]
+	rows     [][]shuffle.Pair[K, V]
 	reports  []sim.JobReport
 	counters obs.Counters
 	metrics  string
@@ -84,7 +85,7 @@ type reduceTrace[K cmp.Ordered, V any] struct {
 // and collects three times: first, after node 1 is lost (the missing map
 // tasks re-run), and after the shuffle is freed (the whole map stage
 // re-runs).
-func traceReduce[K cmp.Ordered, V any](t testing.TB, reduce reduceFunc[K, V], input [][]Pair[K, V],
+func traceReduce[K cmp.Ordered, V any](t testing.TB, reduce reduceFunc[K, V], input [][]shuffle.Pair[K, V],
 	combine func(V, V) V, parts int, opts ...Option) reduceTrace[K, V] {
 	t.Helper()
 	rec := obs.New()
@@ -92,7 +93,7 @@ func traceReduce[K cmp.Ordered, V any](t testing.TB, reduce reduceFunc[K, V], in
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := newRDD(ctx, "src", len(input), nil, func(p int, led *sim.Ledger) ([]Pair[K, V], error) {
+	src := newRDD(ctx, "src", len(input), nil, func(p int, led *sim.Ledger) ([]shuffle.Pair[K, V], error) {
 		led.AddCPU(float64(len(input[p])))
 		return input[p], nil
 	})
@@ -116,7 +117,7 @@ func traceReduce[K cmp.Ordered, V any](t testing.TB, reduce reduceFunc[K, V], in
 
 // checkReduceParity runs ReduceByKey and the map-based reference on the same
 // input and fails on any difference in rows, costs, clock or telemetry.
-func checkReduceParity[K cmp.Ordered, V any](t testing.TB, input [][]Pair[K, V],
+func checkReduceParity[K cmp.Ordered, V any](t testing.TB, input [][]shuffle.Pair[K, V],
 	combine func(V, V) V, parts int, opts ...Option) {
 	t.Helper()
 	got := traceReduce(t, ReduceByKey[K, V], input, combine, parts, opts...)
@@ -145,15 +146,15 @@ func checkReduceParity[K cmp.Ordered, V any](t testing.TB, input [][]Pair[K, V],
 // genInput spreads rows over maps map tasks, about a quarter of them empty;
 // keys repeat and arrive unsorted within a task.
 func genInput[K cmp.Ordered, V any](rng *rand.Rand, maps, keys int,
-	key func(int) K, value func(row int) V) [][]Pair[K, V] {
-	input := make([][]Pair[K, V], maps)
+	key func(int) K, value func(row int) V) [][]shuffle.Pair[K, V] {
+	input := make([][]shuffle.Pair[K, V], maps)
 	row := 0
 	for m := range input {
 		if rng.Intn(4) == 0 {
 			continue
 		}
 		for n := rng.Intn(40); n > 0; n-- {
-			input[m] = append(input[m], Pair[K, V]{key(rng.Intn(keys)), value(row)})
+			input[m] = append(input[m], shuffle.Pair[K, V]{Key: key(rng.Intn(keys)), Value: value(row)})
 			row++
 		}
 	}
@@ -184,10 +185,10 @@ func TestReduceByKeyMatchesReference(t *testing.T) {
 				checkReduceParity(t, frags, concatFrags, parts)
 
 				// YAFIM's count pass: ascending unique keys in every task.
-				asc := make([][]Pair[int, int], maps)
+				asc := make([][]shuffle.Pair[int, int], maps)
 				for m := range asc {
 					for k := m % 3; k < 400; k += 1 + rng.Intn(4) {
-						asc[m] = append(asc[m], Pair[int, int]{k, 1 + m})
+						asc[m] = append(asc[m], shuffle.Pair[int, int]{Key: k, Value: 1 + m})
 					}
 				}
 				checkReduceParity(t, asc, sum, parts)
@@ -225,11 +226,11 @@ func FuzzReduceByKeyParity(f *testing.F) {
 // splitRows turns data into one row per byte and splits the rows into maps
 // contiguous map tasks.
 func splitRows[K cmp.Ordered, V any](data []byte, maps int, key func(byte) K,
-	value func(int) V) [][]Pair[K, V] {
-	input := make([][]Pair[K, V], maps)
+	value func(int) V) [][]shuffle.Pair[K, V] {
+	input := make([][]shuffle.Pair[K, V], maps)
 	for m := range input {
 		for i := m * len(data) / maps; i < (m+1)*len(data)/maps; i++ {
-			input[m] = append(input[m], Pair[K, V]{key(data[i]), value(i)})
+			input[m] = append(input[m], shuffle.Pair[K, V]{Key: key(data[i]), Value: value(i)})
 		}
 	}
 	return input

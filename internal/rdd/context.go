@@ -237,17 +237,6 @@ func (c *Context) FreeShuffles() {
 	}
 }
 
-// Close releases everything the context retains on behalf of the cluster:
-// every shuffle's resident map output and every cached partition. Reports
-// and telemetry stay readable; the context itself remains usable (a later
-// action recomputes from lineage), so Close is idempotent and safe to
-// defer. It always returns nil and exists to satisfy io.Closer.
-func (c *Context) Close() error {
-	c.FreeShuffles()
-	c.dropAllCaches()
-	return nil
-}
-
 // KillNode simulates losing worker node n: every cached partition and every
 // shuffle map-output slice resident on that node is dropped, matching
 // dfs.KillNode's loss of the node's block replicas. Subsequent actions
@@ -267,17 +256,6 @@ func (c *Context) KillNode(n int) {
 		st.dropNode(n, nodes)
 	}
 	c.drv.MarkDead(n)
-}
-
-// dropAllCaches evicts every cached partition, as if all executors were
-// restarted.
-func (c *Context) dropAllCaches() {
-	c.mu.Lock()
-	caches := append([]evictor(nil), c.caches...)
-	c.mu.Unlock()
-	for _, e := range caches {
-		e.evictAll()
-	}
 }
 
 // beginJob opens a job report. The first job of the application additionally

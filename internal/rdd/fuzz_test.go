@@ -9,6 +9,7 @@ import (
 
 	"yafim/internal/chaos"
 	"yafim/internal/cluster"
+	"yafim/internal/shuffle"
 	"yafim/internal/vcluster"
 )
 
@@ -22,15 +23,15 @@ func fuzzProb(p float64) float64 {
 
 // fuzzPipeline runs the cache-count-shuffle pipeline on a fuzz-chosen
 // dataset and returns the collected pairs plus the context.
-func fuzzPipeline(t *testing.T, rows, keys int, opts ...Option) ([]Pair[string, int64], *Context) {
+func fuzzPipeline(t *testing.T, rows, keys int, opts ...Option) ([]shuffle.Pair[string, int64], *Context) {
 	t.Helper()
 	ctx, err := NewContext(cluster.Local(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var data []Pair[string, int64]
+	var data []shuffle.Pair[string, int64]
 	for i := 0; i < rows; i++ {
-		data = append(data, Pair[string, int64]{Key: fmt.Sprintf("k%d", i%keys), Value: 1})
+		data = append(data, shuffle.Pair[string, int64]{Key: fmt.Sprintf("k%d", i%keys), Value: 1})
 	}
 	pairs := Parallelize(ctx, "pairs", data, 16).Cache()
 	if _, err := Count(pairs); err != nil {
@@ -117,15 +118,15 @@ func FuzzShuffleLifecycle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var data []Pair[string, int64]
+		var data []shuffle.Pair[string, int64]
 		for i := 0; i < nRows; i++ {
-			data = append(data, Pair[string, int64]{Key: fmt.Sprintf("k%d", i%nKeys), Value: 1})
+			data = append(data, shuffle.Pair[string, int64]{Key: fmt.Sprintf("k%d", i%nKeys), Value: 1})
 		}
 		var plan failPlan
 		pairs := flaky(Parallelize(ctx, "pairs", data, 16).Cache(), &plan)
 		counted := ReduceByKey(pairs, "counted", func(a, b int64) int64 { return a + b }, 8)
 
-		run := func() ([]Pair[string, int64], error) { return Collect(counted) }
+		run := func() ([]shuffle.Pair[string, int64], error) { return Collect(counted) }
 		if len(ops) > 24 {
 			ops = ops[:24]
 		}
@@ -174,15 +175,13 @@ func FuzzShuffleLifecycle(f *testing.F) {
 				t.Fatalf("final pair %d: %+v vs fault-free %+v", i, got[i], want[i])
 			}
 		}
-		if err := ctx.Close(); err != nil {
-			t.Fatal(err)
-		}
+		ctx.FreeShuffles()
 		if n := ctx.ShuffleResidentBytes(); n != 0 {
-			t.Fatalf("shuffle_resident_bytes = %d after Close, want 0", n)
+			t.Fatalf("shuffle_resident_bytes = %d after FreeShuffles, want 0", n)
 		}
 		for node := 0; node < 2; node++ {
 			if n := ctx.shuffleNodeBytes(node); n != 0 {
-				t.Fatalf("node %d retains %d shuffle bytes after Close", node, n)
+				t.Fatalf("node %d retains %d shuffle bytes after FreeShuffles", node, n)
 			}
 		}
 	})

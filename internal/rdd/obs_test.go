@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"yafim/internal/obs"
+	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
 
@@ -144,8 +145,8 @@ func TestRecorderBroadcastCounters(t *testing.T) {
 func TestRecorderShuffleBytes(t *testing.T) {
 	rec := obs.New()
 	ctx := newTestContext(t, WithRecorder(rec))
-	pairs := Parallelize(ctx, "pairs", []Pair[string, int]{
-		{"a", 1}, {"b", 2}, {"a", 3}, {"c", 4}, {"b", 5},
+	pairs := Parallelize(ctx, "pairs", []shuffle.Pair[string, int]{
+		{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "a", Value: 3}, {Key: "c", Value: 4}, {Key: "b", Value: 5},
 	}, 3)
 	sum := ReduceByKey(pairs, "sum", func(a, b int) int { return a + b }, 2)
 	if _, err := Collect(sum); err != nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"yafim/internal/obs"
+	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
 
@@ -290,10 +291,10 @@ func Collect[T any](r *RDD[T]) ([]T, error) {
 	// instead of growing append-by-append across partitions.
 	var total int
 	var bytes int64
-	sz := newSizer[T]()
+	sz := shuffle.NewPricer[T]()
 	for _, rows := range parts {
 		total += len(rows)
-		bytes += sz.total(rows)
+		bytes += sz.Total(rows)
 	}
 	var out []T
 	if total > 0 {

@@ -11,6 +11,7 @@ import (
 
 	"yafim/internal/cluster"
 	"yafim/internal/dfs"
+	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 	"yafim/internal/vcluster"
 )
@@ -142,7 +143,7 @@ func TestReduceByKey(t *testing.T) {
 	ctx := newTestContext(t)
 	words := strings.Fields("a b a c b a d c a b")
 	r := Parallelize(ctx, "words", words, 3)
-	pairs := Map(r, "pairs", func(w string) Pair[string, int] { return Pair[string, int]{w, 1} })
+	pairs := Map(r, "pairs", func(w string) shuffle.Pair[string, int] { return shuffle.Pair[string, int]{Key: w, Value: 1} })
 	counts := ReduceByKey(pairs, "counts", func(a, b int) int { return a + b }, 2)
 	got, err := Collect(counts)
 	if err != nil {
@@ -166,7 +167,7 @@ func TestReduceByKey(t *testing.T) {
 func TestReduceByKeyStagesReported(t *testing.T) {
 	ctx := newTestContext(t)
 	pairs := Map(Parallelize(ctx, "n", ints(50), 5), "kv",
-		func(v int) Pair[int, int] { return Pair[int, int]{v % 3, v} })
+		func(v int) shuffle.Pair[int, int] { return shuffle.Pair[int, int]{Key: v % 3, Value: v} })
 	red := ReduceByKey(pairs, "sum", func(a, b int) int { return a + b }, 2)
 	if _, err := Collect(red); err != nil {
 		t.Fatal(err)
@@ -200,7 +201,7 @@ func TestReduceByKeyStagesReported(t *testing.T) {
 func TestReduceByKeyOutputSorted(t *testing.T) {
 	ctx := newTestContext(t)
 	pairs := Map(Parallelize(ctx, "n", ints(100), 4), "kv",
-		func(v int) Pair[int, int] { return Pair[int, int]{99 - v, 1} })
+		func(v int) shuffle.Pair[int, int] { return shuffle.Pair[int, int]{Key: 99 - v, Value: 1} })
 	red := ReduceByKey(pairs, "c", func(a, b int) int { return a + b }, 1)
 	got, err := Collect(red)
 	if err != nil {
@@ -340,6 +341,17 @@ func TestKillNodeRecomputesFromLineage(t *testing.T) {
 	}
 	if computes[1] != 1 || computes[3] != 1 {
 		t.Fatalf("surviving partitions recomputed needlessly: %v", computes)
+	}
+}
+
+// dropAllCaches evicts every cached partition, as if all executors were
+// restarted.
+func (c *Context) dropAllCaches() {
+	c.mu.Lock()
+	caches := append([]evictor(nil), c.caches...)
+	c.mu.Unlock()
+	for _, e := range caches {
+		e.evictAll()
 	}
 }
 
@@ -485,7 +497,7 @@ func TestTextFilePartitionsCarryLocality(t *testing.T) {
 	if len(m.prefs) == 0 || len(m.prefs[0]) == 0 {
 		t.Fatal("Map lost locality preferences")
 	}
-	pairs := Map(r, "kv", func(s string) Pair[string, int] { return Pair[string, int]{s, 1} })
+	pairs := Map(r, "kv", func(s string) shuffle.Pair[string, int] { return shuffle.Pair[string, int]{Key: s, Value: 1} })
 	red := ReduceByKey(pairs, "c", func(a, b int) int { return a + b }, 2)
 	if len(red.prefs) != 0 {
 		t.Fatal("shuffle output unexpectedly has locality preferences")
@@ -496,10 +508,10 @@ func TestTextFilePartitionsCarryLocality(t *testing.T) {
 }
 
 func TestPairSizeBytes(t *testing.T) {
-	if got := (Pair[string, int]{"abc", 1}).SizeBytes(); got != 3+4+8 {
+	if got := (shuffle.Pair[string, int]{Key: "abc", Value: 1}).SizeBytes(); got != 3+4+8 {
 		t.Fatalf("SizeBytes = %d", got)
 	}
-	if got := (Pair[int, int32]{1, 2}).SizeBytes(); got != 12 {
+	if got := (shuffle.Pair[int, int32]{Key: 1, Value: 2}).SizeBytes(); got != 12 {
 		t.Fatalf("SizeBytes = %d", got)
 	}
 }
@@ -514,10 +526,10 @@ func TestReduceByKeyAgreesWithSequentialProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pairs := make([]Pair[int, int], len(keys))
+		pairs := make([]shuffle.Pair[int, int], len(keys))
 		want := map[int]int{}
 		for i, k := range keys {
-			pairs[i] = Pair[int, int]{int(k % 16), 1}
+			pairs[i] = shuffle.Pair[int, int]{Key: int(k % 16), Value: 1}
 			want[int(k%16)]++
 		}
 		r := Parallelize(ctx, "p", pairs, parts)
@@ -547,7 +559,7 @@ func TestJobTimingDeterministicProperty(t *testing.T) {
 	run := func() []sim.JobReport {
 		ctx, _ := NewContext(cluster.PaperSpark())
 		r := Parallelize(ctx, "n", ints(5000), 32).Cache()
-		pairs := Map(r, "kv", func(v int) Pair[int, int] { return Pair[int, int]{v % 7, v} })
+		pairs := Map(r, "kv", func(v int) shuffle.Pair[int, int] { return shuffle.Pair[int, int]{Key: v % 7, Value: v} })
 		red := ReduceByKey(pairs, "sum", func(a, b int) int { return a + b }, 8)
 		if _, err := Collect(red); err != nil {
 			t.Fatal(err)

@@ -4,15 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"yafim/internal/exec"
 	"yafim/internal/leaktest"
 	"yafim/internal/obs"
+	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 	"yafim/internal/vcluster"
 )
@@ -26,9 +24,9 @@ func (c *Context) shuffleNodeBytes(node int) int64 {
 
 // sumByKey runs the canonical shuffle workload: parts partitions of n ints,
 // keyed mod keys, summed by key.
-func sumByKey(ctx *Context, n, parts, keys int) (*RDD[Pair[int, int]], *RDD[Pair[int, int]]) {
-	pairs := Map(Parallelize(ctx, "nums", ints(n), parts), "pairs", func(v int) Pair[int, int] {
-		return Pair[int, int]{Key: v % keys, Value: v}
+func sumByKey(ctx *Context, n, parts, keys int) (*RDD[shuffle.Pair[int, int]], *RDD[shuffle.Pair[int, int]]) {
+	pairs := Map(Parallelize(ctx, "nums", ints(n), parts), "pairs", func(v int) shuffle.Pair[int, int] {
+		return shuffle.Pair[int, int]{Key: v % keys, Value: v}
 	})
 	return pairs, ReduceByKey(pairs, "sums", func(a, b int) int { return a + b }, parts)
 }
@@ -56,8 +54,8 @@ func TestCanceledShuffleRerunsCleanly(t *testing.T) {
 			}
 			return rows, nil
 		})
-	pairs := Map(poisoned, "pairs", func(v int) Pair[int, int] {
-		return Pair[int, int]{Key: v % 4, Value: v}
+	pairs := Map(poisoned, "pairs", func(v int) shuffle.Pair[int, int] {
+		return shuffle.Pair[int, int]{Key: v % 4, Value: v}
 	})
 	sums := ReduceByKey(pairs, "sums", func(a, b int) int { return a + b }, 4)
 
@@ -81,8 +79,8 @@ func TestExhaustedShuffleRerunsCleanly(t *testing.T) {
 	ctx := newTestContext(t)
 	var plan failPlan
 	plan.arm(3, vcluster.MaxTaskAttempts)
-	pairs := Map(flaky(Parallelize(ctx, "nums", ints(64), 8), &plan), "pairs", func(v int) Pair[int, int] {
-		return Pair[int, int]{Key: v % 4, Value: v}
+	pairs := Map(flaky(Parallelize(ctx, "nums", ints(64), 8), &plan), "pairs", func(v int) shuffle.Pair[int, int] {
+		return shuffle.Pair[int, int]{Key: v % 4, Value: v}
 	})
 	sums := ReduceByKey(pairs, "sums", func(a, b int) int { return a + b }, 8)
 
@@ -97,7 +95,7 @@ func TestExhaustedShuffleRerunsCleanly(t *testing.T) {
 	assertSums(t, got, 64, 4)
 }
 
-func assertSums(t *testing.T, got []Pair[int, int], n, keys int) {
+func assertSums(t *testing.T, got []shuffle.Pair[int, int], n, keys int) {
 	t.Helper()
 	want := make(map[int]int)
 	for v := 0; v < n; v++ {
@@ -189,10 +187,10 @@ func TestKillNodeMidActionResubmitsStage(t *testing.T) {
 	assertSums(t, got, 64, 4)
 }
 
-// TestCloseReleasesEverything runs shuffles and caches, closes the context,
-// and asserts all shuffle residency is gone (globally and per node) while
-// the context stays usable. Close is idempotent.
-func TestCloseReleasesEverything(t *testing.T) {
+// TestFreeShufflesReleasesEverything runs shuffles and caches, frees the
+// shuffles, and asserts all shuffle residency is gone (globally and per
+// node) while the context stays usable. FreeShuffles is idempotent.
+func TestFreeShufflesReleasesEverything(t *testing.T) {
 	defer leaktest.Check(t)()
 	ctx := newTestContext(t)
 	pairs, sums := sumByKey(ctx, 64, 4, 4)
@@ -206,28 +204,27 @@ func TestCloseReleasesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ctx.ShuffleResidentBytes() <= 0 {
-		t.Fatal("no shuffle bytes resident before Close")
+		t.Fatal("no shuffle bytes resident before FreeShuffles")
 	}
-	if err := ctx.Close(); err != nil {
-		t.Fatal(err)
-	}
+	ctx.FreeShuffles()
 	if got := ctx.ShuffleResidentBytes(); got != 0 {
-		t.Fatalf("resident = %d after Close, want 0", got)
+		t.Fatalf("resident = %d after FreeShuffles, want 0", got)
 	}
 	for node := 0; node < 2; node++ {
 		if got := ctx.shuffleNodeBytes(node); got != 0 {
-			t.Fatalf("node %d holds %d bytes after Close", node, got)
+			t.Fatalf("node %d holds %d bytes after FreeShuffles", node, got)
 		}
 	}
-	if err := ctx.Close(); err != nil {
-		t.Fatal("second Close:", err)
+	ctx.FreeShuffles()
+	if got := ctx.ShuffleResidentBytes(); got != 0 {
+		t.Fatalf("resident = %d after a second FreeShuffles, want 0", got)
 	}
 	got, err := Collect(sums)
 	if err != nil {
-		t.Fatalf("action after Close: %v", err)
+		t.Fatalf("action after FreeShuffles: %v", err)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("post-Close result diverged:\n got %v\nwant %v", got, want)
+		t.Fatalf("post-free result diverged:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -255,111 +252,9 @@ func TestShuffleResidentGaugeMatchesCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after recovery")
-	ctx.Close()
-	check("after Close")
+	ctx.FreeShuffles()
+	check("after FreeShuffles")
 	if peak := ctx.ShufflePeakBytes(); peak <= 0 {
 		t.Fatalf("peak %d: want a positive high-water mark", peak)
 	}
-}
-
-// refHashKey is the pre-optimisation hashKey: FNV-1a over fmt's %v
-// rendering. The fast path must be byte-identical to it for every key kind,
-// or partition assignment (and therefore virtual time) would change.
-func refHashKey(v any) uint32 {
-	h := fnv.New32a()
-	switch x := v.(type) {
-	case string:
-		h.Write([]byte(x))
-	default:
-		fmt.Fprintf(h, "%v", x)
-	}
-	return h.Sum32()
-}
-
-func TestHashKeyParity(t *testing.T) {
-	if got, want := hashKey("hello"), refHashKey("hello"); got != want {
-		t.Fatalf("string: %d != %d", got, want)
-	}
-	for _, v := range []int64{0, 1, -1, 42, -37, math.MaxInt64, math.MinInt64} {
-		if hashKey(int(v)) != refHashKey(int(v)) {
-			t.Fatalf("int %d diverges", v)
-		}
-		if hashKey(v) != refHashKey(v) {
-			t.Fatalf("int64 %d diverges", v)
-		}
-		if hashKey(int8(v)) != refHashKey(int8(v)) {
-			t.Fatalf("int8 %d diverges", int8(v))
-		}
-		if hashKey(int16(v)) != refHashKey(int16(v)) {
-			t.Fatalf("int16 %d diverges", int16(v))
-		}
-		if hashKey(int32(v)) != refHashKey(int32(v)) {
-			t.Fatalf("int32 %d diverges", int32(v))
-		}
-	}
-	for _, v := range []uint64{0, 1, 255, 1 << 40, math.MaxUint64} {
-		if hashKey(uint(v)) != refHashKey(uint(v)) {
-			t.Fatalf("uint %d diverges", v)
-		}
-		if hashKey(v) != refHashKey(v) {
-			t.Fatalf("uint64 %d diverges", v)
-		}
-		if hashKey(uint8(v)) != refHashKey(uint8(v)) {
-			t.Fatalf("uint8 %d diverges", uint8(v))
-		}
-		if hashKey(uint16(v)) != refHashKey(uint16(v)) {
-			t.Fatalf("uint16 %d diverges", uint16(v))
-		}
-		if hashKey(uint32(v)) != refHashKey(uint32(v)) {
-			t.Fatalf("uint32 %d diverges", uint32(v))
-		}
-		if hashKey(uintptr(v)) != refHashKey(uintptr(v)) {
-			t.Fatalf("uintptr %d diverges", uintptr(v))
-		}
-	}
-	for _, v := range []float64{0, 1, -1, 0.5, 1e300, -1e-300, 3.14159265358979,
-		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
-		if hashKey(v) != refHashKey(v) {
-			t.Fatalf("float64 %v diverges", v)
-		}
-		if hashKey(float32(v)) != refHashKey(float32(v)) {
-			t.Fatalf("float32 %v diverges", float32(v))
-		}
-	}
-	// Named types take the fmt fallback in both implementations.
-	type myKey int32
-	if hashKey(myKey(7)) != refHashKey(myKey(7)) {
-		t.Fatal("named type diverges")
-	}
-
-	cases := []any{
-		func(x int) bool { return hashKey(x) == refHashKey(x) },
-		func(x int64) bool { return hashKey(x) == refHashKey(x) },
-		func(x uint64) bool { return hashKey(x) == refHashKey(x) },
-		func(x float64) bool { return hashKey(x) == refHashKey(x) },
-		func(x string) bool { return hashKey(x) == refHashKey(x) },
-	}
-	for _, fn := range cases {
-		if err := quick.Check(fn, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHashKeyInt(b *testing.B) {
-	b.ReportAllocs()
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink += hashKey(i)
-	}
-	_ = sink
-}
-
-func BenchmarkHashKeyString(b *testing.B) {
-	b.ReportAllocs()
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink += hashKey("transaction-key")
-	}
-	_ = sink
 }

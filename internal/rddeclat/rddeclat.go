@@ -42,6 +42,7 @@ import (
 	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/rdd"
+	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
 
@@ -78,7 +79,7 @@ type pair2 struct {
 	Count int32
 }
 
-// SizeBytes implements rdd.Sizer for collect cost estimation.
+// SizeBytes implements shuffle.Sizer for collect cost estimation.
 func (pair2) SizeBytes() int64 { return 12 }
 
 // classIndex is the deep pass's second broadcast: for every dense id i, the
@@ -159,11 +160,11 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	// structurally identical to YAFIM's Phase I so the two engines' L1 is
 	// trivially byte-identical.
 	items := rdd.FlatMap(trans, "items", func(t itemset.Itemset) []itemset.Item { return t })
-	pairs := rdd.Map(items, "itemPairs", func(it itemset.Item) rdd.Pair[int32, int] {
-		return rdd.Pair[int32, int]{Key: int32(it), Value: 1}
+	pairs := rdd.Map(items, "itemPairs", func(it itemset.Item) shuffle.Pair[int32, int] {
+		return shuffle.Pair[int32, int]{Key: int32(it), Value: 1}
 	})
 	itemCounts := rdd.ReduceByKey(pairs, "itemCounts", func(a, b int) int { return a + b }, parts)
-	frequentItems := rdd.Filter(itemCounts, "frequentItems", func(kv rdd.Pair[int32, int]) bool {
+	frequentItems := rdd.Filter(itemCounts, "frequentItems", func(kv shuffle.Pair[int32, int]) bool {
 		return kv.Value >= minCount
 	})
 	l1Pairs, err := rdd.Collect(frequentItems)
@@ -211,7 +212,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	passMark = rec.Counters()
 	rec.ObservePass("rdd", 2, m*(m-1)/2)
 	tidPairs := rdd.MapPartitions(trans, "itemTids",
-		func(p int, rows []itemset.Itemset, led *sim.Ledger) ([]rdd.Pair[int32, tidlist], error) {
+		func(p int, rows []itemset.Itemset, led *sim.Ledger) ([]shuffle.Pair[int32, tidlist], error) {
 			lists := make([]tidlist, m)
 			occurrences := 0
 			for i, t := range rows {
@@ -229,10 +230,10 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 				}
 			}
 			led.AddCPU(float64(occurrences))
-			out := make([]rdd.Pair[int32, tidlist], 0, m)
+			out := make([]shuffle.Pair[int32, tidlist], 0, m)
 			for d, l := range lists {
 				if len(l) > 0 {
-					out = append(out, rdd.Pair[int32, tidlist]{Key: int32(d), Value: l})
+					out = append(out, shuffle.Pair[int32, tidlist]{Key: int32(d), Value: l})
 				}
 			}
 			return out, nil

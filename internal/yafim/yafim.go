@@ -25,6 +25,7 @@ import (
 	"yafim/internal/hashtree"
 	"yafim/internal/itemset"
 	"yafim/internal/rdd"
+	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
 
@@ -103,11 +104,11 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 
 	// Phase I counting: flatMap items, map to pairs, reduceByKey, prune.
 	items := rdd.FlatMap(trans, "items", func(t itemset.Itemset) []itemset.Item { return t })
-	pairs := rdd.Map(items, "itemPairs", func(it itemset.Item) rdd.Pair[int32, int] {
-		return rdd.Pair[int32, int]{Key: int32(it), Value: 1}
+	pairs := rdd.Map(items, "itemPairs", func(it itemset.Item) shuffle.Pair[int32, int] {
+		return shuffle.Pair[int32, int]{Key: int32(it), Value: 1}
 	})
 	counts := rdd.ReduceByKey(pairs, "itemCounts", func(a, b int) int { return a + b }, parts)
-	frequent := rdd.Filter(counts, "frequentItems", func(kv rdd.Pair[int32, int]) bool {
+	frequent := rdd.Filter(counts, "frequentItems", func(kv shuffle.Pair[int32, int]) bool {
 		return kv.Value >= minCount
 	})
 	l1Pairs, err := rdd.Collect(frequent)
@@ -211,7 +212,7 @@ func countPass(ctx *rdd.Context, trans *rdd.RDD[itemset.Itemset],
 
 	name := fmt.Sprintf("matchC%d", k)
 	found := rdd.MapPartitions(trans, name,
-		func(_ int, rows []itemset.Itemset, led *sim.Ledger) ([]rdd.Pair[int, int], error) {
+		func(_ int, rows []itemset.Itemset, led *sim.Ledger) ([]shuffle.Pair[int, int], error) {
 			t := bc.Acquire(led)
 			counts := takeCounts(t.Len())
 			defer putCounts(counts)
@@ -252,17 +253,17 @@ func countPass(ctx *rdd.Context, trans *rdd.RDD[itemset.Itemset],
 					nonzero++
 				}
 			}
-			out := make([]rdd.Pair[int, int], 0, nonzero)
+			out := make([]shuffle.Pair[int, int], 0, nonzero)
 			for i, c := range counts {
 				if c != 0 {
-					out = append(out, rdd.Pair[int, int]{Key: i, Value: c})
+					out = append(out, shuffle.Pair[int, int]{Key: i, Value: c})
 				}
 			}
 			return out, nil
 		})
 	counted := rdd.ReduceByKey(found, fmt.Sprintf("countC%d", k),
 		func(a, b int) int { return a + b }, parts)
-	frequent := rdd.Filter(counted, fmt.Sprintf("L%d", k), func(kv rdd.Pair[int, int]) bool {
+	frequent := rdd.Filter(counted, fmt.Sprintf("L%d", k), func(kv shuffle.Pair[int, int]) bool {
 		return kv.Value >= minCount
 	})
 	pairs, err := rdd.Collect(frequent)
