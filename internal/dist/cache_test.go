@@ -10,23 +10,20 @@ import (
 	"testing"
 	"time"
 
+	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
 )
 
 // TestDropStaleCachesEvictsOlderJobs is the regression test for the
-// distributed-cache blob and map-output leaks: both were keyed by job seq but
-// never deleted, so a long-lived worker accumulated every finished job's
+// per-job memo and map-output leaks: both were keyed by job seq but never
+// deleted, so a long-lived worker accumulated every finished job's
 // candidate batches and partitions forever. A task from a newer job proves
-// every older job's blobs and outputs are dead weight: they are no longer
-// served or re-advertised.
+// every older job's built tasks and outputs are dead weight: they are no
+// longer kept, served or re-advertised.
 func TestDropStaleCachesEvictsOlderJobs(t *testing.T) {
 	part := [][]byte{[]byte("tea\t1\n")}
 	w := &worker{
-		caches: map[cacheKey][]byte{
-			{seq: 1, name: "cand"}:  []byte("old"),
-			{seq: 1, name: "other"}: []byte("old2"),
-			{seq: 2, name: "cand"}:  []byte("current"),
-		},
+		jobs: map[int]mapreduce.Tasks{1: {}, 2: {}},
 		outputs: map[outputKey][][]byte{
 			{seq: 1, mapIndex: 0}: part,
 			{seq: 1, mapIndex: 1}: part,
@@ -34,9 +31,8 @@ func TestDropStaleCachesEvictsOlderJobs(t *testing.T) {
 		},
 	}
 	w.dropStaleCaches(2)
-	want := map[cacheKey][]byte{{seq: 2, name: "cand"}: []byte("current")}
-	if !reflect.DeepEqual(w.caches, want) {
-		t.Fatalf("caches after drop = %v, want %v", w.caches, want)
+	if _, ok := w.jobs[2]; !ok || len(w.jobs) != 1 {
+		t.Fatalf("built jobs after drop = %v, want only seq 2's", w.jobs)
 	}
 	if ads := w.outputAds(); !reflect.DeepEqual(ads, []OutputAd{{Seq: 2, Map: 0}}) {
 		t.Fatalf("output ads after drop = %v, want only seq 2's map 0", ads)
@@ -55,14 +51,14 @@ func TestDropStaleCachesEvictsOlderJobs(t *testing.T) {
 	}
 	// Dropping for the same seq again is a no-op.
 	w.dropStaleCaches(2)
-	if !reflect.DeepEqual(w.caches, want) || len(w.outputs) != 1 {
-		t.Fatalf("idempotent drop changed state: caches %v, %d outputs", w.caches, len(w.outputs))
+	if len(w.jobs) != 1 || len(w.outputs) != 1 {
+		t.Fatalf("idempotent drop changed state: %d jobs, %d outputs", len(w.jobs), len(w.outputs))
 	}
 }
 
 // TestRunTaskDropsOlderSeqBlobs drives the eviction through the real task
-// path: executing any task of a newer job clears older jobs' blobs and map
-// outputs before the task runs.
+// path: executing any task of a newer job drops older jobs' built tasks and
+// map outputs before the task runs.
 func TestRunTaskDropsOlderSeqBlobs(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(rw).Encode(CompleteResponse{Accepted: true}) //nolint:errcheck
@@ -72,28 +68,25 @@ func TestRunTaskDropsOlderSeqBlobs(t *testing.T) {
 		opts:   WorkerOptions{MasterURL: srv.URL}.withDefaults(),
 		client: srv.Client(),
 		blocks: newBlockCache(1 << 20),
-		caches: map[cacheKey][]byte{
-			{seq: 1, name: "cand"}: []byte("stale"),
-			{seq: 3, name: "cand"}: []byte("live"),
-		},
+		jobs:   map[int]mapreduce.Tasks{1: {}, 3: {}},
 		outputs: map[outputKey][][]byte{
 			{seq: 1, mapIndex: 0}: {[]byte("tea\t1\n")},
 			{seq: 3, mapIndex: 0}: {[]byte("tea\t2\n")},
 		},
 	}
-	// An unknown phase fails the task, but the stale-cache sweep runs first
-	// and the completion (reporting the failure) still posts — which is all
+	// An unknown phase fails the task, but the stale sweep runs first and
+	// the completion (reporting the failure) still posts — which is all
 	// this test needs.
 	w.runTask(context.Background(), &TaskSpec{
 		Job: "j", Seq: 3, Phase: "bogus", Index: 0, Attempt: 1,
 	})
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, ok := w.caches[cacheKey{seq: 1, name: "cand"}]; ok {
-		t.Fatal("older job's blob survived a newer job's task")
+	if _, ok := w.jobs[1]; ok {
+		t.Fatal("older job's built tasks survived a newer job's task")
 	}
-	if _, ok := w.caches[cacheKey{seq: 3, name: "cand"}]; !ok {
-		t.Fatal("current job's blob evicted")
+	if _, ok := w.jobs[3]; !ok {
+		t.Fatal("current job's built tasks dropped")
 	}
 	if _, ok := w.outputs[outputKey{seq: 1, mapIndex: 0}]; ok {
 		t.Fatal("older job's map output survived a newer job's task")

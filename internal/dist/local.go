@@ -11,10 +11,10 @@ import (
 
 // Local is the deterministic in-memory Executor: it runs each job on the
 // caller's virtual-time MapReduce runner over the caller's simulated DFS.
-// It instantiates tasks through the same job-type registry as the worker
-// runtime, so the exact closures a real worker process would run are what
-// the simulator runs — any divergence between a distributed run and a Local
-// run is a runtime bug, not an algorithm difference.
+// It builds each job once, through the same job-type registry as the
+// worker runtime, so the exact closures a real worker process would run are
+// what the simulator runs — any divergence between a distributed run and a
+// Local run is a runtime bug, not an algorithm difference.
 //
 // A JobSpec's InputPath names a DFS file, and each cache blob is staged into
 // the DFS at its own name (in name order) before the job runs, so cache
@@ -37,21 +37,13 @@ func NewLocal(runner *mapreduce.Runner, fs *dfs.FileSystem) *Local {
 	return &Local{runner: runner, fs: fs}
 }
 
-// ExecJob runs one job on the sim engine.
+// ExecJob builds the job from its parameters and cache blobs, then runs it
+// on the sim engine.
 func (l *Local) ExecJob(ctx context.Context, job *JobSpec) (*JobOutput, error) {
-	jt, err := lookupJobType(job.Type)
+	tasks, err := buildJob(job.Type, job.Params, job.Cache)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: %s: %w", job.Name, err)
 	}
-	// Validate the parameter blob once up front so the per-task factories
-	// below cannot fail.
-	if _, err := jt.NewMapper(job.Params); err != nil {
-		return nil, fmt.Errorf("dist: %s: mapper params: %w", job.Name, err)
-	}
-	if _, err := jt.NewReducer(job.Params); err != nil {
-		return nil, fmt.Errorf("dist: %s: reducer params: %w", job.Name, err)
-	}
-
 	cacheNames := make([]string, 0, len(job.Cache))
 	for name := range job.Cache {
 		cacheNames = append(cacheNames, name)
@@ -67,29 +59,13 @@ func (l *Local) ExecJob(ctx context.Context, job *JobSpec) (*JobOutput, error) {
 		reducers = l.runner.Config().TotalCores()
 	}
 	mj := mapreduce.Job{
-		Name:      job.Name,
-		Input:     []string{job.InputPath},
-		OutputDir: ScratchDir + "/" + job.Name,
-		NewMapper: func() mapreduce.Mapper {
-			m, _ := jt.NewMapper(job.Params)
-			return m
-		},
-		NewReducer: func() mapreduce.Reducer {
-			r, _ := jt.NewReducer(job.Params)
-			return r
-		},
+		Name:        job.Name,
+		Input:       []string{job.InputPath},
+		OutputDir:   ScratchDir + "/" + job.Name,
+		Tasks:       tasks,
 		NumReducers: reducers,
 		MapTasks:    job.NumMaps,
 		CacheFiles:  cacheNames,
-	}
-	if jt.NewCombiner != nil {
-		if _, err := jt.NewCombiner(job.Params); err != nil {
-			return nil, fmt.Errorf("dist: %s: combiner params: %w", job.Name, err)
-		}
-		mj.NewCombiner = func() mapreduce.Reducer {
-			c, _ := jt.NewCombiner(job.Params)
-			return c
-		}
 	}
 	mapreduce.CleanOutput(l.fs, mj.OutputDir)
 	report, counters, err := l.runner.RunContext(ctx, mj)

@@ -59,23 +59,22 @@ func (m barrierMapper) Map(off int64, line string, emit mapreduce.Emit, led *sim
 	return m.wordMapper.Map(off, line, emit, led)
 }
 
-// slowSum is word count's reducer with a 300 ms set-up: one worker running
-// both reduces back to back would start the second well after the first.
-type slowSum struct{ wordSum }
-
-func (slowSum) Setup(mapreduce.CacheFiles, *sim.Ledger) error {
-	time.Sleep(300 * time.Millisecond)
-	return nil
-}
-
 var registerBarrier sync.Once
 
 func barrierType(t *testing.T) string {
 	t.Helper()
 	registerBarrier.Do(func() {
-		RegisterJobType("test-barrier", JobType{
-			NewMapper:  func([]byte) (mapreduce.Mapper, error) { return barrierMapper{}, nil },
-			NewReducer: func([]byte) (mapreduce.Reducer, error) { return slowSum{}, nil },
+		RegisterJobType("test-barrier", func([]byte, mapreduce.CacheFiles) (mapreduce.Tasks, error) {
+			return mapreduce.Tasks{
+				NewMapper: func() mapreduce.Mapper { return barrierMapper{} },
+				// A 300 ms set-up per reduce task: one worker running both
+				// reduces back to back would start the second well after
+				// the first.
+				NewReducer: func() mapreduce.Reducer {
+					time.Sleep(300 * time.Millisecond)
+					return wordSum{}
+				},
+			}, nil
 		})
 	})
 	return "test-barrier"

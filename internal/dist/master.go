@@ -188,7 +188,7 @@ const defaultTasks = 4
 // NumMaps or NumReducers runs defaultTasks tasks.
 func (m *Master) ExecJob(ctx context.Context, job *JobSpec) (*JobOutput, error) {
 	if _, err := lookupJobType(job.Type); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: %s: %w", job.Name, err)
 	}
 	if out, ok := m.table.finishedJob(job.Name); ok {
 		// The job completed before the last master restart; the resumed

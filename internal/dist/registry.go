@@ -7,20 +7,14 @@ import (
 	"yafim/internal/mapreduce"
 )
 
-// JobType binds a job-type name to the factories that build its map/reduce
-// closures from the job's parameter blob. Both executors instantiate tasks
-// through the registry: Local feeds the factories into the sim engine, and
-// every worker process resolves the leased task's Type the same way — which
-// is how a master can describe work to another process without shipping
-// code.
-type JobType struct {
-	// NewMapper builds a fresh mapper per map task.
-	NewMapper func(params []byte) (mapreduce.Mapper, error)
-	// NewCombiner builds the optional map-side combiner (nil disables).
-	NewCombiner func(params []byte) (mapreduce.Reducer, error)
-	// NewReducer builds a fresh reducer per reduce task.
-	NewReducer func(params []byte) (mapreduce.Reducer, error)
-}
+// JobType builds one job's tasks from its parameter blob and the contents
+// of its distributed-cache files. Both executors resolve a job's Type
+// through the registry and build it once per job: Local per ExecJob, a
+// worker process at its first task of each job. That is how a master
+// describes work to another process without shipping code, and how the
+// parsing a job needs (candidate files into hash trees) is done once per
+// job rather than once per task.
+type JobType func(params []byte, cache mapreduce.CacheFiles) (mapreduce.Tasks, error)
 
 var (
 	regMu    sync.RWMutex
@@ -33,8 +27,8 @@ var (
 // panics: two meanings for one wire name would make results depend on
 // process identity.
 func RegisterJobType(name string, jt JobType) {
-	if name == "" || jt.NewMapper == nil || jt.NewReducer == nil {
-		panic("dist: RegisterJobType needs a name, a mapper and a reducer")
+	if name == "" || jt == nil {
+		panic("dist: RegisterJobType needs a name and a builder")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -50,7 +44,16 @@ func lookupJobType(name string) (JobType, error) {
 	defer regMu.RUnlock()
 	jt, ok := jobTypes[name]
 	if !ok {
-		return JobType{}, fmt.Errorf("dist: unknown job type %q (not registered in this process)", name)
+		return nil, fmt.Errorf("unknown job type %q (not registered in this process)", name)
 	}
 	return jt, nil
+}
+
+// buildJob builds the tasks of one job of the registered type name.
+func buildJob(name string, params []byte, cache mapreduce.CacheFiles) (mapreduce.Tasks, error) {
+	jt, err := lookupJobType(name)
+	if err != nil {
+		return mapreduce.Tasks{}, err
+	}
+	return jt(params, cache)
 }

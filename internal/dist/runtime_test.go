@@ -23,8 +23,7 @@ import (
 // to exercise splits, partitioning, combining and the shuffle.
 type wordMapper struct{}
 
-func (wordMapper) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
-func (wordMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error     { return nil }
+func (wordMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error { return nil }
 func (wordMapper) Map(_ int64, line string, emit mapreduce.Emit, _ *sim.Ledger) error {
 	for _, w := range strings.Fields(line) {
 		emit(w, "1")
@@ -34,7 +33,6 @@ func (wordMapper) Map(_ int64, line string, emit mapreduce.Emit, _ *sim.Ledger) 
 
 type wordSum struct{}
 
-func (wordSum) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
 func (wordSum) Reduce(key string, values []string, emit mapreduce.Emit, _ *sim.Ledger) error {
 	total := 0
 	for _, v := range values {
@@ -53,10 +51,12 @@ var registerWordCount sync.Once
 func wordCountType(t *testing.T) string {
 	t.Helper()
 	registerWordCount.Do(func() {
-		RegisterJobType("test-wordcount", JobType{
-			NewMapper:   func([]byte) (mapreduce.Mapper, error) { return wordMapper{}, nil },
-			NewCombiner: func([]byte) (mapreduce.Reducer, error) { return wordSum{}, nil },
-			NewReducer:  func([]byte) (mapreduce.Reducer, error) { return wordSum{}, nil },
+		RegisterJobType("test-wordcount", func([]byte, mapreduce.CacheFiles) (mapreduce.Tasks, error) {
+			return mapreduce.Tasks{
+				NewMapper:   func() mapreduce.Mapper { return wordMapper{} },
+				NewCombiner: func() mapreduce.Reducer { return wordSum{} },
+				NewReducer:  func() mapreduce.Reducer { return wordSum{} },
+			}, nil
 		})
 	})
 	return "test-wordcount"

@@ -68,14 +68,6 @@ type outputKey struct {
 	seq, mapIndex int
 }
 
-// cacheKey identifies one fetched distributed-cache blob. Keying by job Seq
-// lets a newer job's first task evict every older job's blobs (see
-// dropStaleCaches) instead of leaking them for the worker's lifetime.
-type cacheKey struct {
-	seq  int
-	name string
-}
-
 // worker is one worker process's runtime state.
 type worker struct {
 	opts   WorkerOptions
@@ -86,10 +78,10 @@ type worker struct {
 	addr string // own map-output serving address
 
 	mu      sync.Mutex
-	id      int                    // current registration; changes on rejoin (see reregister)
-	hbMs    int64                  // master-assigned heartbeat cadence
-	outputs map[outputKey][][]byte // completed map outputs by task: one run frame per reduce partition
-	caches  map[cacheKey][]byte    // fetched cache blobs by job seq and name
+	id      int                     // current registration; changes on rejoin (see reregister)
+	hbMs    int64                   // master-assigned heartbeat cadence
+	outputs map[outputKey][][]byte  // completed map outputs by task: one run frame per reduce partition
+	jobs    map[int]mapreduce.Tasks // built jobs by seq; register replaces the map
 }
 
 // workerID returns the current registration's id. Re-registration (after a
@@ -122,7 +114,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		log:     opts.Log,
 		blocks:  newBlockCache(DefaultTuning().InputCacheBytes),
 		outputs: map[outputKey][][]byte{},
-		caches:  map[cacheKey][]byte{},
+		jobs:    map[int]mapreduce.Tasks{},
 	}
 
 	ln, err := net.Listen("tcp", opts.Addr)
@@ -237,6 +229,10 @@ func (w *worker) postJSON(ctx context.Context, path string, req, resp any) error
 // master restart (or its own declared death) hands the new master back the
 // partitions it would otherwise recompute and the placement hints it would
 // otherwise relearn one heartbeat later.
+//
+// The built jobs are dropped instead. A master restarted without its
+// journal numbers its jobs from 1 again, so a job kept under its seq could
+// be another master's, with another candidate file.
 func (w *worker) register(ctx context.Context) error {
 	cached, stats := w.blocks.report()
 	req := RegisterRequest{Addr: w.addr, Outputs: w.outputAds(),
@@ -255,6 +251,7 @@ func (w *worker) register(ctx context.Context) error {
 	w.mu.Lock()
 	w.id = resp.WorkerID
 	w.hbMs = hbMs
+	w.jobs = map[int]mapreduce.Tasks{}
 	w.mu.Unlock()
 	return nil
 }
@@ -432,17 +429,17 @@ func (w *worker) runTask(ctx context.Context, task *TaskSpec) {
 		Seq: task.Seq, Phase: task.Phase, Task: task.Index + 1, Attempt: task.Attempt})
 }
 
-// dropStaleCaches evicts the distributed-cache blobs and the map outputs of
-// jobs older than seq. Seqs increase monotonically and one job runs at a
-// time, so a task from a newer job proves every older job's blobs and
-// partitions are dead weight (a resumed master rebinds only the current
-// job's outputs); without this a long-lived worker leaked every finished
-// job's candidate batches and map outputs.
+// dropStaleCaches drops the built jobs and the map outputs of jobs older
+// than seq. Seqs increase monotonically and one job runs at a time, so a
+// task from a newer job proves every older job's trees and partitions are
+// dead weight (a resumed master rebinds only the current job's outputs);
+// without this a long-lived worker leaked every finished job's candidate
+// batches and map outputs.
 func (w *worker) dropStaleCaches(seq int) {
 	w.mu.Lock()
-	for k := range w.caches {
-		if k.seq < seq {
-			delete(w.caches, k)
+	for s := range w.jobs {
+		if s < seq {
+			delete(w.jobs, s)
 		}
 	}
 	for k := range w.outputs {
@@ -453,32 +450,34 @@ func (w *worker) dropStaleCaches(seq int) {
 	w.mu.Unlock()
 }
 
-// cacheFiles assembles the task's distributed cache, fetching each blob
-// from the master once per job and memoizing it.
-func (w *worker) cacheFiles(ctx context.Context, task *TaskSpec) (mapreduce.CacheFiles, error) {
-	if len(task.CacheNames) == 0 {
-		return nil, nil
+// job returns the built tasks of the task's job, building the job at its
+// first task on this worker: fetch each cache blob from the master, then
+// build through the registry. Only the built tasks are kept, not the blobs.
+func (w *worker) job(ctx context.Context, task *TaskSpec) (mapreduce.Tasks, error) {
+	w.mu.Lock()
+	jobs := w.jobs // a registration while this builds replaces the map: the build is not kept
+	tasks, ok := jobs[task.Seq]
+	w.mu.Unlock()
+	if ok {
+		return tasks, nil
 	}
 	cache := make(mapreduce.CacheFiles, len(task.CacheNames))
 	for _, name := range task.CacheNames {
-		key := cacheKey{seq: task.Seq, name: name}
-		w.mu.Lock()
-		data, ok := w.caches[key]
-		w.mu.Unlock()
-		if !ok {
-			u := fmt.Sprintf("%s/dist/cache?seq=%d&name=%s", w.opts.MasterURL, task.Seq, name)
-			var err error
-			data, err = w.fetchURL(ctx, u)
-			if err != nil {
-				return nil, fmt.Errorf("cache %s: %w", name, err)
-			}
-			w.mu.Lock()
-			w.caches[key] = data
-			w.mu.Unlock()
+		u := fmt.Sprintf("%s/dist/cache?seq=%d&name=%s", w.opts.MasterURL, task.Seq, name)
+		data, err := w.fetchURL(ctx, u)
+		if err != nil {
+			return mapreduce.Tasks{}, fmt.Errorf("cache %s: %w", name, err)
 		}
 		cache[name] = data
 	}
-	return cache, nil
+	tasks, err := buildJob(task.Type, task.Params, cache)
+	if err != nil {
+		return mapreduce.Tasks{}, fmt.Errorf("dist: %s: %w", task.Job, err)
+	}
+	w.mu.Lock()
+	jobs[task.Seq] = tasks
+	w.mu.Unlock()
+	return tasks, nil
 }
 
 // fetchURL GETs a URL with the worker's retry backoff.
@@ -515,30 +514,20 @@ func (w *worker) fetchURL(ctx context.Context, url string) ([]byte, error) {
 // store each run's frame for serving. Returns the consumed record count (the
 // driver's counter source).
 func (w *worker) runMap(ctx context.Context, task *TaskSpec) (int64, error) {
-	jt, err := lookupJobType(task.Type)
-	if err != nil {
-		return 0, err
-	}
-	cache, err := w.cacheFiles(ctx, task)
-	if err != nil {
-		return 0, err
-	}
-	mapper, err := jt.NewMapper(task.Params)
+	tasks, err := w.job(ctx, task)
 	if err != nil {
 		return 0, err
 	}
 	var combiner mapreduce.Reducer
-	if jt.NewCombiner != nil {
-		if combiner, err = jt.NewCombiner(task.Params); err != nil {
-			return 0, err
-		}
+	if tasks.NewCombiner != nil {
+		combiner = tasks.NewCombiner()
 	}
 	// The block cache is the fix for the paper's central Hadoop complaint:
 	// the first pass parses the split from disk, every later pass of the
 	// k-pass mining job replays the decoded records from memory.
 	read := func() ([]dfs.Line, error) { return w.blocks.get(task.Split) }
 	// Real runtime: costs are measured, not metered.
-	out, err := mapreduce.MapTask(task.Index, mapper, combiner, cache, read,
+	out, err := mapreduce.MapTask(task.Index, tasks.NewMapper(), combiner, read,
 		task.NumReducers, new(sim.Ledger))
 	if err != nil {
 		return 0, err
@@ -560,22 +549,11 @@ func (w *worker) runMap(ctx context.Context, task *TaskSpec) (int64, error) {
 // Unfetchable map outputs are returned as FailedMaps for the master's
 // FetchFailed recovery; the reduce itself then fails this attempt.
 func (w *worker) runReduce(ctx context.Context, task *TaskSpec) ([]KV, []int, error) {
-	jt, err := lookupJobType(task.Type)
+	tasks, err := w.job(ctx, task)
 	if err != nil {
 		return nil, nil, err
 	}
-	cache, err := w.cacheFiles(ctx, task)
-	if err != nil {
-		return nil, nil, err
-	}
-	reducer, err := jt.NewReducer(task.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	rt, err := mapreduce.NewReduceTask(task.Index, reducer, cache, new(sim.Ledger))
-	if err != nil {
-		return nil, nil, err
-	}
+	rt := mapreduce.NewReduceTask(task.Index, tasks.NewReducer(), new(sim.Ledger))
 	// The whole fetch fan-in runs under one wall-clock budget, layered over
 	// the per-target backoff: a partitioned peer (reachable to TCP but never
 	// answering, or a link the chaos transport cut indefinitely) must

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"yafim/internal/exec"
+	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
 )
 
@@ -46,7 +47,7 @@ func TestReduceFetchBudget(t *testing.T) {
 		client:  &http.Client{Timeout: 10 * time.Second},
 		log:     log,
 		outputs: map[outputKey][][]byte{},
-		caches:  map[cacheKey][]byte{},
+		jobs:    map[int]mapreduce.Tasks{},
 	}
 
 	task := &TaskSpec{
@@ -106,7 +107,7 @@ func TestReduceDrainBeatsBudget(t *testing.T) {
 		},
 		client:  &http.Client{Timeout: 10 * time.Second},
 		outputs: map[outputKey][][]byte{},
-		caches:  map[cacheKey][]byte{},
+		jobs:    map[int]mapreduce.Tasks{},
 	}
 	task := &TaskSpec{
 		Job: "j", Seq: 1, Type: typ, Phase: PhaseReduce, Index: 0,
@@ -171,7 +172,7 @@ func TestReduceCorruptPartitionJournaled(t *testing.T) {
 				client:  &http.Client{Timeout: 10 * time.Second},
 				log:     log,
 				outputs: map[outputKey][][]byte{},
-				caches:  map[cacheKey][]byte{},
+				jobs:    map[int]mapreduce.Tasks{},
 			}
 			task := &TaskSpec{
 				Job: "j", Seq: 1, Type: typ, Phase: PhaseReduce, Index: 0,

@@ -94,8 +94,6 @@ type byteMapper struct {
 	snaps   *[]sim.Cost
 }
 
-func (m byteMapper) Setup(CacheFiles, *sim.Ledger) error { return nil }
-
 func (m byteMapper) Map(_ int64, line string, emit Emit, led *sim.Ledger) error {
 	for i := 0; i < len(line); i++ {
 		emit(fuzzKeys[int(line[i])%len(fuzzKeys)], strconv.Itoa(int(line[i])))
@@ -128,8 +126,6 @@ type recordingReducer struct {
 	kind  int
 	calls *[]reduceCall
 }
-
-func (r recordingReducer) Setup(CacheFiles, *sim.Ledger) error { return nil }
 
 func (r recordingReducer) Reduce(key string, values []string, emit Emit, led *sim.Ledger) error {
 	*r.calls = append(*r.calls, reduceCall{key, slices.Clone(values), led.Total()})
@@ -194,7 +190,7 @@ func traceTasks(t *testing.T, ref bool, data []byte, maps, reducers, combine int
 		read := func() ([]dfs.Line, error) { return lines, nil }
 		led := new(sim.Ledger)
 		if ref {
-			out, err := refMapTask(m, mapper, combiner, nil, read, reducers, led)
+			out, err := refMapTask(m, mapper, combiner, read, reducers, led)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +203,7 @@ func traceTasks(t *testing.T, ref bool, data []byte, maps, reducers, combine int
 			tr.bytes = append(tr.bytes, out.Bytes)
 			tr.records = append(tr.records, [3]int64{out.InputRecords, out.MapRecords, out.CombineRecords})
 		} else {
-			out, err := MapTask(m, mapper, combiner, nil, read, reducers, led)
+			out, err := MapTask(m, mapper, combiner, read, reducers, led)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,19 +229,13 @@ func traceTasks(t *testing.T, ref bool, data []byte, maps, reducers, combine int
 		var n int64
 		var err error
 		if ref {
-			rt, rerr := newRefReduceTask(p, reducer, nil, led)
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
+			rt := newRefReduceTask(p, reducer, led)
 			for _, o := range refOuts {
 				rt.Merge(o.Partitions[p])
 			}
 			n, err = rt.Reduce(emit)
 		} else {
-			rt, rerr := NewReduceTask(p, reducer, nil, led)
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
+			rt := NewReduceTask(p, reducer, led)
 			for _, runs := range tr.runs {
 				rt.Merge(runs[p])
 			}

@@ -34,16 +34,13 @@ import (
 // so a key holds no tab or newline and a value no newline.
 type Emit func(key, value string)
 
-// CacheFiles holds the contents of the job's distributed-cache files,
-// keyed by DFS path.
+// CacheFiles holds the contents of a job's distributed-cache files, keyed
+// by name: what a job type builds its Tasks from.
 type CacheFiles map[string][]byte
 
 // Mapper processes one input split. A fresh instance is created per map
 // task, so implementations may keep per-task state without locking.
 type Mapper interface {
-	// Setup runs once per task before any Map call, with the distributed
-	// cache contents.
-	Setup(cache CacheFiles, led *sim.Ledger) error
 	// Map processes one line record (key = byte offset, as in Hadoop).
 	Map(offset int64, line string, emit Emit, led *sim.Ledger) error
 	// Cleanup runs once per task after the last Map call; split-at-a-time
@@ -56,18 +53,24 @@ type Mapper interface {
 // Hadoop's value iterator is: they may be a map task's stored output, which
 // a retried attempt reads again.
 type Reducer interface {
-	Setup(cache CacheFiles, led *sim.Ledger) error
 	Reduce(key string, values []string, emit Emit, led *sim.Ledger) error
+}
+
+// Tasks makes a job's per-task instances: each call returns a fresh one for
+// one task. What the factories share is built once per job, before the
+// first task, and tasks running at once only read it.
+type Tasks struct {
+	NewMapper   func() Mapper
+	NewReducer  func() Reducer
+	NewCombiner func() Reducer // optional map-side combiner
 }
 
 // Job describes one MapReduce job.
 type Job struct {
-	Name        string
-	Input       []string // DFS input paths
-	OutputDir   string   // DFS directory for part-r-NNNNN files
-	NewMapper   func() Mapper
-	NewReducer  func() Reducer
-	NewCombiner func() Reducer // optional map-side combiner
+	Name      string
+	Input     []string // DFS input paths
+	OutputDir string   // DFS directory for part-r-NNNNN files
+	Tasks
 	NumReducers int
 	// MapTasks is a minimum map-task count hint, honoured by cutting blocks
 	// into finer splits (0 = one task per block).
@@ -141,7 +144,7 @@ func (r *Runner) RunContext(ctx context.Context, job Job) (*sim.JobReport, *Coun
 	defer r.drv.AbortJob() // a failed job leaves no report
 	counters := &Counters{}
 
-	cache, cacheTime, err := r.loadCache(ctx, job.CacheFiles)
+	cacheTime, err := r.loadCache(ctx, job.CacheFiles)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mapreduce: %s: distributed cache: %w", job.Name, err)
 	}
@@ -155,7 +158,7 @@ func (r *Runner) RunContext(ctx context.Context, job Job) (*sim.JobReport, *Coun
 	// A crash due before this job's map stage fires as the stage starts and
 	// only costs exclusion (and any DFS repair): the map stage simply never
 	// schedules on the dead node.
-	outputs, mapCosts, mapPlacements, err := r.runMapStage(ctx, job, splits, cache, counters)
+	outputs, mapCosts, mapPlacements, err := r.runMapStage(ctx, job, splits, counters)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mapreduce: %s: map stage: %w", job.Name, err)
 	}
@@ -168,7 +171,7 @@ func (r *Runner) RunContext(ctx context.Context, job Job) (*sim.JobReport, *Coun
 		r.rerunLostMaps(job, node, mapCosts, mapPlacements)
 	}
 
-	if err := r.runReduceStage(ctx, job, outputs, mapCosts, cache, counters); err != nil {
+	if err := r.runReduceStage(ctx, job, outputs, mapCosts, counters); err != nil {
 		return nil, nil, fmt.Errorf("mapreduce: %s: reduce stage: %w", job.Name, err)
 	}
 	report := r.drv.EndJob()
@@ -193,20 +196,19 @@ func validateJob(job Job) error {
 
 // loadCache reads the distributed-cache files and returns the virtual time
 // to localise them: every node pulls each file from the DFS once (disk read
-// at the source plus one network hop), all nodes in parallel.
-func (r *Runner) loadCache(ctx context.Context, paths []string) (CacheFiles, time.Duration, error) {
-	cache := make(CacheFiles, len(paths))
+// at the source plus one network hop), all nodes in parallel. The tasks
+// never see the contents: the job's Tasks were built from them already.
+func (r *Runner) loadCache(ctx context.Context, paths []string) (time.Duration, error) {
 	var d time.Duration
 	for _, p := range paths {
 		data, err := r.fs.ReadFileContext(ctx, p, nil)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		cache[p] = data
 		secs := float64(len(data))/r.cfg.DiskBWPerSec + float64(len(data))/r.cfg.NetBWPerSec
 		d += time.Duration(secs * float64(time.Second))
 	}
-	return cache, d, nil
+	return d, nil
 }
 
 func (r *Runner) collectSplits(inputs []string, mapTasks int) ([]dfs.Split, error) {
@@ -225,7 +227,7 @@ func (r *Runner) collectSplits(inputs []string, mapTasks int) ([]dfs.Split, erro
 	return splits, nil
 }
 
-func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, cache CacheFiles,
+func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split,
 	counters *Counters) ([]*MapOutput, []sim.Cost, []sim.TaskPlacement, error) {
 	// A retried attempt overwrites its task's output, and the counters are
 	// summed only after the stage settles: a failed attempt — chaos strikes
@@ -243,7 +245,7 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, c
 			combiner = job.NewCombiner()
 		}
 		read := func() ([]dfs.Line, error) { return r.fs.ReadLinesContext(ctx, splits[t], led) }
-		out, err := MapTask(t, job.NewMapper(), combiner, cache, read, job.NumReducers, led)
+		out, err := MapTask(t, job.NewMapper(), combiner, read, job.NumReducers, led)
 		if err != nil {
 			return err
 		}
@@ -277,7 +279,7 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split, c
 }
 
 func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*MapOutput, mapCosts []sim.Cost,
-	cache CacheFiles, counters *Counters) error {
+	counters *Counters) error {
 	groups := make([]int64, job.NumReducers)
 	outRecs := make([]int64, job.NumReducers)
 	parts := make([][]byte, job.NumReducers)
@@ -285,10 +287,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*MapOutp
 
 	name := job.Name + ":reduce"
 	_, _, err := r.drv.RunStage(ctx, vcluster.Stage{Name: name, Tasks: job.NumReducers}, func(p int, led *sim.Ledger) error {
-		rt, err := NewReduceTask(p, job.NewReducer(), cache, led)
-		if err != nil {
-			return err
-		}
+		rt := NewReduceTask(p, job.NewReducer(), led)
 		// Chaos: a failed shuffle fetch means one map task's output is gone.
 		// MapReduce has no lineage cache, so the JobTracker re-runs the whole
 		// victim map task from its DFS input before this reducer can proceed:

@@ -19,8 +19,7 @@ import (
 // wordCountMapper is the canonical example job used by the engine tests.
 type wordCountMapper struct{ failOn string }
 
-func (m *wordCountMapper) Setup(CacheFiles, *sim.Ledger) error { return nil }
-func (m *wordCountMapper) Cleanup(Emit, *sim.Ledger) error     { return nil }
+func (m *wordCountMapper) Cleanup(Emit, *sim.Ledger) error { return nil }
 
 func (m *wordCountMapper) Map(_ int64, line string, emit Emit, _ *sim.Ledger) error {
 	for _, w := range strings.Fields(line) {
@@ -33,8 +32,6 @@ func (m *wordCountMapper) Map(_ int64, line string, emit Emit, _ *sim.Ledger) er
 }
 
 type sumReducer struct{}
-
-func (sumReducer) Setup(CacheFiles, *sim.Ledger) error { return nil }
 
 func (sumReducer) Reduce(key string, values []string, emit Emit, _ *sim.Ledger) error {
 	total := 0
@@ -60,11 +57,13 @@ func setupFS(t *testing.T, blockSize int64, content string) *dfs.FileSystem {
 
 func wordCountJob(combiner bool) Job {
 	j := Job{
-		Name:        "wordcount",
-		Input:       []string{"/in/data.txt"},
-		OutputDir:   "/out/wc",
-		NewMapper:   func() Mapper { return &wordCountMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
+		Name:      "wordcount",
+		Input:     []string{"/in/data.txt"},
+		OutputDir: "/out/wc",
+		Tasks: Tasks{
+			NewMapper:  func() Mapper { return &wordCountMapper{} },
+			NewReducer: func() Reducer { return sumReducer{} },
+		},
 		NumReducers: 3,
 	}
 	if combiner {
@@ -170,8 +169,6 @@ func TestReduceCommitsInPartitionOrder(t *testing.T) {
 // the to key.
 type rekeyCombiner struct{ from, to string }
 
-func (rekeyCombiner) Setup(CacheFiles, *sim.Ledger) error { return nil }
-
 func (c rekeyCombiner) Reduce(key string, values []string, emit Emit, led *sim.Ledger) error {
 	if key == c.from {
 		key = c.to
@@ -255,16 +252,11 @@ func TestDistributedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sawCache string
 	job := wordCountJob(false)
 	job.CacheFiles = []string{"/cache/side"}
-	job.NewMapper = func() Mapper { return &cacheCheckMapper{saw: &sawCache} }
 	rep, _, err := r.RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sawCache != payload {
-		t.Fatalf("mapper saw %d cache bytes", len(sawCache))
 	}
 	plain, _, err := NewRunnerMust(t, cluster.Local(), fs).RunContext(context.Background(), wordCountJob(false))
 	if err != nil {
@@ -273,22 +265,6 @@ func TestDistributedCache(t *testing.T) {
 	if rep.Overhead <= plain.Overhead {
 		t.Fatalf("cache localisation time missing: %v vs %v", rep.Overhead, plain.Overhead)
 	}
-}
-
-type cacheCheckMapper struct{ saw *string }
-
-func (m *cacheCheckMapper) Setup(c CacheFiles, _ *sim.Ledger) error {
-	*m.saw = string(c["/cache/side"])
-	return nil
-}
-
-func (m *cacheCheckMapper) Cleanup(Emit, *sim.Ledger) error { return nil }
-
-func (m *cacheCheckMapper) Map(_ int64, line string, emit Emit, _ *sim.Ledger) error {
-	for _, w := range strings.Fields(line) {
-		emit(w, "1")
-	}
-	return nil
 }
 
 func NewRunnerMust(t *testing.T, cfg cluster.Config, fs *dfs.FileSystem) *Runner {
@@ -312,7 +288,6 @@ func TestMapperErrorFailsJob(t *testing.T) {
 
 type badReducer struct{}
 
-func (badReducer) Setup(CacheFiles, *sim.Ledger) error { return nil }
 func (badReducer) Reduce(key string, _ []string, _ Emit, _ *sim.Ledger) error {
 	if key == "fox" {
 		return errors.New("fox rejected")
@@ -373,7 +348,6 @@ func TestReduceKeysProcessedInSortedOrder(t *testing.T) {
 
 type orderRecorder struct{ order *[]string }
 
-func (r *orderRecorder) Setup(CacheFiles, *sim.Ledger) error { return nil }
 func (r *orderRecorder) Reduce(key string, _ []string, emit Emit, _ *sim.Ledger) error {
 	*r.order = append(*r.order, key)
 	emit(key, "ok")

@@ -21,8 +21,7 @@ type panicMapper struct {
 	limit *int64 // nil = always panic
 }
 
-func (m *panicMapper) Setup(CacheFiles, *sim.Ledger) error { return nil }
-func (m *panicMapper) Cleanup(Emit, *sim.Ledger) error     { return nil }
+func (m *panicMapper) Cleanup(Emit, *sim.Ledger) error { return nil }
 
 func (m *panicMapper) Map(_ int64, line string, emit Emit, _ *sim.Ledger) error {
 	if m.limit == nil || atomic.AddInt64(m.limit, -1) >= 0 {
@@ -99,8 +98,7 @@ type cancelingMapper struct {
 	ctx    context.Context
 }
 
-func (m *cancelingMapper) Setup(CacheFiles, *sim.Ledger) error { return nil }
-func (m *cancelingMapper) Cleanup(Emit, *sim.Ledger) error     { return nil }
+func (m *cancelingMapper) Cleanup(Emit, *sim.Ledger) error { return nil }
 
 func (m *cancelingMapper) Map(_ int64, _ string, _ Emit, _ *sim.Ledger) error {
 	m.cancel()

@@ -31,16 +31,13 @@ type MapOutput struct {
 	InputRecords, MapRecords, CombineRecords int64
 }
 
-// MapTask is the body of map task t: set the mapper up, read the split,
-// map every line, clean up, group the records by key, route each key to its
-// shuffle.HashKey partition, sort each partition into a run, fold each run
-// through the combiner (nil for none) and charge the sort-and-spill. Every
-// charge goes to led, in that order.
-func MapTask(t int, mapper Mapper, combiner Reducer, cache CacheFiles,
+// MapTask is the body of map task t: read the split, map every line, clean
+// up, group the records by key, route each key to its shuffle.HashKey
+// partition, sort each partition into a run, fold each run through the
+// combiner (nil for none) and charge the sort-and-spill. Every charge goes
+// to led, in that order.
+func MapTask(t int, mapper Mapper, combiner Reducer,
 	read func() ([]dfs.Line, error), reducers int, led *sim.Ledger) (*MapOutput, error) {
-	if err := mapper.Setup(cache, led); err != nil {
-		return nil, fmt.Errorf("task %d setup: %w", t, err)
-	}
 	lines, err := read()
 	if err != nil {
 		return nil, fmt.Errorf("task %d read: %w", t, err)
@@ -80,9 +77,6 @@ func MapTask(t int, mapper Mapper, combiner Reducer, cache CacheFiles,
 	}
 
 	if combiner != nil {
-		if err := combiner.Setup(cache, led); err != nil {
-			return nil, fmt.Errorf("task %d combiner setup: %w", t, err)
-		}
 		var key string
 		var vals, stray []string // the key's combined values; keys emitted under instead
 		cemit := func(k, v string) {
@@ -130,9 +124,8 @@ func MapTask(t int, mapper Mapper, combiner Reducer, cache CacheFiles,
 	return out, nil
 }
 
-// ReduceTask is the body of one reduce task: NewReduceTask sets the reducer
-// up, Merge takes each map task's run as it arrives, and Reduce merges the
-// runs and reduces every key.
+// ReduceTask is the body of one reduce task: Merge takes each map task's
+// run as it arrives, and Reduce merges the runs and reduces every key.
 type ReduceTask struct {
 	t       int
 	reducer Reducer
@@ -141,12 +134,9 @@ type ReduceTask struct {
 	records int64
 }
 
-// NewReduceTask sets reducer up for reduce task t, charging led.
-func NewReduceTask(t int, reducer Reducer, cache CacheFiles, led *sim.Ledger) (*ReduceTask, error) {
-	if err := reducer.Setup(cache, led); err != nil {
-		return nil, fmt.Errorf("reducer %d setup: %w", t, err)
-	}
-	return &ReduceTask{t: t, reducer: reducer, led: led}, nil
+// NewReduceTask starts reduce task t with reducer, charging led.
+func NewReduceTask(t int, reducer Reducer, led *sim.Ledger) *ReduceTask {
+	return &ReduceTask{t: t, reducer: reducer, led: led}
 }
 
 // Merge takes one map task's run. Calls come in map-index order, so a key's

@@ -26,11 +26,8 @@ type refMapOutput struct {
 	InputRecords, MapRecords, CombineRecords int64
 }
 
-func refMapTask(t int, mapper Mapper, combiner Reducer, cache CacheFiles,
+func refMapTask(t int, mapper Mapper, combiner Reducer,
 	read func() ([]dfs.Line, error), reducers int, led *sim.Ledger) (*refMapOutput, error) {
-	if err := mapper.Setup(cache, led); err != nil {
-		return nil, fmt.Errorf("task %d setup: %w", t, err)
-	}
 	lines, err := read()
 	if err != nil {
 		return nil, fmt.Errorf("task %d read: %w", t, err)
@@ -59,9 +56,6 @@ func refMapTask(t int, mapper Mapper, combiner Reducer, cache CacheFiles,
 	led.AddCPU(float64(len(lines)) + float64(out.MapRecords))
 
 	if combiner != nil {
-		if err := combiner.Setup(cache, led); err != nil {
-			return nil, fmt.Errorf("task %d combiner setup: %w", t, err)
-		}
 		for i, b := range out.Partitions {
 			nb := make(refPartition, len(b))
 			cemit := func(k, v string) {
@@ -103,11 +97,8 @@ type refReduceTask struct {
 	records int64
 }
 
-func newRefReduceTask(t int, reducer Reducer, cache CacheFiles, led *sim.Ledger) (*refReduceTask, error) {
-	if err := reducer.Setup(cache, led); err != nil {
-		return nil, fmt.Errorf("reducer %d setup: %w", t, err)
-	}
-	return &refReduceTask{t: t, reducer: reducer, led: led, merged: make(map[string][]string)}, nil
+func newRefReduceTask(t int, reducer Reducer, led *sim.Ledger) *refReduceTask {
+	return &refReduceTask{t: t, reducer: reducer, led: led, merged: make(map[string][]string)}
 }
 
 func (rt *refReduceTask) Merge(p refPartition) {

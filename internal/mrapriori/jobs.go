@@ -44,39 +44,23 @@ func decodeCountParams(p []byte) (countParams, error) {
 }
 
 func init() {
-	dist.RegisterJobType(JobTypeItems, dist.JobType{
-		NewMapper:   func([]byte) (mapreduce.Mapper, error) { return &itemMapper{}, nil },
-		NewCombiner: func([]byte) (mapreduce.Reducer, error) { return sumReducer{}, nil },
-		NewReducer:  func([]byte) (mapreduce.Reducer, error) { return sumReducer{}, nil },
+	dist.RegisterJobType(JobTypeItems, func([]byte, mapreduce.CacheFiles) (mapreduce.Tasks, error) {
+		return mapreduce.Tasks{
+			NewMapper:   func() mapreduce.Mapper { return itemMapper{} },
+			NewCombiner: func() mapreduce.Reducer { return sumReducer{} },
+			NewReducer:  func() mapreduce.Reducer { return sumReducer{} },
+		}, nil
 	})
-	dist.RegisterJobType(JobTypeCount, dist.JobType{
-		NewMapper: func(p []byte) (mapreduce.Mapper, error) {
-			cp, err := decodeCountParams(p)
-			if err != nil {
-				return nil, err
-			}
-			return &countMapper{cachePath: cp.CachePath}, nil
-		},
-		NewCombiner: func([]byte) (mapreduce.Reducer, error) { return sumReducer{}, nil },
-		NewReducer: func(p []byte) (mapreduce.Reducer, error) {
-			cp, err := decodeCountParams(p)
-			if err != nil {
-				return nil, err
-			}
-			return sumReducer{minCount: cp.MinCount}, nil
-		},
-	})
+	dist.RegisterJobType(JobTypeCount, newCountJob)
 }
 
 // itemMapper implements pass 1 (Algorithm 2 of the paper, in MapReduce
 // form): emit <item, 1> for every item of every transaction.
 type itemMapper struct{}
 
-func (m *itemMapper) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
+func (itemMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error { return nil }
 
-func (m *itemMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error { return nil }
-
-func (m *itemMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
+func (itemMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
 	fields := strings.Fields(line)
 	for _, f := range fields {
 		if _, err := strconv.ParseUint(f, 10, 31); err != nil {
@@ -89,12 +73,13 @@ func (m *itemMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Led
 }
 
 // CountSpec describes the exact candidate-counting job: MRApriori submits
-// it for every pass k >= 2 and SON as its second job. Mappers load the
+// it for every pass k >= 2 and SON as its second job. The job parses the
 // candidate batch, shipped through the distributed cache as cacheName, into
-// one hash tree per candidate length and count occurrences over their split;
-// the combiner sums partial counts; the reducer keeps the candidates counted
-// at least minCount times. The output holds one <SetKey, count> record per
-// surviving candidate. Zero task counts take the executor's defaults.
+// one hash tree per candidate length, and each mapper counts occurrences
+// over its split; the combiner sums partial counts; the reducer keeps the
+// candidates counted at least minCount times. The output holds one
+// <SetKey, count> record per surviving candidate. Zero task counts take the
+// executor's defaults.
 func CountSpec(name, inputPath, cacheName string, batch [][]itemset.Itemset,
 	minCount, reducers, mapTasks int) *dist.JobSpec {
 	// A string and an int always marshal.
@@ -110,25 +95,28 @@ func CountSpec(name, inputPath, cacheName string, batch [][]itemset.Itemset,
 	}
 }
 
-// countMapper is the counting job's mapper (Algorithm 3 in MapReduce
-// form). It counts candidate occurrences across the task's whole input
-// split into dense per-tree arrays (in-mapper combining) and emits one
-// <candidate, count> record per locally occurring candidate at cleanup —
-// instead of one <candidate, 1> record per match, which is what the
-// combiner would otherwise have to crunch back down.
-type countMapper struct {
-	cachePath string
-	keys      [][]string // per tree: candidate index -> emitted key text
-	matchers  []*hashtree.Matcher
-	counts    [][]int // per tree: dense candidate counts for this split
-	ops       float64 // batched subset-op CPU charges, flushed periodically
-	rows      int
+// countJob is one counting job's candidate batch, parsed once per job: one
+// hash tree per candidate length and each candidate's key text. Its map
+// tasks only read it, each through its own Matchers.
+type countJob struct {
+	trees []*hashtree.Tree
+	keys  [][]string // per tree: candidate index -> emitted key text
+	build float64    // the trees' construction ops, charged to every map task
 }
 
-func (m *countMapper) Setup(cache mapreduce.CacheFiles, led *sim.Ledger) error {
-	data, ok := cache[m.cachePath]
+// newCountJob builds JobTypeCount: it decodes the params, parses the
+// candidate file from the distributed cache into one hash tree per
+// candidate length and formats every candidate's key. A Hadoop mapper
+// builds its trees in its own setup, so every map task is charged their
+// construction, though an executor builds the job once per process.
+func newCountJob(params []byte, cache mapreduce.CacheFiles) (mapreduce.Tasks, error) {
+	cp, err := decodeCountParams(params)
+	if err != nil {
+		return mapreduce.Tasks{}, err
+	}
+	data, ok := cache[cp.CachePath]
 	if !ok {
-		return fmt.Errorf("mrapriori: candidate cache file %s not localised", m.cachePath)
+		return mapreduce.Tasks{}, fmt.Errorf("mrapriori: candidate cache file %s not localised", cp.CachePath)
 	}
 	byLen := map[int][]itemset.Itemset{}
 	for _, line := range strings.Split(string(data), "\n") {
@@ -137,31 +125,57 @@ func (m *countMapper) Setup(cache mapreduce.CacheFiles, led *sim.Ledger) error {
 		}
 		set, err := ParseSet(line)
 		if err != nil {
-			return fmt.Errorf("mrapriori: candidate file: %w", err)
+			return mapreduce.Tasks{}, fmt.Errorf("mrapriori: candidate file: %w", err)
 		}
 		byLen[set.Len()] = append(byLen[set.Len()], set)
 	}
 	if len(byLen) == 0 {
-		return fmt.Errorf("mrapriori: candidate file %s is empty", m.cachePath)
+		return mapreduce.Tasks{}, fmt.Errorf("mrapriori: candidate file %s is empty", cp.CachePath)
 	}
 	lengths := make([]int, 0, len(byLen))
 	for k := range byLen {
 		lengths = append(lengths, k)
 	}
 	sort.Ints(lengths) // deterministic tree order
+	job := &countJob{}
 	for _, k := range lengths {
 		cands := byLen[k]
-		tree := hashtree.Build(cands)
 		keys := make([]string, len(cands))
 		for i, c := range cands {
 			keys[i] = SetKey(c)
 		}
-		m.keys = append(m.keys, keys)
-		m.matchers = append(m.matchers, tree.NewMatcher())
-		m.counts = append(m.counts, make([]int, len(cands)))
-		led.AddCPU(float64(len(cands) * k)) // tree construction
+		job.trees = append(job.trees, hashtree.Build(cands))
+		job.keys = append(job.keys, keys)
+		job.build += float64(len(cands) * k)
 	}
-	return nil
+	return mapreduce.Tasks{
+		NewMapper:   job.newMapper,
+		NewCombiner: func() mapreduce.Reducer { return sumReducer{} },
+		NewReducer:  func() mapreduce.Reducer { return sumReducer{minCount: cp.MinCount} },
+	}, nil
+}
+
+// countMapper is the counting job's mapper (Algorithm 3 in MapReduce
+// form). It counts candidate occurrences across the task's whole input
+// split into dense per-tree arrays (in-mapper combining) and emits one
+// <candidate, count> record per locally occurring candidate at cleanup —
+// instead of one <candidate, 1> record per match, which is what the
+// combiner would otherwise have to crunch back down.
+type countMapper struct {
+	job      *countJob
+	matchers []*hashtree.Matcher
+	counts   [][]int // per tree: dense candidate counts for this split
+	ops      float64 // batched subset-op CPU charges, flushed periodically
+	rows     int
+}
+
+func (j *countJob) newMapper() mapreduce.Mapper {
+	m := &countMapper{job: j}
+	for ti, tree := range j.trees {
+		m.matchers = append(m.matchers, tree.NewMatcher())
+		m.counts = append(m.counts, make([]int, len(j.keys[ti])))
+	}
+	return m
 }
 
 // opsFlushRows is how many rows of subset-enumeration charges a count
@@ -169,12 +183,12 @@ func (m *countMapper) Setup(cache mapreduce.CacheFiles, led *sim.Ledger) error {
 const opsFlushRows = 512
 
 func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
-	led.AddCPU(m.ops)
+	led.AddCPU(m.job.build + m.ops) // the trees' construction and the last rows' walks
 	m.ops = 0
 	for ti, counts := range m.counts {
 		for i, c := range counts {
 			if c != 0 {
-				emit(m.keys[ti][i], strconv.Itoa(c))
+				emit(m.job.keys[ti][i], strconv.Itoa(c))
 			}
 		}
 	}
@@ -202,8 +216,6 @@ func (m *countMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Le
 // minCount — lines 11-18 of Algorithm 3. With minCount 0 it keeps every key:
 // the combiner of every job and the reducer of pass 1.
 type sumReducer struct{ minCount int }
-
-func (sumReducer) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
 
 func (r sumReducer) Reduce(key string, values []string, emit mapreduce.Emit, _ *sim.Ledger) error {
 	total := 0

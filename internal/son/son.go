@@ -59,15 +59,15 @@ type candidateParams struct {
 }
 
 func init() {
-	dist.RegisterJobType(JobTypeCandidates, dist.JobType{
-		NewMapper: func(p []byte) (mapreduce.Mapper, error) {
-			var cp candidateParams
-			if err := json.Unmarshal(p, &cp); err != nil {
-				return nil, fmt.Errorf("son: candidate params: %w", err)
-			}
-			return &localMiner{support: cp.Support, maxK: cp.MaxK}, nil
-		},
-		NewReducer: func([]byte) (mapreduce.Reducer, error) { return dedupReducer{}, nil },
+	dist.RegisterJobType(JobTypeCandidates, func(p []byte, _ mapreduce.CacheFiles) (mapreduce.Tasks, error) {
+		var cp candidateParams
+		if err := json.Unmarshal(p, &cp); err != nil {
+			return mapreduce.Tasks{}, fmt.Errorf("son: candidate params: %w", err)
+		}
+		return mapreduce.Tasks{
+			NewMapper:  func() mapreduce.Mapper { return &localMiner{support: cp.Support, maxK: cp.MaxK} },
+			NewReducer: func() mapreduce.Reducer { return dedupReducer{} },
+		}, nil
 	})
 }
 
@@ -154,8 +154,6 @@ type localMiner struct {
 	rows    [][]itemset.Item
 }
 
-func (m *localMiner) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
-
 func (m *localMiner) Map(_ int64, line string, _ mapreduce.Emit, led *sim.Ledger) error {
 	set, err := itemset.ParseLine(line)
 	if err != nil {
@@ -187,8 +185,6 @@ func (m *localMiner) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
 
 // dedupReducer keeps one record per candidate key.
 type dedupReducer struct{}
-
-func (dedupReducer) Setup(mapreduce.CacheFiles, *sim.Ledger) error { return nil }
 
 func (dedupReducer) Reduce(key string, _ []string, emit mapreduce.Emit, _ *sim.Ledger) error {
 	emit(key, "1")
