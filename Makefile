@@ -128,6 +128,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosInvariant' -fuzztime $(FUZZTIME) ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz 'FuzzMapTaskParity' -fuzztime $(FUZZTIME) ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz 'FuzzParseRun' -fuzztime $(FUZZTIME) ./internal/mapreduce/
+	$(GO) test -run '^$$' -fuzz 'FuzzReadRecords' -fuzztime $(FUZZTIME) ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosMiningInvariant' -fuzztime $(FUZZTIME) ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz 'FuzzRDDEclatParity' -fuzztime $(FUZZTIME) ./internal/rddeclat/
 	$(GO) test -run '^$$' -fuzz 'FuzzSubsetParity' -fuzztime $(FUZZTIME) ./internal/hashtree/
@@ -148,9 +149,17 @@ bench:
 #
 # To refresh the committed baseline after an intentional perf change, run
 # plain `make bench-json` and commit the updated BENCH_9.json.
+#
+# The millisecond kernel rows run 100 iterations each: allocs/op is the
+# process's allocation count over the timed loop divided by the iterations,
+# so at 3 a few stray allocations elsewhere in the process (six once, taking
+# the hash-tree kernel from 3 to 5 allocs/op) would move a small count by
+# whole units. The pipeline rows make hundreds of thousands of allocations
+# per op, where strays vanish, and run 3.
 BENCH_JSON ?= BENCH_9.json
 bench-json:
-	$(GO) test -run '^$$' -bench 'Pass2|ShuffleResident|ShuffleFrame|Diagnosis' -benchmem -benchtime 3x -count 1 . \
+	{ $(GO) test -run '^$$' -bench 'Pass2Kernel|ShuffleFrame' -benchmem -benchtime 100x -count 1 . && \
+	  $(GO) test -run '^$$' -bench 'Pass2(YAFIM|MRApriori|RDDEclat)$$|ShuffleResident|Diagnosis' -benchmem -benchtime 3x -count 1 . ; } \
 		| $(GO) run ./cmd/benchjson > $(BENCH_JSON)
 
 clean:

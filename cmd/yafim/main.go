@@ -37,10 +37,10 @@
 // README "Surviving a master restart"). A worker joins the given master and
 // drains gracefully on SIGTERM; -dist-chaos seeds a network-fault transport
 // (drops, delays, duplicates) under every call the worker makes. Each worker
-// keeps the decoded input splits in an in-memory block cache
-// (-dist-cache-bytes budgets it, delivered from the master at registration)
-// so the k-pass mining job reads the input from disk once per worker, not
-// once per pass; the master's /metrics exports the cache counters
+// keeps its input splits, parsed into transactions, in an in-memory block
+// cache (-dist-cache-bytes budgets it, delivered from the master at
+// registration) so the k-pass mining job reads and parses the input once per
+// worker, not once per pass; the master's /metrics exports the cache counters
 // (dist_input_reads_total, dist_input_cache_{hits,misses,evictions}_total,
 // dist_input_cache_bytes). Smoke mode forks its own workers, SIGKILLs one
 // mid-run (disable with -dist-kill=false), verifies the surviving run's

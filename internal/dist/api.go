@@ -83,8 +83,9 @@ type Executor interface {
 	ExecJob(ctx context.Context, job *JobSpec) (*JobOutput, error)
 }
 
-// Split is one map task's byte range of the real input file. Its records
-// are read by the sim DFS's own line record reader (see readSplit).
+// Split is one map task's byte range of the real input file. Its lines are
+// read by the sim DFS's own line record reader and parsed into map-task
+// records (see readRecords).
 type Split struct {
 	Path   string `json:"path"`
 	Offset int64  `json:"offset"`
@@ -155,14 +156,14 @@ type CacheStats struct {
 	Misses int64 `json:"misses,omitempty"`
 	// Evictions counts blocks dropped to stay under the byte budget.
 	Evictions int64 `json:"evictions,omitempty"`
-	// Bytes is the resident decoded-block footprint right now.
+	// Bytes is the resident parsed-block footprint right now.
 	Bytes int64 `json:"bytes,omitempty"`
 }
 
 // RegisterRequest announces a worker to the master. Addr is the worker's
 // reachable HTTP address for map-output fetches. Outputs re-advertises map
 // outputs still served from a previous incarnation, if any; Cached likewise
-// re-advertises the input blocks already decoded in its cache, so a rejoining
+// re-advertises the input blocks already parsed in its cache, so a rejoining
 // worker regains its placement preference immediately.
 type RegisterRequest struct {
 	Addr    string     `json:"addr"`
@@ -237,7 +238,7 @@ type CompleteRequest struct {
 	Output []KV `json:"output,omitempty"`
 	// Cached and Cache piggyback the worker's input-block inventory and
 	// cumulative cache counters on the completion, exactly as on a
-	// heartbeat: a map task that just decoded a split advertises it before
+	// heartbeat: a map task that just parsed a split advertises it before
 	// the next pass's leases are cut, not one heartbeat later.
 	Cached []Split    `json:"cached,omitempty"`
 	Cache  CacheStats `json:"cache,omitempty"`

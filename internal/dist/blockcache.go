@@ -5,27 +5,29 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"unsafe"
 
-	"yafim/internal/dfs"
+	"yafim/internal/itemset"
+	"yafim/internal/mapreduce"
 )
 
 // The worker-side input block cache. The paper's central complaint about
 // Hadoop Apriori is that every pass re-scans the transaction DB from disk;
-// YAFIM's answer is to load it into an RDD once and iterate in memory
-// (§IV-B). The real runtime had re-grown exactly the Hadoop defect — runMap
-// called readSplit on every map task of every pass — so this cache is the
-// runtime's RDD-persistence analogue: each split is parsed once, the decoded
-// records are retained under a byte budget, and every later pass of the
-// mining job is served from memory.
+// YAFIM's answer is to parse it into an RDD once, cache it and iterate in
+// memory (§IV-B). This cache is the runtime's analogue of that cached
+// transactions RDD: the first pass to touch a split reads and parses it,
+// the parsed records (not the text) are retained under a byte budget, and
+// every later pass of the mining job maps them from memory.
 //
 // Keys bind the split range to the file's identity at parse time (size +
 // mtime): an input rewritten between jobs silently misses instead of serving
 // stale records. The cache is deliberately ephemeral — it lives and dies
 // with the worker process, is never journaled by the master, and a worker
 // rebuilt after a crash simply re-reads on first touch — so it can never
-// affect what is computed, only how often the disk is touched.
+// affect what is computed, only how often the disk is touched and the text
+// parsed.
 
-// blockKey identifies one decoded input block: the file's identity when it
+// blockKey identifies one parsed input block: the file's identity when it
 // was parsed plus the split's byte range.
 type blockKey struct {
 	path    string
@@ -35,21 +37,27 @@ type blockKey struct {
 	length  int64
 }
 
-// blockLineOverhead approximates the per-record bookkeeping cost (offset,
-// string header, allocator slack) charged on top of the text bytes.
-const blockLineOverhead = 32
-
-// blockEntry is one resident decoded block.
+// blockEntry is one resident parsed block.
 type blockEntry struct {
 	key   blockKey
-	lines []dfs.Line
+	recs  []mapreduce.Record
 	bytes int64
 	elem  *list.Element
 }
 
-// blockCache is an LRU cache of decoded input blocks under a byte budget.
+// residentBytes prices a parsed block by what it holds in memory: each
+// record's header and each of its items.
+func residentBytes(recs []mapreduce.Record) int64 {
+	n := int64(len(recs)) * int64(unsafe.Sizeof(mapreduce.Record{}))
+	for _, r := range recs {
+		n += int64(len(r.Items)) * int64(unsafe.Sizeof(itemset.Item(0)))
+	}
+	return n
+}
+
+// blockCache is an LRU cache of parsed input blocks under a byte budget.
 // A nil *blockCache is valid and caches nothing — every get falls through
-// to readSplit — mirroring the nil-Registry convention.
+// to readRecords — mirroring the nil-Registry convention.
 type blockCache struct {
 	mu      sync.Mutex
 	budget  int64
@@ -82,11 +90,12 @@ func (c *blockCache) setBudget(budget int64) {
 }
 
 // get returns the split's records, from memory when the block is resident
-// and from disk otherwise. A block whose decoded cost alone exceeds the
-// whole budget is served uncached rather than evicting everything else.
-func (c *blockCache) get(split Split) ([]dfs.Line, error) {
+// and read and parsed from disk otherwise. A block whose resident bytes
+// alone exceed the whole budget is served uncached rather than evicting
+// everything else. The records are read-only: later passes map them again.
+func (c *blockCache) get(split Split) ([]mapreduce.Record, error) {
 	if c == nil {
-		return readSplit(split)
+		return readRecords(split)
 	}
 	fi, err := os.Stat(split.Path)
 	if err != nil {
@@ -100,32 +109,29 @@ func (c *blockCache) get(split Split) ([]dfs.Line, error) {
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
 		c.hits++
-		lines := e.lines
+		recs := e.recs
 		c.mu.Unlock()
-		return lines, nil
+		return recs, nil
 	}
 	c.mu.Unlock()
 
-	lines, err := readSplit(split)
+	recs, err := readRecords(split)
 	if err != nil {
 		return nil, err
 	}
-	cost := int64(0)
-	for _, l := range lines {
-		cost += int64(len(l.Text)) + blockLineOverhead
-	}
+	cost := residentBytes(recs)
 	c.mu.Lock()
 	c.reads++
 	c.misses++
 	if _, ok := c.entries[key]; !ok && cost <= c.budget {
-		e := &blockEntry{key: key, lines: lines, bytes: cost}
+		e := &blockEntry{key: key, recs: recs, bytes: cost}
 		e.elem = c.lru.PushFront(e)
 		c.entries[key] = e
 		c.resident += cost
 		c.evictOverLocked()
 	}
 	c.mu.Unlock()
-	return lines, nil
+	return recs, nil
 }
 
 // evictOverLocked drops least-recently-used blocks until resident <= budget.

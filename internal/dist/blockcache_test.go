@@ -2,10 +2,13 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+
+	"yafim/internal/itemset"
 )
 
 // blockSplits writes content and cuts it into n splits for cache tests.
@@ -32,7 +35,7 @@ func cachedSplits(c *blockCache) []Split {
 }
 
 func TestBlockCacheHitOnSecondRead(t *testing.T) {
-	splits := blockSplits(t, "a\nbb\nccc\ndddd\n", 2)
+	splits := blockSplits(t, "1\n22\n333\n4444\n", 2)
 	c := newBlockCache(1 << 20)
 
 	first, err := c.get(splits[0])
@@ -56,7 +59,7 @@ func TestBlockCacheHitOnSecondRead(t *testing.T) {
 }
 
 func TestBlockCacheInvalidatedWhenFileChanges(t *testing.T) {
-	splits := blockSplits(t, "old-one\nold-two\n", 1)
+	splits := blockSplits(t, "1000001\n1000002\n", 1)
 	c := newBlockCache(1 << 20)
 	if _, err := c.get(splits[0]); err != nil {
 		t.Fatal(err)
@@ -65,15 +68,15 @@ func TestBlockCacheInvalidatedWhenFileChanges(t *testing.T) {
 	// so the identity check cannot be defeated by filesystem mtime
 	// granularity). The same split range must now miss and serve the new
 	// contents, never the stale block.
-	if err := os.WriteFile(splits[0].Path, []byte("new-1\nnew-2\n"), 0o644); err != nil {
+	if err := os.WriteFile(splits[0].Path, []byte("20001\n20002\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lines, err := c.get(splits[0])
+	recs, err := c.get(splits[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) == 0 || lines[0].Text != "new-1" {
-		t.Fatalf("stale block served after rewrite: %v", lines)
+	if len(recs) == 0 || !recs[0].Items.Equal(itemset.New(20001)) {
+		t.Fatalf("stale block served after rewrite: %v", recs)
 	}
 	st := cacheStats(c)
 	if st.Reads != 2 || st.Misses != 2 {
@@ -82,12 +85,17 @@ func TestBlockCacheInvalidatedWhenFileChanges(t *testing.T) {
 }
 
 func TestBlockCacheEvictsLRUUnderBudget(t *testing.T) {
-	// Two separate one-line inputs, each decoding to a ~92-byte block
-	// (60 text bytes + per-line overhead); a 150-byte budget holds exactly
-	// one at a time.
-	a := blockSplits(t, strings.Repeat("x", 59)+"\n", 1)[0]
-	b := blockSplits(t, strings.Repeat("y", 59)+"\n", 1)[0]
-	c := newBlockCache(150)
+	// Two separate one-line inputs of ten items each, which parse to blocks
+	// of equal resident bytes; a budget of one and a half blocks holds
+	// exactly one at a time.
+	a := blockSplits(t, "1 2 3 4 5 6 7 8 9 10\n", 1)[0]
+	b := blockSplits(t, "11 12 13 14 15 16 17 18 19 20\n", 1)[0]
+	probe := newBlockCache(1 << 20)
+	if _, err := probe.get(a); err != nil {
+		t.Fatal(err)
+	}
+	budget := cacheStats(probe).Bytes * 3 / 2
+	c := newBlockCache(budget)
 
 	if _, err := c.get(a); err != nil {
 		t.Fatal(err)
@@ -99,8 +107,8 @@ func TestBlockCacheEvictsLRUUnderBudget(t *testing.T) {
 	if st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1 (budget holds one block)", st.Evictions)
 	}
-	if st.Bytes > 150 {
-		t.Fatalf("resident %d bytes exceeds 150-byte budget", st.Bytes)
+	if st.Bytes > budget {
+		t.Fatalf("resident %d bytes exceeds %d-byte budget", st.Bytes, budget)
 	}
 	// Block a was evicted: touching it again reads from disk.
 	if _, err := c.get(a); err != nil {
@@ -112,16 +120,20 @@ func TestBlockCacheEvictsLRUUnderBudget(t *testing.T) {
 }
 
 func TestBlockCacheOversizedBlockServedUncached(t *testing.T) {
-	splits := blockSplits(t, strings.Repeat("w", 500)+"\n", 1)
-	c := newBlockCache(64) // smaller than the block's decoded cost
+	var row strings.Builder
+	for it := 1; it <= 100; it++ {
+		fmt.Fprintf(&row, "%d ", it)
+	}
+	splits := blockSplits(t, row.String()+"\n", 1)
+	c := newBlockCache(64) // smaller than the block's resident bytes
 
 	for i := 0; i < 2; i++ {
-		lines, err := c.get(splits[0])
+		recs, err := c.get(splits[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(lines) != 1 {
-			t.Fatalf("read %d: %d lines", i, len(lines))
+		if len(recs) != 1 {
+			t.Fatalf("read %d: %d records", i, len(recs))
 		}
 	}
 	st := cacheStats(c)
@@ -138,7 +150,7 @@ func TestBlockCacheSetBudgetShrinkEvicts(t *testing.T) {
 	c := newBlockCache(1 << 20)
 	var splits []Split
 	for i := 0; i < 4; i++ {
-		splits = append(splits, blockSplits(t, strings.Repeat("z", 10)+"\n", 1)[0])
+		splits = append(splits, blockSplits(t, "1234567890\n", 1)[0])
 	}
 	for _, s := range splits {
 		if _, err := c.get(s); err != nil {
@@ -159,7 +171,7 @@ func TestBlockCacheSetBudgetShrinkEvicts(t *testing.T) {
 }
 
 func TestBlockCacheAdsSortedDeterministically(t *testing.T) {
-	splits := blockSplits(t, strings.Repeat("line\n", 20), 5)
+	splits := blockSplits(t, strings.Repeat("1234\n", 20), 5)
 	c := newBlockCache(1 << 20)
 	// Touch in scrambled order; ads must come back path-then-offset sorted.
 	for _, i := range []int{3, 0, 4, 2, 1} {
@@ -184,14 +196,14 @@ func TestBlockCacheReportSeqMonotonic(t *testing.T) {
 }
 
 func TestNilBlockCacheFallsThrough(t *testing.T) {
-	splits := blockSplits(t, "one\ntwo\n", 1)
+	splits := blockSplits(t, "111\n222\n", 1)
 	var c *blockCache
-	lines, err := c.get(splits[0])
+	recs, err := c.get(splits[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("nil cache read %d lines, want 2", len(lines))
+	if len(recs) != 2 {
+		t.Fatalf("nil cache read %d records, want 2", len(recs))
 	}
 	if a, st := c.report(); a != nil || st != (CacheStats{}) {
 		t.Fatalf("nil cache report = %v, %+v", a, st)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,13 +36,13 @@ var (
 	buildLogs       sync.Map // params -> *buildLog
 )
 
-// taggedMapper is word count's mapper filing every word under tag.
+// taggedMapper is word count's mapper filing every item under tag.
 type taggedMapper struct{ tag string }
 
 func (taggedMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error { return nil }
-func (m taggedMapper) Map(_ int64, line string, emit mapreduce.Emit, _ *sim.Ledger) error {
-	for _, w := range strings.Fields(line) {
-		emit(m.tag+w, "1")
+func (m taggedMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, _ *sim.Ledger) error {
+	for _, it := range rec.Items {
+		emit(m.tag+strconv.Itoa(int(it)), "1")
 	}
 	return nil
 }

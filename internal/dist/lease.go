@@ -34,10 +34,12 @@ type Tuning struct {
 	BlacklistAfter int
 	// BlacklistBase is the first blacklist window.
 	BlacklistBase time.Duration
-	// InputCacheBytes is each worker's budget for its decoded input-block
-	// cache (the runtime's RDD-persistence analogue: splits parsed once per
-	// job, later passes served from memory). Delivered to workers at
-	// registration; zero selects the default, negative is rejected.
+	// InputCacheBytes is each worker's budget for its input-block cache,
+	// counted in the resident bytes of the parsed records it holds (the
+	// runtime's analogue of YAFIM's cached transactions RDD: each split read
+	// and parsed once, every later pass mapped from memory). Delivered to
+	// workers at registration; zero selects the default, negative is
+	// rejected.
 	InputCacheBytes int64
 }
 
@@ -245,7 +247,7 @@ func newMetrics(reg *obs.Registry) metrics {
 		cacheHits:      reg.Counter("dist_input_cache_hits_total", "input splits served from worker block caches"),
 		cacheMisses:    reg.Counter("dist_input_cache_misses_total", "input block cache lookups that missed"),
 		cacheEvictions: reg.Counter("dist_input_cache_evictions_total", "input blocks evicted to stay under the byte budget"),
-		cacheBytes:     reg.Gauge("dist_input_cache_bytes", "decoded input bytes resident in live workers' block caches"),
+		cacheBytes:     reg.Gauge("dist_input_cache_bytes", "parsed input bytes resident in live workers' block caches"),
 		localGrants:    reg.Counter("dist_local_lease_grants_total", "map leases granted to a worker already caching the split"),
 	}
 }

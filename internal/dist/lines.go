@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"yafim/internal/dfs"
+	"yafim/internal/mapreduce"
 )
 
 // splitFile cuts a real file into at least minSplits byte ranges, mirroring
@@ -68,4 +69,14 @@ func readSplit(split Split) ([]dfs.Line, error) {
 		}
 		return buf[:k], err
 	})
+}
+
+// readRecords reads one split and parses its lines into map-task records:
+// what a block cache miss costs.
+func readRecords(split Split) ([]mapreduce.Record, error) {
+	lines, err := readSplit(split)
+	if err != nil {
+		return nil, err
+	}
+	return mapreduce.ReadRecords(lines)
 }

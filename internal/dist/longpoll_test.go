@@ -52,11 +52,11 @@ func postLease(ctx context.Context, client *http.Client, masterURL string, id in
 // first line, so the map over the first split ends well after the other.
 type barrierMapper struct{ wordMapper }
 
-func (m barrierMapper) Map(off int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
-	if off == 0 {
+func (m barrierMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, led *sim.Ledger) error {
+	if rec.Offset == 0 {
 		time.Sleep(200 * time.Millisecond)
 	}
-	return m.wordMapper.Map(off, line, emit, led)
+	return m.wordMapper.Map(rec, emit, led)
 }
 
 var registerBarrier sync.Once

@@ -327,7 +327,7 @@ func (m *Master) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Ingest the piggybacked cache advertisement first: a map task that
-	// just decoded a split must be preferred for it before the next pass's
+	// just parsed a split must be preferred for it before the next pass's
 	// leases are cut, not one heartbeat later. No-ops for unknown or dead
 	// workers.
 	m.table.advertiseCache(req.WorkerID, req.Cached, req.Cache, false)

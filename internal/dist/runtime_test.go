@@ -19,14 +19,15 @@ import (
 	"yafim/internal/sim"
 )
 
-// wordMapper and wordSum form the test job type: classic word count, enough
-// to exercise splits, partitioning, combining and the shuffle.
+// wordMapper and wordSum form the test job type: classic word count over
+// transactions, counting items, enough to exercise splits, partitioning,
+// combining and the shuffle.
 type wordMapper struct{}
 
 func (wordMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error { return nil }
-func (wordMapper) Map(_ int64, line string, emit mapreduce.Emit, _ *sim.Ledger) error {
-	for _, w := range strings.Fields(line) {
-		emit(w, "1")
+func (wordMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, _ *sim.Ledger) error {
+	for _, it := range rec.Items {
+		emit(strconv.Itoa(int(it)), "1")
 	}
 	return nil
 }
@@ -63,11 +64,12 @@ func wordCountType(t *testing.T) string {
 }
 
 // writeCorpus writes a deterministic multi-line input file and returns its
-// path. Repetitive but not uniform, so counts differ across words.
+// path. Repetitive but not uniform, so counts differ across items. The
+// items are as wide as the words tea, coffee, water, juice and milk.
 func writeCorpus(t *testing.T, lines int) string {
 	t.Helper()
 	var sb strings.Builder
-	words := []string{"tea", "coffee", "water", "juice", "milk"}
+	words := []string{"101", "202020", "30303", "40404", "5050"}
 	for i := 0; i < lines; i++ {
 		for j := 0; j <= i%len(words); j++ {
 			if j > 0 {

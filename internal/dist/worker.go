@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"yafim/internal/dfs"
 	"yafim/internal/exec"
 	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
@@ -73,7 +72,7 @@ type worker struct {
 	opts   WorkerOptions
 	client *http.Client
 	log    *obs.EventLog
-	blocks *blockCache // decoded input blocks, budget set by the master
+	blocks *blockCache // parsed input blocks, budget set by the master
 
 	addr string // own map-output serving address
 
@@ -395,7 +394,7 @@ func (w *worker) runTask(ctx context.Context, task *TaskSpec) {
 			Attempt: task.Attempt, Detail: err.Error()})
 	}
 	// Piggyback the block-cache inventory taken AFTER the task ran: a map
-	// task that just decoded its split advertises it on this very report,
+	// task that just parsed its split advertises it on this very report,
 	// so the master prefers this worker for the split on the next pass.
 	req.Cached, req.Cache = w.blocks.report()
 	var resp CompleteResponse
@@ -523,9 +522,9 @@ func (w *worker) runMap(ctx context.Context, task *TaskSpec) (int64, error) {
 		combiner = tasks.NewCombiner()
 	}
 	// The block cache is the fix for the paper's central Hadoop complaint:
-	// the first pass parses the split from disk, every later pass of the
-	// k-pass mining job replays the decoded records from memory.
-	read := func() ([]dfs.Line, error) { return w.blocks.get(task.Split) }
+	// the first pass reads and parses the split, every later pass of the
+	// k-pass mining job maps the parsed records from memory.
+	read := func() ([]mapreduce.Record, error) { return w.blocks.get(task.Split) }
 	// Real runtime: costs are measured, not metered.
 	out, err := mapreduce.MapTask(task.Index, tasks.NewMapper(), combiner, read,
 		task.NumReducers, new(sim.Ledger))

@@ -2,6 +2,8 @@ package itemset
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -50,5 +52,25 @@ func BenchmarkCanonical(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(buf, raw)
 		Canonical(buf)
+	}
+}
+
+// chessRow is a .dat row shaped like Chess's: 37 ascending items of one or
+// two digits.
+func chessRow() string {
+	fields := make([]string, 37)
+	for i := range fields {
+		fields[i] = strconv.Itoa(1 + 2*i)
+	}
+	return strings.Join(fields, " ")
+}
+
+func BenchmarkParseLine(b *testing.B) {
+	line := chessRow()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseLine(line); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

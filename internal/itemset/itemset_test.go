@@ -2,9 +2,11 @@ package itemset
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -305,29 +307,42 @@ func TestParseLine(t *testing.T) {
 	cases := []struct {
 		in   string
 		want Itemset
-		ok   bool
+		bad  string // the field a failing line's error quotes
 	}{
-		{"1 2 3", New(1, 2, 3), true},
-		{"  7   5 ", New(5, 7), true},
-		{"4\t2", New(2, 4), true},
-		{"42", New(42), true},
-		{"", New(), true},
-		{"3 3 3", New(3), true},
-		{"2147483647", New(2147483647), true},
-		{"2147483648", nil, false},
-		{"99999999999999999999", nil, false},
-		{"1 -2", nil, false},
-		{"+5", nil, false},
-		{"a b", nil, false},
+		{"1 2 3", New(1, 2, 3), ""},
+		{"  7   5 ", New(5, 7), ""},
+		{"4\t2", New(2, 4), ""},
+		{"42", New(42), ""},
+		{"", New(), ""},
+		{"3 3 3", New(3), ""},
+		{"1 2\r", New(1, 2), ""},
+		{"3\r1", New(1, 3), ""},
+		{"\r", New(), ""},
+		{"007 7", New(7), ""},
+		{"2147483647", New(2147483647), ""},
+		{"2147483648", nil, "2147483648"},
+		{"99999999999999999999", nil, "99999999999999999999"},
+		{"1 -2", nil, "-2"},
+		{"+5", nil, "+5"},
+		{"a b", nil, "a"},
+		{"1 oops 3", nil, "oops"},
+		{"12x 3", nil, "12x"},
+		{"1\v2", nil, "1\v2"},
+		{"1 2\n", nil, "2\n"},
 	}
 	for _, c := range cases {
 		got, err := ParseLine(c.in)
-		if c.ok != (err == nil) {
-			t.Errorf("ParseLine(%q) err = %v", c.in, err)
+		if c.bad != "" {
+			// A bad field fails the line with the field quoted and
+			// strconv's verdict on it wrapped.
+			var ne *strconv.NumError
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(c.bad)) || !errors.As(err, &ne) {
+				t.Errorf("ParseLine(%q) err = %v, want one quoting %q and wrapping a *strconv.NumError", c.in, err, c.bad)
+			}
 			continue
 		}
-		if c.ok && !got.Equal(c.want) {
-			t.Errorf("ParseLine(%q) = %v, want %v", c.in, got, c.want)
+		if err != nil || !got.Equal(c.want) {
+			t.Errorf("ParseLine(%q) = %v, %v, want %v", c.in, got, err, c.want)
 		}
 	}
 }
@@ -391,9 +406,33 @@ func TestReadDBErrors(t *testing.T) {
 	if _, err := ReadDB("bad", strings.NewReader("1 -2\n")); err == nil {
 		t.Error("negative item accepted")
 	}
+	// A blank line is the empty transaction, as it is to every engine that
+	// reads the file as text splits.
 	db, err := ReadDB("blank", strings.NewReader("\n\n1 2\n\n"))
-	if err != nil || db.Len() != 1 {
+	if err != nil || db.Len() != 4 {
 		t.Errorf("blank lines: db=%v err=%v", db, err)
+	}
+}
+
+// AppendLine extends dst with the line's canonical items, sorting only the
+// appended tail, and leaves dst as it was when the line does not parse.
+func TestAppendLine(t *testing.T) {
+	dst := Itemset{9, 4}
+	got, err := AppendLine(dst, "3 1 3\t2")
+	if err != nil || !reflect.DeepEqual(got, Itemset{9, 4, 1, 2, 3}) {
+		t.Fatalf("AppendLine = %v, %v", got, err)
+	}
+	got, err = AppendLine(got, "5 x")
+	if err == nil || !reflect.DeepEqual(got, Itemset{9, 4, 1, 2, 3}) {
+		t.Fatalf("AppendLine on a bad line = %v, %v", got, err)
+	}
+}
+
+// ParseLine allocates once, for its result, on a row shaped like Chess's.
+func TestParseLineAllocatesOnce(t *testing.T) {
+	line := chessRow()
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParseLine(line) }); n != 1 {
+		t.Fatalf("ParseLine made %v allocations, want 1", n)
 	}
 }
 

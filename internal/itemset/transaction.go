@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // Transaction is one record of a transactional database: a transaction
@@ -72,30 +72,75 @@ func MinSupportCount(relative float64, n int64) int {
 	return c
 }
 
-// ParseLine parses one .dat record in a single pass: space- or
-// tab-separated non-negative decimal item ids, canonicalised. A blank line
-// is the empty transaction. It is the record parser of every engine that
-// reads its input as text splits.
+// ParseLine parses one .dat record: non-negative decimal item ids
+// separated by spaces, tabs or carriage returns, canonicalised. A blank
+// line is the empty transaction. It is the one rule for the .dat row
+// format: LoadFile, every engine that reads its input as text splits and
+// the MapReduce record reader all parse through it or AppendLine. It
+// allocates once, for the result.
+//
+// A field that is not an item id fails the line with an error quoting the
+// field and wrapping strconv's *NumError for it.
 func ParseLine(line string) (Itemset, error) {
-	var items []Item
-	v, inNum := int64(0), false
-	for i := 0; i <= len(line); i++ {
-		if i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			if v = v*10 + int64(line[i]-'0'); v > math.MaxInt32 {
-				return nil, fmt.Errorf("itemset: item out of range in line %q", line)
-			}
-			inNum = true
-			continue
-		}
-		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			return nil, fmt.Errorf("itemset: bad transaction line %q", line)
-		}
-		if inNum {
-			items = append(items, Item(v))
-			v, inNum = 0, false
+	return AppendLine(make(Itemset, 0, CountFields(line)), line)
+}
+
+// CountFields returns the number of fields of a .dat line: an upper bound
+// on its items, and their number when the line parses and repeats none.
+func CountFields(line string) int {
+	n := 0
+	for i := 0; i < len(line); i++ {
+		if !isSeparator(line[i]) && (i == 0 || isSeparator(line[i-1])) {
+			n++
 		}
 	}
-	return New(items...), nil
+	return n
+}
+
+// AppendLine parses line as ParseLine does and appends its canonical items
+// to dst, returning the extended slice; the items already in dst are left
+// alone. It sorts only when the line's items do not already ascend. On
+// error it returns dst as it was.
+func AppendLine(dst Itemset, line string) (Itemset, error) {
+	start := len(dst)
+	ascending := true
+	for i := 0; i < len(line); i++ {
+		if isSeparator(line[i]) {
+			continue
+		}
+		v, j := int64(0), i
+		for ; j < len(line) && line[j] >= '0' && line[j] <= '9'; j++ {
+			if v = v*10 + int64(line[j]-'0'); v > math.MaxInt32 {
+				return dst[:start], badItem(line, i)
+			}
+		}
+		if j == i || (j < len(line) && !isSeparator(line[j])) {
+			return dst[:start], badItem(line, i)
+		}
+		if n := len(dst); n > start && Item(v) <= dst[n-1] {
+			ascending = false
+		}
+		dst = append(dst, Item(v))
+		i = j // line[j] is a separator or the end
+	}
+	if !ascending {
+		dst = dst[:start+len(Canonical(dst[start:]))]
+	}
+	return dst, nil
+}
+
+func isSeparator(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
+
+// badItem reports the field of line starting at i. strconv.ParseUint in
+// base 10 with 31 bits accepts exactly the fields AppendLine accepts, so it
+// rejects this one and says why.
+func badItem(line string, i int) error {
+	j := i
+	for j < len(line) && !isSeparator(line[j]) {
+		j++
+	}
+	_, err := strconv.ParseUint(line[i:j], 10, 31)
+	return fmt.Errorf("bad item %q: %w", line[i:j], err)
 }
 
 // Replicate returns a database whose transaction list is db's repeated
@@ -216,34 +261,28 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadDB parses the .dat format produced by WriteTo (and used by the FIMI
-// dataset repository): one transaction per line, whitespace-separated
-// non-negative integers. Blank lines are skipped.
+// dataset repository): one transaction per line, each parsed by ParseLine.
+// A blank line is the empty transaction, as it is to the engines that read
+// the same file as text splits. An error names the input and line number.
 func ReadDB(name string, r io.Reader) (*DB, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var rows [][]Item
-	line := 0
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
+	db := &DB{Name: name}
+	maxItem := Item(-1)
+	for line := 1; sc.Scan(); line++ {
+		set, err := ParseLine(sc.Text())
+		if err != nil {
+			return nil, fmt.Errorf("itemset: %s:%d: %w", name, line, err)
 		}
-		row := make([]Item, 0, len(fields))
-		for _, f := range fields {
-			v, err := strconv.ParseInt(f, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("itemset: %s:%d: bad item %q: %w", name, line, f, err)
-			}
-			if v < 0 {
-				return nil, fmt.Errorf("itemset: %s:%d: bad item %q: negative item id", name, line, f)
-			}
-			row = append(row, Item(v))
+		if n := len(set); n > 0 && set[n-1] > maxItem {
+			maxItem = set[n-1]
 		}
-		rows = append(rows, row)
+		db.Transactions = append(db.Transactions, Transaction{TID: int64(len(db.Transactions)), Items: set})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("itemset: reading %s: %w", name, err)
 	}
-	return NewDB(name, rows), nil
+	db.Transactions = slices.Clone(db.Transactions) // without append's spare capacity
+	db.numItems = int(maxItem) + 1
+	return db, nil
 }

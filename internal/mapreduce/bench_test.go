@@ -9,7 +9,7 @@ import (
 	"yafim/internal/dfs"
 )
 
-func BenchmarkWordCountJob(b *testing.B) {
+func BenchmarkItemCountJob(b *testing.B) {
 	fs := dfs.New(4, dfs.WithBlockSize(1<<14), dfs.WithReplication(2))
 	if err := fs.WriteFile("/in/data.txt", []byte(strings.Repeat(corpus, 200)), nil); err != nil {
 		b.Fatal(err)
@@ -21,7 +21,7 @@ func BenchmarkWordCountJob(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CleanOutput(fs, "/out/wc")
-		if _, _, err := r.RunContext(context.Background(), wordCountJob(true)); err != nil {
+		if _, _, err := r.RunContext(context.Background(), itemCountJob(true)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,16 +15,16 @@ import (
 	"yafim/internal/sim"
 )
 
-// runWordCount executes the canonical word-count job on a fresh DFS and
+// runItemCount executes the canonical item-count job on a fresh DFS and
 // returns the sorted output, counters, report and runner.
-func runWordCount(t *testing.T, configure func(*Runner)) ([]KV, *Counters, *sim.JobReport, *Runner) {
+func runItemCount(t *testing.T, configure func(*Runner)) ([]KV, *Counters, *sim.JobReport, *Runner) {
 	t.Helper()
-	return runWordCountOn(t, corpus, configure)
+	return runItemCountOn(t, corpus, configure)
 }
 
-// runWordCountOn is runWordCount with a custom input corpus, for tests that
+// runItemCountOn is runItemCount with a custom input corpus, for tests that
 // need more map tasks than the three-line default produces.
-func runWordCountOn(t *testing.T, content string, configure func(*Runner)) ([]KV, *Counters, *sim.JobReport, *Runner) {
+func runItemCountOn(t *testing.T, content string, configure func(*Runner)) ([]KV, *Counters, *sim.JobReport, *Runner) {
 	t.Helper()
 	fs := setupFS(t, 16, content)
 	r := NewRunnerMust(t, cluster.Local(), fs)
@@ -32,7 +32,7 @@ func runWordCountOn(t *testing.T, content string, configure func(*Runner)) ([]KV
 		configure(r)
 	}
 	fs.SetRecorder(r.rec)
-	rep, counters, err := r.RunContext(context.Background(), wordCountJob(false))
+	rep, counters, err := r.RunContext(context.Background(), itemCountJob(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +57,9 @@ func outputsEqual(a, b []KV) bool {
 }
 
 func TestChaosTaskFailuresPreserveOutput(t *testing.T) {
-	want, wantCtrs, _, _ := runWordCount(t, nil)
+	want, wantCtrs, _, _ := runItemCount(t, nil)
 	rec := obs.New()
-	got, gotCtrs, _, _ := runWordCount(t, func(r *Runner) {
+	got, gotCtrs, _, _ := runItemCount(t, func(r *Runner) {
 		r.SetRecorder(rec)
 		if err := r.SetChaos(&chaos.Plan{Seed: 7, TaskFailProb: 0.5}); err != nil {
 			t.Fatal(err)
@@ -81,9 +81,9 @@ func TestChaosTaskFailuresPreserveOutput(t *testing.T) {
 }
 
 func TestChaosFetchFailureReexecutesMaps(t *testing.T) {
-	want, _, refRep, _ := runWordCount(t, nil)
+	want, _, refRep, _ := runItemCount(t, nil)
 	rec := obs.New()
-	got, _, rep, _ := runWordCount(t, func(r *Runner) {
+	got, _, rep, _ := runItemCount(t, func(r *Runner) {
 		r.SetRecorder(rec)
 		if err := r.SetChaos(&chaos.Plan{Seed: 5, FetchFailProb: 1}); err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestChaosFetchFailureReexecutesMaps(t *testing.T) {
 // mapper closures) and the DFS re-replicates the node's blocks.
 func TestChaosNodeCrashRerunsLostMaps(t *testing.T) {
 	refRec := obs.New()
-	want, wantCtrs, refRep, _ := runWordCount(t, func(r *Runner) { r.SetRecorder(refRec) })
+	want, wantCtrs, refRep, _ := runItemCount(t, func(r *Runner) { r.SetRecorder(refRec) })
 
 	// Pick a node the fault-free schedule actually placed a map task on, and
 	// a crash time strictly inside the map stage's makespan.
@@ -118,7 +118,7 @@ func TestChaosNodeCrashRerunsLostMaps(t *testing.T) {
 	crashAt := refRep.Overhead + mapStage.Makespan/2
 
 	rec := obs.New()
-	got, gotCtrs, rep, r := runWordCount(t, func(r *Runner) {
+	got, gotCtrs, rep, r := runItemCount(t, func(r *Runner) {
 		r.SetRecorder(rec)
 		// Disable speculation so the chaotic map schedule matches the
 		// fault-free one and the crash lands where we aimed it.
@@ -138,7 +138,7 @@ func TestChaosNodeCrashRerunsLostMaps(t *testing.T) {
 	for _, s := range rep.Stages {
 		names = append(names, s.Name)
 	}
-	if len(rep.Stages) != 3 || rep.Stages[1].Name != "wordcount:map-recovery" {
+	if len(rep.Stages) != 3 || rep.Stages[1].Name != "itemcount:map-recovery" {
 		t.Fatalf("no map-recovery stage after mid-job crash: %v", names)
 	}
 	if rep.Duration() <= refRep.Duration() {
@@ -171,13 +171,13 @@ func TestChaosDeterministicAcrossRunners(t *testing.T) {
 		Stragglers:    []chaos.Straggler{{Node: 2, Factor: 3}},
 	}
 	rec1, rec2 := obs.New(), obs.New()
-	out1, _, rep1, _ := runWordCount(t, func(r *Runner) {
+	out1, _, rep1, _ := runItemCount(t, func(r *Runner) {
 		r.SetRecorder(rec1)
 		if err := r.SetChaos(plan); err != nil {
 			t.Fatal(err)
 		}
 	})
-	out2, _, rep2, _ := runWordCount(t, func(r *Runner) {
+	out2, _, rep2, _ := runItemCount(t, func(r *Runner) {
 		r.SetRecorder(rec2)
 		if err := r.SetChaos(plan); err != nil {
 			t.Fatal(err)
@@ -211,13 +211,13 @@ func TestChaosStragglerSpeculationMR(t *testing.T) {
 	// keeping the stage's median task duration at full speed.
 	big := strings.Repeat(corpus, 8)
 	rec := obs.New()
-	_, _, specRep, _ := runWordCountOn(t, big, func(r *Runner) {
+	_, _, specRep, _ := runItemCountOn(t, big, func(r *Runner) {
 		r.SetRecorder(rec)
 		if err := r.SetChaos(plan); err != nil {
 			t.Fatal(err)
 		}
 	})
-	_, _, plainRep, _ := runWordCountOn(t, big, func(r *Runner) {
+	_, _, plainRep, _ := runItemCountOn(t, big, func(r *Runner) {
 		r.SetResilience(chaos.Resilience{})
 		if err := r.SetChaos(plan); err != nil {
 			t.Fatal(err)
@@ -235,8 +235,8 @@ func TestChaosStragglerSpeculationMR(t *testing.T) {
 
 func TestChaosBlacklistingMR(t *testing.T) {
 	rec := obs.New()
-	want, _, _, _ := runWordCount(t, nil)
-	got, _, _, _ := runWordCount(t, func(r *Runner) {
+	want, _, _, _ := runItemCount(t, nil)
+	got, _, _, _ := runItemCount(t, func(r *Runner) {
 		r.SetRecorder(rec)
 		if err := r.SetChaos(&chaos.Plan{Seed: 6, TaskFailProb: 0.8}); err != nil {
 			t.Fatal(err)
@@ -251,8 +251,8 @@ func TestChaosBlacklistingMR(t *testing.T) {
 }
 
 func TestChaosNeverFailsJobsMR(t *testing.T) {
-	want, _, _, _ := runWordCount(t, nil)
-	got, _, _, _ := runWordCount(t, func(r *Runner) {
+	want, _, _, _ := runItemCount(t, nil)
+	got, _, _, _ := runItemCount(t, func(r *Runner) {
 		if err := r.SetChaos(&chaos.Plan{Seed: 13,
 			TaskFailProb: 1, FetchFailProb: 1, BlockReadFailProb: 1}); err != nil {
 			t.Fatal(err)
@@ -292,7 +292,7 @@ func TestChaosWastedWorkReachesMakespan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rep, _, err := r.RunContext(context.Background(), wordCountJob(false))
+		rep, _, err := r.RunContext(context.Background(), itemCountJob(false))
 		if err != nil {
 			t.Fatal(err)
 		}

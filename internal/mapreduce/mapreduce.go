@@ -1,17 +1,18 @@
 // Package mapreduce implements a Hadoop-1.x-style MapReduce engine over the
-// simulated DFS. Jobs are text-typed (string keys and values, like Hadoop
-// streaming): map tasks consume line records from input splits, partition
-// and locally combine their output, spill it to (virtual) local disk;
-// reduce tasks fetch their partition from every map task over the (virtual)
-// network, merge, process keys in sorted order and commit part files back to
-// the DFS with replication.
+// simulated DFS. A map task's input records are parsed .dat transactions
+// (see Record and ReadRecords), while keys and values stay text (string
+// keys and values, like Hadoop streaming). Map tasks read their split's
+// records, partition and locally combine their output, spill it to
+// (virtual) local disk; reduce tasks fetch their partition from every map
+// task over the (virtual) network, merge, process keys in sorted order and
+// commit part files back to the DFS with replication.
 //
 // Faithful to the era, every job pays a heavy startup cost (JobTracker
-// setup, JVM launches) and re-reads its input from the DFS — the overheads
-// the paper blames for MapReduce's poor fit for iterative algorithms. Tasks
-// run, retry and are scheduled on the same virtual cluster
-// (internal/vcluster) as the RDD engine's, so the two engines differ only in
-// what they compute and what they pay.
+// setup, JVM launches) and re-reads and re-parses its input from the DFS —
+// the overheads the paper blames for MapReduce's poor fit for iterative
+// algorithms. Tasks run, retry and are scheduled on the same virtual
+// cluster (internal/vcluster) as the RDD engine's, so the two engines
+// differ only in what they compute and what they pay.
 package mapreduce
 
 import (
@@ -41,8 +42,8 @@ type CacheFiles map[string][]byte
 // Mapper processes one input split. A fresh instance is created per map
 // task, so implementations may keep per-task state without locking.
 type Mapper interface {
-	// Map processes one line record (key = byte offset, as in Hadoop).
-	Map(offset int64, line string, emit Emit, led *sim.Ledger) error
+	// Map processes one input record. Its items are read-only.
+	Map(rec Record, emit Emit, led *sim.Ledger) error
 	// Cleanup runs once per task after the last Map call; split-at-a-time
 	// algorithms (e.g. SON's local mining) buffer in Map and emit here.
 	Cleanup(emit Emit, led *sim.Ledger) error
@@ -244,7 +245,14 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split,
 		if job.NewCombiner != nil {
 			combiner = job.NewCombiner()
 		}
-		read := func() ([]dfs.Line, error) { return r.fs.ReadLinesContext(ctx, splits[t], led) }
+		// Every pass reads and parses its split again, as a Hadoop job does.
+		read := func() ([]Record, error) {
+			lines, err := r.fs.ReadLinesContext(ctx, splits[t], led)
+			if err != nil {
+				return nil, err
+			}
+			return ReadRecords(lines)
+		}
 		out, err := MapTask(t, job.NewMapper(), combiner, read, job.NumReducers, led)
 		if err != nil {
 			return err

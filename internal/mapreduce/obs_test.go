@@ -8,7 +8,7 @@ import (
 	"yafim/internal/obs"
 )
 
-// TestRecorderJobSpansAndCounters runs word count with a telemetry recorder
+// TestRecorderJobSpansAndCounters runs item count with a telemetry recorder
 // on both the runner and the DFS and checks the recorded span tree and the
 // engine-level counters.
 func TestRecorderJobSpansAndCounters(t *testing.T) {
@@ -17,7 +17,7 @@ func TestRecorderJobSpansAndCounters(t *testing.T) {
 	fs.SetRecorder(rec)
 	r := NewRunnerMust(t, cluster.Local(), fs)
 	r.SetRecorder(rec)
-	rep, _, err := r.RunContext(context.Background(), wordCountJob(false))
+	rep, _, err := r.RunContext(context.Background(), itemCountJob(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestRecorderJobSpansAndCounters(t *testing.T) {
 		t.Fatalf("job spans = %d, want 1", len(jobs))
 	}
 	job := jobs[0]
-	if job.Engine != "mapreduce" || job.Name != "wordcount" {
+	if job.Engine != "mapreduce" || job.Name != "itemcount" {
 		t.Fatalf("job span = %+v", job)
 	}
 	if job.Overhead != rep.Overhead || job.Duration() != rep.Duration() {

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -23,14 +22,11 @@ type panicMapper struct {
 
 func (m *panicMapper) Cleanup(Emit, *sim.Ledger) error { return nil }
 
-func (m *panicMapper) Map(_ int64, line string, emit Emit, _ *sim.Ledger) error {
+func (m *panicMapper) Map(rec Record, emit Emit, led *sim.Ledger) error {
 	if m.limit == nil || atomic.AddInt64(m.limit, -1) >= 0 {
 		panic("mapper exploded")
 	}
-	for _, w := range strings.Fields(line) {
-		emit(w, "1")
-	}
-	return nil
+	return (&itemCountMapper{}).Map(rec, emit, led)
 }
 
 func newRobustRunner(t *testing.T, rec *obs.Recorder) *Runner {
@@ -53,7 +49,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	rec := obs.New()
 	runner := newRobustRunner(t, rec)
 
-	_, _, err := runner.RunContext(ctx, wordCountJob(false))
+	_, _, err := runner.RunContext(ctx, itemCountJob(false))
 	if !errors.Is(err, exec.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}
@@ -71,7 +67,7 @@ func TestRunContextCancelMidJob(t *testing.T) {
 	rec := obs.New()
 	runner := newRobustRunner(t, rec)
 
-	job := wordCountJob(false)
+	job := itemCountJob(false)
 	job.NewMapper = func() Mapper {
 		return &cancelingMapper{cancel: cancel, ctx: ctx}
 	}
@@ -100,7 +96,7 @@ type cancelingMapper struct {
 
 func (m *cancelingMapper) Cleanup(Emit, *sim.Ledger) error { return nil }
 
-func (m *cancelingMapper) Map(_ int64, _ string, _ Emit, _ *sim.Ledger) error {
+func (m *cancelingMapper) Map(Record, Emit, *sim.Ledger) error {
 	m.cancel()
 	return exec.ContextErr(m.ctx)
 }
@@ -112,7 +108,7 @@ func TestMapperPanicIsolated(t *testing.T) {
 	rec := obs.New()
 	runner := newRobustRunner(t, rec)
 
-	job := wordCountJob(false)
+	job := itemCountJob(false)
 	job.NewMapper = func() Mapper { return &panicMapper{} }
 	_, _, err := runner.RunContext(context.Background(), job)
 	if err == nil {
@@ -142,7 +138,7 @@ func TestMapperTransientPanicRetried(t *testing.T) {
 	runner := newRobustRunner(t, rec)
 
 	var budget int64 = 1
-	job := wordCountJob(false)
+	job := itemCountJob(false)
 	job.NewMapper = func() Mapper { return &panicMapper{limit: &budget} }
 	_, _, err := runner.RunContext(context.Background(), job)
 	if err != nil {

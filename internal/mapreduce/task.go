@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"yafim/internal/dfs"
+	"yafim/internal/itemset"
 	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
@@ -17,6 +18,40 @@ import (
 // Sharing the bodies is what makes a distributed job's output byte-equal to
 // the sim's.
 
+// Record is one input record of a map task: a .dat transaction line,
+// parsed.
+type Record struct {
+	Offset int64 // the line's byte offset in its file, Hadoop's map key
+	Len    int   // the line's length in bytes, without its newline
+	// Items are the line's canonical items. They are read-only: they share
+	// a backing array with the split's other records, and a worker maps a
+	// cached split again in every later pass.
+	Items itemset.Itemset
+}
+
+// ReadRecords parses a split's lines into records by itemset.AppendLine,
+// the one .dat rule. Every record's items share one backing array, sized
+// up front so it never moves, and each is capped at its own length, so an
+// append to one cannot overwrite the next. A line that does not parse
+// fails the whole split, naming its offset.
+func ReadRecords(lines []dfs.Line) ([]Record, error) {
+	fields := 0
+	for _, l := range lines {
+		fields += itemset.CountFields(l.Text)
+	}
+	items := make(itemset.Itemset, 0, fields) // every record's items, back to back
+	recs := make([]Record, len(lines))
+	for i, l := range lines {
+		start := len(items)
+		var err error
+		if items, err = itemset.AppendLine(items, l.Text); err != nil {
+			return nil, fmt.Errorf("record at offset %d: %w", l.Offset, err)
+		}
+		recs[i] = Record{Offset: l.Offset, Len: len(l.Text), Items: items[start:len(items):len(items)]}
+	}
+	return recs, nil
+}
+
 // Run is one map task's output for one reduce partition: keys strictly
 // ascending, each key once with its values in emit order.
 type Run = []shuffle.Pair[string, []string]
@@ -25,27 +60,27 @@ type Run = []shuffle.Pair[string, []string]
 type MapOutput struct {
 	Runs  []Run   // by reduce partition
 	Bytes []int64 // spilled size of each run
-	// InputRecords counts the lines read, MapRecords the records the mapper
+	// InputRecords counts the records read, MapRecords those the mapper
 	// emitted and CombineRecords those the combiner emitted (zero without
 	// one).
 	InputRecords, MapRecords, CombineRecords int64
 }
 
-// MapTask is the body of map task t: read the split, map every line, clean
-// up, group the records by key, route each key to its shuffle.HashKey
-// partition, sort each partition into a run, fold each run through the
-// combiner (nil for none) and charge the sort-and-spill. Every charge goes
-// to led, in that order.
+// MapTask is the body of map task t: read the split's records, map every
+// one, clean up, group the emitted records by key, route each key to its
+// shuffle.HashKey partition, sort each partition into a run, fold each run
+// through the combiner (nil for none) and charge the sort-and-spill. Every
+// charge goes to led, in that order.
 func MapTask(t int, mapper Mapper, combiner Reducer,
-	read func() ([]dfs.Line, error), reducers int, led *sim.Ledger) (*MapOutput, error) {
-	lines, err := read()
+	read func() ([]Record, error), reducers int, led *sim.Ledger) (*MapOutput, error) {
+	recs, err := read()
 	if err != nil {
 		return nil, fmt.Errorf("task %d read: %w", t, err)
 	}
 	out := &MapOutput{
 		Runs:         make([]Run, reducers),
 		Bytes:        make([]int64, reducers),
-		InputRecords: int64(len(lines)),
+		InputRecords: int64(len(recs)),
 	}
 	var groups Run // one per distinct key, in first-emit order
 	index := make(map[string]int)
@@ -59,15 +94,15 @@ func MapTask(t int, mapper Mapper, combiner Reducer,
 		groups[i].Value = append(groups[i].Value, v)
 		out.MapRecords++
 	}
-	for _, line := range lines {
-		if err := mapper.Map(line.Offset, line.Text, emit, led); err != nil {
+	for _, rec := range recs {
+		if err := mapper.Map(rec, emit, led); err != nil {
 			return nil, fmt.Errorf("task %d map: %w", t, err)
 		}
 	}
 	if err := mapper.Cleanup(emit, led); err != nil {
 		return nil, fmt.Errorf("task %d cleanup: %w", t, err)
 	}
-	led.AddCPU(float64(len(lines)) + float64(out.MapRecords))
+	led.AddCPU(float64(len(recs)) + float64(out.MapRecords))
 	for _, g := range groups {
 		p := shuffle.HashKey(g.Key) % uint32(reducers)
 		out.Runs[p] = append(out.Runs[p], g)

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"sort"
 
-	"yafim/internal/dfs"
 	"yafim/internal/sim"
 )
 
@@ -27,15 +26,15 @@ type refMapOutput struct {
 }
 
 func refMapTask(t int, mapper Mapper, combiner Reducer,
-	read func() ([]dfs.Line, error), reducers int, led *sim.Ledger) (*refMapOutput, error) {
-	lines, err := read()
+	read func() ([]Record, error), reducers int, led *sim.Ledger) (*refMapOutput, error) {
+	recs, err := read()
 	if err != nil {
 		return nil, fmt.Errorf("task %d read: %w", t, err)
 	}
 	out := &refMapOutput{
 		Partitions:   make([]refPartition, reducers),
 		Bytes:        make([]int64, reducers),
-		InputRecords: int64(len(lines)),
+		InputRecords: int64(len(recs)),
 	}
 	for i := range out.Partitions {
 		out.Partitions[i] = make(refPartition)
@@ -45,15 +44,15 @@ func refMapTask(t int, mapper Mapper, combiner Reducer,
 		b[k] = append(b[k], v)
 		out.MapRecords++
 	}
-	for _, line := range lines {
-		if err := mapper.Map(line.Offset, line.Text, emit, led); err != nil {
+	for _, rec := range recs {
+		if err := mapper.Map(rec, emit, led); err != nil {
 			return nil, fmt.Errorf("task %d map: %w", t, err)
 		}
 	}
 	if err := mapper.Cleanup(emit, led); err != nil {
 		return nil, fmt.Errorf("task %d cleanup: %w", t, err)
 	}
-	led.AddCPU(float64(len(lines)) + float64(out.MapRecords))
+	led.AddCPU(float64(len(recs)) + float64(out.MapRecords))
 
 	if combiner != nil {
 		for i, b := range out.Partitions {

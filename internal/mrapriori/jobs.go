@@ -60,15 +60,11 @@ type itemMapper struct{}
 
 func (itemMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error { return nil }
 
-func (itemMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
-	fields := strings.Fields(line)
-	for _, f := range fields {
-		if _, err := strconv.ParseUint(f, 10, 31); err != nil {
-			return fmt.Errorf("mrapriori: bad transaction item %q", f)
-		}
-		emit(f, "1")
+func (itemMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, led *sim.Ledger) error {
+	for _, it := range rec.Items {
+		emit(strconv.Itoa(int(it)), "1")
 	}
-	led.AddCPU(float64(len(line)))
+	led.AddCPU(float64(rec.Len))
 	return nil
 }
 
@@ -195,15 +191,11 @@ func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
 	return nil
 }
 
-func (m *countMapper) Map(_ int64, line string, emit mapreduce.Emit, led *sim.Ledger) error {
-	set, err := itemset.ParseLine(line)
-	if err != nil {
-		return fmt.Errorf("mrapriori: transaction: %w", err)
-	}
-	led.AddCPU(float64(len(line)))
+func (m *countMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, led *sim.Ledger) error {
+	led.AddCPU(float64(rec.Len))
 	for ti, matcher := range m.matchers {
 		counts := m.counts[ti]
-		m.ops += float64(matcher.Subset(set, func(i int) { counts[i]++ }))
+		m.ops += float64(matcher.Subset(rec.Items, func(i int) { counts[i]++ }))
 	}
 	if m.rows++; m.rows%opsFlushRows == 0 {
 		led.AddCPU(m.ops)

@@ -3,7 +3,6 @@ package mrapriori
 import (
 	"testing"
 
-	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/sim"
@@ -25,7 +24,7 @@ func TestEveryMapTaskChargedTreeConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = 4*2 + 1*3
-	empty := func() ([]dfs.Line, error) { return nil, nil }
+	empty := func() ([]mapreduce.Record, error) { return nil, nil }
 	for task := 0; task < 3; task++ {
 		led := new(sim.Ledger)
 		if _, err := mapreduce.MapTask(task, tasks.NewMapper(), tasks.NewCombiner(), empty, 2, led); err != nil {

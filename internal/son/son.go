@@ -154,13 +154,9 @@ type localMiner struct {
 	rows    [][]itemset.Item
 }
 
-func (m *localMiner) Map(_ int64, line string, _ mapreduce.Emit, led *sim.Ledger) error {
-	set, err := itemset.ParseLine(line)
-	if err != nil {
-		return fmt.Errorf("son: transaction: %w", err)
-	}
-	m.rows = append(m.rows, set)
-	led.AddCPU(float64(len(line)))
+func (m *localMiner) Map(rec mapreduce.Record, _ mapreduce.Emit, led *sim.Ledger) error {
+	m.rows = append(m.rows, rec.Items)
+	led.AddCPU(float64(rec.Len))
 	return nil
 }
 

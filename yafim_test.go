@@ -1,9 +1,12 @@
 package yafim
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 )
 
 func exampleDB() *DB {
@@ -153,6 +156,58 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("save into missing directory succeeded")
 	}
 	_ = os.Remove(path)
+}
+
+// TestDatRuleSameOnEveryPath mines one file through LoadFile and Eclat and
+// through the distributed runtime. The file holds a blank line, a repeated
+// item and CRLF line endings, and both paths must read it by the same rule:
+// a blank line is an empty transaction, an item counts once per
+// transaction and a carriage return separates like a space.
+func TestDatRuleSameOnEveryPath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mixed.dat")
+	content := "1 2 3\r\n\r\n1 1 2\r\n2 3\r\n1 3 3\r\n\r\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := LoadFile("mixed", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Mine(db, 0.5, Options{Engine: EngineEclat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Six transactions, so a count of 3: the three items, and no pair.
+	if db.Len() != 6 || want.Result.NumFrequent() != 3 {
+		t.Fatalf("LoadFile read %d transactions and Eclat found %d itemsets, want 6 and 3",
+			db.Len(), want.Result.NumFrequent())
+	}
+
+	m, err := StartDistMaster(DistMasterOptions{Addr: "127.0.0.1:0", Tuning: DefaultDistTuning()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	var workers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			_ = RunDistWorker(ctx, DistWorkerOptions{MasterURL: m.URL()})
+		}()
+	}
+	got, err := MineDistributed(ctx, m, path, 0.5, Options{Tasks: 2})
+	cancel()
+	workers.Wait()
+	if cerr := m.Close(); cerr != nil {
+		t.Error(cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Result.Equal(want.Result) {
+		t.Fatalf("MineDistributed found %v, LoadFile and Eclat %v", got.Result.All(), want.Result.All())
+	}
 }
 
 func TestGeneratorsExposed(t *testing.T) {
