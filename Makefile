@@ -138,8 +138,10 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-json runs the perf-gated benchmarks — the pass-2 counting kernels,
-# the shuffle residency kernel, the MapReduce shuffle's wire frame, and the
+# bench-json runs the perf-gated benchmarks — the pass-2 counting kernels
+# (the hash tree on T10, whose leaves confirm signatures against stamps,
+# and on Chess, whose signatures decide alone; the build; the bitsets), the
+# shuffle residency kernel, the MapReduce shuffle's wire frame, and the
 # diagnosis layer — and renders them as
 # a JSON trajectory point. CI regenerates this into a scratch file and gates
 # it against the committed baseline:

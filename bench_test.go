@@ -180,12 +180,19 @@ func BenchmarkSummaryAverageSpeedup(b *testing.B) {
 // T10-style transactions plus the pass-2 candidates YAFIM would derive from
 // the frequent items.
 func pass2Fixture(tb testing.TB) ([]itemset.Transaction, []itemset.Itemset) {
+	return kernelFixture(tb, "T10I4D100K", 0.05)
+}
+
+// kernelFixture generates a paper benchmark dataset at scale plus the
+// pass-2 candidates YAFIM would derive from its frequent items at the
+// benchmark's Fig. 3 support.
+func kernelFixture(tb testing.TB, name string, scale float64) ([]itemset.Transaction, []itemset.Itemset) {
 	tb.Helper()
-	bm, err := experiments.FindBenchmark("T10I4D100K")
+	bm, err := experiments.FindBenchmark(name)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	db, err := bm.Gen(0.05, benchEnv().Seed)
+	db, err := bm.Gen(scale, benchEnv().Seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -242,9 +249,26 @@ func TestRegistryAddsNoAllocsToPass2Kernel(t *testing.T) {
 
 // BenchmarkPass2KernelHashTree measures the flat hash-tree counting kernel:
 // dense per-scan count array, one matcher's scratch reused across rows,
-// leaf checks against the row's stamped item ids.
+// leaf entries tested against the row's item signature and confirmed
+// against its stamped item ids.
 func BenchmarkPass2KernelHashTree(b *testing.B) {
 	txs, cands := pass2Fixture(b)
+	benchCountSupports(b, txs, cands)
+}
+
+// BenchmarkPass2KernelHashTreeChess measures the same kernel on dense
+// Chess rows at 85%: every row holds 37 items, and the pass-2 tree's few
+// dense items fit one 64-bit signature, so each leaf entry is decided by
+// its signature alone. The T10 row above, with hundreds of dense items,
+// measures the path that confirms a passing signature against the stamps.
+func BenchmarkPass2KernelHashTreeChess(b *testing.B) {
+	txs, cands := kernelFixture(b, "Chess", 1)
+	benchCountSupports(b, txs, cands)
+}
+
+// benchCountSupports times one CountSupports scan of txs per op over a
+// hash tree of cands, and reports how many candidates occur at all.
+func benchCountSupports(b *testing.B, txs []itemset.Transaction, cands []itemset.Itemset) {
 	tree := hashtree.Build(cands)
 	b.ReportAllocs()
 	b.ResetTimer()

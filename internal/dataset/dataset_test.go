@@ -66,6 +66,38 @@ func TestLoadFileErrors(t *testing.T) {
 	}
 }
 
+// TestLoadFileLongLine reads a line longer than 4 MiB, past any fixed
+// scanner cap, between two short ones: LoadFile must parse it to the
+// transaction ParseLine gives, as the engines that read the file as text
+// splits do.
+func TestLoadFileLongLine(t *testing.T) {
+	var sb strings.Builder
+	for it := 1_000_000; sb.Len() <= 5<<20; it++ {
+		if sb.Len() > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(strconv.Itoa(it))
+	}
+	long := sb.String()
+	path := filepath.Join(t.TempDir(), "long.dat")
+	if err := os.WriteFile(path, []byte("1 2\n"+long+"\n3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := LoadFile("long", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := itemset.ParseLine(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Len() != 3 || !db.Transactions[1].Items.Equal(want) ||
+		!db.Transactions[2].Items.Equal(itemset.New(3)) {
+		t.Fatalf("long line read as %d transactions; line 2 has %d items, want %d",
+			db.Len(), db.Transactions[1].Items.Len(), want.Len())
+	}
+}
+
 // TestLoadFileMalformed checks that parse failures carry file:line context
 // and wrap the underlying strconv cause instead of surfacing it bare.
 func TestLoadFileMalformed(t *testing.T) {

@@ -13,15 +13,20 @@ import (
 // without first loading its position. Each leaf's entries are one window of
 // leafData, stored column by column: the candidate indexes, then every
 // candidate's first item, then every second item, and so on, with items
-// remapped to dense int32 ids. A leaf check scans the first-item column and
-// reads a candidate's other items only when its first item is in the row.
-// All walk scratch lives in a Matcher, so the walk allocates nothing once
-// its Matcher has seen the longest row.
+// remapped to dense int32 ids. A parallel column, sigs, holds each entry's
+// 64-bit item signature: bit d&63 is set for every dense id d of its items.
+// A leaf check rejects an entry whose signature has a bit the row's lacks
+// with one AND-NOT. When the tree has at most 64 dense items every id owns
+// its own bit, so that test is exact and no item column is read; otherwise
+// ids share bits, and an entry that passes has its items checked against the
+// row's stamps. All walk scratch lives in a Matcher, so the walk allocates
+// nothing once its Matcher has seen the longest row.
 
 // flatNode is one compacted tree node. child is the position in Tree.nodes
 // of the node's first child (its fanout children follow it), or -1 for a
 // leaf holding entries entryLo..entryHi-1, whose window is
-// leafData[entryLo*(k+1) : entryHi*(k+1)].
+// leafData[entryLo*(k+1) : entryHi*(k+1)] and whose signatures are
+// sigs[entryLo:entryHi].
 type flatNode struct {
 	child   int32
 	entryLo int32
@@ -35,8 +40,10 @@ type flatNode struct {
 // root is flat node 0.
 func (t *Tree) compact(root *node) {
 	t.index = itemset.NewItemIndex(t.sets)
+	t.exact = t.index.Len() <= 64
 	t.nodes = make([]flatNode, 1)
 	t.leafData = make([]int32, 0, len(t.sets)*(t.k+1))
+	t.sigs = make([]uint64, 0, len(t.sets))
 	t.flatten(root, 0)
 }
 
@@ -50,9 +57,13 @@ func (t *Tree) flatten(n *node, id int32) {
 		window := t.leafData[start:]
 		for e, c := range n.entries {
 			window[e] = int32(c)
+			var sig uint64
 			for j, it := range t.sets[c] {
-				window[(j+1)*cnt+e] = t.index.DenseOf(it)
+				d := t.index.DenseOf(it)
+				window[(j+1)*cnt+e] = d
+				sig |= 1 << (d & 63)
 			}
+			t.sigs = append(t.sigs, sig)
 		}
 		lo := int32(start / (t.k + 1))
 		t.nodes[id] = flatNode{child: -1, entryLo: lo, entryHi: lo + int32(cnt)}
@@ -85,6 +96,8 @@ type Matcher struct {
 	// when stamp[d] == row, so nothing is cleared between rows.
 	row   int32
 	stamp []int32
+	// sig is the current row's item signature, built like a leaf entry's.
+	sig uint64
 	// hashes holds the child bucket of every row item, hashed once per row.
 	hashes []int32
 	// first holds one fanout-sized window per interior depth: 1 + the
@@ -135,8 +148,8 @@ func (m *Matcher) Subset(items itemset.Itemset, visit func(i int)) int64 {
 	return m.walk(root.child, items.Len(), 0, 0, visit)
 }
 
-// load starts a new row: it hashes every item once and stamps the dense id
-// of each item some candidate contains.
+// load starts a new row: it hashes every item once, and stamps the dense id
+// of each item some candidate contains and sets its signature bit.
 func (m *Matcher) load(items itemset.Itemset) {
 	t := m.t
 	if len(items) > len(m.hashes) {
@@ -147,12 +160,15 @@ func (m *Matcher) load(items itemset.Itemset) {
 		m.row = 0
 	}
 	m.row++
+	var sig uint64
 	for i, it := range items {
 		m.hashes[i] = int32(t.hash(it))
 		if d := t.index.DenseOf(it); d >= 0 {
 			m.stamp[d] = m.row
+			sig |= 1 << (d & 63)
 		}
 	}
+	m.sig = sig
 }
 
 // walk visits the interior node at depth whose children start at flat
@@ -191,21 +207,27 @@ func (m *Matcher) walk(base int32, n, from, depth int, visit func(i int)) int64 
 }
 
 // leaf visits, in entry order, every candidate of leaf n whose items are
-// all stamped in the current row. A candidate whose first item is missing
-// costs one load of the first-item column.
+// all in the current row. A candidate whose signature has a bit the row's
+// lacks costs one load of the signature column. On an exact tree a
+// candidate that passes is in the row; otherwise its items are checked
+// against the row's stamps.
 func (m *Matcher) leaf(n flatNode, visit func(i int)) {
-	cnt, stride := int(n.entryHi-n.entryLo), m.t.k+1
-	window := m.t.leafData[int(n.entryLo)*stride : int(n.entryHi)*stride]
-	cands, firsts := window[:cnt], window[cnt:2*cnt]
-	row, stamp := m.row, m.stamp
+	t := m.t
+	sigs := t.sigs[n.entryLo:n.entryHi]
+	cnt, stride := len(sigs), t.k+1
+	window := t.leafData[int(n.entryLo)*stride : int(n.entryHi)*stride]
+	cands := window[:cnt]
+	rowSig, exact, row, stamp := m.sig, t.exact, m.row, m.stamp
 next:
-	for e, d := range firsts {
-		if stamp[d] != row {
+	for e, s := range sigs {
+		if s&^rowSig != 0 {
 			continue
 		}
-		for j := 2*cnt + e; j < len(window); j += cnt {
-			if stamp[window[j]] != row {
-				continue next
+		if !exact {
+			for j := cnt + e; j < len(window); j += cnt {
+				if stamp[window[j]] != row {
+					continue next
+				}
 			}
 		}
 		visit(int(cands[e]))

@@ -159,6 +159,11 @@ func FuzzSubsetParity(f *testing.F) {
 	// T10I4D100K's pass 2, with short rows and rows of 305 and 135 items.
 	f.Add(fuzzSeed(2, 0, 0, 400, nil, fuzzRow(3, 17, 90, 131, 200, 222, 240, 250, 251, 255),
 		fuzzStrided(100, 1), fuzzStrided(0, 3), fuzzRow(5, 250)))
+	// Every 2-subset of 82 items: dense ids d and d+64 share a signature
+	// bit, so a row holding 67 but not 3 passes the signature of every
+	// candidate {3, x} it holds x of, and the stamps must reject them.
+	f.Add(fuzzSeed(2, 0, 0, 82, nil, fuzzRow(10, 67), fuzzRow(3, 10, 67, 70, 81),
+		fuzzRow(0, 1, 17, 64, 65), fuzzRow(2, 66, 5, 69, 80, 84), fuzzStrided(17, 64)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts, cands, rows := decodeSubsetCase(data)
 		if len(cands) == 0 {

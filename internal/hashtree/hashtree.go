@@ -36,7 +36,9 @@ type Tree struct {
 	// Flat layout, built by compact: see flat.go.
 	index    *itemset.ItemIndex // dense remap of the candidate item universe
 	nodes    []flatNode
-	leafData []int32 // per leaf: candidate indexes, then k dense item columns
+	leafData []int32  // per leaf: candidate indexes, then k dense item columns
+	sigs     []uint64 // per entry, in leafData's entry order: item signature
+	exact    bool     // at most 64 dense items: a signature test decides alone
 }
 
 // node is one node of the pointer tree Build inserts into before compacting.

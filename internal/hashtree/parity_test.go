@@ -170,6 +170,167 @@ func TestMatcherRowStampWraps(t *testing.T) {
 	}
 }
 
+// sigOf is the signature of items over tree's dense ids, as a leaf entry
+// or a row holds it: bit d&63 for every indexed item d.
+func sigOf(tree *Tree, items itemset.Itemset) uint64 {
+	var sig uint64
+	for _, it := range items {
+		if d := tree.index.DenseOf(it); d >= 0 {
+			sig |= 1 << (d & 63)
+		}
+	}
+	return sig
+}
+
+// signatureFamily returns distinct k-candidates over items 0..universe-1
+// that together hold every one of them, so dense id equals item: a ring of
+// consecutive items from each item, then random sets.
+func signatureFamily(rng *rand.Rand, k, universe, extra int) []itemset.Itemset {
+	seen := map[string]bool{}
+	var out []itemset.Itemset
+	add := func(s itemset.Itemset) {
+		if !seen[s.Key()] {
+			seen[s.Key()] = true
+			out = append(out, s)
+		}
+	}
+	for i := 0; i < universe; i++ {
+		items := make([]itemset.Item, k)
+		for j := range items {
+			items[j] = itemset.Item((i + j) % universe)
+		}
+		add(itemset.New(items...))
+	}
+	for _, c := range randomCandidates(rng, extra, k, universe) {
+		add(c)
+	}
+	return out
+}
+
+// collidingRow returns a row that holds candidate c but one item, x, and
+// instead x's partner x±64, plus a few random items other than x. On a
+// tree of more than 64 dense items that partner shares x's signature bit
+// whenever it is indexed, so c passes the signature test and only the
+// stamps can reject it; on an exact tree the partner is not indexed.
+func collidingRow(rng *rand.Rand, c itemset.Itemset, universe int) itemset.Itemset {
+	drop := rng.Intn(len(c))
+	x := c[drop]
+	partner := x + 64
+	if x >= 64 {
+		partner = x - 64
+	}
+	items := append(append(append([]itemset.Item(nil), c[:drop]...), c[drop+1:]...), partner)
+	for n := rng.Intn(4); n > 0; n-- {
+		if it := itemset.Item(rng.Intn(universe + 5)); it != x {
+			items = append(items, it)
+		}
+	}
+	return itemset.New(items...)
+}
+
+// TestSignatureTestAtItsEdges locks the leaf's signature test to the
+// pointer walk where it changes: families over exactly 64 dense items,
+// whose signatures decide alone, and over 65 and 128, where ids d and d+64
+// share a bit and a passing entry is confirmed against the stamps. Most
+// rows lack one item of some candidate and hold that item's partner mod 64,
+// so on the larger trees the candidate's signature passes and only the
+// stamp check rejects it. Every row must match the pointer walk (visits,
+// order, ops), and CountSupports must equal a ContainsAll scan.
+func TestSignatureTestAtItsEdges(t *testing.T) {
+	shapes := []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"deep", []Option{WithFanout(2), WithMaxLeaf(1)}},
+		{"long leaves", []Option{WithFanout(3), WithMaxLeaf(64)}},
+	}
+	for _, c := range []struct {
+		k, universe int
+		exact       bool
+	}{
+		{2, 64, true}, {3, 64, true}, {2, 65, false}, {3, 65, false}, {2, 128, false}, {4, 128, false},
+	} {
+		rng := rand.New(rand.NewSource(int64(100*c.k + c.universe)))
+		cands := signatureFamily(rng, c.k, c.universe, 300)
+		var rows []itemset.Transaction
+		for i := 0; i < 200; i++ {
+			row := collidingRow(rng, cands[rng.Intn(len(cands))], c.universe)
+			if i%4 == 3 {
+				row = randomTransaction(rng, 3*c.k, c.universe+5)
+			}
+			rows = append(rows, itemset.Transaction{TID: int64(i), Items: row})
+		}
+		// The dense ids, and so the signatures, do not depend on the shape.
+		ref := Build(cands)
+		want := make([]int, len(cands))
+		falsePasses := 0
+		for _, row := range rows {
+			rowSig := sigOf(ref, row.Items)
+			for i, cand := range cands {
+				if row.Items.ContainsAll(cand) {
+					want[i]++
+				} else if sigOf(ref, cand)&^rowSig == 0 {
+					falsePasses++
+				}
+			}
+		}
+		if c.exact && falsePasses != 0 {
+			t.Fatalf("k=%d universe %d: %d signature passes of absent candidates on an exact tree",
+				c.k, c.universe, falsePasses)
+		}
+		if !c.exact && falsePasses == 0 {
+			t.Fatalf("k=%d universe %d: no row passes an absent candidate's signature", c.k, c.universe)
+		}
+		for _, shape := range shapes {
+			tree := Build(cands, shape.opts...)
+			label := fmt.Sprintf("k=%d universe %d %s", c.k, c.universe, shape.name)
+			if tree.index.Len() != c.universe || tree.exact != c.exact {
+				t.Fatalf("%s: %d dense items, exact %v; want %d, %v",
+					label, tree.index.Len(), tree.exact, c.universe, c.exact)
+			}
+			root := tree.pointerTree()
+			m := tree.NewMatcher()
+			for i, row := range rows {
+				assertParity(t, fmt.Sprintf("%s row %d", label, i), tree, root, m, row.Items)
+			}
+			if got, _ := tree.CountSupports(rows); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: CountSupports %v, ContainsAll scan %v", label, got, want)
+			}
+		}
+	}
+}
+
+// TestWarmSubsetAllocatesNothing checks that a matcher which has seen its
+// longest row enumerates without allocating, on an exact tree and on a
+// tree whose signatures are confirmed against the stamps.
+func TestWarmSubsetAllocatesNothing(t *testing.T) {
+	for _, universe := range []int{64, 65} {
+		cands := kSubsets(2, universe, math.MaxInt)
+		tree := Build(cands)
+		m := tree.NewMatcher()
+		long := make([]itemset.Item, universe+rowScratch)
+		for i := range long {
+			long[i] = itemset.Item(i)
+		}
+		rows := []itemset.Itemset{itemset.New(long...), itemset.New(0, 3, 64), itemset.New(1, 2)}
+		counts := make([]int, len(cands))
+		visit := func(i int) { counts[i]++ }
+		for _, row := range rows {
+			m.Subset(row, visit)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, row := range rows {
+				m.Subset(row, visit)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("universe %d (exact %v): warm Subset allocates %.1f times per run",
+				universe, tree.exact, allocs)
+		}
+	}
+}
+
 // TestCountSupportsMatchesBruteForce checks the end product — support
 // counts — against a direct ContainsAll scan of every candidate per
 // transaction.

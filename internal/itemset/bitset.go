@@ -35,15 +35,20 @@ func (b *Bitset) Set(i int) {
 // AndCountInto stores a AND other into b (which must have the same
 // capacity) and returns the popcount of the result — the fused
 // intersect-and-support kernel of vertical bitset mining: one pass over the
-// words yields both the child tidset and its support count.
+// words yields both the child tidset and its support count. b may be a or
+// other, which intersects in place.
 func (b *Bitset) AndCountInto(a, other *Bitset) int {
 	if a.n != other.n || b.n != a.n {
 		panic("itemset: bitset size mismatch")
 	}
+	// Equal capacities mean equal word counts; reslicing the operands to
+	// dst's length once lets the compiler drop every per-word bounds check.
+	dst := b.words
+	x, y := a.words[:len(dst)], other.words[:len(dst)]
 	total := 0
-	for i := range b.words {
-		w := a.words[i] & other.words[i]
-		b.words[i] = w
+	for i := range dst {
+		w := x[i] & y[i]
+		dst[i] = w
 		total += bits.OnesCount64(w)
 	}
 	return total
@@ -54,9 +59,11 @@ func (b *Bitset) AndCount(other *Bitset) int {
 	if b.n != other.n {
 		panic("itemset: bitset size mismatch")
 	}
+	x := b.words
+	y := other.words[:len(x)]
 	total := 0
-	for i := range b.words {
-		total += bits.OnesCount64(b.words[i] & other.words[i])
+	for i := range x {
+		total += bits.OnesCount64(x[i] & y[i])
 	}
 	return total
 }

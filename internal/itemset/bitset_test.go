@@ -92,6 +92,84 @@ func TestBitsetAndOperations(t *testing.T) {
 	a.AndCount(NewBitset(50))
 }
 
+// randomBitset returns an n-bit bitset whose bits are each set with
+// probability density.
+func randomBitset(rng *rand.Rand, n int, density float64) *Bitset {
+	b := NewBitset(n)
+	for i := 0; i < n; i++ {
+		if rng.Float64() < density {
+			b.Set(i)
+		}
+	}
+	return b
+}
+
+// clone returns a copy of b with its own words.
+func clone(b *Bitset) *Bitset {
+	return &Bitset{words: append([]uint64(nil), b.words...), n: b.n}
+}
+
+// TestAndKernelsMatchBitByBitReference checks AndCount and AndCountInto
+// against a bit-by-bit reference on random bitsets at word edges and past
+// them, from empty to full, including AndCountInto's in-place forms and a
+// destination that held other bits before.
+func TestAndKernelsMatchBitByBitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2014))
+	for _, n := range []int{0, 1, 63, 64, 65, 130, 1000} {
+		for _, density := range []float64{0, 0.05, 0.5, 0.95, 1} {
+			a, b := randomBitset(rng, n, density), randomBitset(rng, n, 0.5)
+			want := 0
+			for i := 0; i < n; i++ {
+				if bit(a, i) && bit(b, i) {
+					want++
+				}
+			}
+			if got := a.AndCount(b); got != want {
+				t.Fatalf("n=%d density=%v: AndCount = %d, want %d", n, density, got, want)
+			}
+			fresh, inA, inOther := randomBitset(rng, n, 0.5), clone(a), clone(b)
+			for _, c := range []struct {
+				form string
+				dst  *Bitset
+				run  func() int
+			}{
+				{"fresh", fresh, func() int { return fresh.AndCountInto(a, b) }},
+				{"into a", inA, func() int { return inA.AndCountInto(inA, b) }},
+				{"into other", inOther, func() int { return inOther.AndCountInto(a, inOther) }},
+			} {
+				form, dst, got := c.form, c.dst, c.run()
+				if got != want {
+					t.Fatalf("n=%d density=%v %s: AndCountInto = %d, want %d", n, density, form, got, want)
+				}
+				for i := 0; i < n; i++ {
+					if bit(dst, i) != (bit(a, i) && bit(b, i)) {
+						t.Fatalf("n=%d density=%v %s: AndCountInto bit %d = %v", n, density, form, i, bit(dst, i))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAndCountIntoSizeMismatchPanics checks that AndCountInto refuses
+// operands or a destination of another capacity, even one with as many
+// words.
+func TestAndCountIntoSizeMismatchPanics(t *testing.T) {
+	for name, call := range map[string]func(){
+		"operands":    func() { NewBitset(100).AndCountInto(NewBitset(100), NewBitset(50)) },
+		"destination": func() { NewBitset(120).AndCountInto(NewBitset(100), NewBitset(100)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s size mismatch did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestVerticalSupport(t *testing.T) {
 	db := NewDB("v", [][]Item{
 		{1, 2, 3}, {1, 2}, {2, 3}, {1, 3}, {4},

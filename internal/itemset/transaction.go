@@ -263,10 +263,11 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 // ReadDB parses the .dat format produced by WriteTo (and used by the FIMI
 // dataset repository): one transaction per line, each parsed by ParseLine.
 // A blank line is the empty transaction, as it is to the engines that read
-// the same file as text splits. An error names the input and line number.
+// the same file as text splits, and a line may be of any length, as it may
+// be to them. An error names the input and line number.
 func ReadDB(name string, r io.Reader) (*DB, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	sc.Buffer(make([]byte, 0, 1<<16), math.MaxInt)
 	db := &DB{Name: name}
 	maxItem := Item(-1)
 	for line := 1; sc.Scan(); line++ {
