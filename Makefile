@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test race vet perfbench vuln staticcheck check chaos diag dist-smoke dist-chaos fuzz-smoke bench bench-json clean
+.PHONY: build fmt test race vet perfbench vuln staticcheck check chaos diag experiments-smoke dist-smoke dist-chaos fuzz-smoke bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -66,26 +66,32 @@ chaos:
 diag:
 	$(GO) run ./cmd/experiments -exp diag -dataset T10I4D100K -scale 0.05 -diagchaos
 
+# experiments-smoke prints every table `-exp all` prints, at a scale that
+# finishes in well under a minute, so a table that stops finishing, or
+# outgrows a runner's memory, fails the push that did it. Each table also
+# checks that its engines found identical itemsets.
+experiments-smoke:
+	$(GO) run ./cmd/experiments -exp all -scale 0.05
+
 # dist-smoke proves the distributed runtime's crash story end to end, twice,
 # both under the race detector with hard timeouts: first the Go-level suite —
 # the kill test (two real worker processes, one SIGKILLed mid-pass,
 # byte-identical itemsets vs the in-memory sim oracle), the graceful SIGTERM
 # drain, the block-cache invariants (a second job over the same input reads
 # the disk zero times; a restarted worker's cold cache re-reads with
-# identical results), SON's two job types over the wire (itemsets equal to
-# the sim's) and the long-poll lease (the last map's completion wakes a held
-# request at once; Close releases held requests; a canceled one leaves no
-# goroutine and takes no task) — then the CLI smoke mode, which forks its
-# own workers, performs the same kill-and-verify through cmd/yafim, and
-# counter-asserts from /metrics that the input was read from disk at most
-# once per worker per split. Worker logs, the master's live protocol journal
-# and the cache-metrics.prom counter dump land under artifacts/dist-smoke for
-# CI to upload on failure.
+# identical results) and the long-poll lease (the last map's completion
+# wakes a held request at once; Close releases held requests; a canceled
+# one leaves no goroutine and takes no task) — then the CLI smoke mode,
+# which forks its own workers, performs the same kill-and-verify through
+# cmd/yafim, and counter-asserts from /metrics that the input was read from
+# disk at most once per worker per split. Worker logs, the master's live
+# protocol journal and the cache-metrics.prom counter dump land under
+# artifacts/dist-smoke for CI to upload on failure.
 DIST_SMOKE_DIR ?= artifacts/dist-smoke
 dist-smoke:
 	@mkdir -p $(DIST_SMOKE_DIR)
 	@$(GO) test -race -count=1 -v -timeout 300s \
-		-run 'TestKillWorkerMidMiningParity|TestWorkerDrainsOnSIGTERM|TestSecondJobServedFromCache|TestCacheRebuildAfterWorkerRestartParity|TestSONMasterWorkersMatchSim|TestReducesGrantedOnLastMapCompletion|TestMasterCloseReleasesHeldLeases|TestCanceledHeldLeaseLeavesNothing' \
+		-run 'TestKillWorkerMidMiningParity|TestWorkerDrainsOnSIGTERM|TestSecondJobServedFromCache|TestCacheRebuildAfterWorkerRestartParity|TestReducesGrantedOnLastMapCompletion|TestMasterCloseReleasesHeldLeases|TestCanceledHeldLeaseLeavesNothing' \
 		./internal/dist/ > $(DIST_SMOKE_DIR)/kill-test.log 2>&1; \
 		s=$$?; cat $(DIST_SMOKE_DIR)/kill-test.log; [ $$s -eq 0 ]
 	$(GO) build -race -o $(DIST_SMOKE_DIR)/yafim ./cmd/yafim

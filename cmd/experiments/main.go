@@ -1,29 +1,35 @@
 // Command experiments regenerates the paper's evaluation: Table I and
-// Figures 3-6, the headline average-speedup summary, and the §IV design
-// ablations. Every experiment verifies that YAFIM and the MapReduce
-// implementation find identical frequent itemsets before reporting timings.
+// Figures 3-6, the headline average-speedup summary, the engine matrix and
+// the §IV design ablations. Every experiment verifies that YAFIM and the
+// MapReduce implementation find identical frequent itemsets before
+// reporting timings.
 //
 // Usage:
 //
-//	experiments -exp all              # everything, paper-scale datasets
+//	experiments -exp all              # every table, paper-scale datasets
 //	experiments -exp fig3 -dataset Chess
 //	experiments -exp fig5 -scale 0.2  # quicker, scaled-down datasets
 //	experiments -exp obs -dataset Chess -tracedir traces
 //
-// The obs experiment runs each benchmark once per parallel engine with a
-// telemetry recorder attached, prints the per-stage skew table and counter
-// totals, and (with -tracedir) writes a Chrome trace-event JSON file per run.
+// "all" leaves out the opt-in runs check, obs, chaos and diag. The obs
+// experiment runs each benchmark once per parallel engine with a telemetry
+// recorder attached, prints the per-stage skew table and counter totals,
+// and (with -tracedir) writes a Chrome trace-event JSON file per run. An
+// unknown -exp fails, listing the known names, before anything runs.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -41,7 +47,7 @@ func main() {
 	// handling once the context is done).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		if exec.IsCancellation(err) {
 			fmt.Fprintln(os.Stderr, "experiments: interrupted:", err)
 			os.Exit(130)
@@ -51,58 +57,119 @@ func main() {
 	}
 }
 
-func run(ctx context.Context) error {
+// experimentTable lists every -exp value. "all" runs the tables in this
+// order, each under a "=== name ===" header. It leaves out the opt-in runs,
+// which print their own headers: obs, chaos and diag rerun benchmarks
+// purely for telemetry, fault recovery or diagnosis, which would multiply
+// the cost of a full sweep, and check asserts the paper's claims.
+var experimentTable = []struct {
+	name  string
+	inAll bool
+	run   func(*session) error
+}{
+	{"table1", true, (*session).table1},
+	{"fig3", true, (*session).fig3},
+	{"fig4", true, (*session).fig4},
+	{"fig5", true, (*session).fig5},
+	{"fig6", true, (*session).fig6},
+	{"summary", true, (*session).summary},
+	{"matrix", true, (*session).matrix},
+	{"ablations", true, (*session).ablations},
+	{"check", false, (*session).check},
+	{"obs", false, (*session).obs},
+	{"chaos", false, (*session).chaos},
+	{"diag", false, (*session).diag},
+}
+
+// expNames lists the -exp values: all and the tables it runs, then the
+// opt-in runs.
+func expNames() string {
+	var tables, optIn []string
+	for _, e := range experimentTable {
+		if e.inAll {
+			tables = append(tables, e.name)
+		} else {
+			optIn = append(optIn, e.name)
+		}
+	}
+	return "all, " + strings.Join(tables, ", ") + "; opt-in: " + strings.Join(optIn, ", ")
+}
+
+// session is one command line's parsed flags, environment and output,
+// shared by every experiment it runs.
+type session struct {
+	ctx     context.Context
+	out     io.Writer
+	env     experiments.Env
+	benches []experiments.Benchmark // every paper benchmark, or the -dataset one
+
+	dataset, csvDir, traceDir string
+	maxRepl                   int
+	chart, diagChaos          bool
+	chaosSeed                 int64
+	crashFrac                 float64
+
+	// served is what -listen exposes: whichever instrumented run most
+	// recently started. The atomic pointer lets diag runs swap recorders
+	// without restarting the listener, and a scrape before the first run
+	// serves empty documents.
+	served atomic.Pointer[servedRun]
+}
+
+// run is the whole command behind a testable seam: flags come from args
+// and output goes to the writers. An unknown -exp fails before anything
+// runs.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	s := &session{ctx: ctx, out: stdout, env: experiments.DefaultEnv()}
 	var (
-		exp       = flag.String("exp", "all", "table1, fig3, fig4, fig5, fig6, summary, variants, matrix, ablations, check, obs, chaos, diag, or all")
-		ds        = flag.String("dataset", "", "restrict fig3/fig4/fig5 to one dataset")
-		scale     = flag.Float64("scale", 1.0, "dataset scale (1.0 = paper size)")
-		seed      = flag.Int64("seed", 2014, "data generation seed")
-		maxRepl   = flag.Int("maxrepl", 6, "fig4: largest replication factor")
-		tasks     = flag.Int("tasks", 0, "task-granularity hint (0 = 2x cluster cores)")
-		chart     = flag.Bool("chart", false, "also render each figure as an ASCII chart")
-		csvDir    = flag.String("csvdir", "", "also write each figure's series as CSV files here")
-		traceDir  = flag.String("tracedir", "", "obs: write each instrumented run's Chrome trace JSON here")
-		chaosSeed = flag.Int64("chaosseed", 7, "chaos: fault-plan seed (identical seeds reproduce identical runs)")
-		crashFrac = flag.Float64("crashfrac", 0.4, "chaos: crash a node at this fraction of the fault-free run (0 = no crash)")
-		diagChaos = flag.Bool("diagchaos", false, "diag: inject a seeded node straggler so the diagnosis has environment stragglers to attribute")
-		listen    = flag.String("listen", "", "serve the in-flight run's /metrics, /diag, /journal and /debug/pprof/ on this address")
+		exp    = fs.String("exp", "all", "experiment to run: "+expNames())
+		listen = fs.String("listen", "", "serve the in-flight run's /metrics, /diag, /journal and /debug/pprof/ on this address")
 	)
-	flag.Parse()
+	fs.StringVar(&s.dataset, "dataset", "", "restrict every per-benchmark table to one dataset")
+	fs.Float64Var(&s.env.Scale, "scale", 1.0, "dataset scale (1.0 = paper size)")
+	fs.Int64Var(&s.env.Seed, "seed", 2014, "data generation seed")
+	fs.IntVar(&s.maxRepl, "maxrepl", 6, "fig4: largest replication factor")
+	fs.IntVar(&s.env.Tasks, "tasks", 0, "task-granularity hint (0 = 2x cluster cores)")
+	fs.BoolVar(&s.chart, "chart", false, "also render each figure as an ASCII chart")
+	fs.StringVar(&s.csvDir, "csvdir", "", "also write each figure's series as CSV files here")
+	fs.StringVar(&s.traceDir, "tracedir", "", "obs: write each instrumented run's Chrome trace JSON here")
+	fs.Int64Var(&s.chaosSeed, "chaosseed", 7, "chaos: fault-plan seed (identical seeds reproduce identical runs)")
+	fs.Float64Var(&s.crashFrac, "crashfrac", 0.4, "chaos: crash a node at this fraction of the fault-free run (0 = no crash)")
+	fs.BoolVar(&s.diagChaos, "diagchaos", false, "diag: inject a seeded node straggler so the diagnosis has environment stragglers to attribute")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	known := *exp == "all"
+	for _, e := range experimentTable {
+		known = known || e.name == *exp
+	}
+	if !known {
+		return fmt.Errorf("unknown -exp %q (want %s)", *exp, expNames())
+	}
 
-	env := experiments.DefaultEnv()
-	env.Scale = *scale
-	env.Seed = *seed
-	env.Tasks = *tasks
-
-	benches := experiments.PaperBenchmarks()
-	if *ds != "" {
-		b, err := experiments.FindBenchmark(*ds)
+	s.benches = experiments.PaperBenchmarks()
+	if s.dataset != "" {
+		b, err := experiments.FindBenchmark(s.dataset)
 		if err != nil {
 			return err
 		}
-		benches = []experiments.Benchmark{b}
+		s.benches = []experiments.Benchmark{b}
 	}
 
-	// -listen exposes whichever instrumented run most recently started; the
-	// atomic pointer lets diag runs swap recorders without restarting the
-	// listener, and a scrape before the first run serves empty documents.
-	var served atomic.Pointer[servedRun]
-	onRecorder := func(engine string, rec *obs.Recorder) {
-		cfg := env.Spark
-		if engine == "mapreduce" {
-			cfg = env.Hadoop
-		}
-		served.Store(&servedRun{rec: rec, opts: obs.AnalyzeOptions{Cluster: &cfg}})
-	}
 	if *listen != "" {
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			return fmt.Errorf("-listen: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "experiments: serving diagnostics on http://%s/\n", ln.Addr())
+		fmt.Fprintf(stderr, "experiments: serving diagnostics on http://%s/\n", ln.Addr())
 		srv := &http.Server{Handler: obs.HandlerFunc(func() (*obs.Recorder, obs.AnalyzeOptions) {
-			if s := served.Load(); s != nil {
-				return s.rec, s.opts
+			if r := s.served.Load(); r != nil {
+				return r.rec, r.opts
 			}
 			return nil, obs.AnalyzeOptions{}
 		})}
@@ -111,306 +178,293 @@ func run(ctx context.Context) error {
 	}
 
 	start := time.Now()
-	run := func(name string, fn func() error) error {
-		if *exp != "all" && *exp != name {
-			return nil
+	for _, e := range experimentTable {
+		if *exp != e.name && !(*exp == "all" && e.inAll) {
+			continue
 		}
-		fmt.Printf("=== %s ===\n", name)
-		if err := fn(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		if e.inAll {
+			fmt.Fprintf(stdout, "=== %s ===\n", e.name)
 		}
-		fmt.Println()
+		if err := e.run(s); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		if e.inAll {
+			fmt.Fprintln(stdout)
+		}
+	}
+	fmt.Fprintf(stdout, "done in %v (real time)\n", time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+func (s *session) table1() error {
+	rows, err := experiments.RunTable1(s.env)
+	if err != nil {
+		return err
+	}
+	experiments.WriteTable1(s.out, rows)
+	return nil
+}
+
+// writeCSV writes one figure's series to the named file under -csvdir, and
+// nothing without it.
+func (s *session) writeCSV(name string, write func(io.Writer) error) error {
+	if s.csvDir == "" {
 		return nil
 	}
+	if err := os.MkdirAll(s.csvDir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(s.csvDir, name))
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
-	if err := run("table1", func() error {
-		rows, err := experiments.RunTable1(env)
+func (s *session) fig3() error {
+	for _, b := range s.benches {
+		c, err := experiments.RunComparison(s.ctx, b, s.env)
 		if err != nil {
 			return err
 		}
-		experiments.WriteTable1(os.Stdout, rows)
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	writeCSVFile := func(name string, write func(f *os.File) error) error {
-		if *csvDir == "" {
-			return nil
+		experiments.WriteComparison(s.out, c)
+		if s.chart {
+			experiments.ComparisonChart(s.out, c)
 		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+		if err := s.writeCSV("fig3_"+b.Name+".csv", func(w io.Writer) error {
+			return experiments.ComparisonCSV(w, c)
+		}); err != nil {
 			return err
 		}
-		f, err := os.Create(filepath.Join(*csvDir, name))
+		fmt.Fprintln(s.out)
+	}
+	return nil
+}
+
+func (s *session) fig4() error {
+	var reps []int
+	for r := 1; r <= s.maxRepl; r++ {
+		reps = append(reps, r)
+	}
+	for _, b := range s.benches {
+		sz, err := experiments.RunSizeup(s.ctx, b, s.env, reps)
 		if err != nil {
 			return err
 		}
-		if err := write(f); err != nil {
-			f.Close()
+		experiments.WriteSizeup(s.out, sz)
+		if s.chart {
+			experiments.SizeupChart(s.out, sz)
+		}
+		if err := s.writeCSV("fig4_"+b.Name+".csv", func(w io.Writer) error {
+			return experiments.SizeupCSV(w, sz)
+		}); err != nil {
 			return err
 		}
-		return f.Close()
+		fmt.Fprintln(s.out)
 	}
+	return nil
+}
 
-	if err := run("fig3", func() error {
-		for _, b := range benches {
-			c, err := experiments.RunComparison(ctx, b, env)
-			if err != nil {
-				return err
-			}
-			experiments.WriteComparison(os.Stdout, c)
-			if *chart {
-				experiments.ComparisonChart(os.Stdout, c)
-			}
-			if err := writeCSVFile("fig3_"+b.Name+".csv", func(f *os.File) error {
-				return experiments.ComparisonCSV(f, c)
-			}); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	if err := run("fig4", func() error {
-		var reps []int
-		for r := 1; r <= *maxRepl; r++ {
-			reps = append(reps, r)
-		}
-		for _, b := range benches {
-			s, err := experiments.RunSizeup(ctx, b, env, reps)
-			if err != nil {
-				return err
-			}
-			experiments.WriteSizeup(os.Stdout, s)
-			if *chart {
-				experiments.SizeupChart(os.Stdout, s)
-			}
-			if err := writeCSVFile("fig4_"+b.Name+".csv", func(f *os.File) error {
-				return experiments.SizeupCSV(f, s)
-			}); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	if err := run("fig5", func() error {
-		for _, b := range benches {
-			s, err := experiments.RunSpeedup(ctx, b, env, []int{4, 6, 8, 10, 12}, 6)
-			if err != nil {
-				return err
-			}
-			experiments.WriteSpeedup(os.Stdout, s)
-			if *chart {
-				experiments.SpeedupChart(os.Stdout, s)
-			}
-			if err := writeCSVFile("fig5_"+b.Name+".csv", func(f *os.File) error {
-				return experiments.SpeedupCSV(f, s)
-			}); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	if err := run("fig6", func() error {
-		c, err := experiments.RunComparison(ctx, experiments.MedicalBenchmark(), env)
+func (s *session) fig5() error {
+	for _, b := range s.benches {
+		sp, err := experiments.RunSpeedup(s.ctx, b, s.env, []int{4, 6, 8, 10, 12}, 6)
 		if err != nil {
 			return err
 		}
-		experiments.WriteComparison(os.Stdout, c)
-		if *chart {
-			experiments.ComparisonChart(os.Stdout, c)
+		experiments.WriteSpeedup(s.out, sp)
+		if s.chart {
+			experiments.SpeedupChart(s.out, sp)
 		}
-		return writeCSVFile("fig6_medical.csv", func(f *os.File) error {
-			return experiments.ComparisonCSV(f, c)
-		})
-	}); err != nil {
-		return err
-	}
-
-	if err := run("summary", func() error {
-		s, err := experiments.RunSummary(ctx, env)
-		if err != nil {
+		if err := s.writeCSV("fig5_"+b.Name+".csv", func(w io.Writer) error {
+			return experiments.SpeedupCSV(w, sp)
+		}); err != nil {
 			return err
 		}
-		experiments.WriteSummary(os.Stdout, s)
-		return writeCSVFile("summary.csv", func(f *os.File) error {
-			return experiments.SummaryCSV(f, s)
-		})
-	}); err != nil {
+		fmt.Fprintln(s.out)
+	}
+	return nil
+}
+
+func (s *session) fig6() error {
+	c, err := experiments.RunComparison(s.ctx, experiments.MedicalBenchmark(), s.env)
+	if err != nil {
 		return err
 	}
+	experiments.WriteComparison(s.out, c)
+	if s.chart {
+		experiments.ComparisonChart(s.out, c)
+	}
+	return s.writeCSV("fig6_medical.csv", func(w io.Writer) error {
+		return experiments.ComparisonCSV(w, c)
+	})
+}
 
-	if err := run("variants", func() error {
-		for _, b := range benches {
-			v, err := experiments.RunVariants(ctx, b, env)
-			if err != nil {
-				return err
-			}
-			experiments.WriteVariants(os.Stdout, v)
-			fmt.Println()
-		}
-		return nil
-	}); err != nil {
+func (s *session) summary() error {
+	sum, err := experiments.RunSummary(s.ctx, s.env)
+	if err != nil {
 		return err
 	}
+	experiments.WriteSummary(s.out, sum)
+	return s.writeCSV("summary.csv", func(w io.Writer) error {
+		return experiments.SummaryCSV(w, sum)
+	})
+}
 
-	if err := run("matrix", func() error {
-		// The engine matrix defaults to the candidate-heavy synthetic
-		// benchmark, where the horizontal/vertical representation choice
-		// matters most; -dataset widens it.
-		matrixBenches := benches
-		if *ds == "" {
-			heavy, err := experiments.FindBenchmark("T10I4D100K")
-			if err != nil {
-				return err
-			}
-			matrixBenches = []experiments.Benchmark{heavy}
-		}
-		for _, b := range matrixBenches {
-			m, err := experiments.RunMatrix(ctx, b, env, experiments.MatrixSupports(b))
-			if err != nil {
-				return err
-			}
-			experiments.WriteMatrix(os.Stdout, m)
-			fmt.Println()
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	if err := run("ablations", func() error {
-		// Each design choice is measured where it matters: broadcast and the
-		// hash tree on the candidate-heavy synthetic data, the RDD cache on
-		// the largest input file.
+// matrix races YAFIM, RDD-Eclat and MRApriori on one dataset. It defaults
+// to the candidate-heavy synthetic benchmark, where the horizontal/vertical
+// representation choice matters most; -dataset picks another.
+func (s *session) matrix() error {
+	benches := s.benches
+	if s.dataset == "" {
 		heavy, err := experiments.FindBenchmark("T10I4D100K")
 		if err != nil {
 			return err
 		}
-		big, err := experiments.FindBenchmark("Pumsb_star")
+		benches = []experiments.Benchmark{heavy}
+	}
+	for _, b := range benches {
+		m, err := experiments.RunMatrix(s.ctx, b, s.env, experiments.MatrixSupports(b))
 		if err != nil {
 			return err
 		}
-		for _, a := range []struct {
-			b  experiments.Benchmark
-			fn func(context.Context, experiments.Benchmark, experiments.Env) (*experiments.Ablation, error)
-		}{
-			{heavy, experiments.RunBroadcastAblation},
-			{big, experiments.RunCacheAblation},
-			{heavy, experiments.RunHashTreeAblation},
-		} {
-			res, err := a.fn(ctx, a.b, env)
-			if err != nil {
-				return err
-			}
-			experiments.WriteAblation(os.Stdout, res)
-		}
-		return nil
-	}); err != nil {
+		experiments.WriteMatrix(s.out, m)
+		fmt.Fprintln(s.out)
+	}
+	return nil
+}
+
+// ablations measures each design choice where it matters: broadcast and
+// the hash tree on the candidate-heavy synthetic data, the RDD cache on the
+// largest input file.
+func (s *session) ablations() error {
+	heavy, err := experiments.FindBenchmark("T10I4D100K")
+	if err != nil {
 		return err
 	}
-
-	// obs is opt-in only (not part of "all"): it reruns benchmarks purely to
-	// collect telemetry, which would double the cost of a full sweep.
-	if *exp == "obs" {
-		fmt.Println("=== obs: instrumented runs ===")
-		for _, b := range benches {
-			runs, err := experiments.RunObserved(ctx, b, env)
-			if err != nil {
-				return err
-			}
-			for _, r := range runs {
-				fmt.Printf("--- %s / %s (virtual %v) ---\n",
-					r.Dataset, r.Engine, r.Trace.TotalDuration().Round(time.Millisecond))
-				if err := obs.WriteStageTable(os.Stdout, r.Recorder); err != nil {
-					return err
-				}
-				fmt.Println("counters:")
-				if err := obs.WriteCounters(os.Stdout, r.Recorder.Counters()); err != nil {
-					return err
-				}
-				if *traceDir != "" {
-					if err := writeTraceFile(*traceDir, r.Dataset+"_"+r.Engine+".trace.json", r.Recorder); err != nil {
-						return err
-					}
-				}
-			}
-			fmt.Println()
-		}
+	big, err := experiments.FindBenchmark("Pumsb_star")
+	if err != nil {
+		return err
 	}
-
-	// chaos is opt-in only (not part of "all"): it runs every benchmark four
-	// times (fault-free and chaotic, per engine) to measure recovery cost.
-	if *exp == "chaos" {
-		fmt.Println("=== chaos: seeded faults + mitigation ===")
-		params := experiments.DefaultChaosParams(*chaosSeed)
-		params.CrashFrac = *crashFrac
-		for _, b := range benches {
-			c, err := experiments.RunChaos(ctx, b, env, params)
-			if err != nil {
-				return err
-			}
-			experiments.WriteChaos(os.Stdout, c)
-			fmt.Println()
-		}
-	}
-
-	// diag is opt-in only (not part of "all"): it reruns each benchmark per
-	// engine with full telemetry and prints the critical-path and skew
-	// diagnosis. Every diagnosis is validated for internal consistency
-	// (critical path sums to the makespan, bounded Gini and shares, known
-	// straggler causes), so a malformed report fails the command — this is
-	// what `make diag` gates on.
-	if *exp == "diag" {
-		fmt.Println("=== diag: critical path + skew analysis ===")
-		var plan *chaos.Plan
-		if *diagChaos {
-			plan = &chaos.Plan{Seed: *chaosSeed,
-				Stragglers: []chaos.Straggler{{Node: 1, Factor: 4}}}
-			fmt.Printf("chaos: node 1 straggling at 4x (seed %d)\n", *chaosSeed)
-		}
-		for _, b := range benches {
-			runs, err := experiments.RunDiagnosed(ctx, b, env, plan, onRecorder)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteDiagTable(os.Stdout, runs); err != nil {
-				return err
-			}
-			for _, r := range runs {
-				fmt.Printf("--- %s / %s ---\n", r.Dataset, r.Engine)
-				if err := obs.WriteDiagnosis(os.Stdout, r.Diagnosis); err != nil {
-					return err
-				}
-			}
-			fmt.Println()
-		}
-	}
-
-	if *exp == "check" {
-		fmt.Println("=== check: paper claims vs reproduction ===")
-		checks, err := experiments.RunShapeChecks(ctx, env)
+	for _, a := range []struct {
+		b  experiments.Benchmark
+		fn func(context.Context, experiments.Benchmark, experiments.Env) (*experiments.Ablation, error)
+	}{
+		{heavy, experiments.RunBroadcastAblation},
+		{big, experiments.RunCacheAblation},
+		{heavy, experiments.RunHashTreeAblation},
+	} {
+		res, err := a.fn(s.ctx, a.b, s.env)
 		if err != nil {
 			return err
 		}
-		if failed := experiments.WriteChecks(os.Stdout, checks); failed > 0 {
-			return fmt.Errorf("%d claims failed to reproduce", failed)
-		}
-		fmt.Println()
+		experiments.WriteAblation(s.out, res)
 	}
+	return nil
+}
 
-	fmt.Printf("done in %v (real time)\n", time.Since(start).Round(time.Millisecond))
+// check asserts the paper's claims against the reproduction and fails when
+// any does not hold.
+func (s *session) check() error {
+	fmt.Fprintln(s.out, "=== check: paper claims vs reproduction ===")
+	checks, err := experiments.RunShapeChecks(s.ctx, s.env)
+	if err != nil {
+		return err
+	}
+	if failed := experiments.WriteChecks(s.out, checks); failed > 0 {
+		return fmt.Errorf("%d claims failed to reproduce", failed)
+	}
+	fmt.Fprintln(s.out)
+	return nil
+}
+
+// obs runs each benchmark once per parallel engine with a telemetry
+// recorder attached, prints the per-stage skew table and counter totals,
+// and (with -tracedir) writes a Chrome trace-event JSON file per run.
+func (s *session) obs() error {
+	fmt.Fprintln(s.out, "=== obs: instrumented runs ===")
+	for _, b := range s.benches {
+		runs, err := experiments.RunObserved(s.ctx, b, s.env)
+		if err != nil {
+			return err
+		}
+		for _, r := range runs {
+			fmt.Fprintf(s.out, "--- %s / %s (virtual %v) ---\n",
+				r.Dataset, r.Engine, r.Trace.TotalDuration().Round(time.Millisecond))
+			if err := obs.WriteStageTable(s.out, r.Recorder); err != nil {
+				return err
+			}
+			fmt.Fprintln(s.out, "counters:")
+			if err := obs.WriteCounters(s.out, r.Recorder.Counters()); err != nil {
+				return err
+			}
+			if s.traceDir != "" {
+				if err := writeTraceFile(s.traceDir, r.Dataset+"_"+r.Engine+".trace.json", r.Recorder); err != nil {
+					return err
+				}
+			}
+		}
+		fmt.Fprintln(s.out)
+	}
+	return nil
+}
+
+// chaos runs every benchmark four times, fault-free and chaotic per
+// engine, to measure recovery cost.
+func (s *session) chaos() error {
+	fmt.Fprintln(s.out, "=== chaos: seeded faults + mitigation ===")
+	params := experiments.DefaultChaosParams(s.chaosSeed)
+	params.CrashFrac = s.crashFrac
+	for _, b := range s.benches {
+		c, err := experiments.RunChaos(s.ctx, b, s.env, params)
+		if err != nil {
+			return err
+		}
+		experiments.WriteChaos(s.out, c)
+		fmt.Fprintln(s.out)
+	}
+	return nil
+}
+
+// diag reruns each benchmark per engine with full telemetry and prints the
+// critical-path and skew diagnosis. Every diagnosis is validated for
+// internal consistency (critical path sums to the makespan, bounded Gini
+// and shares, known straggler causes), so a malformed report fails the
+// command — this is what `make diag` gates on.
+func (s *session) diag() error {
+	fmt.Fprintln(s.out, "=== diag: critical path + skew analysis ===")
+	var plan *chaos.Plan
+	if s.diagChaos {
+		plan = &chaos.Plan{Seed: s.chaosSeed,
+			Stragglers: []chaos.Straggler{{Node: 1, Factor: 4}}}
+		fmt.Fprintf(s.out, "chaos: node 1 straggling at 4x (seed %d)\n", s.chaosSeed)
+	}
+	onRecorder := func(engine string, rec *obs.Recorder) {
+		cfg := s.env.Spark
+		if engine == "mapreduce" {
+			cfg = s.env.Hadoop
+		}
+		s.served.Store(&servedRun{rec: rec, opts: obs.AnalyzeOptions{Cluster: &cfg}})
+	}
+	for _, b := range s.benches {
+		runs, err := experiments.RunDiagnosed(s.ctx, b, s.env, plan, onRecorder)
+		if err != nil {
+			return err
+		}
+		if err := experiments.WriteDiagTable(s.out, runs); err != nil {
+			return err
+		}
+		for _, r := range runs {
+			fmt.Fprintf(s.out, "--- %s / %s ---\n", r.Dataset, r.Engine)
+			if err := obs.WriteDiagnosis(s.out, r.Diagnosis); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintln(s.out)
+	}
 	return nil
 }
 

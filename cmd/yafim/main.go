@@ -6,7 +6,7 @@
 //	yafim -input retail.dat -support 0.01 [-engine yafim] [-rules 0.8]
 //	yafim -input retail.dat -trace out.json -stats
 //
-// The parallel engines (yafim, mapreduce, son, rddeclat) run on the paper's
+// The parallel engines (yafim, mapreduce, rddeclat) run on the paper's
 // simulated 12-node cluster and report per-pass virtual cluster time; the
 // sequential engines (sequential, eclat, fpgrowth) report real elapsed time.
 //

@@ -1,9 +1,9 @@
 // Enginecompare races every mining engine in the repository on the same
 // dataset: the two parallel algorithms from the paper's world (YAFIM on the
-// Spark-substitute, MRApriori on the Hadoop-substitute), the one-phase SON
-// and the vertical RDD-Eclat, and the sequential oracles (Apriori, Eclat,
-// FP-Growth). All must return identical itemsets; the interesting part is
-// how differently they get there.
+// Spark-substitute, MRApriori on the Hadoop-substitute), the vertical
+// RDD-Eclat, and the sequential oracles (Apriori, Eclat, FP-Growth). All
+// must return identical itemsets; the interesting part is how differently
+// they get there.
 package main
 
 import (

@@ -57,7 +57,7 @@ type JobSpec struct {
 	// default.
 	NumReducers int `json:"num_reducers"`
 	// Cache holds the distributed-cache files by name (the candidate
-	// batches, for the mining jobs). Workers fetch each name once per job
+	// files, for the mining jobs). Workers fetch each name once per job
 	// from the master; Local stages each into its DFS at the name.
 	Cache map[string][]byte `json:"-"`
 }

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptrace"
+	"os"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -48,12 +50,17 @@ func postLease(ctx context.Context, client *http.Client, masterURL string, id in
 	return client.Do(req)
 }
 
-// barrierMapper is word count's mapper with a 200 ms stall on the input's
-// first line, so the map over the first split ends well after the other.
+// barrierItem is the item barrierMapper stalls on. No corpus line holds
+// it, so a test puts it on its input's first line alone.
+const barrierItem = 7
+
+// barrierMapper is word count's mapper with a 200 ms stall on the record
+// holding barrierItem, so the map over the first split ends well after the
+// other.
 type barrierMapper struct{ wordMapper }
 
 func (m barrierMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, led *sim.Ledger) error {
-	if rec.Offset == 0 {
+	if rec.Items.Contains(barrierItem) {
 		time.Sleep(200 * time.Millisecond)
 	}
 	return m.wordMapper.Map(rec, emit, led)
@@ -87,7 +94,11 @@ func barrierType(t *testing.T) string {
 // keep the other worker from running both in time.
 func TestReducesGrantedOnLastMapCompletion(t *testing.T) {
 	typ := barrierType(t)
-	input := writeCorpus(t, 200)
+	corpus, err := os.ReadFile(writeCorpus(t, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := writeInput(t, strconv.Itoa(barrierItem)+"\n"+string(corpus))
 	log := obs.NewEventLog(nil)
 	master, err := StartMaster(MasterOptions{Addr: "127.0.0.1:0", Tuning: holdTuning(2 * time.Second), Log: log})
 	if err != nil {

@@ -24,7 +24,7 @@ import (
 // they were for the next pass.
 func TestCachedPassAllocsFlatInRows(t *testing.T) {
 	spec := mrapriori.CountSpec("count", "", dist.ScratchDir+"/C2",
-		[][]itemset.Itemset{{itemset.New(1, 3)}}, 1, 2, 0)
+		[]itemset.Itemset{itemset.New(1, 3)}, 1, 2, 0)
 	tasks, err := dist.BuildJob(spec.Type, spec.Params, spec.Cache)
 	if err != nil {
 		t.Fatal(err)

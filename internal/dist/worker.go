@@ -433,7 +433,7 @@ func (w *worker) runTask(ctx context.Context, task *TaskSpec) {
 // task from a newer job proves every older job's trees and partitions are
 // dead weight (a resumed master rebinds only the current job's outputs);
 // without this a long-lived worker leaked every finished job's candidate
-// batches and map outputs.
+// files and map outputs.
 func (w *worker) dropStaleCaches(seq int) {
 	w.mu.Lock()
 	for s := range w.jobs {

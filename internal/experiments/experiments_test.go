@@ -262,67 +262,6 @@ func TestFmtDur(t *testing.T) {
 	}
 }
 
-// TestVariants runs the one-phase vs k-phase strategy comparison: all six
-// strategies must agree exactly, SON must use exactly two jobs, and FPC
-// must use fewer jobs than SPC.
-func TestVariants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy experiment test")
-	}
-	env := testEnv()
-	// Few, large chunks keep SON's local mining thresholds meaningful.
-	env.Tasks = 8
-	v, err := RunVariants(context.Background(), PaperBenchmarks()[0], env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Results) != 6 {
-		t.Fatalf("results = %d", len(v.Results))
-	}
-	byName := map[string]VariantResult{}
-	for _, r := range v.Results {
-		byName[r.Name] = r
-	}
-	if byName["SON"].Jobs != 2 {
-		t.Errorf("SON used %d jobs, want 2", byName["SON"].Jobs)
-	}
-	if byName["FPC"].Jobs >= byName["SPC"].Jobs {
-		t.Errorf("FPC jobs (%d) not below SPC's (%d)", byName["FPC"].Jobs, byName["SPC"].Jobs)
-	}
-	if byName["YAFIM"].Duration >= byName["SPC"].Duration {
-		t.Errorf("YAFIM (%v) not faster than SPC (%v)", byName["YAFIM"].Duration, byName["SPC"].Duration)
-	}
-	var sb strings.Builder
-	WriteVariants(&sb, v)
-	if !strings.Contains(sb.String(), "SON") {
-		t.Error("variants output truncated")
-	}
-}
-
-// TestVariantsSkipsExplosiveSON verifies the one-phase guard: with tiny
-// chunks and a low support, SON's local mining would blow up, so the
-// comparison must report it as skipped rather than attempt it.
-func TestVariantsSkipsExplosiveSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy experiment test")
-	}
-	env := testEnv()
-	env.Tasks = 0 // default 192 tasks -> ~2-transaction chunks at this scale
-	v, err := RunVariants(context.Background(), PaperBenchmarks()[0], env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := v.Results[len(v.Results)-1]
-	if last.Name != "SON" || last.Skipped == "" {
-		t.Fatalf("expected SON skipped, got %+v", last)
-	}
-	var sb strings.Builder
-	WriteVariants(&sb, v)
-	if !strings.Contains(sb.String(), "skipped") {
-		t.Error("skip reason not rendered")
-	}
-}
-
 // TestShapeChecksAllPass runs the user-facing claim checker at test scale;
 // every claim must reproduce.
 func TestShapeChecksAllPass(t *testing.T) {

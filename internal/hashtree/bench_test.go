@@ -61,7 +61,7 @@ func BenchmarkCountSupports(b *testing.B) {
 	tree := Build(cands)
 	trs := make([]itemset.Transaction, len(txs))
 	for i, t := range txs {
-		trs[i] = itemset.Transaction{TID: int64(i), Items: t}
+		trs[i] = itemset.Transaction{Items: t}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

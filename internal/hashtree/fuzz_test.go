@@ -81,7 +81,7 @@ func decodeSubsetCase(data []byte) (opts []Option, cands []itemset.Itemset, rows
 		if work += len(cands) * (row.Len() + 1); work > fuzzWorkBudget {
 			break
 		}
-		rows = append(rows, itemset.Transaction{TID: int64(len(rows)), Items: row})
+		rows = append(rows, itemset.Transaction{Items: row})
 	}
 	return opts, cands, rows
 }

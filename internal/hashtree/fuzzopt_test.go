@@ -41,7 +41,7 @@ func TestFuzzSubsetShapes(t *testing.T) {
 			for j := range raw {
 				raw[j] = itemset.Item(rng.Intn(nItems))
 			}
-			txs = append(txs, itemset.Transaction{TID: int64(i), Items: itemset.New(raw...)})
+			txs = append(txs, itemset.Transaction{Items: itemset.New(raw...)})
 		}
 
 		// brute-force reference

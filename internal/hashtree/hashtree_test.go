@@ -122,10 +122,10 @@ func TestBuildPanics(t *testing.T) {
 func TestCountSupports(t *testing.T) {
 	tree := Build(sets([]itemset.Item{1, 2}, []itemset.Item{2, 3}))
 	txs := []itemset.Transaction{
-		{TID: 0, Items: itemset.New(1, 2, 3)},
-		{TID: 1, Items: itemset.New(1, 2)},
-		{TID: 2, Items: itemset.New(2, 3)},
-		{TID: 3, Items: itemset.New(4)},
+		{Items: itemset.New(1, 2, 3)},
+		{Items: itemset.New(1, 2)},
+		{Items: itemset.New(2, 3)},
+		{Items: itemset.New(4)},
 	}
 	counts, ops := tree.CountSupports(txs)
 	if counts[0] != 2 || counts[1] != 2 {

@@ -259,7 +259,7 @@ func TestSignatureTestAtItsEdges(t *testing.T) {
 			if i%4 == 3 {
 				row = randomTransaction(rng, 3*c.k, c.universe+5)
 			}
-			rows = append(rows, itemset.Transaction{TID: int64(i), Items: row})
+			rows = append(rows, itemset.Transaction{Items: row})
 		}
 		// The dense ids, and so the signatures, do not depend on the shape.
 		ref := Build(cands)
@@ -342,7 +342,7 @@ func TestCountSupportsMatchesBruteForce(t *testing.T) {
 		cands := randomCandidates(rng, candidateCount(rng, 120, k, universe), k, universe)
 		txs := make([]itemset.Transaction, rng.Intn(80)+1)
 		for i := range txs {
-			txs[i] = itemset.Transaction{TID: int64(i), Items: randomTransaction(rng, 10, universe)}
+			txs[i] = itemset.Transaction{Items: randomTransaction(rng, 10, universe)}
 		}
 		tree := Build(cands)
 		got, _ := tree.CountSupports(txs)

@@ -264,12 +264,9 @@ func TestDBBasics(t *testing.T) {
 	if db.NumItems() != 6 {
 		t.Fatalf("NumItems = %d, want 6", db.NumItems())
 	}
-	if got := db.Transactions[0].Items; !got.Equal(New(1, 3)) {
-		t.Fatalf("transaction 0 = %v", got)
-	}
-	for i, tr := range db.Transactions {
-		if tr.TID != int64(i) {
-			t.Fatalf("TID[%d] = %d", i, tr.TID)
+	for i, want := range []Itemset{New(1, 3), New(2), New(), New(4, 5)} {
+		if got := db.Transactions[i].Items; !got.Equal(want) {
+			t.Fatalf("transaction %d = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -354,9 +351,6 @@ func TestReplicate(t *testing.T) {
 		t.Fatalf("replicated Len = %d", r.Len())
 	}
 	for i, tr := range r.Transactions {
-		if tr.TID != int64(i) {
-			t.Fatalf("TID[%d] = %d", i, tr.TID)
-		}
 		if want := db.Transactions[i%2].Items; !tr.Items.Equal(want) {
 			t.Fatalf("transaction %d = %v, want %v", i, tr.Items, want)
 		}

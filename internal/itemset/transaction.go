@@ -9,10 +9,10 @@ import (
 	"strconv"
 )
 
-// Transaction is one record of a transactional database: a transaction
-// identifier and the itemset bought/observed together.
+// Transaction is one record of a transactional database: the itemset
+// bought/observed together. A transaction is identified by its index in
+// DB.Transactions.
 type Transaction struct {
-	TID   int64
 	Items Itemset
 }
 
@@ -26,13 +26,13 @@ type DB struct {
 }
 
 // NewDB builds a database from raw item slices. Each transaction is
-// canonicalised (sorted, deduplicated); TIDs are assigned sequentially.
+// canonicalised (sorted, deduplicated).
 func NewDB(name string, rows [][]Item) *DB {
 	db := &DB{Name: name, Transactions: make([]Transaction, len(rows))}
 	maxItem := Item(-1)
 	for i, row := range rows {
 		s := New(row...)
-		db.Transactions[i] = Transaction{TID: int64(i), Items: s}
+		db.Transactions[i] = Transaction{Items: s}
 		if n := len(s); n > 0 && s[n-1] > maxItem {
 			maxItem = s[n-1]
 		}
@@ -155,12 +155,8 @@ func (db *DB) Replicate(times int) *DB {
 		Transactions: make([]Transaction, 0, times*db.Len()),
 		numItems:     db.numItems,
 	}
-	tid := int64(0)
 	for r := 0; r < times; r++ {
-		for _, t := range db.Transactions {
-			out.Transactions = append(out.Transactions, Transaction{TID: tid, Items: t.Items})
-			tid++
-		}
+		out.Transactions = append(out.Transactions, db.Transactions...)
 	}
 	return out
 }
@@ -278,7 +274,7 @@ func ReadDB(name string, r io.Reader) (*DB, error) {
 		if n := len(set); n > 0 && set[n-1] > maxItem {
 			maxItem = set[n-1]
 		}
-		db.Transactions = append(db.Transactions, Transaction{TID: int64(len(db.Transactions)), Items: set})
+		db.Transactions = append(db.Transactions, Transaction{Items: set})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("itemset: reading %s: %w", name, err)

@@ -171,7 +171,7 @@ func splitRecords(chunk []byte) []Record {
 		for _, b := range chunk[start:end] {
 			items = append(items, itemset.Item(b))
 		}
-		recs = append(recs, Record{Offset: int64(start), Len: end - start, Items: items[:len(items):len(items)]})
+		recs = append(recs, Record{Len: end - start, Items: items[:len(items):len(items)]})
 	}
 	for i, b := range chunk {
 		if b%7 == 0 {
@@ -370,7 +370,7 @@ func FuzzParseRun(f *testing.F) {
 
 // FuzzReadRecords checks the record reader against itemset.ParseLine over
 // fuzz bytes cut into lines, as a split starting at byte base yields them:
-// each record holds its line's offset, length and parsed items, its items
+// each record holds its line's length and parsed items, its items
 // are capped at their length so an append cannot overwrite the next
 // record's, and a line ParseLine rejects fails the whole split with an
 // error naming the first such line's offset.
@@ -410,9 +410,9 @@ func FuzzReadRecords(f *testing.F) {
 		}
 		for i, r := range recs {
 			want, _ := itemset.ParseLine(lines[i].Text)
-			if r.Offset != lines[i].Offset || r.Len != len(lines[i].Text) || !r.Items.Equal(want) {
-				t.Fatalf("record %d = %+v, want offset %d, length %d, items %v",
-					i, r, lines[i].Offset, len(lines[i].Text), want)
+			if r.Len != len(lines[i].Text) || !r.Items.Equal(want) {
+				t.Fatalf("record %d = %+v, want length %d, items %v",
+					i, r, len(lines[i].Text), want)
 			}
 			if cap(r.Items) != len(r.Items) {
 				t.Fatalf("record %d's items have capacity %d past their length %d", i, cap(r.Items), len(r.Items))

@@ -44,8 +44,9 @@ type CacheFiles map[string][]byte
 type Mapper interface {
 	// Map processes one input record. Its items are read-only.
 	Map(rec Record, emit Emit, led *sim.Ledger) error
-	// Cleanup runs once per task after the last Map call; split-at-a-time
-	// algorithms (e.g. SON's local mining) buffer in Map and emit here.
+	// Cleanup runs once per task after the last Map call; in-mapper
+	// combiners (e.g. MRApriori's candidate counts) buffer in Map and emit
+	// here.
 	Cleanup(emit Emit, led *sim.Ledger) error
 }
 

@@ -422,7 +422,7 @@ type failPlan struct {
 	left map[any]int
 }
 
-// arm makes the next n map calls on the record at an offset, or reduce
+// arm makes the next n map calls on a record holding an item, or reduce
 // calls on a key, fail.
 func (f *failPlan) arm(at any, n int) {
 	f.mu.Lock()
@@ -451,8 +451,10 @@ type flakyMapper struct {
 }
 
 func (m *flakyMapper) Map(rec Record, emit Emit, led *sim.Ledger) error {
-	if m.plan.fail(rec.Offset) {
-		return errInjected
+	for _, it := range rec.Items {
+		if m.plan.fail(it) {
+			return errInjected
+		}
 	}
 	return m.itemCountMapper.Map(rec, emit, led)
 }
@@ -470,9 +472,9 @@ func (r flakyReducer) Reduce(key string, values []string, emit Emit, led *sim.Le
 }
 
 // flakyJob is the item-count job whose map and reduce calls fail with
-// errInjected as plan arms them. A map task fails when it reaches an armed
-// record, so arming the offset of a split's first record fails that
-// split's task.
+// errInjected as plan arms them. A map task fails when it reaches a record
+// holding an armed item, so arming an item only one split's records hold
+// fails that split's task.
 func flakyJob(plan *failPlan) Job {
 	j := itemCountJob(false)
 	j.NewMapper = func() Mapper { return &flakyMapper{plan: plan} }
@@ -484,8 +486,8 @@ func TestTaskRetryOnInjectedFailure(t *testing.T) {
 	fs := setupFS(t, 16, corpus) // several map tasks
 	r := NewRunnerMust(t, cluster.Local(), fs)
 	var plan failPlan
-	plan.arm(int64(0), 2) // two transient failures of map task 0, then success
-	plan.arm("404", 1)    // one reducer hiccup
+	plan.arm(itemset.Item(20202), 2) // two transient failures of map task 0, then success
+	plan.arm("404", 1)               // one reducer hiccup
 	_, counters, err := r.RunContext(context.Background(), flakyJob(&plan))
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +508,7 @@ func TestTaskFailsAfterMaxAttempts(t *testing.T) {
 	fs := setupFS(t, 1024, corpus)
 	r := NewRunnerMust(t, cluster.Local(), fs)
 	var plan failPlan
-	plan.arm(int64(0), vcluster.MaxTaskAttempts)
+	plan.arm(itemset.Item(20202), vcluster.MaxTaskAttempts)
 	_, _, err := r.RunContext(context.Background(), flakyJob(&plan))
 	if err == nil {
 		t.Fatal("job succeeded despite exhausting all attempts")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"yafim/internal/cluster"
+	"yafim/internal/itemset"
 	"yafim/internal/obs"
 )
 
@@ -79,7 +80,7 @@ func TestRecorderCountsInjectedRetries(t *testing.T) {
 	r := NewRunnerMust(t, cluster.Local(), fs)
 	r.SetRecorder(rec)
 	var plan failPlan
-	plan.arm(int64(20), 2) // fail task 1 (its split starts at byte 20) twice, succeed third
+	plan.arm(itemset.Item(50505), 2) // fail task 1 (its one record, at byte 20, holds 50505) twice, succeed third
 	if _, _, err := r.RunContext(context.Background(), flakyJob(&plan)); err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,7 @@ import (
 // Record is one input record of a map task: a .dat transaction line,
 // parsed.
 type Record struct {
-	Offset int64 // the line's byte offset in its file, Hadoop's map key
-	Len    int   // the line's length in bytes, without its newline
+	Len int // the line's length in bytes, without its newline
 	// Items are the line's canonical items. They are read-only: they share
 	// a backing array with the split's other records, and a worker maps a
 	// cached split again in every later pass.
@@ -47,7 +46,7 @@ func ReadRecords(lines []dfs.Line) ([]Record, error) {
 		if items, err = itemset.AppendLine(items, l.Text); err != nil {
 			return nil, fmt.Errorf("record at offset %d: %w", l.Offset, err)
 		}
-		recs[i] = Record{Offset: l.Offset, Len: len(l.Text), Items: items[start:len(items):len(items)]}
+		recs[i] = Record{Len: len(l.Text), Items: items[start:len(items):len(items)]}
 	}
 	return recs, nil
 }

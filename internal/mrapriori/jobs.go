@@ -3,7 +3,6 @@ package mrapriori
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -26,7 +25,7 @@ const (
 
 // countParams is JobTypeCount's wire parameter blob.
 type countParams struct {
-	// CachePath is the distributed-cache name holding the candidate batch.
+	// CachePath is the distributed-cache name holding the candidate file.
 	CachePath string `json:"cache_path"`
 	// MinCount is the absolute support threshold for reduce-side pruning.
 	MinCount int `json:"min_count"`
@@ -68,15 +67,14 @@ func (itemMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, led *sim.Ledger
 	return nil
 }
 
-// CountSpec describes the exact candidate-counting job: MRApriori submits
-// it for every pass k >= 2 and SON as its second job. The job parses the
-// candidate batch, shipped through the distributed cache as cacheName, into
-// one hash tree per candidate length, and each mapper counts occurrences
-// over its split; the combiner sums partial counts; the reducer keeps the
-// candidates counted at least minCount times. The output holds one
-// <SetKey, count> record per surviving candidate. Zero task counts take the
-// executor's defaults.
-func CountSpec(name, inputPath, cacheName string, batch [][]itemset.Itemset,
+// CountSpec describes the exact candidate-counting job MRApriori submits
+// for every pass k >= 2. The job parses the candidate k-itemsets, shipped
+// through the distributed cache as cacheName, into one hash tree, and each
+// mapper counts occurrences over its split; the combiner sums partial
+// counts; the reducer keeps the candidates counted at least minCount times.
+// The output holds one <SetKey, count> record per surviving candidate. Zero
+// task counts take the executor's defaults.
+func CountSpec(name, inputPath, cacheName string, cands []itemset.Itemset,
 	minCount, reducers, mapTasks int) *dist.JobSpec {
 	// A string and an int always marshal.
 	params, _ := json.Marshal(countParams{CachePath: cacheName, MinCount: minCount})
@@ -87,24 +85,25 @@ func CountSpec(name, inputPath, cacheName string, batch [][]itemset.Itemset,
 		InputPath:   inputPath,
 		NumMaps:     mapTasks,
 		NumReducers: reducers,
-		Cache:       map[string][]byte{cacheName: EncodeCandidates(batch)},
+		Cache:       map[string][]byte{cacheName: EncodeCandidates(cands)},
 	}
 }
 
-// countJob is one counting job's candidate batch, parsed once per job: one
-// hash tree per candidate length and each candidate's key text. Its map
-// tasks only read it, each through its own Matchers.
+// countJob is one counting job's candidates, parsed once per job: their
+// hash tree and each candidate's key text. Its map tasks only read it, each
+// through its own Matcher.
 type countJob struct {
-	trees []*hashtree.Tree
-	keys  [][]string // per tree: candidate index -> emitted key text
-	build float64    // the trees' construction ops, charged to every map task
+	tree  *hashtree.Tree
+	keys  []string // candidate index -> emitted key text
+	build float64  // the tree's construction ops, charged to every map task
 }
 
 // newCountJob builds JobTypeCount: it decodes the params, parses the
-// candidate file from the distributed cache into one hash tree per
-// candidate length and formats every candidate's key. A Hadoop mapper
-// builds its trees in its own setup, so every map task is charged their
-// construction, though an executor builds the job once per process.
+// candidate file from the distributed cache into one hash tree and formats
+// every candidate's key. The file arrives over the wire, so one whose
+// candidates differ in length is rejected. A Hadoop mapper builds its tree
+// in its own setup, so every map task is charged its construction, though
+// an executor builds the job once per process.
 func newCountJob(params []byte, cache mapreduce.CacheFiles) (mapreduce.Tasks, error) {
 	cp, err := decodeCountParams(params)
 	if err != nil {
@@ -114,7 +113,7 @@ func newCountJob(params []byte, cache mapreduce.CacheFiles) (mapreduce.Tasks, er
 	if !ok {
 		return mapreduce.Tasks{}, fmt.Errorf("mrapriori: candidate cache file %s not localised", cp.CachePath)
 	}
-	byLen := map[int][]itemset.Itemset{}
+	var cands []itemset.Itemset
 	for _, line := range strings.Split(string(data), "\n") {
 		if line == "" {
 			continue
@@ -123,26 +122,22 @@ func newCountJob(params []byte, cache mapreduce.CacheFiles) (mapreduce.Tasks, er
 		if err != nil {
 			return mapreduce.Tasks{}, fmt.Errorf("mrapriori: candidate file: %w", err)
 		}
-		byLen[set.Len()] = append(byLen[set.Len()], set)
+		if len(cands) > 0 && set.Len() != cands[0].Len() {
+			return mapreduce.Tasks{}, fmt.Errorf("mrapriori: candidate file %s mixes %d- and %d-itemsets",
+				cp.CachePath, cands[0].Len(), set.Len())
+		}
+		cands = append(cands, set)
 	}
-	if len(byLen) == 0 {
+	if len(cands) == 0 {
 		return mapreduce.Tasks{}, fmt.Errorf("mrapriori: candidate file %s is empty", cp.CachePath)
 	}
-	lengths := make([]int, 0, len(byLen))
-	for k := range byLen {
-		lengths = append(lengths, k)
+	job := &countJob{
+		tree:  hashtree.Build(cands),
+		keys:  make([]string, len(cands)),
+		build: float64(len(cands) * cands[0].Len()),
 	}
-	sort.Ints(lengths) // deterministic tree order
-	job := &countJob{}
-	for _, k := range lengths {
-		cands := byLen[k]
-		keys := make([]string, len(cands))
-		for i, c := range cands {
-			keys[i] = SetKey(c)
-		}
-		job.trees = append(job.trees, hashtree.Build(cands))
-		job.keys = append(job.keys, keys)
-		job.build += float64(len(cands) * k)
+	for i, c := range cands {
+		job.keys[i] = SetKey(c)
 	}
 	return mapreduce.Tasks{
 		NewMapper:   job.newMapper,
@@ -153,25 +148,20 @@ func newCountJob(params []byte, cache mapreduce.CacheFiles) (mapreduce.Tasks, er
 
 // countMapper is the counting job's mapper (Algorithm 3 in MapReduce
 // form). It counts candidate occurrences across the task's whole input
-// split into dense per-tree arrays (in-mapper combining) and emits one
+// split into a dense array (in-mapper combining) and emits one
 // <candidate, count> record per locally occurring candidate at cleanup —
 // instead of one <candidate, 1> record per match, which is what the
 // combiner would otherwise have to crunch back down.
 type countMapper struct {
-	job      *countJob
-	matchers []*hashtree.Matcher
-	counts   [][]int // per tree: dense candidate counts for this split
-	ops      float64 // batched subset-op CPU charges, flushed periodically
-	rows     int
+	job     *countJob
+	matcher *hashtree.Matcher
+	counts  []int   // dense candidate counts for this split
+	ops     float64 // batched subset-op CPU charges, flushed periodically
+	rows    int
 }
 
 func (j *countJob) newMapper() mapreduce.Mapper {
-	m := &countMapper{job: j}
-	for ti, tree := range j.trees {
-		m.matchers = append(m.matchers, tree.NewMatcher())
-		m.counts = append(m.counts, make([]int, len(j.keys[ti])))
-	}
-	return m
+	return &countMapper{job: j, matcher: j.tree.NewMatcher(), counts: make([]int, len(j.keys))}
 }
 
 // opsFlushRows is how many rows of subset-enumeration charges a count
@@ -179,13 +169,11 @@ func (j *countJob) newMapper() mapreduce.Mapper {
 const opsFlushRows = 512
 
 func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
-	led.AddCPU(m.job.build + m.ops) // the trees' construction and the last rows' walks
+	led.AddCPU(m.job.build + m.ops) // the tree's construction and the last rows' walks
 	m.ops = 0
-	for ti, counts := range m.counts {
-		for i, c := range counts {
-			if c != 0 {
-				emit(m.job.keys[ti][i], strconv.Itoa(c))
-			}
+	for i, c := range m.counts {
+		if c != 0 {
+			emit(m.job.keys[i], strconv.Itoa(c))
 		}
 	}
 	return nil
@@ -193,10 +181,8 @@ func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
 
 func (m *countMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, led *sim.Ledger) error {
 	led.AddCPU(float64(rec.Len))
-	for ti, matcher := range m.matchers {
-		counts := m.counts[ti]
-		m.ops += float64(matcher.Subset(rec.Items, func(i int) { counts[i]++ }))
-	}
+	counts := m.counts
+	m.ops += float64(m.matcher.Subset(rec.Items, func(i int) { counts[i]++ }))
 	if m.rows++; m.rows%opsFlushRows == 0 {
 		led.AddCPU(m.ops)
 		m.ops = 0

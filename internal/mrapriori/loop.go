@@ -3,6 +3,7 @@ package mrapriori
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"yafim/internal/apriori"
 	"yafim/internal/dist"
@@ -30,14 +31,6 @@ func Mine(ctx context.Context, ex dist.Executor, inputPath string, cfg Config,
 	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
 		return nil, fmt.Errorf("mrapriori: MinSupport %v out of (0,1]", cfg.MinSupport)
 	}
-	fpcPasses := cfg.FPCPasses
-	if fpcPasses <= 0 {
-		fpcPasses = 3
-	}
-	budget := cfg.DPCBudget
-	if budget <= 0 {
-		budget = 50000
-	}
 
 	// Phase 1: one job counting single items. The reducer cannot know the
 	// relative threshold's absolute value before the input size is known, so
@@ -62,15 +55,9 @@ func Mine(ctx context.Context, ex dist.Executor, inputPath string, cfg Config,
 	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 	rec.ObservePass("mapreduce", 1, int(n))
 
-	var l1 []apriori.SetCount
-	for _, kv := range out.KVs {
-		count, set, err := parseCountedSet(kv)
-		if err != nil {
-			return nil, fmt.Errorf("mrapriori: pass 1 output: %w", err)
-		}
-		if count >= minCount {
-			l1 = append(l1, apriori.SetCount{Set: set, Count: count})
-		}
+	l1, err := parseLevel(out.KVs, 1, minCount)
+	if err != nil {
+		return nil, fmt.Errorf("mrapriori: pass 1 output: %w", err)
 	}
 
 	res := &apriori.Result{MinSupport: minCount}
@@ -84,84 +71,65 @@ func Mine(ctx context.Context, ex dist.Executor, inputPath string, cfg Config,
 	}
 	res.Levels = append(res.Levels, apriori.NewLevel(1, l1))
 
-	// Phases 2..k: one job per candidate batch.
+	// Phases 2..k: one job per candidate length.
 	prev := apriori.SetsOf(l1)
-	k := 2
-	for cfg.MaxK == 0 || k <= cfg.MaxK {
+	for k := 2; cfg.MaxK == 0 || k <= cfg.MaxK; k++ {
 		if err := exec.ContextErr(ctx); err != nil {
 			return nil, fmt.Errorf("mrapriori: pass %d: %w", k, err)
 		}
-		batch, err := generateBatch(prev, cfg.Variant, fpcPasses, budget, cfg.MaxK, k)
+		cands, err := apriori.Gen(prev)
 		if err != nil {
 			return nil, fmt.Errorf("mrapriori: pass %d: %w", k, err)
 		}
-		if len(batch) == 0 {
+		if len(cands) == 0 {
 			break
 		}
 		rec.SetPass(k)
 		passMark = rec.Counters()
-		for i, cands := range batch {
-			rec.ObservePass("mapreduce", k+i, len(cands))
-		}
+		rec.ObservePass("mapreduce", k, len(cands))
 		out, err := ex.ExecJob(ctx, CountSpec(fmt.Sprintf("apriori-pass%d", k), inputPath,
-			fmt.Sprintf("%s/C%d", dist.ScratchDir, k), batch, minCount,
+			fmt.Sprintf("%s/C%d", dist.ScratchDir, k), cands, minCount,
 			cfg.NumReducers, cfg.NumMapTasks))
 		if err != nil {
 			return nil, fmt.Errorf("mrapriori: pass %d: %w", k, err)
 		}
-		levels, err := SplitLevels(out.KVs, k, len(batch))
+		lk, err := parseLevel(out.KVs, k, minCount)
 		if err != nil {
 			return nil, fmt.Errorf("mrapriori: pass %d: %w", k, err)
 		}
-
-		// Attribute the job's full duration (and counter activity) to the
-		// first level of the batch; levels sharing the job report zero
-		// incremental time.
-		stop := false
-		for i, cands := range batch {
-			lk := levels[i]
-			stat := apriori.PassStat{K: k + i, Candidates: len(cands), Frequent: len(lk)}
-			if i == 0 {
-				stat.Duration = out.Duration
-				stat.Counters = rec.Counters().Sub(passMark)
-			}
-			trace.Passes = append(trace.Passes, stat)
-			if len(lk) == 0 {
-				stop = true
-				break
-			}
-			res.Levels = append(res.Levels, apriori.NewLevel(k+i, lk))
-			prev = apriori.SetsOf(lk)
-		}
-		if stop {
+		trace.Passes = append(trace.Passes, apriori.PassStat{
+			K: k, Candidates: len(cands), Frequent: len(lk), Duration: out.Duration,
+			Counters: rec.Counters().Sub(passMark),
+		})
+		if len(lk) == 0 {
 			break
 		}
-		k += len(batch)
+		res.Levels = append(res.Levels, apriori.NewLevel(k, lk))
+		prev = apriori.SetsOf(lk)
 	}
 	return trace, nil
 }
 
-// SplitLevels parses the counting job's output and splits the surviving
-// itemsets back into the batchLen candidate levels starting at length k: a
-// batch job counts several lengths at once under FPC/DPC, and SON counts
-// every length at once. The levels come back unsorted; apriori.NewLevel
-// sorts them.
-func SplitLevels(kvs []mapreduce.KV, k, batchLen int) ([][]apriori.SetCount, error) {
-	levels := make([][]apriori.SetCount, batchLen)
+// parseLevel parses a counting job's output into its k-itemsets counted at
+// least minCount times. The level comes back unsorted; apriori.NewLevel
+// sorts it.
+func parseLevel(kvs []mapreduce.KV, k, minCount int) ([]apriori.SetCount, error) {
+	var level []apriori.SetCount
 	for _, kv := range kvs {
-		count, set, err := parseCountedSet(kv)
+		count, err := strconv.Atoi(kv.Value)
+		if err != nil {
+			return nil, fmt.Errorf("bad count %q for key %q", kv.Value, kv.Key)
+		}
+		set, err := ParseSet(kv.Key)
 		if err != nil {
 			return nil, err
 		}
-		idx := set.Len() - k
-		if idx < 0 || idx >= batchLen {
-			return nil, fmt.Errorf("unexpected %d-itemset in output counting lengths %d..%d",
-				set.Len(), k, k+batchLen-1)
+		if set.Len() != k {
+			return nil, fmt.Errorf("unexpected %d-itemset in output counting %d-itemsets", set.Len(), k)
 		}
-		// A speculative level may be frequent only through itemsets whose
-		// true k-subsets turned out infrequent; exact counting makes them
-		// valid frequent itemsets regardless, so no re-pruning is needed.
-		levels[idx] = append(levels[idx], apriori.SetCount{Set: set, Count: count})
+		if count >= minCount {
+			level = append(level, apriori.SetCount{Set: set, Count: count})
+		}
 	}
-	return levels, nil
+	return level, nil
 }

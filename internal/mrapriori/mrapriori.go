@@ -7,11 +7,6 @@
 // hash tree YAFIM uses, and commits the frequent itemsets back to the DFS —
 // paying job startup and input I/O on every iteration.
 //
-// The package also implements the SPC/FPC/DPC family of Lin et al.
-// (reference [17]): SPC is the plain one-job-per-pass algorithm; FPC
-// merges a fixed number of speculative candidate levels into each job; DPC
-// merges levels dynamically under a candidate budget.
-//
 // Every job is submitted through a dist.Executor as a registered job type,
 // so one driver runs on the virtual-time simulator (dist.Local) and on the
 // real multi-process runtime (dist.Master).
@@ -22,35 +17,8 @@ import (
 	"strconv"
 	"strings"
 
-	"yafim/internal/apriori"
 	"yafim/internal/itemset"
-	"yafim/internal/mapreduce"
 )
-
-// Variant selects the pass-combining strategy.
-type Variant int
-
-const (
-	// SPC runs one MapReduce job per candidate length (PApriori/MRApriori).
-	SPC Variant = iota
-	// FPC combines a fixed number of speculative candidate levels per job.
-	FPC
-	// DPC combines candidate levels dynamically under a candidate budget.
-	DPC
-)
-
-func (v Variant) String() string {
-	switch v {
-	case SPC:
-		return "SPC"
-	case FPC:
-		return "FPC"
-	case DPC:
-		return "DPC"
-	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
-	}
-}
 
 // Config parameterises a mining run.
 type Config struct {
@@ -60,67 +28,18 @@ type Config struct {
 	NumReducers int
 	// MaxK stops after frequent itemsets of this size (0 = unbounded).
 	MaxK int
-	// Variant selects SPC (default), FPC or DPC.
-	Variant Variant
-	// FPCPasses is the number of candidate levels per job under FPC
-	// (default 3, the value Lin et al. study).
-	FPCPasses int
-	// DPCBudget caps the combined candidate count per job under DPC
-	// (default 50000).
-	DPCBudget int
 	// NumMapTasks is a minimum map-task count hint per job (0 = executor
 	// default).
 	NumMapTasks int
 }
 
-// generateBatch produces the candidate levels for the next job, starting at
-// length k: one level for SPC, a fixed count for FPC, and as many as fit the
-// candidate budget for DPC. Speculative levels are generated by treating the
-// previous candidates as if frequent, which preserves completeness because
-// Gen is monotone in its input family.
-func generateBatch(prev []itemset.Itemset, v Variant, fpcPasses, budget, maxK, k int) ([][]itemset.Itemset, error) {
-	levels := 1
-	switch v {
-	case SPC:
-	case FPC:
-		levels = fpcPasses
-	case DPC:
-		levels = 1 << 30 // bounded by the budget below
-	default:
-		return nil, fmt.Errorf("unknown variant %v", v)
-	}
-	var batch [][]itemset.Itemset
-	total := 0
-	for i := 0; i < levels; i++ {
-		if maxK != 0 && k+i > maxK {
-			break
-		}
-		cands, err := apriori.Gen(prev)
-		if err != nil {
-			return nil, err
-		}
-		if len(cands) == 0 {
-			break
-		}
-		if v == DPC && len(batch) > 0 && total+len(cands) > budget {
-			break
-		}
-		batch = append(batch, cands)
-		total += len(cands)
-		prev = cands
-	}
-	return batch, nil
-}
-
-// EncodeCandidates renders candidate levels as the counting job's candidate
-// file: one SetKey per line.
-func EncodeCandidates(batch [][]itemset.Itemset) []byte {
+// EncodeCandidates renders one candidate level as the counting job's
+// candidate file: one SetKey per line.
+func EncodeCandidates(cands []itemset.Itemset) []byte {
 	var sb strings.Builder
-	for _, cands := range batch {
-		for _, c := range cands {
-			sb.WriteString(SetKey(c))
-			sb.WriteByte('\n')
-		}
+	for _, c := range cands {
+		sb.WriteString(SetKey(c))
+		sb.WriteByte('\n')
 	}
 	return []byte(sb.String())
 }
@@ -147,16 +66,4 @@ func ParseSet(text string) (itemset.Itemset, error) {
 		err = fmt.Errorf("empty itemset text")
 	}
 	return set, err
-}
-
-func parseCountedSet(kv mapreduce.KV) (int, itemset.Itemset, error) {
-	count, err := strconv.Atoi(kv.Value)
-	if err != nil {
-		return 0, nil, fmt.Errorf("bad count %q for key %q", kv.Value, kv.Key)
-	}
-	set, err := ParseSet(kv.Key)
-	if err != nil {
-		return 0, nil, err
-	}
-	return count, set, nil
 }

@@ -43,25 +43,22 @@ func mineSim(runner *mapreduce.Runner, fs *dfs.FileSystem, path string, cfg Conf
 }
 
 func TestMineMatchesSequentialOracle(t *testing.T) {
-	for _, v := range []Variant{SPC, FPC, DPC} {
-		t.Run(v.String(), func(t *testing.T) {
-			runner, fs, path := stage(t, classicDB())
-			got, err := mineSim(runner, fs, path, Config{
-				MinSupport: 2.0 / 9.0, Variant: v,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := apriori.Mine(classicDB(), 2.0/9.0, apriori.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Result.Equal(want) {
-				t.Fatalf("%v disagrees with oracle:\n got %v\nwant %v",
-					v, got.Result.All(), want.All())
-			}
-		})
-	}
+	// SPC (one candidate level counted per job) is the counting strategy
+	// MRApriori runs.
+	t.Run("SPC", func(t *testing.T) {
+		runner, fs, path := stage(t, classicDB())
+		got, err := mineSim(runner, fs, path, Config{MinSupport: 2.0 / 9.0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := apriori.Mine(classicDB(), 2.0/9.0, apriori.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Result.Equal(want) {
+			t.Fatalf("disagrees with oracle:\n got %v\nwant %v", got.Result.All(), want.All())
+		}
+	})
 }
 
 func TestSPCRunsOneJobPerPass(t *testing.T) {
@@ -86,35 +83,6 @@ func TestSPCRunsOneJobPerPass(t *testing.T) {
 	}
 }
 
-func TestFPCUsesFewerJobs(t *testing.T) {
-	runnerSPC, fsS, pathS := stage(t, classicDB())
-	if _, err := mineSim(runnerSPC, fsS, pathS, Config{MinSupport: 2.0 / 9.0, Variant: SPC}); err != nil {
-		t.Fatal(err)
-	}
-	runnerFPC, fsF, pathF := stage(t, classicDB())
-	if _, err := mineSim(runnerFPC, fsF, pathF, Config{MinSupport: 2.0 / 9.0, Variant: FPC, FPCPasses: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if len(runnerFPC.Reports()) >= len(runnerSPC.Reports()) {
-		t.Fatalf("FPC jobs = %d, SPC jobs = %d", len(runnerFPC.Reports()), len(runnerSPC.Reports()))
-	}
-}
-
-func TestDPCBudgetForcesSplit(t *testing.T) {
-	// A budget of 1 candidate degenerates DPC to SPC-like batching.
-	runner, fs, path := stage(t, classicDB())
-	got, err := mineSim(runner, fs, path, Config{
-		MinSupport: 2.0 / 9.0, Variant: DPC, DPCBudget: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := apriori.Mine(classicDB(), 2.0/9.0, apriori.Options{})
-	if !got.Result.Equal(want) {
-		t.Fatal("DPC with tiny budget lost results")
-	}
-}
-
 func TestMineInvalidInputs(t *testing.T) {
 	runner, fs, path := stage(t, classicDB())
 	if _, err := mineSim(runner, fs, path, Config{MinSupport: 0}); err == nil {
@@ -122,9 +90,6 @@ func TestMineInvalidInputs(t *testing.T) {
 	}
 	if _, err := mineSim(runner, fs, "/missing", Config{MinSupport: 0.5}); err == nil {
 		t.Error("missing input accepted")
-	}
-	if _, err := mineSim(runner, fs, path, Config{MinSupport: 0.5, Variant: Variant(9)}); err == nil {
-		t.Error("unknown variant accepted")
 	}
 	bad := dfs.New(2)
 	if err := bad.WriteFile("/bad.dat", []byte("1 oops\n"), nil); err != nil {
@@ -178,25 +143,21 @@ func TestMineCountsEmptyTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []Variant{SPC, FPC, DPC} {
-		runner, fs, path := stage(t, db)
-		got, err := mineSim(runner, fs, path, Config{MinSupport: 0.25, Variant: v})
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if !got.Result.Equal(want) {
-			t.Fatalf("%v: got %v, want %v", v, got.Result.All(), want.All())
-		}
+	runner, fs, path := stage(t, db)
+	got, err := mineSim(runner, fs, path, Config{MinSupport: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Result.Equal(want) {
+		t.Fatalf("got %v, want %v", got.Result.All(), want.All())
 	}
 }
 
-// Property: every variant agrees with the sequential oracle on random
-// inputs — and therefore all variants agree with each other.
+// Property: MRApriori agrees with the sequential oracle on random inputs.
 func TestVariantsMatchOracleProperty(t *testing.T) {
-	f := func(seed int64, sup8, v8 uint8) bool {
+	f := func(seed int64, sup8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sup := 0.15 + float64(sup8%7)/10.0
-		variant := Variant(v8 % 3)
 		rows := make([][]itemset.Item, rng.Intn(15)+5)
 		for i := range rows {
 			n := rng.Intn(5) + 1
@@ -213,9 +174,7 @@ func TestVariantsMatchOracleProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := mineSim(runner, fs, "/r.dat", Config{
-			MinSupport: sup, Variant: variant, FPCPasses: 2, DPCBudget: 10,
-		})
+		got, err := mineSim(runner, fs, "/r.dat", Config{MinSupport: sup})
 		if err != nil {
 			return false
 		}

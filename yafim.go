@@ -40,7 +40,6 @@ import (
 	"yafim/internal/rdd"
 	"yafim/internal/rddeclat"
 	"yafim/internal/rules"
-	"yafim/internal/son"
 	"yafim/internal/yafim"
 )
 
@@ -226,9 +225,9 @@ func LoadFile(name, path string) (*DB, error) { return dataset.LoadFile(name, pa
 func SaveFile(db *DB, path string) error { return dataset.SaveFile(db, path) }
 
 // Engine selects a mining implementation. Each one earns its place: the
-// paper's algorithm and its comparator, one related-work algorithm and one
-// representation alternative that the experiments race against them, and
-// three independent sequential oracles.
+// paper's algorithm and its comparator, one representation alternative
+// that the experiments race against them, and three independent sequential
+// oracles.
 type Engine int
 
 const (
@@ -246,10 +245,6 @@ const (
 	EngineEclat
 	// EngineFPGrowth is the candidate-free FP-tree oracle.
 	EngineFPGrowth
-	// EngineSON is the one-phase SON algorithm on MapReduce (§III): local
-	// mining per input split, then the same exact counting job MRApriori
-	// runs for each of its passes.
-	EngineSON
 	// EngineRDDEclat is RDD-Eclat on the RDD engine: equivalence-class-
 	// partitioned Eclat with dense word-at-a-time bitset tidlist kernels,
 	// the vertical column of the engine matrix.
@@ -268,7 +263,6 @@ var engineTable = [...]struct {
 	EngineSequential: {"sequential", nil},
 	EngineEclat:      {"eclat", nil},
 	EngineFPGrowth:   {"fpgrowth", nil},
-	EngineSON:        {"son", cluster.PaperHadoop},
 	EngineRDDEclat:   {"rddeclat", cluster.PaperSpark},
 }
 
@@ -292,7 +286,7 @@ func (e Engine) String() string {
 
 // DefaultCluster returns the simulated cluster a parallel engine runs on
 // when Options.Cluster is nil: the paper's testbed in the Spark profile for
-// the RDD engines and in the Hadoop profile for the MapReduce engines. It
+// the RDD engines and in the Hadoop profile for the MapReduce engine. It
 // reports false for the sequential engines, which run natively.
 func (e Engine) DefaultCluster() (Cluster, bool) {
 	if !e.valid() || engineTable[e].cluster == nil {
@@ -329,7 +323,7 @@ type Options struct {
 	// Chaos, when non-nil, injects the seeded fault plan into the parallel
 	// engines (yafim, mapreduce, rddeclat); mining results are unaffected —
 	// only the virtual timeline shows the faults and their mitigation.
-	// SON and the sequential engines ignore it.
+	// The sequential engines ignore it.
 	Chaos *ChaosPlan
 	// Deadline, when positive, bounds the run's real (wall-clock) time. A
 	// run that exceeds it returns an error matching ErrDeadlineExceeded
@@ -419,10 +413,6 @@ func MineContext(ctx context.Context, db *DB, minSupport float64, opts Options) 
 		return timed(ctx, opts.MaxK, func() (*Result, error) { return eclat.Mine(db, minSupport) })
 	case EngineFPGrowth:
 		return timed(ctx, opts.MaxK, func() (*Result, error) { return fpgrowth.Mine(db, minSupport) })
-	case EngineSON:
-		trace, _, err := experiments.RunSON(ctx, db, minSupport, cfg, tasks(opts, cfg),
-			son.Config{MaxK: opts.MaxK}, opts.Recorder)
-		return trace, err
 	case EngineRDDEclat:
 		trace, _, err := experiments.RunRDDEclat(ctx, db, minSupport, cfg, tasks(opts, cfg),
 			rddeclat.Config{MaxK: opts.MaxK}, rddOptions(opts)...)

@@ -17,15 +17,15 @@ func exampleDB() *DB {
 }
 
 // TestAllEnginesAgree is the repository's headline integration test: every
-// engine — parallel YAFIM, parallel MapReduce, one-phase SON, RDD-Eclat and
-// the sequential Apriori, Eclat and FP-Growth oracles — must produce
-// byte-identical frequent itemsets.
+// engine — parallel YAFIM, parallel MapReduce, RDD-Eclat and the sequential
+// Apriori, Eclat and FP-Growth oracles — must produce byte-identical
+// frequent itemsets.
 func TestAllEnginesAgree(t *testing.T) {
 	db := exampleDB()
 	local := ClusterLocal()
 	engines := Engines()
-	if len(engines) != 7 {
-		t.Fatalf("facade has %d engines, want 7", len(engines))
+	if len(engines) != 6 {
+		t.Fatalf("facade has %d engines, want 6", len(engines))
 	}
 	var first *Result
 	for _, e := range engines {
@@ -97,7 +97,7 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
 		}
 	}
-	for _, gone := range []string{"hive", "dhp", "partition", "toivonen", "aprioritid", "disteclat"} {
+	for _, gone := range []string{"hive", "dhp", "partition", "toivonen", "aprioritid", "disteclat", "son"} {
 		if _, err := ParseEngine(gone); err == nil {
 			t.Errorf("engine name %q parsed", gone)
 		}
@@ -105,13 +105,12 @@ func TestParseEngine(t *testing.T) {
 }
 
 // TestEngineDefaultClusters pins where each engine runs: the RDD engines on
-// the Spark profile, the MapReduce engines on the Hadoop profile, and the
+// the Spark profile, the MapReduce engine on the Hadoop profile, and the
 // oracles natively.
 func TestEngineDefaultClusters(t *testing.T) {
 	spark, hadoop := ClusterSpark(), ClusterHadoop()
 	want := map[Engine]*Cluster{
-		EngineYAFIM: &spark, EngineRDDEclat: &spark,
-		EngineMapReduce: &hadoop, EngineSON: &hadoop,
+		EngineYAFIM: &spark, EngineRDDEclat: &spark, EngineMapReduce: &hadoop,
 		EngineSequential: nil, EngineEclat: nil, EngineFPGrowth: nil,
 	}
 	for _, e := range Engines() {
