@@ -7,16 +7,17 @@
 //	go test -run '^$' -bench Pass2 -benchmem . | go run ./cmd/benchjson > BENCH.json
 //
 // Check mode compares a committed baseline against a fresh run and exits
-// nonzero when a gated metric regressed beyond the tolerance:
+// nonzero when a gated metric moved:
 //
 //	go run ./cmd/benchjson -check BENCH_9.json bench-current.json
 //
-// Only machine-independent metrics gate: B/op (real allocation rate of the
-// counting kernels) and every custom metric containing "virt-sec" (the
-// simulated cluster time, which is deterministic) or "resident-bytes" (the
-// shuffle lifecycle manager's deterministic peak/final spill residency).
-// ns/op depends on the CI host and is recorded but never gated; allocs/op
-// is recorded for the trajectory and gated alongside B/op.
+// ns/op depends on the host and is recorded but never gated. B/op and
+// allocs/op, the real allocation rate, fail a rise of more than the
+// tolerance plus one unit. Every other metric is a deterministic figure —
+// simulated cluster seconds (virt-sec), shuffle residency (*-resident-bytes)
+// and counts such as cands, matched, frequent, records, items, frame-bytes,
+// critical-steps and stragglers — and must equal its baseline exactly, so
+// a fall fails as a rise does: either means the work itself changed.
 package main
 
 import (
@@ -57,7 +58,7 @@ func main() {
 	check := flag.Bool("check", false,
 		"compare two JSON files (baseline, current) instead of parsing stdin")
 	tolerance := flag.Float64("tolerance", 0.20,
-		"allowed fractional increase of a gated metric before failing")
+		"allowed fractional increase of B/op and allocs/op before failing")
 	flag.Parse()
 
 	if *check {
@@ -78,8 +79,8 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("benchjson: %d benchmarks within %.0f%% of baseline %s\n",
-			len(base.Benchmarks), *tolerance*100, flag.Arg(0))
+		fmt.Printf("benchjson: %d benchmarks match baseline %s (B/op and allocs/op within %.0f%%)\n",
+			len(base.Benchmarks), flag.Arg(0), *tolerance*100)
 		return
 	}
 
@@ -181,25 +182,10 @@ func load(path string) (*Doc, error) {
 	return &doc, nil
 }
 
-// gated reports whether a metric participates in the regression gate.
-// Wall-clock rates (ns/op, MB/s) vary with the host and are excluded.
-func gated(unit string) bool {
-	switch {
-	case unit == "B/op", unit == "allocs/op":
-		return true
-	case strings.Contains(unit, "virt-sec"):
-		return true
-	case strings.Contains(unit, "resident-bytes"):
-		// Deterministic virtual quantity like virt-sec: peak shuffle spill
-		// held in executor memory must not creep back up.
-		return true
-	}
-	return false
-}
-
-// compare returns one message per gated regression. Every baseline
-// benchmark must still exist in the current run — a vanished benchmark is
-// a silent gate bypass, so it fails too.
+// compare returns one message per gated metric that moved: B/op or
+// allocs/op beyond the tolerance, or any other metric but ns/op away from
+// its baseline. Every baseline benchmark and metric must still exist in the
+// current run — a vanished one is a silent gate bypass, so it fails too.
 func compare(base, cur *Doc, tolerance float64) []string {
 	curByName := map[string]Benchmark{}
 	for _, b := range cur.Benchmarks {
@@ -219,7 +205,7 @@ func compare(base, cur *Doc, tolerance float64) []string {
 		}
 		sort.Strings(units)
 		for _, unit := range units {
-			if !gated(unit) {
+			if unit == "ns/op" {
 				continue
 			}
 			want := b.Metrics[unit]
@@ -229,17 +215,25 @@ func compare(base, cur *Doc, tolerance float64) []string {
 					fmt.Sprintf("%s: metric %s missing from current run", b.Name, unit))
 				continue
 			}
-			// One absolute unit of slack on top of the fractional tolerance:
-			// tiny integer metrics (an allocs/op of 4 whose pool warm-up
-			// sometimes lands on 5) would otherwise flake the gate, while a
-			// single unit is far below noise for every metric large enough
-			// to regress meaningfully. It also covers the zero baseline,
-			// which cannot scale by a tolerance.
-			limit := want*(1+tolerance) + 1
-			if got > limit {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %s grew %.4g -> %.4g (limit %.4g at %.0f%% tolerance)",
-					b.Name, unit, want, got, limit, tolerance*100))
+			switch unit {
+			case "B/op", "allocs/op":
+				// One absolute unit of slack on top of the fractional
+				// tolerance: tiny integer metrics (an allocs/op of 4 whose
+				// pool warm-up sometimes lands on 5) would otherwise flake
+				// the gate, while a single unit is far below noise for
+				// every metric large enough to regress meaningfully. It
+				// also covers the zero baseline, which cannot scale by a
+				// tolerance.
+				if limit := want*(1+tolerance) + 1; got > limit {
+					failures = append(failures, fmt.Sprintf(
+						"%s: %s grew %.4g -> %.4g (limit %.4g at %.0f%% tolerance)",
+						b.Name, unit, want, got, limit, tolerance*100))
+				}
+			default:
+				if got != want {
+					failures = append(failures, fmt.Sprintf(
+						"%s: %s moved %v -> %v (must equal its baseline)", b.Name, unit, want, got))
+				}
 			}
 		}
 	}

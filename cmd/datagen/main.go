@@ -83,8 +83,12 @@ func run() error {
 	if err := yafim.SaveFile(db, *out); err != nil {
 		return err
 	}
+	fi, err := os.Stat(*out)
+	if err != nil {
+		return err
+	}
 	st := db.ComputeStats()
 	fmt.Printf("wrote %s: %d transactions, %d items, avg length %.1f (%d bytes)\n",
-		*out, st.NumTransactions, st.NumItems, st.AvgLength, db.TotalBytes())
+		*out, st.NumTransactions, st.NumItems, st.AvgLength, fi.Size())
 	return nil
 }

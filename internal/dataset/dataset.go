@@ -5,8 +5,11 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"yafim/internal/dfs"
 	"yafim/internal/itemset"
@@ -26,21 +29,40 @@ func Stage(fs *dfs.FileSystem, path string, db *itemset.DB) (int64, error) {
 	return n, nil
 }
 
-// LoadFile reads a .dat transaction file from the local file system. Parse
-// failures carry file:line context and wrap the underlying cause (e.g. the
-// *strconv.NumError for a non-numeric token), so callers can both display a
-// precise location and inspect the cause with errors.As.
+// LoadFile reads a .dat transaction file from the local file system. It
+// reads the whole file first, into one string, then parses its lines,
+// substrings of that string, by itemset.ParseLines, the parser every engine
+// reads its input with; so a line may be of any length, and a blank line
+// is the empty transaction. Parse failures carry file:line context and
+// wrap the underlying cause (e.g. the *strconv.NumError for a non-numeric
+// token), so callers can both display a precise location and inspect the
+// cause with errors.As.
 func LoadFile(name, path string) (*itemset.DB, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	defer f.Close()
-	db, err := itemset.ReadDB(name, f)
+	var text strings.Builder
+	if fi, err := f.Stat(); err == nil {
+		text.Grow(int(fi.Size()))
+	}
+	if _, err := io.Copy(&text, f); err != nil {
+		return nil, fmt.Errorf("dataset: reading %s: %w", path, err)
+	}
+	lines := strings.Split(text.String(), "\n")
+	if lines[len(lines)-1] == "" {
+		lines = lines[:len(lines)-1] // the last newline ends a line, it starts none
+	}
+	sets, err := itemset.ParseLines(len(lines), func(i int) string { return lines[i] })
 	if err != nil {
+		var le *itemset.LineError
+		if errors.As(err, &le) {
+			err = fmt.Errorf("%s:%d: %w", name, le.Index+1, le.Err)
+		}
 		return nil, fmt.Errorf("dataset: parsing %s: %w", path, err)
 	}
-	return db, nil
+	return itemset.DBFromSets(name, sets), nil
 }
 
 // SaveFile writes db to the local file system in .dat format.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,12 +23,12 @@ func TestStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != sample().TotalBytes() {
-		t.Fatalf("staged %d bytes, want %d", n, sample().TotalBytes())
-	}
 	data, err := fs.ReadFile("/d/sample.dat", nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n != int64(len(data)) {
+		t.Fatalf("Stage reported %d bytes, staged %d", n, len(data))
 	}
 	if string(data) != "1 2\n3\n10 20 30\n" {
 		t.Fatalf("staged content %q", data)
@@ -50,6 +51,61 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if back.Len() != 3 || !back.Transactions[2].Items.Equal(itemset.New(10, 20, 30)) {
 		t.Fatalf("round trip mismatch: %+v", back.Transactions)
 	}
+}
+
+// TestWriteReadRoundTrip reads back what WriteTo writes, and checks the
+// byte count WriteTo reports.
+func TestWriteReadRoundTrip(t *testing.T) {
+	db := itemset.NewDB("toy", [][]itemset.Item{{10, 2}, {7}, {100, 200, 300}})
+	var sb strings.Builder
+	n, err := db.WriteTo(&sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(sb.Len()) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, sb.Len())
+	}
+	path := filepath.Join(t.TempDir(), "toy.dat")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadFile("toy", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(itemsOf(back), itemsOf(db)) {
+		t.Fatalf("round trip mismatch: %v vs %v", itemsOf(back), itemsOf(db))
+	}
+}
+
+// TestLoadFileBlankLines reads a blank line as the empty transaction, as
+// every engine that reads the file as text splits does.
+func TestLoadFileBlankLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "blank.dat")
+	if err := os.WriteFile(path, []byte("\n\n1 2\n\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := LoadFile("blank", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []itemset.Itemset{{}, {}, {1, 2}, {}}
+	if db.Len() != len(want) {
+		t.Fatalf("read %d transactions, want %d", db.Len(), len(want))
+	}
+	for i, tr := range db.Transactions {
+		if !tr.Items.Equal(want[i]) {
+			t.Errorf("transaction %d = %v, want %v", i, tr.Items, want[i])
+		}
+	}
+}
+
+func itemsOf(db *itemset.DB) [][]itemset.Item {
+	out := make([][]itemset.Item, db.Len())
+	for i, t := range db.Transactions {
+		out[i] = t.Items
+	}
+	return out
 }
 
 func TestLoadFileErrors(t *testing.T) {

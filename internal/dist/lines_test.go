@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"yafim/internal/dataset"
 	"yafim/internal/dfs"
+	"yafim/internal/mapreduce"
 )
 
 // writeInput writes content to a temp file and returns its path.
@@ -149,6 +151,9 @@ func TestReadSplitPastEOFYieldsNothing(t *testing.T) {
 // range that holds its start — a line starting at offset 0 from the first
 // range, any other from the range with offset < start <= offset+length.
 // The seeds include lines longer than the reader's 4096-byte read-ahead.
+// LoadFile of the same bytes cuts the same lines: it fails exactly when
+// some range's readRecords fails, and otherwise its transactions are the
+// ranges' records, in order.
 //
 // Each pair of cut bytes is one big-endian cut point, taken modulo
 // len(data)+1.
@@ -173,12 +178,17 @@ func FuzzReadSplitMatchesDFS(f *testing.F) {
 
 		want := allLines(data)
 		next := 0
+		var recs []mapreduce.Record
+		parsed := true
 		for i := 0; i+1 < len(bounds); i++ {
 			off, length := bounds[i], bounds[i+1]-bounds[i]
 			got, err := readSplit(Split{Path: path, Offset: off, Length: length})
 			if err != nil {
 				t.Fatal(err)
 			}
+			rangeRecs, err := readRecords(Split{Path: path, Offset: off, Length: length})
+			recs = append(recs, rangeRecs...)
+			parsed = parsed && err == nil
 			sim, err := fs.ReadLinesContext(context.Background(), dfs.Split{Path: "/in", Offset: off, Length: length}, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -203,6 +213,22 @@ func FuzzReadSplitMatchesDFS(f *testing.F) {
 		}
 		if next != len(want) {
 			t.Fatalf("ranges returned %d of %d lines", next, len(want))
+		}
+
+		db, err := dataset.LoadFile("fuzz", path)
+		if (err == nil) != parsed {
+			t.Fatalf("LoadFile err = %v, but every range read its records: %v", err, parsed)
+		}
+		if err != nil {
+			return
+		}
+		if db.Len() != len(recs) {
+			t.Fatalf("LoadFile read %d transactions, the ranges %d records", db.Len(), len(recs))
+		}
+		for i, tr := range db.Transactions {
+			if !tr.Items.Equal(recs[i].Items) {
+				t.Fatalf("transaction %d = %v, record %v", i, tr.Items, recs[i].Items)
+			}
 		}
 	})
 }

@@ -371,43 +371,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	db := NewDB("toy", [][]Item{{10, 2}, {7}, {100, 200, 300}})
-	var sb strings.Builder
-	n, err := db.WriteTo(&sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(sb.String())) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, len(sb.String()))
-	}
-	if n != db.TotalBytes() {
-		t.Fatalf("TotalBytes = %d, actual %d", db.TotalBytes(), n)
-	}
-	back, err := ReadDB("toy", strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(collectItems(back), collectItems(db)) {
-		t.Fatalf("round trip mismatch: %v vs %v", collectItems(back), collectItems(db))
-	}
-}
-
-func TestReadDBErrors(t *testing.T) {
-	if _, err := ReadDB("bad", strings.NewReader("1 2 x\n")); err == nil {
-		t.Error("non-numeric item accepted")
-	}
-	if _, err := ReadDB("bad", strings.NewReader("1 -2\n")); err == nil {
-		t.Error("negative item accepted")
-	}
-	// A blank line is the empty transaction, as it is to every engine that
-	// reads the file as text splits.
-	db, err := ReadDB("blank", strings.NewReader("\n\n1 2\n\n"))
-	if err != nil || db.Len() != 4 {
-		t.Errorf("blank lines: db=%v err=%v", db, err)
-	}
-}
-
 // AppendLine extends dst with the line's canonical items, sorting only the
 // appended tail, and leaves dst as it was when the line does not parse.
 func TestAppendLine(t *testing.T) {
@@ -430,10 +393,17 @@ func TestParseLineAllocatesOnce(t *testing.T) {
 	}
 }
 
-func collectItems(db *DB) [][]Item {
-	out := make([][]Item, db.Len())
-	for i, t := range db.Transactions {
-		out[i] = t.Items
+// ParseLines allocates twice however many lines it parses, once for the
+// items and once for the itemsets, on rows shaped like Chess's.
+func TestParseLinesAllocatesTwice(t *testing.T) {
+	lines := make([]string, 500)
+	for i := range lines {
+		lines[i] = chessRow()
 	}
-	return out
+	n := testing.AllocsPerRun(100, func() {
+		_, _ = ParseLines(len(lines), func(i int) string { return lines[i] })
+	})
+	if n != 2 {
+		t.Fatalf("ParseLines made %v allocations over %d lines, want 2", n, len(lines))
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 )
 
@@ -28,10 +27,20 @@ type DB struct {
 // NewDB builds a database from raw item slices. Each transaction is
 // canonicalised (sorted, deduplicated).
 func NewDB(name string, rows [][]Item) *DB {
-	db := &DB{Name: name, Transactions: make([]Transaction, len(rows))}
-	maxItem := Item(-1)
+	sets := make([]Itemset, len(rows))
 	for i, row := range rows {
-		s := New(row...)
+		sets[i] = New(row...)
+	}
+	return DBFromSets(name, sets)
+}
+
+// DBFromSets builds a database over sets, which must be canonical, as
+// ParseLines returns them. It keeps the sets as they are, sharing their
+// backing arrays, so the caller must not change them afterwards.
+func DBFromSets(name string, sets []Itemset) *DB {
+	db := &DB{Name: name, Transactions: make([]Transaction, len(sets))}
+	maxItem := Item(-1)
+	for i, s := range sets {
 		db.Transactions[i] = Transaction{Items: s}
 		if n := len(s); n > 0 && s[n-1] > maxItem {
 			maxItem = s[n-1]
@@ -74,16 +83,52 @@ func MinSupportCount(relative float64, n int64) int {
 
 // ParseLine parses one .dat record: non-negative decimal item ids
 // separated by spaces, tabs or carriage returns, canonicalised. A blank
-// line is the empty transaction. It is the one rule for the .dat row
-// format: LoadFile, every engine that reads its input as text splits and
-// the MapReduce record reader all parse through it or AppendLine. It
-// allocates once, for the result.
+// line is the empty transaction. AppendLine holds the rule for the .dat
+// row format; ParseLine applies it to one line, such as a MapReduce output
+// key, and ParseLines to a batch of input lines. It allocates once, for
+// the result.
 //
 // A field that is not an item id fails the line with an error quoting the
 // field and wrapping strconv's *NumError for it.
 func ParseLine(line string) (Itemset, error) {
 	return AppendLine(make(Itemset, 0, CountFields(line)), line)
 }
+
+// ParseLines parses a batch of n .dat lines, line(i) returning the i-th,
+// by AppendLine. It is the one parser from input text to transactions:
+// the MapReduce record reader, the RDD engines' transactions partitions
+// and LoadFile all call it. The itemsets share one backing array, sized
+// up front from the lines' fields so it never moves, and each is capped at
+// its own length, so an append to one cannot overwrite the next. A line
+// that does not parse fails the whole batch with a *LineError.
+func ParseLines(n int, line func(i int) string) ([]Itemset, error) {
+	fields := 0
+	for i := 0; i < n; i++ {
+		fields += CountFields(line(i))
+	}
+	items := make(Itemset, 0, fields) // every line's items, back to back
+	sets := make([]Itemset, n)
+	for i := range sets {
+		start := len(items)
+		var err error
+		if items, err = AppendLine(items, line(i)); err != nil {
+			return nil, &LineError{Index: i, Err: err}
+		}
+		sets[i] = items[start:len(items):len(items)]
+	}
+	return sets, nil
+}
+
+// LineError is the error ParseLines returns for the first line of its
+// batch that does not parse.
+type LineError struct {
+	Index int   // the line's index in the batch, from 0
+	Err   error // AppendLine's error, which wraps strconv's *NumError
+}
+
+func (e *LineError) Error() string { return fmt.Sprintf("line at index %d: %v", e.Index, e.Err) }
+
+func (e *LineError) Unwrap() error { return e.Err }
 
 // CountFields returns the number of fields of a .dat line: an upper bound
 // on its items, and their number when the line parses and repeats none.
@@ -200,33 +245,6 @@ func (db *DB) ComputeStats() Stats {
 	return st
 }
 
-// TotalBytes estimates the on-disk size of the database in the whitespace
-// separated text format, which the DFS and I/O cost models use.
-func (db *DB) TotalBytes() int64 {
-	var n int64
-	for _, t := range db.Transactions {
-		for _, it := range t.Items {
-			n += int64(decimalWidth(int64(it))) + 1 // item + separator/newline
-		}
-	}
-	return n
-}
-
-func decimalWidth(v int64) int {
-	if v == 0 {
-		return 1
-	}
-	w := 0
-	if v < 0 {
-		w++
-		v = -v
-	}
-	for ; v > 0; v /= 10 {
-		w++
-	}
-	return w
-}
-
 // WriteTo writes the database in the conventional .dat format: one
 // transaction per line, items space separated. It reports the number of
 // bytes written.
@@ -254,32 +272,4 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 		n++
 	}
 	return n, bw.Flush()
-}
-
-// ReadDB parses the .dat format produced by WriteTo (and used by the FIMI
-// dataset repository): one transaction per line, each parsed by ParseLine.
-// A blank line is the empty transaction, as it is to the engines that read
-// the same file as text splits, and a line may be of any length, as it may
-// be to them. An error names the input and line number.
-func ReadDB(name string, r io.Reader) (*DB, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), math.MaxInt)
-	db := &DB{Name: name}
-	maxItem := Item(-1)
-	for line := 1; sc.Scan(); line++ {
-		set, err := ParseLine(sc.Text())
-		if err != nil {
-			return nil, fmt.Errorf("itemset: %s:%d: %w", name, line, err)
-		}
-		if n := len(set); n > 0 && set[n-1] > maxItem {
-			maxItem = set[n-1]
-		}
-		db.Transactions = append(db.Transactions, Transaction{Items: set})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("itemset: reading %s: %w", name, err)
-	}
-	db.Transactions = slices.Clone(db.Transactions) // without append's spare capacity
-	db.numItems = int(maxItem) + 1
-	return db, nil
 }

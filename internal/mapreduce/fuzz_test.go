@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -368,12 +369,11 @@ func FuzzParseRun(f *testing.F) {
 	})
 }
 
-// FuzzReadRecords checks the record reader against itemset.ParseLine over
-// fuzz bytes cut into lines, as a split starting at byte base yields them:
-// each record holds its line's length and parsed items, its items
-// are capped at their length so an append cannot overwrite the next
-// record's, and a line ParseLine rejects fails the whole split with an
-// error naming the first such line's offset.
+// FuzzReadRecords checks the record reader against itemset.ParseLines,
+// which itemset's FuzzParseLines holds to ParseLine, over fuzz bytes cut
+// into lines as a split starting at byte base yields them: each record
+// holds its line's length and the parser's items for it, and a line that
+// does not parse fails the whole split with an error naming its offset.
 func FuzzReadRecords(f *testing.F) {
 	f.Add(uint32(0), []byte("1 2 3\n3 1 3\n\n7\t7 2\r\n"))
 	f.Add(uint32(4096), []byte("1 2\n1 x\n3\n"))
@@ -390,17 +390,18 @@ func FuzzReadRecords(f *testing.F) {
 			}
 		}
 		recs, err := ReadRecords(lines)
-		for _, l := range lines {
-			if _, perr := itemset.ParseLine(l.Text); perr != nil {
-				if err == nil || recs != nil {
-					t.Fatalf("line %q at %d does not parse (%v), yet the split read as %v, %v",
-						l.Text, l.Offset, perr, recs, err)
-				}
-				if want := fmt.Sprintf("offset %d:", l.Offset); !strings.Contains(err.Error(), want) {
-					t.Fatalf("error %q does not name the bad line's %q", err, want)
-				}
-				return
+		sets, perr := itemset.ParseLines(len(lines), func(i int) string { return lines[i].Text })
+		var le *itemset.LineError
+		if errors.As(perr, &le) {
+			l := lines[le.Index]
+			if err == nil || recs != nil {
+				t.Fatalf("line %q at %d does not parse (%v), yet the split read as %v, %v",
+					l.Text, l.Offset, perr, recs, err)
 			}
+			if want := fmt.Sprintf("record at offset %d: %v", l.Offset, le.Err); err.Error() != want {
+				t.Fatalf("error %q, want %q", err, want)
+			}
+			return
 		}
 		if err != nil {
 			t.Fatalf("every line parses, yet the split failed: %v", err)
@@ -409,13 +410,9 @@ func FuzzReadRecords(f *testing.F) {
 			t.Fatalf("%d lines read as %d records", len(lines), len(recs))
 		}
 		for i, r := range recs {
-			want, _ := itemset.ParseLine(lines[i].Text)
-			if r.Len != len(lines[i].Text) || !r.Items.Equal(want) {
+			if r.Len != len(lines[i].Text) || !r.Items.Equal(sets[i]) {
 				t.Fatalf("record %d = %+v, want length %d, items %v",
-					i, r, len(lines[i].Text), want)
-			}
-			if cap(r.Items) != len(r.Items) {
-				t.Fatalf("record %d's items have capacity %d past their length %d", i, cap(r.Items), len(r.Items))
+					i, r, len(lines[i].Text), sets[i])
 			}
 		}
 	})

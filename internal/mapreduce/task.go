@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -28,25 +29,22 @@ type Record struct {
 	Items itemset.Itemset
 }
 
-// ReadRecords parses a split's lines into records by itemset.AppendLine,
-// the one .dat rule. Every record's items share one backing array, sized
-// up front so it never moves, and each is capped at its own length, so an
-// append to one cannot overwrite the next. A line that does not parse
-// fails the whole split, naming its offset.
+// ReadRecords parses a split's lines into records by itemset.ParseLines,
+// the one .dat parser, so the records' items share one backing array and
+// each is capped at its own length. A line that does not parse fails the
+// whole split, naming its offset.
 func ReadRecords(lines []dfs.Line) ([]Record, error) {
-	fields := 0
-	for _, l := range lines {
-		fields += itemset.CountFields(l.Text)
+	sets, err := itemset.ParseLines(len(lines), func(i int) string { return lines[i].Text })
+	if err != nil {
+		var le *itemset.LineError
+		if errors.As(err, &le) {
+			err = fmt.Errorf("record at offset %d: %w", lines[le.Index].Offset, le.Err)
+		}
+		return nil, err
 	}
-	items := make(itemset.Itemset, 0, fields) // every record's items, back to back
 	recs := make([]Record, len(lines))
 	for i, l := range lines {
-		start := len(items)
-		var err error
-		if items, err = itemset.AppendLine(items, l.Text); err != nil {
-			return nil, fmt.Errorf("record at offset %d: %w", l.Offset, err)
-		}
-		recs[i] = Record{Len: len(l.Text), Items: items[start:len(items):len(items)]}
+		recs[i] = Record{Len: len(l.Text), Items: sets[i]}
 	}
 	return recs, nil
 }

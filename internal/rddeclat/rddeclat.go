@@ -6,11 +6,10 @@
 //
 // The run is a fixed number of RDD jobs regardless of lattice depth:
 //
-//   - Pass 1 loads the transactions into a cached RDD, assigns global
+//   - Pass 1 loads YAFIM's transactions RDD and caches it, assigns global
 //     transaction ids from per-partition offsets, and computes the frequent
-//     1-itemsets with the same flatMap → map → reduceByKey pipeline YAFIM
-//     uses (their counts must be byte-identical, which the parity suite
-//     locks).
+//     1-itemsets by calling YAFIM's Phase I (flatMap → map → reduceByKey),
+//     so their counts are byte-identical, which the parity suite locks.
 //   - The vertical build shuffles (dense item id, tidlist-fragment) pairs —
 //     map-side combined so each partition emits one fragment per occurring
 //     item — merges them into full tidlists, and converts the collected
@@ -44,6 +43,7 @@ import (
 	"yafim/internal/rdd"
 	"yafim/internal/shuffle"
 	"yafim/internal/sim"
+	"yafim/internal/yafim"
 )
 
 // Config parameterises a mining run.
@@ -105,30 +105,11 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		parts = ctx.Config().TotalCores()
 	}
 
-	lines, err := rdd.TextFile(ctx, fs, path, parts)
+	trans, err := yafim.Transactions(ctx, fs, path, parts)
 	if err != nil {
 		return nil, fmt.Errorf("rddeclat: %w", err)
 	}
-	trans := rdd.MapPartitions(lines, "transactions",
-		func(_ int, rows []string, led *sim.Ledger) ([]itemset.Itemset, error) {
-			out := make([]itemset.Itemset, 0, len(rows))
-			parsedBytes := 0
-			for i, row := range rows {
-				if i%cancelCheckRows == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				t, err := itemset.ParseLine(row)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, t)
-				parsedBytes += len(row)
-			}
-			led.AddCPU(float64(parsedBytes))
-			return out, nil
-		}).Cache()
+	trans.Cache()
 
 	rec := ctx.Recorder()
 	rec.SetPass(1)
@@ -156,26 +137,11 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	minCount := itemset.MinSupportCount(cfg.MinSupport, n)
 	rec.ObservePass("rdd", 1, int(n))
 
-	// Pass 1 counting: flatMap items, map to pairs, reduceByKey, prune —
-	// structurally identical to YAFIM's Phase I so the two engines' L1 is
-	// trivially byte-identical.
-	items := rdd.FlatMap(trans, "items", func(t itemset.Itemset) []itemset.Item { return t })
-	pairs := rdd.Map(items, "itemPairs", func(it itemset.Item) shuffle.Pair[int32, int] {
-		return shuffle.Pair[int32, int]{Key: int32(it), Value: 1}
-	})
-	itemCounts := rdd.ReduceByKey(pairs, "itemCounts", func(a, b int) int { return a + b }, parts)
-	frequentItems := rdd.Filter(itemCounts, "frequentItems", func(kv shuffle.Pair[int32, int]) bool {
-		return kv.Value >= minCount
-	})
-	l1Pairs, err := rdd.Collect(frequentItems)
+	// Pass 1 counting is YAFIM's Phase I, so the two engines' L1 is
+	// byte-identical.
+	l1, err := yafim.FrequentItems(trans, minCount, parts)
 	if err != nil {
 		return nil, fmt.Errorf("rddeclat: pass 1: %w", err)
-	}
-	l1 := make([]apriori.SetCount, len(l1Pairs))
-	l1Sets := make([]itemset.Itemset, len(l1Pairs))
-	for i, kv := range l1Pairs {
-		l1[i] = apriori.SetCount{Set: itemset.New(itemset.Item(kv.Key)), Count: kv.Value}
-		l1Sets[i] = l1[i].Set
 	}
 
 	res := &apriori.Result{MinSupport: minCount}
@@ -205,7 +171,7 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	// partition emits at most one tidlist fragment per frequent item
 	// (map-side combining: shuffle volume is bounded by items × partitions,
 	// not by item occurrences).
-	ix := itemset.NewItemIndex(l1Sets)
+	ix := itemset.NewItemIndex(apriori.SetsOf(l1))
 	m := ix.Len()
 	rec.SetPass(2)
 	passStart = ctx.NumJobs()

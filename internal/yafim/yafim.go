@@ -56,32 +56,10 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	}
 
 	// Phase I — load transactions into a cached RDD.
-	lines, err := rdd.TextFile(ctx, fs, path, parts)
+	trans, err := Transactions(ctx, fs, path, parts)
 	if err != nil {
 		return nil, fmt.Errorf("yafim: %w", err)
 	}
-	trans := rdd.MapPartitions(lines, "transactions",
-		func(_ int, rows []string, led *sim.Ledger) ([]itemset.Itemset, error) {
-			out := make([]itemset.Itemset, 0, len(rows))
-			parsedBytes := 0
-			for i, row := range rows {
-				if i%cancelCheckRows == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				t, err := itemset.ParseLine(row)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, t)
-				parsedBytes += len(row)
-			}
-			// Text parsing costs one op per byte; caching the RDD is what
-			// saves re-paying it on every pass.
-			led.AddCPU(float64(parsedBytes))
-			return out, nil
-		})
 	if !cfg.DisableCache {
 		trans.Cache()
 	}
@@ -102,22 +80,9 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 	res := &apriori.Result{MinSupport: minCount}
 	out := &apriori.Trace{Result: res}
 
-	// Phase I counting: flatMap items, map to pairs, reduceByKey, prune.
-	items := rdd.FlatMap(trans, "items", func(t itemset.Itemset) []itemset.Item { return t })
-	pairs := rdd.Map(items, "itemPairs", func(it itemset.Item) shuffle.Pair[int32, int] {
-		return shuffle.Pair[int32, int]{Key: int32(it), Value: 1}
-	})
-	counts := rdd.ReduceByKey(pairs, "itemCounts", func(a, b int) int { return a + b }, parts)
-	frequent := rdd.Filter(counts, "frequentItems", func(kv shuffle.Pair[int32, int]) bool {
-		return kv.Value >= minCount
-	})
-	l1Pairs, err := rdd.Collect(frequent)
+	l1, err := FrequentItems(trans, minCount, parts)
 	if err != nil {
 		return nil, fmt.Errorf("yafim: phase I: %w", err)
-	}
-	l1 := make([]apriori.SetCount, len(l1Pairs))
-	for i, kv := range l1Pairs {
-		l1[i] = apriori.SetCount{Set: itemset.New(itemset.Item(kv.Key)), Count: kv.Value}
 	}
 	// Pass boundary: the Phase I shuffle output (itemCounts) has been
 	// reduced and collected; release its resident map-side buckets so pass 2
@@ -169,6 +134,56 @@ func Mine(ctx *rdd.Context, fs *dfs.FileSystem, path string, cfg Config) (*aprio
 		prev = apriori.SetsOf(lk)
 	}
 	return out, nil
+}
+
+// Transactions is Phase I's input RDD, uncached: the .dat file at path read
+// as text splits (textFile, one op per line) and parsed by
+// itemset.ParseLines (transactions, one op per byte of text). YAFIM and
+// RDD-Eclat both mine it.
+func Transactions(ctx *rdd.Context, fs *dfs.FileSystem, path string, parts int) (*rdd.RDD[itemset.Itemset], error) {
+	lines, err := rdd.TextFile(ctx, fs, path, parts)
+	if err != nil {
+		return nil, err
+	}
+	return rdd.MapPartitions(lines, "transactions",
+		func(_ int, rows []string, led *sim.Ledger) ([]itemset.Itemset, error) {
+			out, err := itemset.ParseLines(len(rows), func(i int) string { return rows[i] })
+			if err != nil {
+				return nil, err
+			}
+			parsedBytes := 0
+			for _, row := range rows {
+				parsedBytes += len(row)
+			}
+			// Text parsing costs one op per byte; caching the RDD is what
+			// saves re-paying it on every pass.
+			led.AddCPU(float64(parsedBytes))
+			return out, nil
+		}), nil
+}
+
+// FrequentItems is Phase I's counting (Fig. 1, Algorithm 2): flatMap the
+// transactions to their items, map each to <item, 1>, reduceByKey over
+// parts partitions and keep the items found in at least minCount
+// transactions, as frequent 1-itemsets with their counts.
+func FrequentItems(trans *rdd.RDD[itemset.Itemset], minCount, parts int) ([]apriori.SetCount, error) {
+	items := rdd.FlatMap(trans, "items", func(t itemset.Itemset) []itemset.Item { return t })
+	pairs := rdd.Map(items, "itemPairs", func(it itemset.Item) shuffle.Pair[int32, int] {
+		return shuffle.Pair[int32, int]{Key: int32(it), Value: 1}
+	})
+	counts := rdd.ReduceByKey(pairs, "itemCounts", func(a, b int) int { return a + b }, parts)
+	frequent := rdd.Filter(counts, "frequentItems", func(kv shuffle.Pair[int32, int]) bool {
+		return kv.Value >= minCount
+	})
+	l1Pairs, err := rdd.Collect(frequent)
+	if err != nil {
+		return nil, err
+	}
+	l1 := make([]apriori.SetCount, len(l1Pairs))
+	for i, kv := range l1Pairs {
+		l1[i] = apriori.SetCount{Set: itemset.New(itemset.Item(kv.Key)), Count: kv.Value}
+	}
+	return l1, nil
 }
 
 // cancelCheckRows is how many rows a partition closure processes between
