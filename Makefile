@@ -147,12 +147,14 @@ bench:
 # bench-json runs the perf-gated benchmarks — the pass-2 counting kernels
 # (the hash tree on T10, whose leaves confirm signatures against stamps,
 # and on Chess, whose signatures decide alone; the build; the bitsets), the
-# .dat parser on one map task's split (SplitDecode) and in LoadFile of the
-# T10 and Chess x5 files, the shuffle residency kernel, the MapReduce
-# shuffle's wire frame, and the diagnosis layer — and renders them as
-# a JSON trajectory point. CI regenerates this into a scratch file and gates
-# it against the committed baseline (B/op and allocs/op within 20% plus one
-# unit, every other metric but ns/op exactly equal):
+# .dat parser on one map task's split (SplitDecode), that split's read and
+# parse (SplitRead), LoadFile of the T10 and Chess x5 files, a worker's map
+# task over a split in its block cache (WorkerCachedMap, in ./internal/dist),
+# the shuffle residency kernel, the MapReduce shuffle's wire frame, and the
+# diagnosis layer — and renders them as a JSON trajectory point. CI
+# regenerates this into a scratch file and gates it against the committed
+# baseline (B/op and allocs/op within 20% plus one unit, every other metric
+# but ns/op exactly equal):
 #
 #   make bench-json BENCH_JSON=bench-current.json
 #   $(GO) run ./cmd/benchjson -check BENCH_9.json bench-current.json
@@ -160,16 +162,17 @@ bench:
 # To refresh the committed baseline after an intentional perf change, run
 # plain `make bench-json` and commit the updated BENCH_9.json.
 #
-# The millisecond rows (kernels, frame, decode, LoadFile) run 100
-# iterations each: allocs/op is the process's allocation count over the
-# timed loop divided by the iterations, so at 3 a few stray allocations
+# The millisecond rows (kernels, frame, split decode and read, LoadFile,
+# the worker's cached map) run 100 iterations each: allocs/op is the
+# process's allocation count over the timed loop divided by the
+# iterations, so at 3 a few stray allocations
 # elsewhere in the process (six once, taking the hash-tree kernel from 3 to
 # 5 allocs/op) would move a small count by whole units. The pipeline rows
 # make hundreds of thousands of allocations per op, where strays vanish,
 # and run 3.
 BENCH_JSON ?= BENCH_9.json
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'Pass2Kernel|ShuffleFrame|SplitDecode|LoadFile' -benchmem -benchtime 100x -count 1 . && \
+	{ $(GO) test -run '^$$' -bench 'Pass2Kernel|ShuffleFrame|SplitDecode|SplitRead|LoadFile|WorkerCachedMap' -benchmem -benchtime 100x -count 1 . ./internal/dist && \
 	  $(GO) test -run '^$$' -bench 'Pass2(YAFIM|MRApriori|RDDEclat)$$|ShuffleResident|Diagnosis' -benchmem -benchtime 3x -count 1 . ; } \
 		| $(GO) run ./cmd/benchjson > $(BENCH_JSON)
 

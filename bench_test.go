@@ -436,11 +436,9 @@ func BenchmarkDiagnosis(b *testing.B) {
 	b.ReportMetric(stragglers, "stragglers")
 }
 
-// BenchmarkSplitDecode measures the one .dat parser on a map task's input:
-// mapreduce.ReadRecords over the first DFS split of the T10I4D100K file
-// BenchmarkPass2YAFIM mines, cut as that run cuts it and read once up
-// front.
-func BenchmarkSplitDecode(b *testing.B) {
+// benchSplit stages the T10I4D100K file BenchmarkPass2YAFIM mines and
+// returns the DFS and its first split, cut as that run cuts it.
+func benchSplit(b *testing.B) (*dfs.FileSystem, dfs.Split) {
 	env := benchEnv()
 	db, err := mustBenchmark(b, "T10I4D100K").Gen(0.05, env.Seed)
 	if err != nil {
@@ -454,24 +452,57 @@ func BenchmarkSplitDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lines, err := fs.ReadLinesContext(context.Background(), splits[0], nil)
+	return fs, splits[0]
+}
+
+// reportRows reports the rows a benchmark read and their items.
+func reportRows(b *testing.B, rows []itemset.Itemset) {
+	items := 0
+	for _, r := range rows {
+		items += len(r)
+	}
+	b.ReportMetric(float64(len(rows)), "records")
+	b.ReportMetric(float64(items), "items")
+}
+
+// BenchmarkSplitDecode measures the one .dat parser on a map task's input:
+// mapreduce.ReadRecords over the lines of benchSplit's split, read once up
+// front.
+func BenchmarkSplitDecode(b *testing.B) {
+	fs, split := benchSplit(b)
+	lines, first, err := fs.ReadLinesContext(context.Background(), split, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var recs []mapreduce.Record
+	var rows []itemset.Itemset
 	for i := 0; i < b.N; i++ {
-		if recs, err = mapreduce.ReadRecords(lines); err != nil {
+		if rows, _, err = mapreduce.ReadRecords(lines, first); err != nil {
 			b.Fatal(err)
 		}
 	}
-	items := 0
-	for _, r := range recs {
-		items += len(r.Items)
+	reportRows(b, rows)
+}
+
+// BenchmarkSplitRead measures what a MapReduce map task does before it
+// maps: dfs.ReadLinesContext cuts benchSplit's split into lines, and
+// mapreduce.ReadRecords parses them.
+func BenchmarkSplitRead(b *testing.B) {
+	fs, split := benchSplit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rows []itemset.Itemset
+	for i := 0; i < b.N; i++ {
+		lines, first, err := fs.ReadLinesContext(context.Background(), split, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rows, _, err = mapreduce.ReadRecords(lines, first); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(float64(len(recs)), "records")
-	b.ReportMetric(float64(items), "items")
+	reportRows(b, rows)
 }
 
 // BenchmarkLoadFileT10 measures LoadFile, which perfbench's setup_s times,

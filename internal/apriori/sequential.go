@@ -2,6 +2,7 @@ package apriori
 
 import (
 	"fmt"
+	"slices"
 
 	"yafim/internal/hashtree"
 	"yafim/internal/itemset"
@@ -71,9 +72,10 @@ func Mine(db *itemset.DB, minSupport float64, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// frequentItems computes L_1 with a dense counting array.
+// frequentItems computes L_1 in ascending order. It counts in a map, so its
+// memory follows the distinct items, not the largest item id.
 func frequentItems(db *itemset.DB, minCount int) []SetCount {
-	counts := make([]int, db.NumItems())
+	counts := map[itemset.Item]int{}
 	for _, tr := range db.Transactions {
 		for _, it := range tr.Items {
 			counts[it]++
@@ -82,9 +84,10 @@ func frequentItems(db *itemset.DB, minCount int) []SetCount {
 	var out []SetCount
 	for it, c := range counts {
 		if c >= minCount {
-			out = append(out, SetCount{Set: itemset.New(itemset.Item(it)), Count: c})
+			out = append(out, SetCount{Set: itemset.New(it), Count: c})
 		}
 	}
+	slices.SortFunc(out, func(a, b SetCount) int { return a.Set.Compare(b.Set) })
 	return out
 }
 

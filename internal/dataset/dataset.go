@@ -54,7 +54,7 @@ func LoadFile(name, path string) (*itemset.DB, error) {
 	if lines[len(lines)-1] == "" {
 		lines = lines[:len(lines)-1] // the last newline ends a line, it starts none
 	}
-	sets, err := itemset.ParseLines(len(lines), func(i int) string { return lines[i] })
+	sets, err := itemset.ParseLines(lines)
 	if err != nil {
 		var le *itemset.LineError
 		if errors.As(err, &le) {

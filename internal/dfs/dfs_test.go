@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,18 +221,69 @@ func TestReadLinesSimple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, err := fs.ReadLinesContext(context.Background(), splits[0], nil)
+	lines, first, err := fs.ReadLinesContext(context.Background(), splits[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Line{{0, "alpha"}, {6, "beta"}, {11, "gamma"}}
-	if len(lines) != len(want) {
-		t.Fatalf("lines = %v", lines)
+	want := []string{"alpha", "beta", "gamma"}
+	wantOff := []int64{0, 6, 11}
+	if !slices.Equal(lines, want) {
+		t.Fatalf("lines = %q, want %q", lines, want)
 	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Errorf("line %d = %+v, want %+v", i, lines[i], want[i])
+	if got := lineOffsets(lines, first); !slices.Equal(got, wantOff) {
+		t.Errorf("line offsets = %v, want %v", got, wantOff)
+	}
+}
+
+// lineOffsets gives each of a split's lines its file offset: the first
+// line's is first, and each next one starts one newline past the last.
+func lineOffsets(lines []string, first int64) []int64 {
+	offs := make([]int64, len(lines))
+	for i, l := range lines {
+		offs[i] = first
+		first += int64(len(l)) + 1
+	}
+	return offs
+}
+
+// TestReadLinesOneStringPerSplit reads a split of 1,000 lines and one of
+// 2,000: the lines are substrings of one string per split, so the reads
+// make the same number of allocations, and each line's offset, derived
+// from the first, holds its first byte.
+func TestReadLinesOneStringPerSplit(t *testing.T) {
+	allocs := func(n int) float64 {
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "%d %d %d\n", i, 2*i, 3*i)
 		}
+		data := sb.String()
+		fs := New(2, WithBlockSize(int64(len(data))))
+		if err := fs.WriteFile("/t", []byte(data), nil); err != nil {
+			t.Fatal(err)
+		}
+		split := Split{Path: "/t", Length: int64(len(data))}
+		lines, first, err := fs.ReadLinesContext(context.Background(), split, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lines) != n {
+			t.Fatalf("read %d lines, want %d", len(lines), n)
+		}
+		for i, off := range lineOffsets(lines, first) {
+			if !strings.HasPrefix(data[off:], lines[i]+"\n") {
+				t.Fatalf("line %d (%q) claims offset %d", i, lines[i], off)
+			}
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := fs.ReadLinesContext(context.Background(), split, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(2000)
+	if large > small+5 || large < small-5 {
+		t.Fatalf("reading 1,000 lines made %v allocations and 2,000 made %v; "+
+			"they should not grow with the lines", small, large)
 	}
 }
 
@@ -244,13 +296,11 @@ func splitLines(t *testing.T, fs *FileSystem, path string) []string {
 	}
 	var all []string
 	for _, s := range splits {
-		lines, err := fs.ReadLinesContext(context.Background(), s, nil)
+		lines, _, err := fs.ReadLinesContext(context.Background(), s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range lines {
-			all = append(all, l.Text)
-		}
+		all = append(all, lines...)
 	}
 	return all
 }
@@ -303,13 +353,11 @@ func TestReadLinesExactlyOnceProperty(t *testing.T) {
 		}
 		var got []string
 		for _, s := range splits {
-			lines, err := fs.ReadLinesContext(context.Background(), s, nil)
+			lines, _, err := fs.ReadLinesContext(context.Background(), s, nil)
 			if err != nil {
 				return false
 			}
-			for _, l := range lines {
-				got = append(got, l.Text)
-			}
+			got = append(got, lines...)
 		}
 		if len(got) != len(want) {
 			return false
@@ -428,13 +476,11 @@ func TestSplitsNLinesExactlyOnce(t *testing.T) {
 	}
 	var got []string
 	for _, s := range splits {
-		lines, err := fs.ReadLinesContext(context.Background(), s, nil)
+		lines, _, err := fs.ReadLinesContext(context.Background(), s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range lines {
-			got = append(got, l.Text)
-		}
+		got = append(got, lines...)
 	}
 	if len(got) != 100 {
 		t.Fatalf("read %d lines, want 100", len(got))

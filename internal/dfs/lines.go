@@ -3,17 +3,10 @@ package dfs
 import (
 	"bytes"
 	"context"
+	"strings"
 
 	"yafim/internal/sim"
 )
-
-// Line is one text record produced by a line record reader: the byte offset
-// of the line start within the file (the conventional MapReduce key) and the
-// line's text without its trailing newline.
-type Line struct {
-	Offset int64
-	Text   string
-}
 
 // readAhead is how far past a split's end the reader extends, chunk by
 // chunk, to complete a record that crosses the boundary.
@@ -24,10 +17,10 @@ const readAhead = 4096
 // checked before the split's main range read and again before every
 // read-ahead chunk, so a canceled task stops within one chunk of extra I/O
 // even on records that span many blocks.
-func (fs *FileSystem) ReadLinesContext(ctx context.Context, split Split, led *sim.Ledger) ([]Line, error) {
+func (fs *FileSystem) ReadLinesContext(ctx context.Context, split Split, led *sim.Ledger) ([]string, int64, error) {
 	size, _, err := fs.Stat(split.Path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	return SplitLines(size, split.Offset, split.Length, func(off, n int64) ([]byte, error) {
 		return fs.ReadRangeContext(ctx, split.Path, off, n, led)
@@ -43,48 +36,46 @@ func (fs *FileSystem) ReadLinesContext(ctx context.Context, split Split, led *si
 // end, extending past the boundary in readAhead chunks as needed. Together
 // the splits of a file yield every line exactly once.
 //
-// It reads the split's range in one call and then one call per read-ahead
+// The lines come without their newlines, as substrings of one string made
+// from the bytes the split owns, together with the file offset of the first
+// line: line i starts where line i-1 starts plus its length and one. It
+// reads the split's range in one call and then one call per read-ahead
 // chunk, so a metered reader pays exactly for the bytes a Hadoop task would
 // pull.
-func SplitLines(size, offset, length int64, readRange func(off, n int64) ([]byte, error)) ([]Line, error) {
+func SplitLines(size, offset, length int64, readRange func(off, n int64) ([]byte, error)) ([]string, int64, error) {
 	start := offset
-	end := offset + length
-	if end > size {
-		end = size
-	}
+	end := min(offset+length, size)
 	if start >= size || start >= end {
-		return nil, nil
+		return nil, 0, nil
 	}
 	buf, err := readRange(start, end-start)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	bufStart := start // absolute file offset of buf[0]
-	pos := 0          // index of first unconsumed byte in buf
-
+	pos := 0 // buf[pos], at file offset start+pos, is the first unconsumed byte
 	if start > 0 {
 		nl := bytes.IndexByte(buf, '\n')
 		if nl < 0 {
 			// The split lies entirely inside one long line that started in an
 			// earlier split; it contributes no records of its own.
-			return nil, nil
+			return nil, 0, nil
 		}
 		pos = nl + 1
 	}
 
-	var lines []Line
+	first, stop := pos, -1 // the owned lines: buf[first:stop], no last newline
 	for {
-		lineStart := bufStart + int64(pos)
+		lineStart := start + int64(pos)
 		if lineStart > end || lineStart >= size {
 			// Records starting strictly past the boundary belong to the next
 			// split (which will discard its leading line to compensate).
 			break
 		}
 		nl := bytes.IndexByte(buf[pos:], '\n')
-		for nl < 0 && bufStart+int64(len(buf)) < size {
-			chunk, err := readRange(bufStart+int64(len(buf)), readAhead)
+		for nl < 0 && start+int64(len(buf)) < size {
+			chunk, err := readRange(start+int64(len(buf)), readAhead)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if len(chunk) == 0 {
 				break
@@ -94,11 +85,14 @@ func SplitLines(size, offset, length int64, readRange func(off, n int64) ([]byte
 		}
 		if nl < 0 {
 			// Final record, unterminated at EOF.
-			lines = append(lines, Line{Offset: lineStart, Text: string(buf[pos:])})
+			stop = len(buf)
 			break
 		}
-		lines = append(lines, Line{Offset: lineStart, Text: string(buf[pos : pos+nl])})
+		stop = pos + nl
 		pos += nl + 1
 	}
-	return lines, nil
+	if stop < 0 {
+		return nil, 0, nil
+	}
+	return strings.Split(string(buf[first:stop]), "\n"), start + int64(first), nil
 }

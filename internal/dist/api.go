@@ -84,8 +84,8 @@ type Executor interface {
 }
 
 // Split is one map task's byte range of the real input file. Its lines are
-// read by the sim DFS's own line record reader and parsed into map-task
-// records (see readRecords).
+// read by the sim DFS's own line record reader and parsed into the map
+// task's rows (see readRecords).
 type Split struct {
 	Path   string `json:"path"`
 	Offset int64  `json:"offset"`

@@ -8,7 +8,6 @@ import (
 	"unsafe"
 
 	"yafim/internal/itemset"
-	"yafim/internal/mapreduce"
 )
 
 // The worker-side input block cache. The paper's central complaint about
@@ -16,12 +15,13 @@ import (
 // YAFIM's answer is to parse it into an RDD once, cache it and iterate in
 // memory (§IV-B). This cache is the runtime's analogue of that cached
 // transactions RDD: the first pass to touch a split reads and parses it,
-// the parsed records (not the text) are retained under a byte budget, and
-// every later pass of the mining job maps them from memory.
+// the parsed rows (not the text, only its byte count) are retained under a
+// byte budget, and every later pass of the mining job maps them from
+// memory.
 //
 // Keys bind the split range to the file's identity at parse time (size +
 // mtime): an input rewritten between jobs silently misses instead of serving
-// stale records. The cache is deliberately ephemeral — it lives and dies
+// stale rows. The cache is deliberately ephemeral — it lives and dies
 // with the worker process, is never journaled by the master, and a worker
 // rebuilt after a crash simply re-reads on first touch — so it can never
 // affect what is computed, only how often the disk is touched and the text
@@ -40,17 +40,18 @@ type blockKey struct {
 // blockEntry is one resident parsed block.
 type blockEntry struct {
 	key   blockKey
-	recs  []mapreduce.Record
-	bytes int64
+	rows  []itemset.Itemset
+	text  int64 // the bytes of text the rows were parsed from
+	bytes int64 // what residentBytes prices the rows at
 	elem  *list.Element
 }
 
 // residentBytes prices a parsed block by what it holds in memory: each
-// record's header and each of its items.
-func residentBytes(recs []mapreduce.Record) int64 {
-	n := int64(len(recs)) * int64(unsafe.Sizeof(mapreduce.Record{}))
-	for _, r := range recs {
-		n += int64(len(r.Items)) * int64(unsafe.Sizeof(itemset.Item(0)))
+// row's slice header and each of its items.
+func residentBytes(rows []itemset.Itemset) int64 {
+	n := int64(len(rows)) * int64(unsafe.Sizeof(itemset.Itemset(nil)))
+	for _, r := range rows {
+		n += int64(len(r)) * int64(unsafe.Sizeof(itemset.Item(0)))
 	}
 	return n
 }
@@ -89,17 +90,18 @@ func (c *blockCache) setBudget(budget int64) {
 	c.evictOverLocked()
 }
 
-// get returns the split's records, from memory when the block is resident
-// and read and parsed from disk otherwise. A block whose resident bytes
-// alone exceed the whole budget is served uncached rather than evicting
-// everything else. The records are read-only: later passes map them again.
-func (c *blockCache) get(split Split) ([]mapreduce.Record, error) {
+// get returns the split's rows and text bytes, from memory when the block
+// is resident and read and parsed from disk otherwise. A block whose
+// resident bytes alone exceed the whole budget is served uncached rather
+// than evicting everything else. The rows are read-only: later passes map
+// them again.
+func (c *blockCache) get(split Split) ([]itemset.Itemset, int64, error) {
 	if c == nil {
 		return readRecords(split)
 	}
 	fi, err := os.Stat(split.Path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	key := blockKey{
 		path: split.Path, size: fi.Size(), mtimeNS: fi.ModTime().UnixNano(),
@@ -109,29 +111,29 @@ func (c *blockCache) get(split Split) ([]mapreduce.Record, error) {
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
 		c.hits++
-		recs := e.recs
+		rows, text := e.rows, e.text
 		c.mu.Unlock()
-		return recs, nil
+		return rows, text, nil
 	}
 	c.mu.Unlock()
 
-	recs, err := readRecords(split)
+	rows, text, err := readRecords(split)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	cost := residentBytes(recs)
+	cost := residentBytes(rows)
 	c.mu.Lock()
 	c.reads++
 	c.misses++
 	if _, ok := c.entries[key]; !ok && cost <= c.budget {
-		e := &blockEntry{key: key, recs: recs, bytes: cost}
+		e := &blockEntry{key: key, rows: rows, text: text, bytes: cost}
 		e.elem = c.lru.PushFront(e)
 		c.entries[key] = e
 		c.resident += cost
 		c.evictOverLocked()
 	}
 	c.mu.Unlock()
-	return recs, nil
+	return rows, text, nil
 }
 
 // evictOverLocked drops least-recently-used blocks until resident <= budget.

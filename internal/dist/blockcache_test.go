@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -38,16 +39,16 @@ func TestBlockCacheHitOnSecondRead(t *testing.T) {
 	splits := blockSplits(t, "1\n22\n333\n4444\n", 2)
 	c := newBlockCache(1 << 20)
 
-	first, err := c.get(splits[0])
+	first, firstText, err := c.get(splits[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.get(splits[0])
+	second, secondText, err := c.get(splits[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("cached read diverges: %v vs %v", first, second)
+	if !reflect.DeepEqual(first, second) || firstText != secondText {
+		t.Fatalf("cached read diverges: %v (%d bytes) vs %v (%d bytes)", first, firstText, second, secondText)
 	}
 	st := cacheStats(c)
 	if st.Reads != 1 || st.Misses != 1 || st.Hits != 1 {
@@ -61,7 +62,7 @@ func TestBlockCacheHitOnSecondRead(t *testing.T) {
 func TestBlockCacheInvalidatedWhenFileChanges(t *testing.T) {
 	splits := blockSplits(t, "1000001\n1000002\n", 1)
 	c := newBlockCache(1 << 20)
-	if _, err := c.get(splits[0]); err != nil {
+	if _, _, err := c.get(splits[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrite the input in place with different bytes (and a different size,
@@ -71,12 +72,12 @@ func TestBlockCacheInvalidatedWhenFileChanges(t *testing.T) {
 	if err := os.WriteFile(splits[0].Path, []byte("20001\n20002\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := c.get(splits[0])
+	rows, text, err := c.get(splits[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 || !recs[0].Items.Equal(itemset.New(20001)) {
-		t.Fatalf("stale block served after rewrite: %v", recs)
+	if len(rows) == 0 || !rows[0].Equal(itemset.New(20001)) || text != 10 {
+		t.Fatalf("stale block served after rewrite: %v, %d bytes of text", rows, text)
 	}
 	st := cacheStats(c)
 	if st.Reads != 2 || st.Misses != 2 {
@@ -91,16 +92,21 @@ func TestBlockCacheEvictsLRUUnderBudget(t *testing.T) {
 	a := blockSplits(t, "1 2 3 4 5 6 7 8 9 10\n", 1)[0]
 	b := blockSplits(t, "11 12 13 14 15 16 17 18 19 20\n", 1)[0]
 	probe := newBlockCache(1 << 20)
-	if _, err := probe.get(a); err != nil {
+	if _, _, err := probe.get(a); err != nil {
 		t.Fatal(err)
+	}
+	// A row is priced at its slice header, three words (24 bytes on a
+	// 64-bit platform), and 4 bytes per item.
+	if got, want := cacheStats(probe).Bytes, int64(3*strconv.IntSize/8+10*4); got != want {
+		t.Fatalf("a one-row block of ten items is priced at %d bytes, want %d", got, want)
 	}
 	budget := cacheStats(probe).Bytes * 3 / 2
 	c := newBlockCache(budget)
 
-	if _, err := c.get(a); err != nil {
+	if _, _, err := c.get(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.get(b); err != nil {
+	if _, _, err := c.get(b); err != nil {
 		t.Fatal(err)
 	}
 	st := cacheStats(c)
@@ -111,7 +117,7 @@ func TestBlockCacheEvictsLRUUnderBudget(t *testing.T) {
 		t.Fatalf("resident %d bytes exceeds %d-byte budget", st.Bytes, budget)
 	}
 	// Block a was evicted: touching it again reads from disk.
-	if _, err := c.get(a); err != nil {
+	if _, _, err := c.get(a); err != nil {
 		t.Fatal(err)
 	}
 	if st := cacheStats(c); st.Reads != 3 || st.Hits != 0 {
@@ -128,12 +134,12 @@ func TestBlockCacheOversizedBlockServedUncached(t *testing.T) {
 	c := newBlockCache(64) // smaller than the block's resident bytes
 
 	for i := 0; i < 2; i++ {
-		recs, err := c.get(splits[0])
+		rows, _, err := c.get(splits[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 1 {
-			t.Fatalf("read %d: %d records", i, len(recs))
+		if len(rows) != 1 {
+			t.Fatalf("read %d: %d rows", i, len(rows))
 		}
 	}
 	st := cacheStats(c)
@@ -153,7 +159,7 @@ func TestBlockCacheSetBudgetShrinkEvicts(t *testing.T) {
 		splits = append(splits, blockSplits(t, "1234567890\n", 1)[0])
 	}
 	for _, s := range splits {
-		if _, err := c.get(s); err != nil {
+		if _, _, err := c.get(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +181,7 @@ func TestBlockCacheAdsSortedDeterministically(t *testing.T) {
 	c := newBlockCache(1 << 20)
 	// Touch in scrambled order; ads must come back path-then-offset sorted.
 	for _, i := range []int{3, 0, 4, 2, 1} {
-		if _, err := c.get(splits[i]); err != nil {
+		if _, _, err := c.get(splits[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,12 +204,12 @@ func TestBlockCacheReportSeqMonotonic(t *testing.T) {
 func TestNilBlockCacheFallsThrough(t *testing.T) {
 	splits := blockSplits(t, "111\n222\n", 1)
 	var c *blockCache
-	recs, err := c.get(splits[0])
+	rows, text, err := c.get(splits[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("nil cache read %d records, want 2", len(recs))
+	if len(rows) != 2 || text != 6 {
+		t.Fatalf("nil cache read %d rows and %d bytes of text, want 2 and 6", len(rows), text)
 	}
 	if a, st := c.report(); a != nil || st != (CacheStats{}) {
 		t.Fatalf("nil cache report = %v, %+v", a, st)

@@ -17,6 +17,7 @@ import (
 
 	"yafim/internal/cluster"
 	"yafim/internal/dfs"
+	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/sim"
 )
@@ -40,8 +41,8 @@ var (
 type taggedMapper struct{ tag string }
 
 func (taggedMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error { return nil }
-func (m taggedMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, _ *sim.Ledger) error {
-	for _, it := range rec.Items {
+func (m taggedMapper) Map(items itemset.Itemset, emit mapreduce.Emit, _ *sim.Ledger) error {
+	for _, it := range items {
 		emit(m.tag+strconv.Itoa(int(it)), "1")
 	}
 	return nil

@@ -1,6 +1,9 @@
 package dist
 
-import "yafim/internal/mapreduce"
+import (
+	"yafim/internal/itemset"
+	"yafim/internal/mapreduce"
+)
 
 // The worker's map path, for the external tests: a job built as a worker
 // builds it, and the block cache its map tasks read through.
@@ -16,5 +19,6 @@ type BlockCache = blockCache
 // NewBlockCache returns an empty block cache with the given byte budget.
 func NewBlockCache(budget int64) *BlockCache { return newBlockCache(budget) }
 
-// Get returns the split's records as a worker's map task reads them.
-func (c *blockCache) Get(split Split) ([]mapreduce.Record, error) { return c.get(split) }
+// Get returns the split's rows and text bytes as a worker's map task reads
+// them.
+func (c *blockCache) Get(split Split) ([]itemset.Itemset, int64, error) { return c.get(split) }

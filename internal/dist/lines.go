@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"yafim/internal/dfs"
+	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 )
 
@@ -46,20 +47,20 @@ func splitFile(path string, minSplits int) ([]Split, error) {
 	return out, nil
 }
 
-// readSplit reads the records belonging to one split of a real file with
-// the sim DFS's own Hadoop LineRecordReader (dfs.SplitLines), so together
-// the splits of a file yield every line exactly once and the distributed map
-// stage's record count (and with it the absolute min-support threshold)
-// stays byte-identical to the sim oracle's.
-func readSplit(split Split) ([]dfs.Line, error) {
+// readSplit reads one split of a real file with the sim DFS's own Hadoop
+// LineRecordReader (dfs.SplitLines), so together the splits of a file yield
+// every line exactly once and the distributed map stage's record count (and
+// with it the absolute min-support threshold) stays byte-identical to the
+// sim oracle's.
+func readSplit(split Split) ([]string, int64, error) {
 	f, err := os.Open(split.Path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	return dfs.SplitLines(fi.Size(), split.Offset, split.Length, func(off, n int64) ([]byte, error) {
 		buf := make([]byte, n)
@@ -71,12 +72,12 @@ func readSplit(split Split) ([]dfs.Line, error) {
 	})
 }
 
-// readRecords reads one split and parses its lines into map-task records:
-// what a block cache miss costs.
-func readRecords(split Split) ([]mapreduce.Record, error) {
-	lines, err := readSplit(split)
+// readRecords reads one split and parses its lines into a map task's rows
+// and text bytes: what a block cache miss costs.
+func readRecords(split Split) ([]itemset.Itemset, int64, error) {
+	lines, first, err := readSplit(split)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return mapreduce.ReadRecords(lines)
+	return mapreduce.ReadRecords(lines, first)
 }

@@ -12,7 +12,7 @@ import (
 
 	"yafim/internal/dataset"
 	"yafim/internal/dfs"
-	"yafim/internal/mapreduce"
+	"yafim/internal/itemset"
 )
 
 // writeInput writes content to a temp file and returns its path.
@@ -87,13 +87,11 @@ func TestSplitReadExactlyOnce(t *testing.T) {
 				// Reading every split back yields each record exactly once.
 				var got []string
 				for _, s := range splits {
-					lines, err := readSplit(s)
+					lines, _, err := readSplit(s)
 					if err != nil {
 						t.Fatalf("minSplits=%d: readSplit(%+v): %v", minSplits, s, err)
 					}
-					for _, l := range lines {
-						got = append(got, l.Text)
-					}
+					got = append(got, lines...)
 				}
 				if len(got) != len(tc.want) {
 					t.Fatalf("minSplits=%d: %d records, want %d: %q",
@@ -124,7 +122,7 @@ func TestReadSplitInsideLongLineYieldsNothing(t *testing.T) {
 	// first byte.
 	content := strings.Repeat("x", 100) + "\nend\n"
 	path := writeInput(t, content)
-	lines, err := readSplit(Split{Path: path, Offset: 10, Length: 20})
+	lines, _, err := readSplit(Split{Path: path, Offset: 10, Length: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +133,7 @@ func TestReadSplitInsideLongLineYieldsNothing(t *testing.T) {
 
 func TestReadSplitPastEOFYieldsNothing(t *testing.T) {
 	path := writeInput(t, "a\nb\n")
-	lines, err := readSplit(Split{Path: path, Offset: 100, Length: 50})
+	lines, _, err := readSplit(Split{Path: path, Offset: 100, Length: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,35 +176,36 @@ func FuzzReadSplitMatchesDFS(f *testing.F) {
 
 		want := allLines(data)
 		next := 0
-		var recs []mapreduce.Record
+		var rows []itemset.Itemset
 		parsed := true
 		for i := 0; i+1 < len(bounds); i++ {
 			off, length := bounds[i], bounds[i+1]-bounds[i]
-			got, err := readSplit(Split{Path: path, Offset: off, Length: length})
+			got, first, err := readSplit(Split{Path: path, Offset: off, Length: length})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rangeRecs, err := readRecords(Split{Path: path, Offset: off, Length: length})
-			recs = append(recs, rangeRecs...)
+			rangeRows, _, err := readRecords(Split{Path: path, Offset: off, Length: length})
+			rows = append(rows, rangeRows...)
 			parsed = parsed && err == nil
-			sim, err := fs.ReadLinesContext(context.Background(), dfs.Split{Path: "/in", Offset: off, Length: length}, nil)
+			sim, simFirst, err := fs.ReadLinesContext(context.Background(), dfs.Split{Path: "/in", Offset: off, Length: length}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got, sim) {
-				t.Fatalf("range [%d,+%d): file reader %v, DFS reader %v", off, length, got, sim)
+			if !slices.Equal(got, sim) || first != simFirst {
+				t.Fatalf("range [%d,+%d): file reader %q from %d, DFS reader %q from %d",
+					off, length, got, first, sim, simFirst)
 			}
-			for _, l := range got {
+			for _, l := range withOffsets(got, first) {
 				if next == len(want) || l != want[next] {
 					t.Fatalf("range [%d,+%d) returned the line at %d (%q) out of order",
-						off, length, l.Offset, l.Text)
+						off, length, l.off, l.text)
 				}
-				owner := off < l.Offset && l.Offset <= off+length
-				if l.Offset == 0 {
+				owner := off < l.off && l.off <= off+length
+				if l.off == 0 {
 					owner = i == 0
 				}
 				if !owner {
-					t.Fatalf("range [%d,+%d) returned the line at %d", off, length, l.Offset)
+					t.Fatalf("range [%d,+%d) returned the line at %d", off, length, l.off)
 				}
 				next++
 			}
@@ -222,28 +221,45 @@ func FuzzReadSplitMatchesDFS(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if db.Len() != len(recs) {
-			t.Fatalf("LoadFile read %d transactions, the ranges %d records", db.Len(), len(recs))
+		if db.Len() != len(rows) {
+			t.Fatalf("LoadFile read %d transactions, the ranges %d rows", db.Len(), len(rows))
 		}
 		for i, tr := range db.Transactions {
-			if !tr.Items.Equal(recs[i].Items) {
-				t.Fatalf("transaction %d = %v, record %v", i, tr.Items, recs[i].Items)
+			if !tr.Items.Equal(rows[i]) {
+				t.Fatalf("transaction %d = %v, row %v", i, tr.Items, rows[i])
 			}
 		}
 	})
 }
 
+// line is one line of a file and the offset of its first byte.
+type line struct {
+	off  int64
+	text string
+}
+
 // allLines cuts data into its lines: one starts at offset 0 and one after
 // every newline that is not the last byte.
-func allLines(data []byte) []dfs.Line {
-	var lines []dfs.Line
+func allLines(data []byte) []line {
+	var lines []line
 	for start := 0; start < len(data); {
 		n := bytes.IndexByte(data[start:], '\n')
 		if n < 0 {
 			n = len(data) - start
 		}
-		lines = append(lines, dfs.Line{Offset: int64(start), Text: string(data[start : start+n])})
+		lines = append(lines, line{int64(start), string(data[start : start+n])})
 		start += n + 1
 	}
 	return lines
+}
+
+// withOffsets gives each of a split's lines its file offset: the first
+// line's is first, and each next one starts one newline past the last.
+func withOffsets(lines []string, first int64) []line {
+	out := make([]line, len(lines))
+	for i, l := range lines {
+		out[i] = line{first, l}
+		first += int64(len(l)) + 1
+	}
+	return out
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"yafim/internal/itemset"
 	"yafim/internal/leaktest"
 	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
@@ -59,11 +60,11 @@ const barrierItem = 7
 // other.
 type barrierMapper struct{ wordMapper }
 
-func (m barrierMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, led *sim.Ledger) error {
-	if rec.Items.Contains(barrierItem) {
+func (m barrierMapper) Map(items itemset.Itemset, emit mapreduce.Emit, led *sim.Ledger) error {
+	if items.Contains(barrierItem) {
 		time.Sleep(200 * time.Millisecond)
 	}
-	return m.wordMapper.Map(rec, emit, led)
+	return m.wordMapper.Map(items, emit, led)
 }
 
 var registerBarrier sync.Once

@@ -14,6 +14,7 @@ import (
 
 	"yafim/internal/cluster"
 	"yafim/internal/dfs"
+	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
@@ -25,8 +26,8 @@ import (
 type wordMapper struct{}
 
 func (wordMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error { return nil }
-func (wordMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, _ *sim.Ledger) error {
-	for _, it := range rec.Items {
+func (wordMapper) Map(items itemset.Itemset, emit mapreduce.Emit, _ *sim.Ledger) error {
+	for _, it := range items {
 		emit(strconv.Itoa(int(it)), "1")
 	}
 	return nil
@@ -274,15 +275,16 @@ func TestSplitFileRoundTrip(t *testing.T) {
 		var total int64
 		for _, s := range splits {
 			total += s.Length
-			lines, err := readSplit(s)
+			lines, off, err := readSplit(s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, l := range lines {
-				if data[l.Offset] != l.Text[0] {
-					t.Fatalf("split %v: line %q claims offset %d", s, l.Text, l.Offset)
+				if data[off] != l[0] {
+					t.Fatalf("split %v: line %q claims offset %d", s, l, off)
 				}
-				got = append(got, l.Text)
+				got = append(got, l)
+				off += int64(len(l)) + 1
 			}
 		}
 		if total != int64(len(data)) {
@@ -305,13 +307,11 @@ func TestReadSplitUnterminatedFinalLine(t *testing.T) {
 	}
 	var got []string
 	for _, s := range splits {
-		lines, err := readSplit(s)
+		lines, _, err := readSplit(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range lines {
-			got = append(got, l.Text)
-		}
+		got = append(got, lines...)
 	}
 	if !reflect.DeepEqual(got, []string{"alpha", "beta", "gamma"}) {
 		t.Fatalf("got %v", got)

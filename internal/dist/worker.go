@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"yafim/internal/exec"
+	"yafim/internal/itemset"
 	"yafim/internal/mapreduce"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
@@ -523,8 +524,8 @@ func (w *worker) runMap(ctx context.Context, task *TaskSpec) (int64, error) {
 	}
 	// The block cache is the fix for the paper's central Hadoop complaint:
 	// the first pass reads and parses the split, every later pass of the
-	// k-pass mining job maps the parsed records from memory.
-	read := func() ([]mapreduce.Record, error) { return w.blocks.get(task.Split) }
+	// k-pass mining job maps the parsed rows from memory.
+	read := func() ([]itemset.Itemset, int64, error) { return w.blocks.get(task.Split) }
 	// Real runtime: costs are measured, not metered.
 	out, err := mapreduce.MapTask(task.Index, tasks.NewMapper(), combiner, read,
 		task.NumReducers, new(sim.Ledger))

@@ -10,7 +10,9 @@
 package eclat
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"yafim/internal/apriori"
 	"yafim/internal/itemset"
@@ -46,8 +48,9 @@ func Mine(db *itemset.DB, minSupport float64) (*apriori.Result, error) {
 	}
 	minCount := db.MinSupportCount(minSupport)
 
-	// Build the vertical layout, keeping only frequent items.
-	vertical := make([]tidlist, db.NumItems())
+	// Build the vertical layout in a map, so its memory follows the distinct
+	// items, not the largest item id, and keep the frequent items in order.
+	vertical := map[itemset.Item]tidlist{}
 	for ti, tr := range db.Transactions {
 		for _, it := range tr.Items {
 			vertical[it] = append(vertical[it], int32(ti))
@@ -60,9 +63,10 @@ func Mine(db *itemset.DB, minSupport float64) (*apriori.Result, error) {
 	var frontier []cell
 	for it, tids := range vertical {
 		if len(tids) >= minCount {
-			frontier = append(frontier, cell{itemset.Item(it), tids})
+			frontier = append(frontier, cell{it, tids})
 		}
 	}
+	slices.SortFunc(frontier, func(a, b cell) int { return cmp.Compare(a.item, b.item) })
 
 	byLevel := map[int][]apriori.SetCount{}
 	var dfs func(prefix itemset.Itemset, ext []cell)

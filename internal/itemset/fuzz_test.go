@@ -20,7 +20,7 @@ func FuzzParseLines(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lines := strings.Split(string(data), "\n")
-		sets, err := ParseLines(len(lines), func(i int) string { return lines[i] })
+		sets, err := ParseLines(lines)
 		for i, l := range lines {
 			if _, perr := ParseLine(l); perr != nil {
 				var le *LineError

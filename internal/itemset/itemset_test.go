@@ -400,9 +400,7 @@ func TestParseLinesAllocatesTwice(t *testing.T) {
 	for i := range lines {
 		lines[i] = chessRow()
 	}
-	n := testing.AllocsPerRun(100, func() {
-		_, _ = ParseLines(len(lines), func(i int) string { return lines[i] })
-	})
+	n := testing.AllocsPerRun(100, func() { _, _ = ParseLines(lines) })
 	if n != 2 {
 		t.Fatalf("ParseLines made %v allocations over %d lines, want 2", n, len(lines))
 	}

@@ -94,24 +94,24 @@ func ParseLine(line string) (Itemset, error) {
 	return AppendLine(make(Itemset, 0, CountFields(line)), line)
 }
 
-// ParseLines parses a batch of n .dat lines, line(i) returning the i-th,
-// by AppendLine. It is the one parser from input text to transactions:
-// the MapReduce record reader, the RDD engines' transactions partitions
-// and LoadFile all call it. The itemsets share one backing array, sized
-// up front from the lines' fields so it never moves, and each is capped at
-// its own length, so an append to one cannot overwrite the next. A line
-// that does not parse fails the whole batch with a *LineError.
-func ParseLines(n int, line func(i int) string) ([]Itemset, error) {
+// ParseLines parses a batch of .dat lines by AppendLine. It is the one
+// parser from input text to transactions: the MapReduce record reader, the
+// RDD engines' transactions partitions and LoadFile all call it. The
+// itemsets share one backing array, sized up front from the lines' fields
+// so it never moves, and each is capped at its own length, so an append to
+// one cannot overwrite the next. A line that does not parse fails the
+// whole batch with a *LineError.
+func ParseLines(lines []string) ([]Itemset, error) {
 	fields := 0
-	for i := 0; i < n; i++ {
-		fields += CountFields(line(i))
+	for _, line := range lines {
+		fields += CountFields(line)
 	}
 	items := make(Itemset, 0, fields) // every line's items, back to back
-	sets := make([]Itemset, n)
-	for i := range sets {
+	sets := make([]Itemset, len(lines))
+	for i, line := range lines {
 		start := len(items)
 		var err error
-		if items, err = AppendLine(items, line(i)); err != nil {
+		if items, err = AppendLine(items, line); err != nil {
 			return nil, &LineError{Index: i, Err: err}
 		}
 		sets[i] = items[start:len(items):len(items)]

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"yafim/internal/chaos"
-	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/shuffle"
 	"yafim/internal/sim"
@@ -90,18 +89,18 @@ func kv(k string, vs ...string) shuffle.Pair[string, []string] {
 var fuzzKeys = []string{"the", "fox", "a", "", "zz", "a b", "fo"}
 
 // byteMapper emits one record per item of each input record, keyed by
-// fuzzKeys and valued by the item, charges a CPU op per byte of the line and
-// snapshots the ledger after every call.
+// fuzzKeys and valued by the item, charges a CPU op per item and snapshots
+// the ledger after every call.
 type byteMapper struct {
 	cleanup bool
 	snaps   *[]sim.Cost
 }
 
-func (m byteMapper) Map(rec Record, emit Emit, led *sim.Ledger) error {
-	for _, it := range rec.Items {
+func (m byteMapper) Map(items itemset.Itemset, emit Emit, led *sim.Ledger) error {
+	for _, it := range items {
 		emit(fuzzKeys[int(it)%len(fuzzKeys)], strconv.Itoa(int(it)))
 	}
-	led.AddCPU(float64(rec.Len))
+	led.AddCPU(float64(len(items)))
 	*m.snaps = append(*m.snaps, led.Total())
 	return nil
 }
@@ -163,16 +162,19 @@ type mapTaskTrace struct {
 
 // splitRecords cuts chunk into records at every byte divisible by 7, each
 // holding its line's bytes as items, in order and with repeats, so a Map
-// call's emits are as arbitrary as the bytes.
-func splitRecords(chunk []byte) []Record {
-	var recs []Record
+// call's emits are as arbitrary as the bytes. It returns the records with
+// their lines' text bytes, the cut bytes excluded.
+func splitRecords(chunk []byte) ([]itemset.Itemset, int64) {
+	var rows []itemset.Itemset
+	var text int64
 	start := 0
 	cut := func(end int) {
 		items := make([]itemset.Item, 0, end-start)
 		for _, b := range chunk[start:end] {
 			items = append(items, itemset.Item(b))
 		}
-		recs = append(recs, Record{Len: end - start, Items: items[:len(items):len(items)]})
+		rows = append(rows, items[:len(items):len(items)])
+		text += int64(end - start)
 	}
 	for i, b := range chunk {
 		if b%7 == 0 {
@@ -181,7 +183,7 @@ func splitRecords(chunk []byte) []Record {
 		}
 	}
 	cut(len(chunk))
-	return recs
+	return rows, text
 }
 
 // traceTasks runs maps map tasks over contiguous chunks of data and then
@@ -193,14 +195,14 @@ func traceTasks(t *testing.T, ref bool, data []byte, maps, reducers, combine int
 	var combineCalls []reduceCall
 	refOuts := make([]*refMapOutput, maps)
 	for m := 0; m < maps; m++ {
-		recs := splitRecords(data[m*len(data)/maps : (m+1)*len(data)/maps])
+		rows, text := splitRecords(data[m*len(data)/maps : (m+1)*len(data)/maps])
 		var snaps []sim.Cost
 		mapper := byteMapper{cleanup: cleanup, snaps: &snaps}
 		var combiner Reducer
 		if combine > 0 {
 			combiner = recordingReducer{kind: combine, calls: &combineCalls}
 		}
-		read := func() ([]Record, error) { return recs, nil }
+		read := func() ([]itemset.Itemset, int64, error) { return rows, text, nil }
 		led := new(sim.Ledger)
 		if ref {
 			out, err := refMapTask(m, mapper, combiner, read, reducers, led)
@@ -371,8 +373,8 @@ func FuzzParseRun(f *testing.F) {
 
 // FuzzReadRecords checks the record reader against itemset.ParseLines,
 // which itemset's FuzzParseLines holds to ParseLine, over fuzz bytes cut
-// into lines as a split starting at byte base yields them: each record
-// holds its line's length and the parser's items for it, and a line that
+// into lines as a split whose first line starts at byte base yields them:
+// it returns the parser's rows and the lines' text bytes, and a line that
 // does not parse fails the whole split with an error naming its offset.
 func FuzzReadRecords(f *testing.F) {
 	f.Add(uint32(0), []byte("1 2 3\n3 1 3\n\n7\t7 2\r\n"))
@@ -381,24 +383,23 @@ func FuzzReadRecords(f *testing.F) {
 	f.Add(uint32(0), []byte("5 4 3 2 1\n\n\n"))
 	f.Add(uint32(1), []byte{})
 	f.Fuzz(func(t *testing.T, base uint32, data []byte) {
-		var lines []dfs.Line
-		start := 0
-		for i := 0; i <= len(data); i++ {
-			if i == len(data) || data[i] == '\n' {
-				lines = append(lines, dfs.Line{Offset: int64(base) + int64(start), Text: string(data[start:i])})
-				start = i + 1
+		lines := strings.Split(string(data), "\n")
+		starts := []int64{int64(base)} // each line's offset: base, then one past every newline
+		for i, b := range data {
+			if b == '\n' {
+				starts = append(starts, int64(base)+int64(i)+1)
 			}
 		}
-		recs, err := ReadRecords(lines)
-		sets, perr := itemset.ParseLines(len(lines), func(i int) string { return lines[i].Text })
+		rows, text, err := ReadRecords(lines, int64(base))
+		sets, perr := itemset.ParseLines(lines)
 		var le *itemset.LineError
 		if errors.As(perr, &le) {
-			l := lines[le.Index]
-			if err == nil || recs != nil {
+			off := starts[le.Index]
+			if err == nil || rows != nil {
 				t.Fatalf("line %q at %d does not parse (%v), yet the split read as %v, %v",
-					l.Text, l.Offset, perr, recs, err)
+					lines[le.Index], off, perr, rows, err)
 			}
-			if want := fmt.Sprintf("record at offset %d: %v", l.Offset, le.Err); err.Error() != want {
+			if want := fmt.Sprintf("record at offset %d: %v", off, le.Err); err.Error() != want {
 				t.Fatalf("error %q, want %q", err, want)
 			}
 			return
@@ -406,13 +407,16 @@ func FuzzReadRecords(f *testing.F) {
 		if err != nil {
 			t.Fatalf("every line parses, yet the split failed: %v", err)
 		}
-		if len(recs) != len(lines) {
-			t.Fatalf("%d lines read as %d records", len(lines), len(recs))
+		if want := int64(len(data) - (len(lines) - 1)); text != want {
+			t.Fatalf("%d bytes in %d lines read as %d bytes of text, want %d",
+				len(data), len(lines), text, want)
 		}
-		for i, r := range recs {
-			if r.Len != len(lines[i].Text) || !r.Items.Equal(sets[i]) {
-				t.Fatalf("record %d = %+v, want length %d, items %v",
-					i, r, len(lines[i].Text), sets[i])
+		if len(rows) != len(lines) {
+			t.Fatalf("%d lines read as %d rows", len(lines), len(rows))
+		}
+		for i, r := range rows {
+			if !r.Equal(sets[i]) {
+				t.Fatalf("row %d = %v, want %v", i, r, sets[i])
 			}
 		}
 	})

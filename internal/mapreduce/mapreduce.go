@@ -1,11 +1,11 @@
 // Package mapreduce implements a Hadoop-1.x-style MapReduce engine over the
-// simulated DFS. A map task's input records are parsed .dat transactions
-// (see Record and ReadRecords), while keys and values stay text (string
-// keys and values, like Hadoop streaming). Map tasks read their split's
-// records, partition and locally combine their output, spill it to
-// (virtual) local disk; reduce tasks fetch their partition from every map
-// task over the (virtual) network, merge, process keys in sorted order and
-// commit part files back to the DFS with replication.
+// simulated DFS. A map task's input records are .dat transactions, parsed
+// by the record reader (ReadRecords) into itemsets, while keys and values
+// stay text (string keys and values, like Hadoop streaming). Map tasks read
+// their split's records, partition and locally combine their output, spill
+// it to (virtual) local disk; reduce tasks fetch their partition from every
+// map task over the (virtual) network, merge, process keys in sorted order
+// and commit part files back to the DFS with replication.
 //
 // Faithful to the era, every job pays a heavy startup cost (JobTracker
 // setup, JVM launches) and re-reads and re-parses its input from the DFS —
@@ -25,6 +25,7 @@ import (
 	"yafim/internal/cluster"
 	"yafim/internal/dfs"
 	"yafim/internal/exec"
+	"yafim/internal/itemset"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
 	"yafim/internal/vcluster"
@@ -42,8 +43,9 @@ type CacheFiles map[string][]byte
 // Mapper processes one input split. A fresh instance is created per map
 // task, so implementations may keep per-task state without locking.
 type Mapper interface {
-	// Map processes one input record. Its items are read-only.
-	Map(rec Record, emit Emit, led *sim.Ledger) error
+	// Map processes one input record, a transaction's items. They are
+	// read-only: a worker maps a cached split again in every later pass.
+	Map(items itemset.Itemset, emit Emit, led *sim.Ledger) error
 	// Cleanup runs once per task after the last Map call; in-mapper
 	// combiners (e.g. MRApriori's candidate counts) buffer in Map and emit
 	// here.
@@ -247,12 +249,12 @@ func (r *Runner) runMapStage(ctx context.Context, job Job, splits []dfs.Split,
 			combiner = job.NewCombiner()
 		}
 		// Every pass reads and parses its split again, as a Hadoop job does.
-		read := func() ([]Record, error) {
-			lines, err := r.fs.ReadLinesContext(ctx, splits[t], led)
+		read := func() ([]itemset.Itemset, int64, error) {
+			lines, first, err := r.fs.ReadLinesContext(ctx, splits[t], led)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			return ReadRecords(lines)
+			return ReadRecords(lines, first)
 		}
 		out, err := MapTask(t, job.NewMapper(), combiner, read, job.NumReducers, led)
 		if err != nil {

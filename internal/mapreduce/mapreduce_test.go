@@ -23,8 +23,8 @@ type itemCountMapper struct{ failOn itemset.Item }
 
 func (m *itemCountMapper) Cleanup(Emit, *sim.Ledger) error { return nil }
 
-func (m *itemCountMapper) Map(rec Record, emit Emit, _ *sim.Ledger) error {
-	for _, it := range rec.Items {
+func (m *itemCountMapper) Map(items itemset.Itemset, emit Emit, _ *sim.Ledger) error {
+	for _, it := range items {
 		if it == m.failOn {
 			return fmt.Errorf("poisoned item %d", it)
 		}
@@ -450,13 +450,13 @@ type flakyMapper struct {
 	plan *failPlan
 }
 
-func (m *flakyMapper) Map(rec Record, emit Emit, led *sim.Ledger) error {
-	for _, it := range rec.Items {
+func (m *flakyMapper) Map(items itemset.Itemset, emit Emit, led *sim.Ledger) error {
+	for _, it := range items {
 		if m.plan.fail(it) {
 			return errInjected
 		}
 	}
-	return m.itemCountMapper.Map(rec, emit, led)
+	return m.itemCountMapper.Map(items, emit, led)
 }
 
 type flakyReducer struct {

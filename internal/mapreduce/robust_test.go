@@ -8,6 +8,7 @@ import (
 
 	"yafim/internal/cluster"
 	"yafim/internal/exec"
+	"yafim/internal/itemset"
 	"yafim/internal/leaktest"
 	"yafim/internal/obs"
 	"yafim/internal/sim"
@@ -22,11 +23,11 @@ type panicMapper struct {
 
 func (m *panicMapper) Cleanup(Emit, *sim.Ledger) error { return nil }
 
-func (m *panicMapper) Map(rec Record, emit Emit, led *sim.Ledger) error {
+func (m *panicMapper) Map(items itemset.Itemset, emit Emit, led *sim.Ledger) error {
 	if m.limit == nil || atomic.AddInt64(m.limit, -1) >= 0 {
 		panic("mapper exploded")
 	}
-	return (&itemCountMapper{}).Map(rec, emit, led)
+	return (&itemCountMapper{}).Map(items, emit, led)
 }
 
 func newRobustRunner(t *testing.T, rec *obs.Recorder) *Runner {
@@ -96,7 +97,7 @@ type cancelingMapper struct {
 
 func (m *cancelingMapper) Cleanup(Emit, *sim.Ledger) error { return nil }
 
-func (m *cancelingMapper) Map(Record, Emit, *sim.Ledger) error {
+func (m *cancelingMapper) Map(itemset.Itemset, Emit, *sim.Ledger) error {
 	m.cancel()
 	return exec.ContextErr(m.ctx)
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"yafim/internal/dfs"
 	"yafim/internal/itemset"
 	"yafim/internal/shuffle"
 	"yafim/internal/sim"
@@ -19,34 +18,29 @@ import (
 // Sharing the bodies is what makes a distributed job's output byte-equal to
 // the sim's.
 
-// Record is one input record of a map task: a .dat transaction line,
-// parsed.
-type Record struct {
-	Len int // the line's length in bytes, without its newline
-	// Items are the line's canonical items. They are read-only: they share
-	// a backing array with the split's other records, and a worker maps a
-	// cached split again in every later pass.
-	Items itemset.Itemset
-}
-
-// ReadRecords parses a split's lines into records by itemset.ParseLines,
-// the one .dat parser, so the records' items share one backing array and
-// each is capped at its own length. A line that does not parse fails the
-// whole split, naming its offset.
-func ReadRecords(lines []dfs.Line) ([]Record, error) {
-	sets, err := itemset.ParseLines(len(lines), func(i int) string { return lines[i].Text })
+// ReadRecords is the record reader: it parses a split's lines, the first
+// at file offset first, into the map task's rows by itemset.ParseLines, the
+// one .dat parser, so the rows share one backing array and each is capped
+// at its own length. It returns the rows with the lines' text bytes, their
+// newlines excluded. A line that does not parse fails the whole split,
+// naming its offset.
+func ReadRecords(lines []string, first int64) ([]itemset.Itemset, int64, error) {
+	rows, err := itemset.ParseLines(lines)
 	if err != nil {
 		var le *itemset.LineError
 		if errors.As(err, &le) {
-			err = fmt.Errorf("record at offset %d: %w", lines[le.Index].Offset, le.Err)
+			for _, l := range lines[:le.Index] {
+				first += int64(len(l)) + 1
+			}
+			err = fmt.Errorf("record at offset %d: %w", first, le.Err)
 		}
-		return nil, err
+		return nil, 0, err
 	}
-	recs := make([]Record, len(lines))
-	for i, l := range lines {
-		recs[i] = Record{Len: len(l.Text), Items: sets[i]}
+	var text int64
+	for _, l := range lines {
+		text += int64(len(l))
 	}
-	return recs, nil
+	return rows, text, nil
 }
 
 // Run is one map task's output for one reduce partition: keys strictly
@@ -63,21 +57,22 @@ type MapOutput struct {
 	InputRecords, MapRecords, CombineRecords int64
 }
 
-// MapTask is the body of map task t: read the split's records, map every
-// one, clean up, group the emitted records by key, route each key to its
+// MapTask is the body of map task t: read the split's rows and the bytes
+// of text they were parsed from, map every row, clean up, charge the parse
+// and the records, group the emitted records by key, route each key to its
 // shuffle.HashKey partition, sort each partition into a run, fold each run
 // through the combiner (nil for none) and charge the sort-and-spill. Every
 // charge goes to led, in that order.
 func MapTask(t int, mapper Mapper, combiner Reducer,
-	read func() ([]Record, error), reducers int, led *sim.Ledger) (*MapOutput, error) {
-	recs, err := read()
+	read func() ([]itemset.Itemset, int64, error), reducers int, led *sim.Ledger) (*MapOutput, error) {
+	rows, text, err := read()
 	if err != nil {
 		return nil, fmt.Errorf("task %d read: %w", t, err)
 	}
 	out := &MapOutput{
 		Runs:         make([]Run, reducers),
 		Bytes:        make([]int64, reducers),
-		InputRecords: int64(len(recs)),
+		InputRecords: int64(len(rows)),
 	}
 	var groups Run // one per distinct key, in first-emit order
 	index := make(map[string]int)
@@ -91,15 +86,17 @@ func MapTask(t int, mapper Mapper, combiner Reducer,
 		groups[i].Value = append(groups[i].Value, v)
 		out.MapRecords++
 	}
-	for _, rec := range recs {
-		if err := mapper.Map(rec, emit, led); err != nil {
+	for _, row := range rows {
+		if err := mapper.Map(row, emit, led); err != nil {
 			return nil, fmt.Errorf("task %d map: %w", t, err)
 		}
 	}
 	if err := mapper.Cleanup(emit, led); err != nil {
 		return nil, fmt.Errorf("task %d cleanup: %w", t, err)
 	}
-	led.AddCPU(float64(len(recs)) + float64(out.MapRecords))
+	// Parsing costs one op per byte of text, as Hadoop pays it on every
+	// pass; reading and emitting one op per record.
+	led.AddCPU(float64(text) + float64(len(rows)) + float64(out.MapRecords))
 	for _, g := range groups {
 		p := shuffle.HashKey(g.Key) % uint32(reducers)
 		out.Runs[p] = append(out.Runs[p], g)

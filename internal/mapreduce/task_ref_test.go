@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"yafim/internal/itemset"
 	"yafim/internal/sim"
 )
 
@@ -26,15 +27,15 @@ type refMapOutput struct {
 }
 
 func refMapTask(t int, mapper Mapper, combiner Reducer,
-	read func() ([]Record, error), reducers int, led *sim.Ledger) (*refMapOutput, error) {
-	recs, err := read()
+	read func() ([]itemset.Itemset, int64, error), reducers int, led *sim.Ledger) (*refMapOutput, error) {
+	rows, text, err := read()
 	if err != nil {
 		return nil, fmt.Errorf("task %d read: %w", t, err)
 	}
 	out := &refMapOutput{
 		Partitions:   make([]refPartition, reducers),
 		Bytes:        make([]int64, reducers),
-		InputRecords: int64(len(recs)),
+		InputRecords: int64(len(rows)),
 	}
 	for i := range out.Partitions {
 		out.Partitions[i] = make(refPartition)
@@ -44,15 +45,15 @@ func refMapTask(t int, mapper Mapper, combiner Reducer,
 		b[k] = append(b[k], v)
 		out.MapRecords++
 	}
-	for _, rec := range recs {
-		if err := mapper.Map(rec, emit, led); err != nil {
+	for _, row := range rows {
+		if err := mapper.Map(row, emit, led); err != nil {
 			return nil, fmt.Errorf("task %d map: %w", t, err)
 		}
 	}
 	if err := mapper.Cleanup(emit, led); err != nil {
 		return nil, fmt.Errorf("task %d cleanup: %w", t, err)
 	}
-	led.AddCPU(float64(len(recs)) + float64(out.MapRecords))
+	led.AddCPU(float64(text) + float64(len(rows)) + float64(out.MapRecords))
 
 	if combiner != nil {
 		for i, b := range out.Partitions {

@@ -59,11 +59,10 @@ type itemMapper struct{}
 
 func (itemMapper) Cleanup(mapreduce.Emit, *sim.Ledger) error { return nil }
 
-func (itemMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, led *sim.Ledger) error {
-	for _, it := range rec.Items {
+func (itemMapper) Map(items itemset.Itemset, emit mapreduce.Emit, _ *sim.Ledger) error {
+	for _, it := range items {
 		emit(strconv.Itoa(int(it)), "1")
 	}
-	led.AddCPU(float64(rec.Len))
 	return nil
 }
 
@@ -179,10 +178,9 @@ func (m *countMapper) Cleanup(emit mapreduce.Emit, led *sim.Ledger) error {
 	return nil
 }
 
-func (m *countMapper) Map(rec mapreduce.Record, emit mapreduce.Emit, led *sim.Ledger) error {
-	led.AddCPU(float64(rec.Len))
+func (m *countMapper) Map(items itemset.Itemset, emit mapreduce.Emit, led *sim.Ledger) error {
 	counts := m.counts
-	m.ops += float64(m.matcher.Subset(rec.Items, func(i int) { counts[i]++ }))
+	m.ops += float64(m.matcher.Subset(items, func(i int) { counts[i]++ }))
 	if m.rows++; m.rows%opsFlushRows == 0 {
 		led.AddCPU(m.ops)
 		m.ops = 0

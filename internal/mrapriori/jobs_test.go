@@ -21,7 +21,7 @@ func TestEveryMapTaskChargedTreeConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = 4 * 2
-	empty := func() ([]mapreduce.Record, error) { return nil, nil }
+	empty := func() ([]itemset.Itemset, int64, error) { return nil, 0, nil }
 	for task := 0; task < 3; task++ {
 		led := new(sim.Ledger)
 		if _, err := mapreduce.MapTask(task, tasks.NewMapper(), tasks.NewCombiner(), empty, 2, led); err != nil {

@@ -22,16 +22,12 @@ func TextFile(ctx *Context, fs *dfs.FileSystem, path string, minSplits int) (*RD
 	}
 	out := newRDD(ctx, "textFile("+path+")", len(splits), nil,
 		func(p int, led *sim.Ledger) ([]string, error) {
-			lines, err := fs.ReadLinesContext(ctx.goCtx, splits[p], led)
+			lines, _, err := fs.ReadLinesContext(ctx.goCtx, splits[p], led)
 			if err != nil {
 				return nil, err
 			}
-			out := make([]string, len(lines))
-			for i, l := range lines {
-				out[i] = l.Text
-			}
 			led.AddCPU(float64(len(lines)))
-			return out, nil
+			return lines, nil
 		})
 	// Each partition prefers the nodes holding its split's block replicas
 	// (valid because the engines size the DFS to the cluster's node count).

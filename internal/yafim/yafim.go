@@ -147,7 +147,7 @@ func Transactions(ctx *rdd.Context, fs *dfs.FileSystem, path string, parts int) 
 	}
 	return rdd.MapPartitions(lines, "transactions",
 		func(_ int, rows []string, led *sim.Ledger) ([]itemset.Itemset, error) {
-			out, err := itemset.ParseLines(len(rows), func(i int) string { return rows[i] })
+			out, err := itemset.ParseLines(rows)
 			if err != nil {
 				return nil, err
 			}
