@@ -193,23 +193,8 @@ func pass2Fixture(tb testing.TB) ([]itemset.Transaction, []itemset.Itemset) {
 // benchmark's Fig. 3 support.
 func kernelFixture(tb testing.TB, name string, scale float64) ([]itemset.Transaction, []itemset.Itemset) {
 	tb.Helper()
-	bm, err := experiments.FindBenchmark(name)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	db, err := bm.Gen(scale, benchEnv().Seed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	l1, err := apriori.Mine(db, bm.Support, apriori.Options{MaxK: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var items []itemset.Itemset
-	for _, sc := range l1.Levels[0].Sets {
-		items = append(items, sc.Set)
-	}
-	cands, err := apriori.Gen(items)
+	db, l1 := levelFixture(tb, name, scale, 1)
+	cands, err := apriori.Gen(l1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -219,10 +204,31 @@ func kernelFixture(tb testing.TB, name string, scale float64) ([]itemset.Transac
 	return db.Transactions, cands
 }
 
+// levelFixture generates a paper benchmark dataset at scale and its
+// frequent k-itemsets L_k at the benchmark's Fig. 3 support.
+func levelFixture(tb testing.TB, name string, scale float64, k int) (*itemset.DB, []itemset.Itemset) {
+	tb.Helper()
+	bm, err := experiments.FindBenchmark(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db, err := bm.Gen(scale, benchEnv().Seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := apriori.Mine(db, bm.Support, apriori.Options{MaxK: k})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db, apriori.SetsOf(res.Frequent(k))
+}
+
 // TestRegistryAddsNoAllocsToPass2Kernel pins the metering promise of the
-// metrics registry on the pass-2 hot path: with its series materialized, the
-// per-task registry feed (a duration observation plus a task count) adds
-// exactly zero allocations per operation on top of the counting kernel.
+// metrics registry on the pass-2 hot path: through handles created and
+// materialized before measuring, a duration observation plus a task count
+// add exactly zero allocations per operation on top of the counting kernel.
+// It does not measure Recorder.AddStage, which looks its handles up in the
+// registry on every call.
 func TestRegistryAddsNoAllocsToPass2Kernel(t *testing.T) {
 	txs, cands := pass2Fixture(t)
 	tree := hashtree.Build(cands)
@@ -289,6 +295,23 @@ func benchCountSupports(b *testing.B, txs []itemset.Transaction, cands []itemset
 	}
 	b.ReportMetric(float64(len(cands)), "cands")
 	b.ReportMetric(float64(matched), "matched")
+}
+
+// BenchmarkCandidateGen measures candidate generation past the first pass:
+// apriori.Gen's join and prune over L_2 of the pass-2 fixture's data, which
+// yields C_3.
+func BenchmarkCandidateGen(b *testing.B) {
+	_, l2 := levelFixture(b, "T10I4D100K", 0.05, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cands []itemset.Itemset
+	for i := 0; i < b.N; i++ {
+		var err error
+		if cands, err = apriori.Gen(l2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(cands)), "cands")
 }
 
 // BenchmarkPass2KernelBuild measures candidate-store construction (the

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"yafim/internal/chaos"
+	"yafim/internal/obs"
 )
 
 // SetChaos attaches a chaos plan whose BlockReadFailProb injects block-read
@@ -82,8 +83,7 @@ func (fs *FileSystem) KillNode(node int, rereplicate bool) (lostBlocks int, reRe
 		}
 	}
 	if repaired > 0 {
-		fs.rec.AddReReplicatedBlocks(repaired)
-		fs.rec.AddDFSWrite(reReplicatedBytes)
+		fs.rec.Add(obs.Counters{ReReplicatedBlocks: repaired, DFSWriteBytes: reReplicatedBytes})
 	}
 	return lostBlocks, reReplicatedBytes
 }

@@ -130,7 +130,7 @@ func (fs *FileSystem) WriteFile(path string, data []byte, led *sim.Ledger) error
 	if led != nil {
 		fs.ChargeWrite(int64(len(data)), led)
 	}
-	fs.rec.AddDFSWrite(int64(len(data)) * int64(fs.replication))
+	fs.rec.Add(obs.Counters{DFSWriteBytes: int64(len(data)) * int64(fs.replication)})
 	return nil
 }
 
@@ -181,7 +181,7 @@ func (fs *FileSystem) ReadFile(path string, led *sim.Ledger) ([]byte, error) {
 	if led != nil {
 		led.AddDiskRead(f.size)
 	}
-	fs.recorder().AddDFSRead(f.size)
+	fs.recorder().Add(obs.Counters{DFSReadBytes: f.size})
 	return out, nil
 }
 
@@ -236,7 +236,7 @@ func (fs *FileSystem) ReadRange(path string, off, length int64, led *sim.Ledger)
 	if led != nil {
 		led.AddDiskRead(int64(len(out)))
 	}
-	fs.recorder().AddDFSRead(int64(len(out)))
+	fs.recorder().Add(obs.Counters{DFSReadBytes: int64(len(out))})
 	// An injected block-read failure never loses data — replication always
 	// has another copy — it just re-fetches the range from a remote replica,
 	// paying network time on top of the disk read.
@@ -244,7 +244,7 @@ func (fs *FileSystem) ReadRange(path string, off, length int64, led *sim.Ledger)
 		if led != nil {
 			led.AddNet(int64(len(out)))
 		}
-		fs.recorder().AddBlockReadRetry()
+		fs.recorder().Add(obs.Counters{BlockReadRetries: 1})
 	}
 	return out, nil
 }

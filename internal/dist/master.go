@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -241,13 +242,25 @@ func (t *leaseTable) failJob(j *distJob, err error) {
 	t.wakeLocked()
 }
 
-// decode parses a JSON request body, replying 400 on malformed input.
+// maxRequestBytes caps the request body the master reads, so one peer
+// cannot make it buffer any amount of memory. The largest body a mine
+// sends, a completion listing its outputs, is tens of kilobytes.
+const maxRequestBytes = 64 << 20
+
+// decode parses a JSON request body, replying 400 on malformed input and
+// 413 on a body longer than maxRequestBytes.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return true
+	code := http.StatusBadRequest
+	var tooLong *http.MaxBytesError
+	if errors.As(err, &tooLong) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), code)
+	return false
 }
 
 func reply(w http.ResponseWriter, v any) {

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"yafim/internal/chaos"
+	"yafim/internal/obs"
 	"yafim/internal/sim"
 )
 
@@ -45,5 +46,5 @@ func (r *Runner) rerunLostMaps(job Job, node int, costs []sim.Cost, placements [
 		return
 	}
 	r.drv.Schedule(job.Name+":map-recovery", placed, nil, nil)
-	r.rec.AddStageRerun()
+	r.rec.Add(obs.Counters{StagesRerun: 1})
 }

@@ -140,7 +140,7 @@ func (r *Runner) RunContext(ctx context.Context, job Job) (*sim.JobReport, *Coun
 		return nil, nil, err
 	}
 	if err := exec.ContextErr(ctx); err != nil {
-		r.rec.AddCancellations(1)
+		r.rec.Add(obs.Counters{Cancellations: 1})
 		return nil, nil, fmt.Errorf("mapreduce: %s: %w", job.Name, err)
 	}
 	// Every Hadoop job pays its own startup: no executors stay resident.
@@ -307,8 +307,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*MapOutp
 		// virtual cost is charged, never the mapper closure re-run.
 		if plan := r.drv.ChaosPlan(); plan.FetchFails(name, p) {
 			victim := plan.FetchVictim(name, p, len(outputs))
-			r.rec.AddFetchFailure()
-			r.rec.AddStageRerun()
+			r.rec.Add(obs.Counters{FetchFailures: 1, StagesRerun: 1})
 			led.AddNet(outputs[victim].Bytes[p]) // the fetch that found nothing
 			led.Add(mapCosts[victim])
 		}
@@ -359,7 +358,7 @@ func (r *Runner) runReduceStage(ctx context.Context, job Job, outputs []*MapOutp
 	for p := 0; p < job.NumReducers; p++ {
 		counters.ReduceInputGroups += groups[p]
 		counters.ReduceOutputRecords += outRecs[p]
-		r.rec.AddShuffleBytes(shuffleBytes[p])
+		r.rec.Add(obs.Counters{ShuffleBytes: shuffleBytes[p]})
 	}
 	if r.rec.Enabled() {
 		for p := 0; p < job.NumReducers; p++ {

@@ -24,29 +24,17 @@ type AnalyzeOptions struct {
 	// separating environment-slowed tasks from genuinely heavy ones. Without
 	// it the analysis falls back to comparing cost shares.
 	Cluster *cluster.Config
-	// TopK bounds the hot-partition list per stage (default 3).
-	TopK int
-	// StragglerFactor flags a task as a straggler when it ran longer than
-	// this multiple of the stage's median task time (default 2).
-	StragglerFactor float64
-	// SlowdownFactor attributes a straggler to its environment when its
-	// duration exceeds this multiple of its cost-predicted duration
-	// (default 1.5).
-	SlowdownFactor float64
 }
 
-func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
-	if o.TopK <= 0 {
-		o.TopK = 3
-	}
-	if o.StragglerFactor <= 0 {
-		o.StragglerFactor = stragglerFactor
-	}
-	if o.SlowdownFactor <= 0 {
-		o.SlowdownFactor = 1.5
-	}
-	return o
-}
+// The analyzer's fixed thresholds. A task is a straggler when it ran longer
+// than stragglerFactor times the stage's median task time.
+const (
+	// hotPartitions bounds the hot-partition list per stage.
+	hotPartitions = 3
+	// slowdownFactor attributes a straggler to its environment when its
+	// duration exceeds this multiple of its cost-predicted duration.
+	slowdownFactor = 1.5
+)
 
 // Straggler causes.
 const (
@@ -128,7 +116,6 @@ type Diagnosis struct {
 
 // Analyze builds the diagnosis of everything r has recorded so far.
 func Analyze(r *Recorder, opts AnalyzeOptions) *Diagnosis {
-	opts = opts.withDefaults()
 	d := &Diagnosis{Counters: r.Counters()}
 	for _, job := range r.Jobs() {
 		d.Makespan += job.Duration()
@@ -212,11 +199,7 @@ func diagnoseStage(job JobSpan, st StageSpan, opts AnalyzeOptions) StageDiagnosi
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return durs[order[a]] > durs[order[b]] })
-	k := opts.TopK
-	if k > len(order) {
-		k = len(order)
-	}
-	for _, i := range order[:k] {
+	for _, i := range order[:min(hotPartitions, len(order))] {
 		share := 0.0
 		if sumDur > 0 {
 			share = float64(durs[i]) / float64(sumDur)
@@ -228,7 +211,7 @@ func diagnoseStage(job JobSpan, st StageSpan, opts AnalyzeOptions) StageDiagnosi
 	}
 
 	// Straggler attribution over tasks exceeding factor x median.
-	cutoff := time.Duration(float64(out.MedianTask) * opts.StragglerFactor)
+	cutoff := time.Duration(float64(out.MedianTask) * stragglerFactor)
 	medianNorm := medianOf(sizes)
 	for i, t := range st.Tasks {
 		if out.MedianTask <= 0 || durs[i] <= cutoff {
@@ -257,7 +240,7 @@ func attributeStraggler(sd *StragglerDiag, t TaskSpan, dur time.Duration,
 		sd.Expected = expected
 		if expected > 0 {
 			sd.Slowdown = float64(dur) / float64(expected)
-			if sd.Slowdown > opts.SlowdownFactor {
+			if sd.Slowdown > slowdownFactor {
 				return CauseEnvironment
 			}
 		}
@@ -272,7 +255,7 @@ func attributeStraggler(sd *StragglerDiag, t TaskSpan, dur time.Duration,
 	// No cluster config: a straggler whose metered cost is also far above
 	// the stage median carried a hot partition; otherwise something outside
 	// its data slowed it.
-	if medianNorm > 0 && t.Cost.Norm() > opts.StragglerFactor*medianNorm {
+	if medianNorm > 0 && t.Cost.Norm() > stragglerFactor*medianNorm {
 		return CauseDataSkew
 	}
 	return CauseEnvironment

@@ -172,13 +172,14 @@ func TestAnalyzeStragglerAttributionWithoutCluster(t *testing.T) {
 
 func TestAnalyzeHotPartitions(t *testing.T) {
 	cfg := cluster.PaperSpark()
-	d := Analyze(analyzeRecorder(cfg), AnalyzeOptions{Cluster: &cfg, TopK: 2})
+	d := Analyze(analyzeRecorder(cfg), AnalyzeOptions{Cluster: &cfg})
 	mixed := d.Stages[0]
-	if len(mixed.Hot) != 2 {
-		t.Fatalf("hot = %+v, want 2 entries", mixed.Hot)
+	if len(mixed.Hot) != hotPartitions {
+		t.Fatalf("hot = %+v, want %d entries", mixed.Hot, hotPartitions)
 	}
-	// Hottest first: the heavy partition, then the environment straggler.
-	if mixed.Hot[0].Task != 5 || mixed.Hot[1].Task != 4 {
+	// Hottest first: the heavy partition, the environment straggler, then
+	// the retried task.
+	if mixed.Hot[0].Task != 5 || mixed.Hot[1].Task != 4 || mixed.Hot[2].Task != 6 {
 		t.Fatalf("hot order = %+v", mixed.Hot)
 	}
 	var shares float64
@@ -189,7 +190,7 @@ func TestAnalyzeHotPartitions(t *testing.T) {
 		shares += h.Share
 	}
 	if shares > 1 {
-		t.Errorf("top-2 shares sum to %v > 1", shares)
+		t.Errorf("top-%d shares sum to %v > 1", hotPartitions, shares)
 	}
 }
 

@@ -11,7 +11,10 @@
 //   - Counters — runtime totals the performance analysis needs: cache
 //     hits/misses/evictions, lineage recomputations, broadcast versus naive
 //     shipping bytes, shuffle bytes, DFS I/O bytes, task retries with their
-//     wasted cost, and locality-preference outcomes.
+//     wasted cost, and locality-preference outcomes. Engines update them
+//     with one method, Recorder.Add, passing a Counters literal that names
+//     only the fields they move; updates that belong together go in one
+//     literal, so a concurrent snapshot sees all of them or none.
 //
 // A nil *Recorder is valid everywhere and records nothing: every method is
 // nil-safe, so the engines carry a recorder pointer unconditionally and the
@@ -28,17 +31,23 @@ import (
 // Counters is a snapshot of every runtime counter. The zero value is a valid
 // empty snapshot; Sub produces per-interval deltas (e.g. per mining pass).
 type Counters struct {
-	// RDD cache behaviour (§IV-B: "held in the memory as much as possible").
+	// RDD cache behaviour (§IV-B: "held in the memory as much as possible"):
+	// reuses of a cached partition, lookups of a cache-enabled partition that
+	// was not resident, partitions dropped from executor memory (LRU
+	// pressure, node loss or an explicit drop), and partition computations
+	// that repeated work done earlier in the run.
 	CacheHits         int64 `json:"cache_hits"`
 	CacheMisses       int64 `json:"cache_misses"`
 	CacheEvictions    int64 `json:"cache_evictions"`
 	LineageRecomputes int64 `json:"lineage_recomputes"`
 
-	// Data distribution (§IV-C: broadcast variables vs naive shipping).
+	// Data distribution (§IV-C): payload sent through broadcast variables
+	// versus payload shipped per task through the driver without them.
 	BroadcastBytes int64 `json:"broadcast_bytes"`
 	NaiveShipBytes int64 `json:"naive_ship_bytes"`
 
-	// Data movement.
+	// Data movement: bytes reduce-side shuffle reads fetched across the
+	// network, and bytes the DFS served and ingested (every replica).
 	ShuffleBytes  int64 `json:"shuffle_bytes"`
 	DFSReadBytes  int64 `json:"dfs_read_bytes"`
 	DFSWriteBytes int64 `json:"dfs_write_bytes"`
@@ -61,8 +70,12 @@ type Counters struct {
 	Cancellations int64 `json:"cancellations"`
 	TaskPanics    int64 `json:"task_panics"`
 
-	// Chaos mitigation: speculative execution, node blacklisting, shuffle
-	// fetch recovery, and DFS block repair.
+	// Chaos mitigation: backup copies launched and backups that beat their
+	// original, nodes entering a blacklist window after repeated failures,
+	// shuffle fetches that found a map output missing, stages (or stage
+	// fragments) re-executed to regenerate lost data, DFS blocks whose
+	// replication a node loss broke and repair restored, and block reads
+	// served by another replica after the first failed.
 	SpeculativeLaunches int64 `json:"speculative_launches"`
 	SpeculativeWins     int64 `json:"speculative_wins"`
 	NodesBlacklisted    int64 `json:"nodes_blacklisted"`
@@ -77,39 +90,43 @@ type Counters struct {
 	LocalityRemote int64 `json:"locality_remote"`
 }
 
+// Add returns the component-wise sum c + d.
+func (c Counters) Add(d Counters) Counters {
+	c.WastedCost = c.WastedCost.Add(d.WastedCost)
+	return c.plus(d, 1)
+}
+
 // Sub returns the component-wise difference c - d, used to attribute counter
 // activity to an interval bracketed by two snapshots.
 func (c Counters) Sub(d Counters) Counters {
-	return Counters{
-		CacheHits:         c.CacheHits - d.CacheHits,
-		CacheMisses:       c.CacheMisses - d.CacheMisses,
-		CacheEvictions:    c.CacheEvictions - d.CacheEvictions,
-		LineageRecomputes: c.LineageRecomputes - d.LineageRecomputes,
-		BroadcastBytes:    c.BroadcastBytes - d.BroadcastBytes,
-		NaiveShipBytes:    c.NaiveShipBytes - d.NaiveShipBytes,
-		ShuffleBytes:      c.ShuffleBytes - d.ShuffleBytes,
-		DFSReadBytes:      c.DFSReadBytes - d.DFSReadBytes,
-		DFSWriteBytes:     c.DFSWriteBytes - d.DFSWriteBytes,
+	c.WastedCost = c.WastedCost.Sub(d.WastedCost)
+	return c.plus(d, -1)
+}
 
-		ShuffleResidentBytes: c.ShuffleResidentBytes - d.ShuffleResidentBytes,
-		ShuffleFrees:         c.ShuffleFrees - d.ShuffleFrees,
-		MapReruns:            c.MapReruns - d.MapReruns,
+// plus adds sign*d to each int64 counter of c.
+func (c Counters) plus(d Counters, sign int64) Counters {
+	dst, src := c.ints(), d.ints()
+	for i := range dst {
+		*dst[i] += sign * *src[i]
+	}
+	return c
+}
 
-		TaskRetries:   c.TaskRetries - d.TaskRetries,
-		WastedCost:    c.WastedCost.Sub(d.WastedCost),
-		Cancellations: c.Cancellations - d.Cancellations,
-		TaskPanics:    c.TaskPanics - d.TaskPanics,
-
-		SpeculativeLaunches: c.SpeculativeLaunches - d.SpeculativeLaunches,
-		SpeculativeWins:     c.SpeculativeWins - d.SpeculativeWins,
-		NodesBlacklisted:    c.NodesBlacklisted - d.NodesBlacklisted,
-		FetchFailures:       c.FetchFailures - d.FetchFailures,
-		StagesRerun:         c.StagesRerun - d.StagesRerun,
-		ReReplicatedBlocks:  c.ReReplicatedBlocks - d.ReReplicatedBlocks,
-		BlockReadRetries:    c.BlockReadRetries - d.BlockReadRetries,
-
-		LocalityLocal:  c.LocalityLocal - d.LocalityLocal,
-		LocalityRemote: c.LocalityRemote - d.LocalityRemote,
+// ints points at every int64 counter of c, in declaration order: the one
+// list of the fields outside the struct. Add, which runs on every event,
+// walks it instead of reflecting; the exporters find the fields by their
+// json tags.
+func (c *Counters) ints() [24]*int64 {
+	return [...]*int64{
+		&c.CacheHits, &c.CacheMisses, &c.CacheEvictions, &c.LineageRecomputes,
+		&c.BroadcastBytes, &c.NaiveShipBytes,
+		&c.ShuffleBytes, &c.DFSReadBytes, &c.DFSWriteBytes,
+		&c.ShuffleResidentBytes, &c.ShuffleFrees, &c.MapReruns,
+		&c.TaskRetries,
+		&c.Cancellations, &c.TaskPanics,
+		&c.SpeculativeLaunches, &c.SpeculativeWins, &c.NodesBlacklisted,
+		&c.FetchFailures, &c.StagesRerun, &c.ReReplicatedBlocks, &c.BlockReadRetries,
+		&c.LocalityLocal, &c.LocalityRemote,
 	}
 }
 
@@ -418,94 +435,22 @@ func (r *Recorder) Counters() Counters {
 	return r.counters
 }
 
-// Counter mutators. Each is nil-safe and cheap enough for task hot paths.
-
-// AddCacheHit records one cached-partition reuse.
-func (r *Recorder) AddCacheHit() {
+// Add adds d to the counter totals under one lock, so a concurrent
+// snapshot sees all of d or none of it. Call sites name only the fields
+// they move: rec.Add(obs.Counters{CacheHits: 1}). A non-zero
+// ShuffleResidentBytes, the one gauge (commits add, frees and node losses
+// subtract), also feeds the registry: a live gauge plus a histogram of the
+// levels seen after each change, i.e. resident bytes over time.
+func (r *Recorder) Add(d Counters) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.counters.CacheHits++
-	r.mu.Unlock()
-}
-
-// AddCacheMiss records one lookup of a cache-enabled partition that was not
-// resident.
-func (r *Recorder) AddCacheMiss() {
-	if r == nil {
+	r.counters = r.counters.Add(d)
+	if d.ShuffleResidentBytes == 0 {
+		r.mu.Unlock()
 		return
 	}
-	r.mu.Lock()
-	r.counters.CacheMisses++
-	r.mu.Unlock()
-}
-
-// AddEvictions records n partitions dropped from executor memory (LRU
-// pressure, node loss, or explicit cache drops).
-func (r *Recorder) AddEvictions(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.CacheEvictions += n
-	r.mu.Unlock()
-}
-
-// AddRecomputes records n partition computations that repeated work already
-// done earlier in the run — the cost of a missing or evicted cache entry.
-func (r *Recorder) AddRecomputes(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.LineageRecomputes += n
-	r.mu.Unlock()
-}
-
-// AddBroadcastBytes records payload distributed via broadcast variables.
-func (r *Recorder) AddBroadcastBytes(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.BroadcastBytes += n
-	r.mu.Unlock()
-}
-
-// AddNaiveShipBytes records payload shipped per-task through the driver
-// under the naive (no-broadcast) configuration.
-func (r *Recorder) AddNaiveShipBytes(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.NaiveShipBytes += n
-	r.mu.Unlock()
-}
-
-// AddShuffleBytes records bytes fetched across the network by reduce-side
-// shuffle reads.
-func (r *Recorder) AddShuffleBytes(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.ShuffleBytes += n
-	r.mu.Unlock()
-}
-
-// AddShuffleResident adjusts the shuffle-resident-bytes gauge by the signed
-// delta n: positive when a map task's output is committed to executor
-// memory, negative when it is freed, invalidated, or lost with a node. The
-// running level also feeds the registry: a live gauge plus a histogram of
-// the levels seen after each change, i.e. resident bytes over time.
-func (r *Recorder) AddShuffleResident(n int64) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.counters.ShuffleResidentBytes += n
 	level := r.counters.ShuffleResidentBytes
 	reg := r.metricsLocked()
 	r.mu.Unlock()
@@ -516,160 +461,4 @@ func (r *Recorder) AddShuffleResident(n int64) {
 		"Resident shuffle byte levels observed after each commit or free.",
 		SizeBuckets).
 		Observe(float64(level))
-}
-
-// AddShuffleFrees records n map-output slices reclaimed (the facade's
-// pass-boundary free, Context.Close, or a node loss).
-func (r *Recorder) AddShuffleFrees(n int64) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.counters.ShuffleFrees += n
-	r.mu.Unlock()
-}
-
-// AddMapReruns records n map tasks re-executed from lineage to regenerate
-// shuffle output destroyed by a node loss.
-func (r *Recorder) AddMapReruns(n int64) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.counters.MapReruns += n
-	r.mu.Unlock()
-}
-
-// AddDFSRead records bytes served by the distributed file system.
-func (r *Recorder) AddDFSRead(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.DFSReadBytes += n
-	r.mu.Unlock()
-}
-
-// AddDFSWrite records bytes ingested by the distributed file system,
-// including replication.
-func (r *Recorder) AddDFSWrite(n int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.DFSWriteBytes += n
-	r.mu.Unlock()
-}
-
-// AddRetries records n failed task attempts and the virtual cost their
-// discarded work burned.
-func (r *Recorder) AddRetries(n int64, wasted sim.Cost) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.TaskRetries += n
-	r.counters.WastedCost = r.counters.WastedCost.Add(wasted)
-	r.mu.Unlock()
-}
-
-// AddCancellations records n stages aborted by cooperative cancellation.
-func (r *Recorder) AddCancellations(n int64) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.counters.Cancellations += n
-	r.mu.Unlock()
-}
-
-// AddTaskPanics records n task attempts that panicked in a user closure and
-// were recovered into typed task errors by the worker.
-func (r *Recorder) AddTaskPanics(n int64) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.counters.TaskPanics += n
-	r.mu.Unlock()
-}
-
-// AddLocality records the placement outcome of tasks that carried a
-// locality preference: local ran on a preferred node, remote paid a network
-// read instead.
-func (r *Recorder) AddLocality(local, remote int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.LocalityLocal += local
-	r.counters.LocalityRemote += remote
-	r.mu.Unlock()
-}
-
-// AddSpeculation records one stage's speculative-execution outcome: backup
-// copies launched and backups that beat their original attempt.
-func (r *Recorder) AddSpeculation(launched, won int64) {
-	if r == nil || (launched == 0 && won == 0) {
-		return
-	}
-	r.mu.Lock()
-	r.counters.SpeculativeLaunches += launched
-	r.counters.SpeculativeWins += won
-	r.mu.Unlock()
-}
-
-// AddBlacklistings records n nodes entering a blacklist window after
-// repeated task failures.
-func (r *Recorder) AddBlacklistings(n int64) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.counters.NodesBlacklisted += n
-	r.mu.Unlock()
-}
-
-// AddFetchFailure records one shuffle fetch that found a map output missing
-// and triggered parent re-execution.
-func (r *Recorder) AddFetchFailure() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.FetchFailures++
-	r.mu.Unlock()
-}
-
-// AddStageRerun records one stage (or stage fragment) re-executed to
-// regenerate lost intermediate data.
-func (r *Recorder) AddStageRerun() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.StagesRerun++
-	r.mu.Unlock()
-}
-
-// AddReReplicatedBlocks records n DFS blocks whose replication factor was
-// restored after a node loss.
-func (r *Recorder) AddReReplicatedBlocks(n int64) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.counters.ReReplicatedBlocks += n
-	r.mu.Unlock()
-}
-
-// AddBlockReadRetry records one DFS block read that failed on its first
-// replica and was served by another.
-func (r *Recorder) AddBlockReadRetry() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters.BlockReadRetries++
-	r.mu.Unlock()
 }

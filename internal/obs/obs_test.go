@@ -35,17 +35,12 @@ func sampleRecorder() *Recorder {
 	})
 	r.EndJob(time.Millisecond)
 
-	r.AddCacheHit()
-	r.AddCacheMiss()
-	r.AddEvictions(3)
-	r.AddRecomputes(2)
-	r.AddBroadcastBytes(1024)
-	r.AddNaiveShipBytes(4096)
-	r.AddShuffleBytes(512)
-	r.AddDFSRead(100)
-	r.AddDFSWrite(200)
-	r.AddRetries(1, sim.Cost{CPUOps: 50})
-	r.AddLocality(5, 1)
+	r.Add(Counters{CacheHits: 1, CacheMisses: 1})
+	r.Add(Counters{CacheEvictions: 3, LineageRecomputes: 2})
+	r.Add(Counters{BroadcastBytes: 1024, NaiveShipBytes: 4096, ShuffleBytes: 512})
+	r.Add(Counters{DFSReadBytes: 100, DFSWriteBytes: 200})
+	r.Add(Counters{TaskRetries: 1, WastedCost: sim.Cost{CPUOps: 50}})
+	r.Add(Counters{LocalityLocal: 5, LocalityRemote: 1})
 	return r
 }
 
@@ -178,17 +173,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.BeginJob("rdd", "x")
 	r.AddStage(StageSpan{Name: "s"})
 	r.EndJob(time.Second)
-	r.AddCacheHit()
-	r.AddCacheMiss()
-	r.AddEvictions(1)
-	r.AddRecomputes(1)
-	r.AddBroadcastBytes(1)
-	r.AddNaiveShipBytes(1)
-	r.AddShuffleBytes(1)
-	r.AddDFSRead(1)
-	r.AddDFSWrite(1)
-	r.AddRetries(1, sim.Cost{CPUOps: 1})
-	r.AddLocality(1, 1)
+	r.Add(Counters{CacheHits: 1, ShuffleResidentBytes: 1, WastedCost: sim.Cost{CPUOps: 1}})
 	if jobs := r.Jobs(); jobs != nil {
 		t.Fatalf("nil recorder jobs = %v", jobs)
 	}
@@ -197,15 +182,15 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 }
 
-// TestNilRecorderAllocFree guards the un-instrumented hot path: counter
-// mutators on a nil recorder must not allocate.
+// TestNilRecorderAllocFree guards the un-instrumented hot path: Add on a nil
+// recorder must not allocate.
 func TestNilRecorderAllocFree(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.AddCacheHit()
-		r.AddShuffleBytes(64)
-		r.AddRetries(1, sim.Cost{})
-		r.AddLocality(1, 0)
+		r.Add(Counters{CacheHits: 1})
+		r.Add(Counters{ShuffleBytes: 64})
+		r.Add(Counters{TaskRetries: 1, WastedCost: sim.Cost{CPUOps: 1}})
+		r.Add(Counters{ShuffleResidentBytes: 64})
 	})
 	if allocs != 0 {
 		t.Fatalf("nil recorder allocated %.1f per run, want 0", allocs)
@@ -218,11 +203,14 @@ func BenchmarkNilRecorderHotPath(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.AddCacheHit()
-		r.AddShuffleBytes(int64(i))
+		r.Add(Counters{CacheHits: 1})
+		r.Add(Counters{ShuffleBytes: int64(i)})
 	}
 }
 
+// TestRecorderConcurrentUse adds from several goroutines while the driver
+// records spans and snapshots the counters. One Add is one update: no
+// snapshot sees a fetch failure without the stage rerun added with it.
 func TestRecorderConcurrentUse(t *testing.T) {
 	r := New()
 	done := make(chan struct{})
@@ -230,19 +218,27 @@ func TestRecorderConcurrentUse(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 1000; i++ {
-				r.AddCacheHit()
-				r.AddShuffleBytes(1)
+				r.Add(Counters{CacheHits: 1})
+				r.Add(Counters{ShuffleBytes: 1, ShuffleResidentBytes: 1})
+				r.Add(Counters{FetchFailures: 1, StagesRerun: 1})
 			}
 		}()
 	}
 	r.BeginJob("rdd", "job")
 	r.AddStage(StageSpan{Name: "s"})
 	r.EndJob(0)
+	for i := 0; i < 100; i++ {
+		if c := r.Counters(); c.FetchFailures != c.StagesRerun {
+			t.Fatalf("snapshot split one Add: %d fetch failures, %d stage reruns",
+				c.FetchFailures, c.StagesRerun)
+		}
+	}
 	for g := 0; g < 4; g++ {
 		<-done
 	}
 	c := r.Counters()
-	if c.CacheHits != 4000 || c.ShuffleBytes != 4000 {
+	if c.CacheHits != 4000 || c.ShuffleBytes != 4000 || c.ShuffleResidentBytes != 4000 ||
+		c.FetchFailures != 4000 {
 		t.Fatalf("counters = %+v", c)
 	}
 }

@@ -13,9 +13,10 @@ import (
 // Prometheus export of the flat Counters snapshot. Every field is exported
 // as yafim_<json tag>; sim.Cost-valued fields expand into one metric per
 // cost component (yafim_<tag>_<component>). The field list is discovered by
-// reflection over the struct's json tags, so a newly added counter appears
-// in /metrics without touching this file — and the drift test leans on the
-// same discovery to prove Sub, IsZero, and WriteCounters kept up.
+// reflection over the struct's json tags, as WriteCounters does, so a newly
+// added counter appears in /metrics and -stats without touching either —
+// and the drift tests lean on the same discovery to prove Add, Sub, IsZero
+// and both exporters kept up.
 
 // counterGauges names the Counters fields that are levels rather than
 // monotone totals and must be typed as Prometheus gauges.

@@ -3,13 +3,15 @@ package obs
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"text/tabwriter"
 	"time"
 )
 
 // stragglerFactor flags a stage as skewed when its slowest task ran longer
 // than this multiple of the mean task time — the usual first question a
-// Spark Web UI stage table answers.
+// Spark Web UI stage table answers. The analyzer flags a task against the
+// stage's median instead.
 const stragglerFactor = 2.0
 
 // StageStats summarises one stage's task-time distribution.
@@ -97,41 +99,13 @@ func WriteStageTable(w io.Writer, r *Recorder) error {
 	return tw.Flush()
 }
 
-// WriteCounters renders the counter snapshot as an aligned key/value table.
+// WriteCounters renders the counter snapshot as an aligned key/value table:
+// one row per Counters field, named by its json tag, in declaration order.
 func WriteCounters(w io.Writer, c Counters) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	rows := []struct {
-		name  string
-		value any
-	}{
-		{"cache_hits", c.CacheHits},
-		{"cache_misses", c.CacheMisses},
-		{"cache_evictions", c.CacheEvictions},
-		{"lineage_recomputes", c.LineageRecomputes},
-		{"broadcast_bytes", c.BroadcastBytes},
-		{"naive_ship_bytes", c.NaiveShipBytes},
-		{"shuffle_bytes", c.ShuffleBytes},
-		{"dfs_read_bytes", c.DFSReadBytes},
-		{"dfs_write_bytes", c.DFSWriteBytes},
-		{"shuffle_resident_bytes", c.ShuffleResidentBytes},
-		{"shuffle_frees", c.ShuffleFrees},
-		{"map_reruns", c.MapReruns},
-		{"task_retries", c.TaskRetries},
-		{"wasted_cost", c.WastedCost},
-		{"cancellations", c.Cancellations},
-		{"task_panics", c.TaskPanics},
-		{"speculative_launches", c.SpeculativeLaunches},
-		{"speculative_wins", c.SpeculativeWins},
-		{"nodes_blacklisted", c.NodesBlacklisted},
-		{"fetch_failures", c.FetchFailures},
-		{"stages_rerun", c.StagesRerun},
-		{"re_replicated_blocks", c.ReReplicatedBlocks},
-		{"block_read_retries", c.BlockReadRetries},
-		{"locality_local", c.LocalityLocal},
-		{"locality_remote", c.LocalityRemote},
-	}
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%v\n", r.name, r.value)
+	v := reflect.ValueOf(c)
+	for i := 0; i < v.NumField(); i++ {
+		fmt.Fprintf(tw, "%s\t%v\n", jsonTag(v.Type().Field(i)), v.Field(i).Interface())
 	}
 	return tw.Flush()
 }

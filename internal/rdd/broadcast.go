@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"yafim/internal/cluster"
+	"yafim/internal/obs"
 	"yafim/internal/sim"
 )
 
@@ -32,7 +33,7 @@ func NewBroadcast[T any](ctx *Context, v T, bytes int64) *Broadcast[T] {
 	b := &Broadcast[T]{ctx: ctx, value: v, bytes: bytes}
 	if !ctx.naiveShipping {
 		ctx.drv.AddOverhead(broadcastTime(ctx.cfg, bytes))
-		ctx.rec.AddBroadcastBytes(bytes)
+		ctx.rec.Add(obs.Counters{BroadcastBytes: bytes})
 	}
 	return b
 }
@@ -47,7 +48,7 @@ func (b *Broadcast[T]) Acquire(led *sim.Ledger) T {
 			led.AddNet(b.bytes)
 		}
 		b.ctx.addShipBytes(b.bytes)
-		b.ctx.rec.AddNaiveShipBytes(b.bytes)
+		b.ctx.rec.Add(obs.Counters{NaiveShipBytes: b.bytes})
 	}
 	return b.value
 }

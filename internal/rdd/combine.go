@@ -3,6 +3,7 @@ package rdd
 import (
 	"cmp"
 
+	"yafim/internal/obs"
 	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
@@ -121,8 +122,7 @@ func ReduceByKey[K cmp.Ordered, V any](r *RDD[shuffle.Pair[K, V]], name string,
 		// recomputation's byte-identical result; only the cost is charged.
 		if plan := r.ctx.ChaosPlan(); plan.FetchFails(name, p) {
 			victim := plan.FetchVictim(name, p, r.parts)
-			r.ctx.rec.AddFetchFailure()
-			r.ctx.rec.AddStageRerun()
+			r.ctx.rec.Add(obs.Counters{FetchFailures: 1, StagesRerun: 1})
 			led.AddNet(st.bytes[victim][p]) // the fetch that found nothing
 			rows, err := r.materialize(victim, led)
 			if err != nil {
@@ -153,7 +153,7 @@ func ReduceByKey[K cmp.Ordered, V any](r *RDD[shuffle.Pair[K, V]], name string,
 		out := make([]shuffle.Pair[K, V], len(merged))
 		copy(out, merged)
 		led.AddCPU(float64(len(out)))
-		r.ctx.rec.AddShuffleBytes(fetched)
+		r.ctx.rec.Add(obs.Counters{ShuffleBytes: fetched})
 		return out, nil
 	}
 	return out

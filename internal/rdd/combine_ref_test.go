@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"sort"
 
+	"yafim/internal/obs"
 	"yafim/internal/shuffle"
 	"yafim/internal/sim"
 )
@@ -120,8 +121,7 @@ func refReduceByKey[K cmp.Ordered, V any](r *RDD[shuffle.Pair[K, V]], name strin
 		// recomputation's byte-identical result; only the cost is charged.
 		if plan := r.ctx.ChaosPlan(); plan.FetchFails(name, p) {
 			victim := plan.FetchVictim(name, p, r.parts)
-			r.ctx.rec.AddFetchFailure()
-			r.ctx.rec.AddStageRerun()
+			r.ctx.rec.Add(obs.Counters{FetchFailures: 1, StagesRerun: 1})
 			led.AddNet(st.bytes[victim][p]) // the fetch that found nothing
 			rows, err := r.materialize(victim, led)
 			if err != nil {
@@ -155,7 +155,7 @@ func refReduceByKey[K cmp.Ordered, V any](r *RDD[shuffle.Pair[K, V]], name strin
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 		led.AddCPU(float64(len(out)))
-		r.ctx.rec.AddShuffleBytes(fetched)
+		r.ctx.rec.Add(obs.Counters{ShuffleBytes: fetched})
 		return out, nil
 	}
 	return out

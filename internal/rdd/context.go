@@ -154,7 +154,7 @@ func (c *Context) noteCompute(rddID, part int) {
 	c.computed[k] = true
 	c.mu.Unlock()
 	if again {
-		c.rec.AddRecomputes(1)
+		c.rec.Add(obs.Counters{LineageRecomputes: 1})
 	}
 }
 
@@ -204,7 +204,7 @@ func (c *Context) shuffleAccount(mapTask int, n int64) {
 		c.shufflePeak = c.shuffleTotal
 	}
 	c.mu.Unlock()
-	c.rec.AddShuffleResident(n)
+	c.rec.Add(obs.Counters{ShuffleResidentBytes: n})
 }
 
 // ShuffleResidentBytes reports the map-output spill currently retained

@@ -73,7 +73,7 @@ func (cs *cacheState[T]) evictNode(node, nodes int) {
 		}
 	}
 	cs.mu.Unlock()
-	cs.rec.AddEvictions(dropped)
+	cs.rec.Add(obs.Counters{CacheEvictions: dropped})
 }
 
 func (cs *cacheState[T]) evictAll() {
@@ -86,7 +86,7 @@ func (cs *cacheState[T]) evictAll() {
 		}
 	}
 	cs.mu.Unlock()
-	cs.rec.AddEvictions(dropped)
+	cs.rec.Add(obs.Counters{CacheEvictions: dropped})
 }
 
 func newRDD[T any](ctx *Context, name string, parts int, deps []preparable,
@@ -115,10 +115,10 @@ func (r *RDD[T]) materialize(p int, led *sim.Ledger) ([]T, error) {
 	}
 	if r.cache != nil {
 		if rows, ok := r.cache.get(p); ok {
-			r.ctx.rec.AddCacheHit()
+			r.ctx.rec.Add(obs.Counters{CacheHits: 1})
 			return rows, nil
 		}
-		r.ctx.rec.AddCacheMiss()
+		r.ctx.rec.Add(obs.Counters{CacheMisses: 1})
 	}
 	rows, err := r.compute(p, led)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"yafim/internal/obs"
 	"yafim/internal/sim"
 )
 
@@ -192,7 +193,7 @@ func (st *shuffleCore) releaseAll(to shufflePhase) {
 	st.dropAll()
 	st.phase = to
 	if to == shuffleFreed && freed > 0 {
-		st.ctx.rec.AddShuffleFrees(freed)
+		st.ctx.rec.Add(obs.Counters{ShuffleFrees: freed})
 		st.ctx.rec.AddEvent("shuffle_free", st.name, freed, freedBytes)
 	}
 }
@@ -219,7 +220,7 @@ func (st *shuffleCore) dropNode(node, nodes int) {
 		st.dropData(p)
 	}
 	if dropped > 0 {
-		st.ctx.rec.AddShuffleFrees(dropped)
+		st.ctx.rec.Add(obs.Counters{ShuffleFrees: dropped})
 		st.ctx.rec.AddEvent("shuffle_drop", st.name, dropped, droppedBytes)
 	}
 }
@@ -232,10 +233,7 @@ func (st *shuffleCore) dropNode(node, nodes int) {
 func (st *shuffleCore) recover(missing []int, prefs [][]int, lineage []string,
 	runMap func(p int, led *sim.Ledger) error, partBytes func(p int) int64) error {
 	ctx := st.ctx
-	for range missing {
-		ctx.rec.AddFetchFailure()
-	}
-	ctx.rec.AddStageRerun()
+	ctx.rec.Add(obs.Counters{FetchFailures: int64(len(missing)), StagesRerun: 1})
 	var sub [][]int
 	if prefs != nil {
 		sub = make([][]int, len(missing))
@@ -256,6 +254,6 @@ func (st *shuffleCore) recover(missing []int, prefs [][]int, lineage []string,
 		bytes[i] = partBytes(p)
 	}
 	st.commit(missing, bytes)
-	ctx.rec.AddMapReruns(int64(len(missing)))
+	ctx.rec.Add(obs.Counters{MapReruns: int64(len(missing))})
 	return nil
 }

@@ -275,7 +275,7 @@ type Stage struct {
 // *exec.StageError when the stage cannot complete.
 func (d *Driver) RunStage(ctx context.Context, st Stage, work func(task int, led *sim.Ledger) error) ([]sim.Cost, []sim.TaskPlacement, error) {
 	if err := exec.ContextErr(ctx); err != nil {
-		d.rec.AddCancellations(1)
+		d.rec.Add(obs.Counters{Cancellations: 1})
 		return nil, nil, &exec.StageError{Engine: d.engine, Stage: st.Name, Lineage: st.Lineage, Err: err}
 	}
 	d.MaybeCrash()
@@ -329,12 +329,12 @@ func (d *Driver) RunStage(ctx context.Context, st Stage, work func(task int, led
 	}
 	wg.Wait()
 
-	d.rec.AddTaskPanics(panics.Load())
+	d.rec.Add(obs.Counters{TaskPanics: panics.Load()})
 	if err := errors.Join(errs...); err != nil {
 		// One representative cancellation instead of the join: every aborted
 		// task carries the same context error.
 		if cause := exec.CollapseCancellation(errs); cause != nil {
-			d.rec.AddCancellations(1)
+			d.rec.Add(obs.Counters{Cancellations: 1})
 			return nil, nil, &exec.StageError{Engine: d.engine, Stage: st.Name, Lineage: st.Lineage, Err: cause}
 		}
 		return nil, nil, &exec.StageError{Engine: d.engine, Stage: st.Name, Attempts: MaxTaskAttempts,
@@ -377,7 +377,7 @@ func (d *Driver) Schedule(name string, placed []sim.Placed, attempts []int, wast
 	d.current.Stages = append(d.current.Stages, rep)
 	d.mu.Unlock()
 	d.recordStage(rep, placed, placements, attempts, wasted)
-	d.rec.AddSpeculation(spec.Launched, spec.Won)
+	d.rec.Add(obs.Counters{SpeculativeLaunches: spec.Launched, SpeculativeWins: spec.Won})
 	return placements
 }
 
@@ -399,7 +399,7 @@ func (d *Driver) noteFailures(stage string, attempts []int) {
 			}
 		}
 	}
-	d.rec.AddBlacklistings(listings)
+	d.rec.Add(obs.Counters{NodesBlacklisted: listings})
 }
 
 // stageOpts assembles the resilience options for the next stage's schedule:
@@ -449,10 +449,6 @@ func (d *Driver) recordStage(rep sim.StageReport, placed []sim.Placed,
 			}
 		}
 	}
-	if retries > 0 {
-		d.rec.AddRetries(retries, waste)
-	}
-	if local > 0 || remote > 0 {
-		d.rec.AddLocality(local, remote)
-	}
+	d.rec.Add(obs.Counters{TaskRetries: retries, WastedCost: waste,
+		LocalityLocal: local, LocalityRemote: remote})
 }
